@@ -5,9 +5,9 @@ Every multi-run experiment in this reproduction — the figure sweeps, the
 sensitivity matrix, the ablations, the CLI comparisons, the benchmark
 harnesses — funnels through :func:`run_campaign`, which fans simulation
 cells out over a process pool, retries failures once, and memoizes
-completed results in an on-disk content-addressed cache. Seeded RNG
-streams make each run a pure function of its spec, so cached results are
-identical to fresh ones.
+completed results in :class:`ResultCache`, a content-addressed directory
+of pickle files. Seeded RNG streams make each run a pure function of its
+spec, so cached results are identical to fresh ones.
 
 Quick start::
 
@@ -41,20 +41,15 @@ from repro.campaign.runner import (
     set_default_workers,
 )
 from repro.campaign.spec import RunSpec
-from repro.campaign.store import CacheStore, DirStore, SqliteStore, make_store
 
 __all__ = [
-    "CacheStore",
     "CampaignError",
     "CampaignReport",
     "DEFAULT_CACHE",
-    "DirStore",
     "ResultCache",
     "RunOutcome",
     "RunSpec",
-    "SqliteStore",
     "canonical",
-    "make_store",
     "configure_cache",
     "default_cache",
     "default_cache_dir",

@@ -15,17 +15,19 @@ value, callables by module-qualified name (plus bound arguments for
 a lambda, a closure — yields no key, and the campaign runner simply runs
 that spec uncached.
 
-Storage is pluggable (see :mod:`repro.campaign.store`): the default
-flat-dir layout or a single-writer sqlite database, selected per path
-suffix, ``REPRO_CACHE_BACKEND``, or :func:`configure_cache`.
+Entries live in one flat directory, one ``<key>.pkl`` file each. A
+write goes to a temp file that is fsynced, atomically renamed into
+place, and followed by a directory fsync, so a crash never leaves a
+truncated payload under its final name. A writer killed before the
+rename can leave a ``.<key12>-*.tmp`` file behind; :meth:`ResultCache.clear`
+removes those too, and they never count as entries.
 
-Environment knobs (all overridable through :func:`configure_cache`):
+Environment knobs (both overridable through :func:`configure_cache`):
 
 - ``REPRO_CACHE_DIR`` — cache directory (default
   ``~/.cache/repro-baat/campaign``);
 - ``REPRO_CAMPAIGN_CACHE=0`` (or ``off``/``false``/``no``) — disable the
-  default cache entirely;
-- ``REPRO_CACHE_BACKEND`` — ``dir`` or ``sqlite``.
+  default cache entirely.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ import functools
 import hashlib
 import os
 import pickle
+import tempfile
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.campaign.store import CacheStore, DirStore, make_store
 from repro.errors import ConfigurationError
 
 PathLike = Union[str, Path]
@@ -57,7 +59,6 @@ _OFF_VALUES = ("0", "off", "false", "no")
 # Process-wide overrides set by configure_cache() (CLI / bench harness).
 _override_dir: Optional[Path] = None
 _override_enabled: Optional[bool] = None
-_override_backend: Optional[str] = None
 
 
 # ----------------------------------------------------------------------
@@ -177,24 +178,15 @@ def object_key(*parts: Any) -> str:
 # The disk cache
 # ----------------------------------------------------------------------
 class ResultCache:
-    """Pickled payloads keyed by content hash, over a pluggable store.
+    """Pickled payloads keyed by content hash, one ``<key>.pkl`` file per
+    entry in a flat directory.
 
-    The default store keeps the historical flat-dir layout (one
-    ``<key>.pkl`` per entry); pass ``backend="sqlite"`` (or a path with
-    a ``.sqlite``/``.db`` suffix, or set ``REPRO_CACHE_BACKEND``) for a
-    single-file database suited to daemon-shared caches. Hit/miss
-    accounting, key validation and (un)pickling live here; the store
-    only moves bytes.
+    Hit/miss accounting, key validation and (un)pickling live here
+    alongside the file I/O; writes are atomic and durable.
     """
 
-    def __init__(
-        self,
-        path: PathLike,
-        backend: Optional[str] = None,
-        store: Optional[CacheStore] = None,
-    ):
+    def __init__(self, path: PathLike):
         self.path = Path(path)
-        self.store = store if store is not None else make_store(path, backend)
         self.hits = 0
         self.misses = 0
 
@@ -205,17 +197,15 @@ class ResultCache:
         return key
 
     def _file_for(self, key: str) -> Path:
-        """Per-entry file path (dir-backed caches only)."""
-        self._check_key(key)
-        if not isinstance(self.store, DirStore):
-            raise ConfigurationError(
-                f"{self.store.backend!r}-backed caches have no per-entry files"
-            )
-        return self.store._file_for(key)
+        """The entry file for ``key``."""
+        return self.path / f"{self._check_key(key)}.pkl"
 
-    @property
-    def backend(self) -> str:
-        return self.store.backend
+    def _entries(self) -> List[Path]:
+        return sorted(self.path.glob("*.pkl"))
+
+    def _evict(self, file: Path) -> None:
+        file.unlink(missing_ok=True)
+        self.misses += 1
 
     # -- API ------------------------------------------------------------
     def get(self, key: str, expect: Optional[type] = None) -> Optional[Any]:
@@ -227,47 +217,92 @@ class ResultCache:
         treatment — otherwise a stale or foreign entry under a colliding
         key would be "hit" on every campaign yet silently re-run.
         """
-        self._check_key(key)
-        blob = self.store.load(key)
-        if blob is None:
+        file = self._file_for(key)
+        try:
+            blob = file.read_bytes()
+        except FileNotFoundError:
             self.misses += 1
+            return None
+        except OSError:
+            self._evict(file)
             return None
         try:
             payload = pickle.loads(blob)
         except Exception:
-            self.store.delete(key)
-            self.misses += 1
+            self._evict(file)
             return None
         if expect is not None and not isinstance(payload, expect):
-            self.store.delete(key)
-            self.misses += 1
+            self._evict(file)
             return None
         self.hits += 1
         return payload
 
     def put(self, key: str, payload: Any) -> None:
         """Store ``payload`` under ``key`` atomically and durably."""
-        self._check_key(key)
+        file = self._file_for(key)
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self.store.save(key, blob)
+        self.path.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(
+            prefix=f".{key[:12]}-", suffix=".tmp", dir=self.path
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
+                fh.flush()
+                # Durability before visibility: without this fsync a
+                # crash right after os.replace() can leave a truncated
+                # entry readable under its final name.
+                os.fsync(fh.fileno())
+            os.replace(tmp_name, file)
+            _fsync_dir(self.path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
 
     def __contains__(self, key: str) -> bool:
-        self._check_key(key)
-        return self.store.load(key) is not None
+        return self._file_for(key).is_file()
 
     def __len__(self) -> int:
-        return len(self.store)
+        return len(self._entries())
 
     def size_bytes(self) -> int:
         """Total bytes held by cache entries."""
-        return self.store.size_bytes()
+        return sum(f.stat().st_size for f in self._entries())
 
     def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        return self.store.clear()
+        """Delete every entry and any orphaned temp file; returns the
+        number of entries removed.
 
-    def close(self) -> None:
-        self.store.close()
+        Temp files are left by writers killed between ``mkstemp`` and the
+        rename. A live writer whose temp file goes here fails its rename
+        with :class:`OSError`, which the campaign runner already treats
+        as a skipped memoization.
+        """
+        entries = self._entries()
+        for file in entries:
+            file.unlink(missing_ok=True)
+        for tmp in self.path.glob(".*.tmp"):
+            tmp.unlink(missing_ok=True)
+        return len(entries)
+
+
+def _fsync_dir(path: Path) -> None:
+    """Flush directory metadata (the rename itself) to disk."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        # Some filesystems refuse fsync on directory fds; the entry
+        # itself is already durable, only the rename may lag.
+        pass
+    finally:
+        os.close(fd)
 
 
 # ----------------------------------------------------------------------
@@ -276,28 +311,24 @@ class ResultCache:
 def configure_cache(
     enabled: Optional[bool] = None,
     directory: Optional[PathLike] = None,
-    backend: Optional[str] = None,
 ) -> None:
     """Process-wide default-cache overrides (CLI flags, bench harness).
 
     ``None`` leaves the corresponding setting untouched; the environment
     variables still apply where no override is set.
     """
-    global _override_enabled, _override_dir, _override_backend
+    global _override_enabled, _override_dir
     if enabled is not None:
         _override_enabled = bool(enabled)
     if directory is not None:
         _override_dir = Path(directory)
-    if backend is not None:
-        _override_backend = backend
 
 
 def reset_cache_config() -> None:
     """Drop :func:`configure_cache` overrides (used by tests)."""
-    global _override_enabled, _override_dir, _override_backend
+    global _override_enabled, _override_dir
     _override_enabled = None
     _override_dir = None
-    _override_backend = None
 
 
 def default_cache_dir() -> Path:
@@ -318,4 +349,4 @@ def default_cache() -> Optional[ResultCache]:
         env = os.environ.get(_ENV_ENABLED, "").strip().lower()
         if env in _OFF_VALUES:
             return None
-    return ResultCache(default_cache_dir(), backend=_override_backend)
+    return ResultCache(default_cache_dir())

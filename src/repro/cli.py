@@ -10,13 +10,6 @@ The subcommands mirror how the prototype was operated:
 - ``repro campaign`` — run an arbitrary policy x weather sweep through
   the parallel, cached campaign runner; ``--watch`` renders a live
   dashboard and ``--summary FILE`` writes the machine-readable rollup;
-- ``repro serve`` — long-running campaign service daemon: accepts
-  campaign submissions over a unix socket (and optionally HTTP on
-  localhost), dedupes identical in-flight cells across clients, and
-  shares one result cache;
-- ``repro submit`` — submit a campaign to a running daemon and stream
-  per-cell progress;
-- ``repro serve-status`` — daemon health/stats (``--shutdown`` stops it);
 - ``repro top <trace>`` — live operator dashboard tailing a campaign
   trace (rotating/gzipped segments included) while it is being written;
 - ``repro cache`` — inspect or clear the on-disk result cache;
@@ -62,9 +55,6 @@ Usage::
     python -m repro compare --day rainy --fade 0.1 --days 2
     python -m repro campaign --policies e-buff,baat --days 3 --workers 4
     python -m repro campaign --days 3 --workers 4 --watch --summary rollup.json
-    python -m repro serve --socket /tmp/repro.sock --workers 4
-    python -m repro submit --socket /tmp/repro.sock --policies e-buff,baat
-    python -m repro serve-status --socket /tmp/repro.sock
     python -m repro top campaign.jsonl
     python -m repro trace out.jsonl --kind vm_migrated
     python -m repro trace diff baseline.jsonl candidate.jsonl
@@ -461,164 +451,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             f"to {args.perf_history}"
         )
     return 1 if failures else 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the long-lived campaign service daemon."""
-    import asyncio
-
-    from repro.campaign import get_default_workers
-    from repro.service import CampaignService, serve
-
-    if args.no_cache:
-        cache = None
-    else:
-        if args.cache_dir:
-            configure_cache(directory=args.cache_dir)
-        if args.cache_backend:
-            configure_cache(backend=args.cache_backend)
-        cache = default_cache()
-    host: Optional[str] = None
-    port: Optional[int] = None
-    if args.http:
-        host, _, port_s = args.http.rpartition(":")
-        if not host or not port_s.isdigit():
-            raise SystemExit("--http must look like HOST:PORT")
-        port = int(port_s)
-    workers = args.workers if args.workers is not None else get_default_workers()
-    try:
-        service = CampaignService(
-            cache=cache, n_workers=workers, retries=args.retries
-        )
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
-
-    def _ready() -> None:
-        endpoints = args.socket + (f" and http://{host}:{port}" if host else "")
-        where = (
-            f"cache {cache.path} [{cache.backend}]"
-            if cache is not None
-            else "cache disabled"
-        )
-        print(
-            f"campaign service listening on {endpoints} "
-            f"[{workers} worker(s), {where}]"
-        )
-        sys.stdout.flush()
-
-    try:
-        asyncio.run(
-            serve(service, args.socket, host=host, port=port, ready=_ready)
-        )
-    except KeyboardInterrupt:
-        print("\ninterrupted; campaign service stopped")
-        return 0
-    print("campaign service stopped (shutdown requested)")
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit one campaign to a running daemon and stream progress."""
-    from repro.service import ServiceClient
-
-    campaign = {
-        "policies": args.policies,
-        "days": args.days,
-        "day_mix": args.day_mix,
-        "nodes": args.nodes,
-        "dt": args.dt,
-        "fade": args.fade,
-        "seed": args.seed,
-        "stepper": args.stepper,
-    }
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
-    done = None
-    try:
-        with ServiceClient(
-            socket_path=args.socket, timeout_s=args.timeout
-        ) as client:
-            import json as _json
-
-            for line in client.submit(campaign):
-                if out_fh is not None:
-                    out_fh.write(_json.dumps(line, separators=(",", ":")))
-                    out_fh.write("\n")
-                kind = line.get("kind")
-                if kind == "service_error":
-                    print(f"error: {line.get('error')}", file=sys.stderr)
-                    return 1
-                if kind == "service_ack":
-                    print(
-                        f"submitted campaign #{line['campaign_id']}: "
-                        f"{line['n_cells']} cell(s)"
-                    )
-                elif kind == "cell_result" and not args.quiet:
-                    status = line["source"] if line["ok"] else "FAILED"
-                    extra = ""
-                    summary = line.get("summary")
-                    if summary:
-                        extra = f"  thr {summary['throughput']:.0f}"
-                    if line.get("errors"):
-                        extra += f"  [{'; '.join(line['errors'])}]"
-                    print(
-                        f"  {line['label']:24s} {status:9s} "
-                        f"{line['wall_s']:7.2f}s{extra}"
-                    )
-                elif kind == "service_done":
-                    done = line
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
-    finally:
-        if out_fh is not None:
-            out_fh.close()
-    if done is None:
-        print("stream ended without a service_done summary", file=sys.stderr)
-        return 1
-    print(
-        f"\n  {done['n_cells']} cell(s): {done['executed']} executed, "
-        f"{done['cached']} cached, {done['deduped']} deduped, "
-        f"{done['failed']} failed [{done['wall_s']:.2f}s]"
-    )
-    if args.out:
-        print(f"  stream written to {args.out}")
-    return 1 if done["failed"] else 0
-
-
-def cmd_serve_status(args: argparse.Namespace) -> int:
-    """Query (or shut down) a running campaign service daemon."""
-    from repro.service import ServiceClient
-
-    try:
-        with ServiceClient(
-            socket_path=args.socket, timeout_s=args.timeout
-        ) as client:
-            if args.shutdown:
-                client.shutdown()
-                print("shutdown requested")
-                return 0
-            status = client.status()
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
-    stats = status["stats"]
-    print(
-        f"campaign service pid {status['pid']}, up {status['uptime_s']:.0f}s, "
-        f"{status['n_workers']} worker(s), {status['inflight']} in flight"
-    )
-    print(
-        f"  campaigns {stats['campaigns']}, cells {stats['cells']}: "
-        f"{stats['executed']} executed, {stats['cache_hits']} cache hit(s), "
-        f"{stats['dedupe_hits']} deduped, {stats['failed']} failed, "
-        f"{stats['pool_rebuilds']} pool rebuild(s)"
-    )
-    cache = status.get("cache")
-    if cache:
-        print(
-            f"  cache: {cache['path']} [{cache['backend']}] "
-            f"{cache['hits']} hit(s) / {cache['misses']} miss(es)"
-        )
-    else:
-        print("  cache: disabled")
-    return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -1304,99 +1136,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stepper_flag(campaign)
     _add_execution_flags(campaign)
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the campaign service daemon (shared cache, in-flight "
-        "dedupe across clients)",
-    )
-    serve_p.add_argument(
-        "--socket", default="/tmp/repro-serve.sock", metavar="PATH",
-        help="unix socket to listen on (default /tmp/repro-serve.sock)",
-    )
-    serve_p.add_argument(
-        "--http", default=None, metavar="HOST:PORT",
-        help="additionally serve HTTP on this localhost address "
-        "(GET /ping, GET /status, POST /submit)",
-    )
-    serve_p.add_argument(
-        "--workers", type=int, default=None,
-        help="simulation worker processes "
-        "(default: REPRO_CAMPAIGN_WORKERS or 1)",
-    )
-    serve_p.add_argument(
-        "--retries", type=int, default=1,
-        help="per-cell retry budget, applied separately to genuine "
-        "failures and broken-pool incidents (default 1)",
-    )
-    serve_p.add_argument(
-        "--no-cache", action="store_true",
-        help="run without a shared result cache",
-    )
-    serve_p.add_argument(
-        "--cache-dir", default=None,
-        help="override the result-cache directory",
-    )
-    serve_p.add_argument(
-        "--cache-backend", choices=("dir", "sqlite"), default=None,
-        help="cache store backend (default: dir, or sqlite for a "
-        ".sqlite/.db --cache-dir suffix)",
-    )
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a campaign to a running daemon and stream progress",
-    )
-    submit.add_argument(
-        "--socket", default="/tmp/repro-serve.sock", metavar="PATH",
-        help="daemon unix socket (default /tmp/repro-serve.sock)",
-    )
-    submit.add_argument(
-        "--policies", default=",".join(POLICY_NAMES),
-        help="comma-separated scheme names (default: the four Table-4 "
-        "schemes)",
-    )
-    submit.add_argument(
-        "--day-mix", default="cloudy",
-        help="comma-separated day classes cycled over the horizon",
-    )
-    submit.add_argument("--days", type=int, default=1)
-    submit.add_argument("--fade", type=float, default=0.0,
-                        help="initial battery fade (0.10 = 'old')")
-    submit.add_argument("--dt", type=float, default=120.0)
-    submit.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    submit.add_argument(
-        "--stepper", choices=("reference", "fleet"), default="reference"
-    )
-    submit.add_argument("--nodes", type=int, default=6, metavar="N")
-    submit.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="append every received stream line (JSONL) to FILE — "
-        "readable by 'repro trace FILE' and 'repro top FILE'",
-    )
-    submit.add_argument(
-        "--timeout", type=float, default=600.0, metavar="S",
-        help="socket timeout per stream line (default 600)",
-    )
-    submit.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell lines"
-    )
-
-    serve_status = sub.add_parser(
-        "serve-status", help="query (or shut down) a running daemon"
-    )
-    serve_status.add_argument(
-        "--socket", default="/tmp/repro-serve.sock", metavar="PATH",
-        help="daemon unix socket (default /tmp/repro-serve.sock)",
-    )
-    serve_status.add_argument(
-        "--shutdown", action="store_true",
-        help="ask the daemon to exit instead of printing status",
-    )
-    serve_status.add_argument(
-        "--timeout", type=float, default=10.0, metavar="S",
-        help="socket timeout (default 10)",
-    )
-
     top = sub.add_parser(
         "top",
         help="live dashboard tailing a campaign trace as it is written",
@@ -1618,9 +1357,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         "run": cmd_run,
         "compare": cmd_compare,
         "campaign": cmd_campaign,
-        "serve": cmd_serve,
-        "submit": cmd_submit,
-        "serve-status": cmd_serve_status,
         "top": cmd_top,
         "cache": cmd_cache,
         "trace": cmd_trace,

@@ -77,7 +77,6 @@ from repro.obs.events import (
     CampaignFinishEvent,
     CampaignStartEvent,
     CellCacheHitEvent,
-    CellDedupeEvent,
     CellFinishEvent,
     CellHealthEvent,
     CellRetryEvent,
@@ -234,7 +233,6 @@ __all__ = [
     "PerfRegressionEvent",
     "CellStartEvent",
     "CellCacheHitEvent",
-    "CellDedupeEvent",
     "CellRetryEvent",
     "CellFinishEvent",
     "CellHealthEvent",

@@ -436,20 +436,6 @@ class CellCacheHitEvent(TraceEvent):
 
 
 @dataclass
-class CellDedupeEvent(TraceEvent):
-    """A campaign cell joined an identical in-flight execution.
-
-    Emitted by the campaign service daemon when a submitted cell shares
-    its cache key with a cell another client is already running: the
-    follower waits for that execution instead of starting its own.
-    """
-
-    label: str = ""
-
-    kind: ClassVar[str] = "cell_dedupe"
-
-
-@dataclass
 class CellRetryEvent(TraceEvent):
     """A campaign cell attempt failed and is being retried."""
 

@@ -1,8 +1,7 @@
 """Flatten bench payloads and campaign rollups into named metric series.
 
 Every producer the repo has — ``bench_engine.py`` (``BENCH_engine.json``),
-``bench_obs_overhead.py`` (``BENCH_obs.json``), ``bench_service.py``
-(``BENCH_service.json``), the pytest bench suite
+``bench_obs_overhead.py`` (``BENCH_obs.json``), the pytest bench suite
 (``benchmarks/conftest.py --bench-json``), and the campaign monitor's
 ``campaign_summary.json`` — writes a differently-shaped document.
 :func:`extract_metrics` detects which one it is looking at and flattens
@@ -65,20 +64,6 @@ _OBS_FLEET_KEYS = (
 
 _OBS_CAMPAIGN_KEYS = ("untraced_s", "monitored_s", "monitor_overhead_pct")
 
-#: Top-level scalars of a service bench (``BENCH_service.json``).
-_SERVICE_SCALAR_KEYS = (
-    "n_clients",
-    "cells_per_s",
-    "cache_hit_rate",
-    "dedupe_rate",
-    "submit_p50_s",
-    "submit_p95_s",
-    "submit_p99_s",
-)
-
-#: Per-phase scalars of a service bench.
-_SERVICE_PHASE_KEYS = ("wall_s", "executed", "cache_hits", "dedupe_hits")
-
 #: Quantile fields lifted from the campaign summary's wall-time histogram.
 _SUMMARY_WALL_KEYS = ("mean", "p50", "p95", "p99", "max")
 
@@ -129,18 +114,6 @@ def flatten_obs_overhead(data: Dict[str, Any]) -> Dict[str, float]:
     campaign = data.get("campaign") or {}
     for key in _OBS_CAMPAIGN_KEYS:
         _put(out, f"obs/campaign/{key}", campaign.get(key))
-    return out
-
-
-def flatten_service_bench(data: Dict[str, Any]) -> Dict[str, float]:
-    """``BENCH_service.json``'s ``service_bench`` block -> metric series."""
-    out: Dict[str, float] = {}
-    for key in _SERVICE_SCALAR_KEYS:
-        _put(out, f"service/{key}", data.get(key))
-    for phase in ("dedupe", "cache", "throughput"):
-        row = data.get(phase) or {}
-        for key in _SERVICE_PHASE_KEYS:
-            _put(out, f"service/{phase}/{key}", row.get(key))
     return out
 
 
@@ -207,13 +180,11 @@ def detect_source(data: Dict[str, Any]) -> str:
         return "bench_suite"
     if "obs_overhead" in data:
         return "obs_overhead"
-    if "service_bench" in data:
-        return "service_bench"
     if "campaign" in data and "cells" in data:
         return "campaign_summary"
     raise ConfigurationError(
         "unrecognised perf payload: expected a BENCH_engine.json, "
-        "BENCH_obs.json, BENCH_service.json, --bench-json report, or "
+        "BENCH_obs.json, --bench-json report, or "
         f"campaign_summary.json shape, got top-level keys {sorted(data)[:8]}"
     )
 
@@ -227,8 +198,6 @@ def extract_metrics(data: Dict[str, Any]) -> Tuple[str, Dict[str, float]]:
         metrics = flatten_bench_suite(data)
     elif source == "obs_overhead":
         metrics = flatten_obs_overhead(data["obs_overhead"])
-    elif source == "service_bench":
-        metrics = flatten_service_bench(data["service_bench"])
     else:
         metrics = flatten_campaign_summary(data)
     if not metrics:

@@ -14,7 +14,6 @@ from repro.campaign import (
     set_default_workers,
 )
 from repro.campaign.cache import callable_token, canonical, object_key
-from repro.campaign.store import DirStore, SqliteStore, make_store
 from repro.core.policies.factory import make_policy
 from repro.errors import ConfigurationError
 from repro.sim.engine import run_policy_on_trace
@@ -493,50 +492,18 @@ class TestCacheHardening:
         # One fsync for the temp data file, one for the directory.
         assert len(synced) >= 2
 
-
-class TestCacheStores:
-    def test_sqlite_backend_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", backend="sqlite")
-        assert cache.backend == "sqlite"
-        key = object_key("k")
-        assert cache.get(key) is None
-        cache.put(key, {"value": 42})
-        assert cache.get(key) == {"value": 42}
-        assert key in cache and len(cache) == 1
-        assert cache.size_bytes() > 0
-        # A second handle on the same path sees the entry (shared cache).
-        other = ResultCache(tmp_path / "c", backend="sqlite")
-        assert other.get(key) == {"value": 42}
+    def test_clear_removes_orphaned_temp_files(self, tmp_path):
+        """Regression: a writer killed between mkstemp and the rename
+        leaves a temp file that ``repro cache clear`` never removed."""
+        cache = ResultCache(tmp_path / "c")
+        key = object_key("entry")
+        cache.put(key, 1)
+        orphan = cache.path / f".{key[:12]}-killed.tmp"
+        orphan.write_bytes(b"half a pickle")
+        assert len(cache) == 1  # the temp file is not an entry
         assert cache.clear() == 1
-        assert len(cache) == 0
-        cache.close()
-        other.close()
-
-    def test_sqlite_wrong_type_eviction(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", backend="sqlite")
-        key = object_key("poisoned")
-        cache.put(key, "nope")
-        assert cache.get(key, expect=SimResult) is None
-        assert key not in cache
-        cache.close()
-
-    def test_make_store_suffix_and_env_detection(self, tmp_path, monkeypatch):
-        assert isinstance(make_store(tmp_path / "plain"), DirStore)
-        assert isinstance(make_store(tmp_path / "c.sqlite"), SqliteStore)
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
-        assert isinstance(make_store(tmp_path / "plain2"), SqliteStore)
-        with pytest.raises(ConfigurationError):
-            make_store(tmp_path / "x", backend="tarball")
-
-    def test_campaign_runs_against_sqlite_cache(self, tmp_path, specs):
-        cache = ResultCache(tmp_path / "c.sqlite")
-        assert cache.backend == "sqlite"
-        first = run_campaign(specs, n_workers=1, cache=cache)
-        assert first.n_executed == len(specs)
-        second = run_campaign(specs, n_workers=1, cache=cache)
-        assert second.n_cache_hits == len(specs)
-        assert second.results() == first.results()
-        cache.close()
+        assert not orphan.exists()
+        assert len(cache) == 0 and cache.size_bytes() == 0
 
 
 class TestAgingCampaignCaching:

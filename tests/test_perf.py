@@ -27,8 +27,9 @@ from repro.perf import (
     sparkline,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_ENGINE = REPO_ROOT / "BENCH_engine.json"
+#: A trimmed ``bench_engine.py --quick --json`` payload. Its name must not
+#: match the ``BENCH_*.json`` ignore pattern, which applies at any depth.
+BENCH_ENGINE = Path(__file__).resolve().parent / "data" / "engine_bench_quick.json"
 
 
 def _meta(sha="a" * 40, host="benchhost"):
@@ -344,6 +345,34 @@ class TestPerfCLI:
         out = capsys.readouterr().out
         assert "no regressions outside baseline" in out
         assert len(history.records()) == 4
+
+    def test_check_ignores_retired_service_bench_records(
+        self, history_path, capsys
+    ):
+        """Histories written before the service bench was retired still
+        hold ``service_bench`` records: they load, and a check judges
+        only the candidate's own metrics."""
+        history = PerfHistory(history_path)
+        _seed(history, [1.0, 1.01, 0.99, 1.0])
+        history.append(
+            PerfRecord(
+                source="service_bench",
+                meta=_meta(sha="5" * 40),
+                metrics={"service/cells_per_s": 3.0, "service/submit_p99_s": 0.4},
+            )
+        )
+        history.append(
+            PerfRecord(
+                source="engine_bench",
+                meta=_meta(sha="c" * 40),
+                metrics={"engine/n48/fleet_s": 1.02},
+            )
+        )
+        assert [r.source for r in history.records()].count("service_bench") == 1
+        assert main(["perf", "check", "--history", history_path]) == 0
+        out = capsys.readouterr().out
+        assert "1 metric(s) checked against baseline" in out
+        assert "service/" not in out
 
     def test_history_lists_and_plots(self, history_path, capsys):
         history = PerfHistory(history_path)
