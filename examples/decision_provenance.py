@@ -6,8 +6,8 @@ response to deep-discharge stress. This example instruments one hard
 (rainy, aged-fleet) day and then *explains* the control decisions:
 
 1. run BAAT with a :class:`~repro.obs.provenance.ProvenanceIndex` on the
-   event bus while also streaming the trace to a rotated, gzipped JSONL
-   file (the month-scale operator configuration);
+   event bus while also streaming the trace to a plain JSONL file (what
+   ``--trace FILE`` writes);
 2. walk each migration / DVFS cap back through its causal chain —
    action ← alert ← deep-discharge span ← SoC crossing — and print the
    chains, exactly what ``repro explain`` does;
@@ -19,7 +19,7 @@ response to deep-discharge stress. This example instruments one hard
    same* chains the live index saw (the property ``repro trace
    validate`` + CI rely on).
 
-Run:  python examples/decision_provenance.py  (takes ~10 s)
+Run:  python examples/decision_provenance.py  (takes a few seconds)
 """
 
 from repro import Scenario, Simulation, make_policy
@@ -37,10 +37,7 @@ def run_traced_day():
     trace = scenario.trace_generator().days([DayClass.RAINY, DayClass.CLOUDY])
 
     live = ProvenanceIndex()
-    # Rotation + gzip: the sink rolls segments (~256 KiB uncompressed)
-    # so month-scale traces stay bounded; every reader below follows the
-    # segment chain transparently.
-    enable_observability(TRACE_PATH, compress=True, rotate_bytes=256 * 1024)
+    enable_observability(TRACE_PATH)
     BUS.add_sink(live)
     try:
         Simulation(scenario, make_policy("baat"), trace).run()

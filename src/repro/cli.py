@@ -11,7 +11,7 @@ The subcommands mirror how the prototype was operated:
   the parallel, cached campaign runner; ``--watch`` renders a live
   dashboard and ``--summary FILE`` writes the machine-readable rollup;
 - ``repro top <trace>`` — live operator dashboard tailing a campaign
-  trace (rotating/gzipped segments included) while it is being written;
+  trace while it is being written;
 - ``repro cache`` — inspect or clear the on-disk result cache;
 - ``repro trace <file>`` — inspect a trace JSONL written by ``--trace``;
 - ``repro trace diff <a> <b>`` — event-count and per-battery aging
@@ -26,7 +26,7 @@ The subcommands mirror how the prototype was operated:
 - ``repro health`` — per-battery aging attribution, alerts, and EOL
   projections from a trace file or a live instrumented run;
 - ``repro export`` — run one instrumented simulation and export the
-  metric registry (OpenMetrics/Prometheus text format or CSV);
+  metric registry (OpenMetrics/Prometheus text format);
 - ``repro perf record <payload>...`` — append BENCH_engine.json /
   BENCH_obs.json / bench-suite / campaign-summary payloads to the
   append-only perf history (JSONL, provenance-stamped);
@@ -63,7 +63,7 @@ Usage::
     python -m repro stats --policy baat-planned --day rainy --days 2
     python -m repro health out.jsonl
     python -m repro health --policy baat --day rainy --days 2
-    python -m repro export --format openmetrics --out metrics.prom
+    python -m repro export --out metrics.prom
     python -m repro perf record BENCH_engine.json BENCH_obs.json
     python -m repro perf history engine/n48/fleet_steps_per_s
     python -m repro perf check --trace perf.jsonl --export perf.prom
@@ -190,15 +190,6 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
         help="write structured telemetry events (JSONL) to FILE",
     )
     parser.add_argument(
-        "--trace-gzip", action="store_true",
-        help="gzip-compress the trace (implied by a .gz --trace suffix)",
-    )
-    parser.add_argument(
-        "--trace-rotate-mb", type=float, default=None, metavar="MB",
-        help="rotate the trace into FILE, FILE.1, ... segments of about "
-        "MB megabytes each (readers follow segments transparently)",
-    )
-    parser.add_argument(
         "--telemetry", default=None, metavar="SPEC",
         help="which steps and nodes the traced battery_frame events "
         "cover: full (every node every step; the default) or "
@@ -206,24 +197,15 @@ def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _trace_sink_kwargs(args: argparse.Namespace) -> dict:
-    """``enable_observability`` kwargs from the --trace-* flags."""
-    rotate_mb = getattr(args, "trace_rotate_mb", None)
-    if rotate_mb is not None and rotate_mb <= 0:
-        raise SystemExit("--trace-rotate-mb must be > 0")
+def _telemetry_spec(args: argparse.Namespace) -> Optional[str]:
+    """The validated ``--telemetry`` spec (``None`` when not given)."""
     telemetry = getattr(args, "telemetry", None)
     if telemetry is not None:
         try:
             parse_telemetry(telemetry)
         except ConfigurationError as exc:
             raise SystemExit(str(exc)) from None
-    return {
-        "compress": True if getattr(args, "trace_gzip", False) else None,
-        "rotate_bytes": (
-            int(rotate_mb * 1024 * 1024) if rotate_mb is not None else None
-        ),
-        "telemetry": telemetry,
-    }
+    return telemetry
 
 
 def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
@@ -718,7 +700,7 @@ def cmd_health(args: argparse.Namespace) -> int:
 
     day, scenario, trace, spec = _live_sim_inputs(args)
     REGISTRY.reset()
-    enable_observability(args.trace, **_trace_sink_kwargs(args))
+    enable_observability(args.trace, telemetry=_telemetry_spec(args))
     model = FleetHealthModel()
     BUS.add_sink(model)
     try:
@@ -738,25 +720,22 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     """Run one instrumented simulation and export the metric registry."""
-    from repro.obs.export import to_csv_snapshot, to_openmetrics
+    from repro.obs.export import to_openmetrics
     from repro.sim.engine import Simulation
 
     day, scenario, trace, spec = _live_sim_inputs(args)
     REGISTRY.reset()
-    enable_observability(args.trace, **_trace_sink_kwargs(args))
+    enable_observability(args.trace, telemetry=_telemetry_spec(args))
     try:
         Simulation(scenario, spec.build_policy(), trace).run()
-        if args.format == "openmetrics":
-            text = to_openmetrics(REGISTRY)
-        else:
-            text = to_csv_snapshot(REGISTRY)
+        text = to_openmetrics(REGISTRY)
     finally:
         disable_observability()
         REGISTRY.reset()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.format} export to {args.out}")
+        print(f"wrote openmetrics export to {args.out}")
     else:
         print(text, end="")
     return 0
@@ -768,7 +747,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     day, scenario, trace, spec = _live_sim_inputs(args)
     REGISTRY.reset()
-    enable_observability(args.trace, **_trace_sink_kwargs(args))
+    enable_observability(args.trace, telemetry=_telemetry_spec(args))
     try:
         with BUS.capture() as sink:
             Simulation(scenario, spec.build_policy(), trace).run()
@@ -968,7 +947,7 @@ def _export_perf_metrics(result, path: str) -> None:
     )
     for check in result.regressions:
         registry.gauge(f"perf/deviation/{check.metric}").set(check.deviation)
-    write_export(registry, path, fmt="openmetrics")
+    write_export(registry, path)
     print(f"wrote openmetrics export to {path}")
 
 
@@ -1107,7 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "file",
-        help="trace JSONL path (rotating / gzipped segments are followed)",
+        help="trace JSONL path",
     )
     top.add_argument(
         "--interval", type=float, default=1.0, metavar="S",
@@ -1211,8 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "export",
         help="run one instrumented simulation and export the metric registry",
     )
-    export.add_argument("--format", choices=("openmetrics", "csv"),
-                        default="openmetrics")
     export.add_argument("--out", default=None, metavar="FILE",
                         help="write the export to FILE (default: stdout)")
     export.add_argument("--policy", default="baat",
@@ -1335,7 +1312,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     )
     if trace_path is None:
         return handlers[args.command](args)
-    sink = enable_observability(trace_path, **_trace_sink_kwargs(args))
+    sink = enable_observability(trace_path, telemetry=_telemetry_spec(args))
     try:
         return handlers[args.command](args)
     finally:

@@ -22,7 +22,7 @@ The observability substrate every control decision reports through:
   DAG (live or from a trace) behind ``repro explain``;
   :func:`~repro.obs.provenance.validate_trace` backs
   ``repro trace validate``.
-- :mod:`repro.obs.export` serialises the registry (OpenMetrics / CSV).
+- :mod:`repro.obs.export` serialises the registry as OpenMetrics text.
 
 All three process-local singletons are *disabled* by default, and every
 instrumented call site guards on a single ``enabled`` attribute, so the
@@ -102,12 +102,9 @@ from repro.obs.events import (
     event_from_dict,
     iter_events,
     read_events,
-    trace_segments,
 )
 from repro.obs.export import (
-    PeriodicExportSink,
     parse_openmetrics,
-    to_csv_snapshot,
     to_openmetrics,
     write_export,
 )
@@ -178,15 +175,12 @@ __all__ = [
     "severity_rank",
     "FleetHealthModel",
     "FleetHealthReport",
-    "PeriodicExportSink",
     "to_openmetrics",
     "parse_openmetrics",
-    "to_csv_snapshot",
     "write_export",
     "event_from_dict",
     "iter_events",
     "read_events",
-    "trace_segments",
     "enable_observability",
     "disable_observability",
     "SpanManager",
@@ -252,9 +246,6 @@ _active_jsonl: Optional[JsonlSink] = None
 
 def enable_observability(
     trace_path: Optional[str] = None,
-    compress: Optional[bool] = None,
-    rotate_bytes: Optional[int] = None,
-    rotate_events: Optional[int] = None,
     telemetry=None,
 ) -> Optional[JsonlSink]:
     """Turn the full layer on: registry, alert engine, optional JSONL sink.
@@ -265,12 +256,10 @@ def enable_observability(
     :func:`~repro.obs.alerts.default_rules` on first enable (rules added
     beforehand are kept) and publishes onto :data:`BUS`.
 
-    ``compress``/``rotate_bytes``/``rotate_events`` pass through to
-    :class:`~repro.obs.sinks.JsonlSink` (the ``--trace-gzip`` /
-    ``--trace-rotate-mb`` CLI flags). ``telemetry`` (a spec string or
-    :class:`~repro.obs.telemetry.TelemetryPolicy`) selects which steps
-    and nodes the battery frames cover — the ``--telemetry`` flag; the
-    default is every node at every step.
+    ``trace_path`` names the one plain JSONL trace file. ``telemetry``
+    (a spec string or :class:`~repro.obs.telemetry.TelemetryPolicy`)
+    selects which steps and nodes the battery frames cover — the
+    ``--telemetry`` flag; the default is every node at every step.
     """
     global _active_jsonl
     if telemetry is not None:
@@ -282,12 +271,7 @@ def enable_observability(
     ALERTS.bus = BUS
     ALERTS.enabled = True
     if trace_path is not None:
-        _active_jsonl = JsonlSink(
-            trace_path,
-            compress=compress,
-            rotate_bytes=rotate_bytes,
-            rotate_events=rotate_events,
-        )
+        _active_jsonl = JsonlSink(trace_path)
         BUS.add_sink(_active_jsonl)
     return _active_jsonl
 

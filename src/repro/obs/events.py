@@ -18,12 +18,20 @@ the type for round-tripping.
 
 from __future__ import annotations
 
-import gzip
 import json
-import os
-import zlib
 from dataclasses import dataclass, fields
-from typing import IO, Any, ClassVar, Dict, Iterator, List, Optional, Type
+from typing import (
+    IO,
+    Any,
+    ClassVar,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Type,
+)
 
 from repro.errors import ConfigurationError
 
@@ -511,73 +519,41 @@ def event_from_dict(data: Dict[str, Any]) -> TraceEvent:
 
 
 def read_events(path: str, strict: bool = True) -> List[TraceEvent]:
-    """Read a whole JSONL trace (all rotated segments) into typed events.
+    """Read a whole JSONL trace into typed events.
 
     Test helper only: this materializes the entire trace in memory.
     Replay consumers (CLI subcommands, health/provenance models,
     exporters) must stream via :func:`iter_events` instead so multi-GB
-    rotated traces never build a full in-memory list.
+    traces never build a full in-memory list.
     """
     return list(iter_events(path, strict=strict))
 
 
-def segment_path(base: str, index: int) -> str:
-    """Path of rotation segment ``index`` for a trace at ``base``.
+def decode_trace_lines(
+    lines: Iterable[str], strict: bool = True
+) -> Iterator[Tuple[int, Any]]:
+    """The one line decoder every trace reader shares.
 
-    Segment 0 is the base path itself; later segments insert the index
-    before any ``.gz`` suffix (``trace.jsonl.1``, ``trace.jsonl.1.gz``)
-    so sort order matches write order without any renaming on rollover.
+    Yields ``(line_no, value)`` for each non-blank line, numbered from
+    1: ``value`` is the decoded JSON, or the :class:`ValueError` of a
+    line that does not decode, so each caller decides whether that
+    raises (:func:`iter_events`), counts as a violation
+    (:func:`~repro.obs.provenance.validate_trace`) or is skipped
+    (:class:`TraceTailer`). With ``strict=False``, a final line that has
+    no trailing newline and does not decode is a torn write — the
+    writer died mid-line — and is dropped.
     """
-    if index == 0:
-        return base
-    if base.endswith(".gz"):
-        return f"{base[:-3]}.{index}.gz"
-    return f"{base}.{index}"
-
-
-def trace_segments(path: str) -> List[str]:
-    """All on-disk segments of a possibly rotated/gzipped trace, in order.
-
-    Accepts the path the trace was requested at: if ``path`` itself is
-    missing but ``path + ".gz"`` exists (the sink compressed it), the
-    gzipped family is used. Raises :class:`FileNotFoundError` when no
-    first segment exists.
-    """
-    base = path
-    if not os.path.exists(base):
-        if not base.endswith(".gz") and os.path.exists(base + ".gz"):
-            base = base + ".gz"
-        else:
-            raise FileNotFoundError(path)
-    segments = [base]
-    index = 1
-    while True:
-        candidate = segment_path(base, index)
-        if os.path.exists(candidate):
-            segments.append(candidate)
-        elif not candidate.endswith(".gz") and os.path.exists(candidate + ".gz"):
-            segments.append(candidate + ".gz")
-        else:
-            break
-        index += 1
-    return segments
-
-
-def open_trace_segment(path: str) -> IO[str]:
-    """Open one trace segment for text reading, gunzipping if needed."""
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
-
-
-def iter_trace_lines(path: str) -> Iterator[str]:
-    """Stream raw JSONL lines across every rotated/gzipped segment."""
-    for segment in trace_segments(path):
-        with open_trace_segment(segment) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield line
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            value: Any = json.loads(text)
+        except ValueError as exc:
+            if not strict and not raw.endswith("\n"):
+                return
+            value = exc
+        yield line_no, value
 
 
 class TraceTailer:
@@ -587,166 +563,49 @@ class TraceTailer:
     a tailer is *incremental*: every :meth:`drain` call returns the
     typed events that became readable since the last call and returns
     immediately — the ``repro top`` dashboard polls it on its render
-    interval. It follows the same segment families the sink writes:
+    interval. It keeps one file handle open; a partially written
+    trailing line (no ``\\n`` yet) is carried over and completed on a
+    later drain, so no event is ever split or dropped.
 
-    - **Plain segments** keep a persistent file handle; partially
-      written trailing lines (no ``\\n`` yet) are carried over and
-      completed on a later drain, so no event is ever split or dropped.
-    - **Gzipped segments** cannot be incrementally appended-read (the
-      stream's end marker is missing until close), so each drain
-      re-reads the segment from the top, salvages the decodable prefix
-      of the unterminated stream, and skips the complete lines already
-      returned.
-    - **Rotation** is detected by the next segment appearing on disk
-      (the sink closes a segment *before* opening its successor, so
-      once ``trace.jsonl.N+1`` exists, segment ``N`` is final): the
-      tailer finishes the current segment and advances, through as many
-      segments as needed per drain.
-
-    A missing first segment is not an error — the tailer waits for the
-    writer to create it (``drain`` returns nothing until then), which is
-    what lets ``repro top`` be started before the campaign.
+    A missing file is not an error — the tailer waits for the writer to
+    create it (``drain`` returns nothing until then), which is what lets
+    ``repro top`` be started before the campaign.
     """
 
     def __init__(self, path: str, strict: bool = False):
         self.path = path
         self.strict = strict
         self.n_events = 0
-        self.n_segments_done = 0
-        self._base: Optional[str] = None  # resolved segment-family base
-        self._seg: Optional[str] = None  # current segment's actual path
-        self._index = 0
-        self._fh: Optional[IO[str]] = None  # persistent handle (plain only)
-        self._carry = ""  # partial trailing line (plain only)
-        self._lines_done = 0  # complete lines consumed (gzip only)
+        self._fh: Optional[IO[str]] = None
+        self._carry = ""  # partial trailing line, awaiting its newline
 
-    # ------------------------------------------------------------------
-    def _resolve(self) -> bool:
-        """Find the first segment once the writer has created it."""
-        if self._base is not None:
-            return True
-        base = self.path
-        if not os.path.exists(base):
-            if base.endswith(".gz") or not os.path.exists(base + ".gz"):
-                return False
-            base = base + ".gz"
-        self._base = base
-        self._seg = base
-        return True
-
-    def _next_segment(self) -> Optional[str]:
-        assert self._base is not None
-        candidate = segment_path(self._base, self._index + 1)
-        if os.path.exists(candidate):
-            return candidate
-        if not candidate.endswith(".gz") and os.path.exists(candidate + ".gz"):
-            return candidate + ".gz"
-        return None
-
-    # ------------------------------------------------------------------
-    def _read_plain(self) -> List[str]:
-        assert self._seg is not None
+    def drain(self) -> List[TraceEvent]:
+        """Every event that became readable since the last drain."""
+        out: List[TraceEvent] = []
         if self._fh is None:
             try:
-                self._fh = open(self._seg, "r", encoding="utf-8")
+                self._fh = open(self.path, "r", encoding="utf-8")
             except OSError:
-                return []
-        data = self._fh.read()
-        if not data:
-            return []
-        buf = self._carry + data
-        lines = buf.split("\n")
-        self._carry = lines.pop()  # "" when data ended on a newline
-        return lines
-
-    def _read_gzip(self) -> List[str]:
-        assert self._seg is not None
-        # Raw zlib decompression, not gzip.open: the file-object readers
-        # raise EOFError on an unterminated member and discard whatever
-        # they had already decoded, whereas the sink's per-event
-        # Z_SYNC_FLUSH leaves a byte-aligned prefix that decompressobj
-        # recovers as-is — which is the whole point of tailing a segment
-        # the writer still has open.
-        try:
-            with open(self._seg, "rb") as fh:
-                raw = fh.read()
-        except OSError:
-            return []
-        decomp = zlib.decompressobj(wbits=31)  # gzip-wrapped stream
-        pieces: List[bytes] = []
-        try:
-            pieces.append(decomp.decompress(raw))
-            pieces.append(decomp.flush())
-        except zlib.error:
-            # Corrupt/partial tail past the sync point: keep the prefix.
-            pass
-        # Any byte-level truncation lands after the last newline (inside
-        # the partial line we drop below), so lossy decoding cannot harm
-        # a complete line.
-        text = b"".join(pieces).decode("utf-8", errors="replace")
-        complete = text.split("\n")[:-1]  # drop the piece after the last \n
-        fresh = complete[self._lines_done :]
-        self._lines_done = len(complete)
-        return fresh
-
-    def _finish_segment(self) -> List[str]:
-        """Final lines of a rotated-away (closed, complete) segment."""
-        tail: List[str] = []
-        if self._seg is not None and self._seg.endswith(".gz"):
-            tail = self._read_gzip()
-        else:
-            tail = self._read_plain()
-            # A closed segment ends with a newline; a non-empty carry
-            # here means the writer died mid-line — surface it anyway.
-            if self._carry.strip():
-                tail.append(self._carry)
+                return out
+        lines = []
+        for line in self._fh:
+            if not line.endswith("\n"):
+                self._carry += line
+                break
+            lines.append(self._carry + line)
             self._carry = ""
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-        self._lines_done = 0
-        self.n_segments_done += 1
-        return tail
-
-    def _parse(self, lines: List[str], out: List[TraceEvent]) -> None:
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+        for _, data in decode_trace_lines(lines, self.strict):
             try:
-                event = event_from_dict(json.loads(line))
-            except ValueError:
-                if self.strict:
-                    raise
-                continue
-            except ConfigurationError:
+                if isinstance(data, ValueError):
+                    raise data
+                event = event_from_dict(data)
+            except (ValueError, ConfigurationError):
                 if self.strict:
                     raise
                 continue
             self.n_events += 1
             out.append(event)
-
-    # ------------------------------------------------------------------
-    def drain(self) -> List[TraceEvent]:
-        """Every event that became readable since the last drain."""
-        out: List[TraceEvent] = []
-        if not self._resolve():
-            return out
-        while True:
-            # Check for a successor *before* reading: if one exists, the
-            # current segment is already final, so one read gets all of
-            # it and we can advance without a re-read race.
-            successor = self._next_segment()
-            if successor is not None:
-                self._parse(self._finish_segment(), out)
-                self._seg = successor
-                self._index += 1
-                continue
-            if self._seg is not None and self._seg.endswith(".gz"):
-                self._parse(self._read_gzip(), out)
-            else:
-                self._parse(self._read_plain(), out)
-            return out
+        return out
 
     def close(self) -> None:
         if self._fh is not None:
@@ -757,17 +616,21 @@ class TraceTailer:
 def iter_events(path: str, strict: bool = True) -> Iterator[TraceEvent]:
     """Stream typed events from a JSONL trace.
 
-    Rotated segments (``trace.jsonl.1``, ...) and gzipped segments
-    (``.gz``) are read transparently, so every replay consumer —
-    ``repro trace``/``health``/``explain``, :class:`~repro.obs.health.
-    FleetHealthModel` — handles rotated traces for free. With
+    Every replay consumer — ``repro trace``/``health``/``explain``,
+    :class:`~repro.obs.health.FleetHealthModel` — reads through here. A
+    line that is not JSON raises :class:`ValueError`. With
     ``strict=False``, lines with unknown kinds are skipped instead of
-    raising (useful for forward-compatible tooling).
+    raising (useful for forward-compatible tooling), and so is a torn
+    final line, so the trace of a writer killed mid-line still replays.
     """
-    for line in iter_trace_lines(path):
-        data = json.loads(line)
-        try:
-            yield event_from_dict(data)
-        except ConfigurationError:
-            if strict:
-                raise
+    with open(path, "r", encoding="utf-8") as fh:
+        for _, data in decode_trace_lines(fh, strict):
+            if isinstance(data, ValueError):
+                raise data
+            try:
+                event = event_from_dict(data)
+            except ConfigurationError:
+                if strict:
+                    raise
+                continue
+            yield event

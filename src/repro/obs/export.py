@@ -1,20 +1,12 @@
-"""Metric exporters: OpenMetrics/Prometheus text format and CSV.
+"""Metric export: the OpenMetrics/Prometheus text format.
 
 The :class:`~repro.obs.metrics.MetricRegistry` is a process-local store;
-these functions serialise it for the outside world:
-
-- :func:`to_openmetrics` renders the registry in the OpenMetrics text
-  exposition format (the `Prometheus scrape format
-  <https://prometheus.io/docs/instrumenting/exposition_formats/>`_), so
-  a simulated datacenter's telemetry drops straight into the dashboards
-  a production fleet would use. :func:`parse_openmetrics` reads it back
-  (round-trip tested).
-- :func:`to_csv_snapshot` flattens the same snapshot into two-column CSV
-  for spreadsheet-grade analysis.
-- :class:`PeriodicExportSink` is an :class:`~repro.obs.sinks.EventSink`
-  that rewrites an export file every ``interval_s`` of *simulation*
-  time, driven by the event stream's timestamps — the moral equivalent
-  of a scrape endpoint for a batch simulator.
+:func:`to_openmetrics` renders it in the OpenMetrics text exposition
+format (the `Prometheus scrape format
+<https://prometheus.io/docs/instrumenting/exposition_formats/>`_), so a
+simulated datacenter's telemetry drops straight into the dashboards a
+production fleet would use. :func:`write_export` writes that text to a
+file, and :func:`parse_openmetrics` reads it back (round-trip tested).
 
 Histograms are bucket-free summaries, so they export as the
 ``_count``/``_sum`` pair OpenMetrics defines plus ``_min``/``_max``
@@ -25,15 +17,11 @@ summary samples.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
-from typing import Any, Dict, Optional
+from typing import Dict
 
 from repro.errors import ConfigurationError
-from repro.obs.events import TraceEvent
 from repro.obs.metrics import MetricRegistry
-from repro.obs.sinks import EventSink
 
 #: OpenMetrics metric names: letters, digits, underscores, colons; the
 #: registry's dotted names (``engine.step.place``) map onto this.
@@ -152,93 +140,11 @@ def parse_openmetrics(text: str) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def to_csv_snapshot(registry: MetricRegistry) -> str:
-    """Flatten a registry snapshot to ``metric,field,value`` CSV rows."""
-    snap = registry.snapshot()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "field", "value"])
-    for name, value in snap["counters"].items():
-        writer.writerow([name, "count", repr(value)])
-    for name, value in snap["gauges"].items():
-        writer.writerow([name, "value", repr(value)])
-    for name, hist in snap["histograms"].items():
-        for field in ("count", "total", "mean", "min", "max", "p50", "p95", "p99"):
-            if field in hist:
-                writer.writerow([name, field, repr(hist[field])])
-    return buf.getvalue()
-
-
-#: format name -> renderer, for the CLI and the periodic sink.
-EXPORT_FORMATS = {
-    "openmetrics": to_openmetrics,
-    "csv": lambda registry, prefix="repro": to_csv_snapshot(registry),
-}
-
-
 def write_export(
-    registry: MetricRegistry,
-    path: str,
-    fmt: str = "openmetrics",
-    prefix: str = "repro",
+    registry: MetricRegistry, path: str, prefix: str = "repro"
 ) -> str:
-    """Serialise the registry to ``path``; returns the rendered text."""
-    try:
-        render = EXPORT_FORMATS[fmt]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown export format {fmt!r}; choose from {sorted(EXPORT_FORMATS)}"
-        ) from None
-    text = render(registry, prefix=prefix)
+    """Write the registry to ``path`` as OpenMetrics; returns the text."""
+    text = to_openmetrics(registry, prefix=prefix)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
-
-
-class PeriodicExportSink(EventSink):
-    """Rewrites a metrics export every ``interval_s`` of event time.
-
-    Attach next to a JSONL sink (or alone) and the export file tracks
-    the run as it progresses — each rewrite is a full snapshot, so the
-    file is always a valid scrape. A final export happens on
-    :meth:`close`.
-    """
-
-    def __init__(
-        self,
-        registry: MetricRegistry,
-        path: str,
-        interval_s: float = 3600.0,
-        fmt: str = "openmetrics",
-        prefix: str = "repro",
-    ) -> None:
-        if interval_s <= 0:
-            raise ConfigurationError("interval_s must be positive")
-        if fmt not in EXPORT_FORMATS:
-            raise ConfigurationError(
-                f"unknown export format {fmt!r}; choose from {sorted(EXPORT_FORMATS)}"
-            )
-        self.registry = registry
-        self.path = path
-        self.interval_s = interval_s
-        self.fmt = fmt
-        self.prefix = prefix
-        self.n_exports = 0
-        self._next_t: Optional[float] = None
-
-    def emit(self, event: TraceEvent) -> None:
-        if self._next_t is None:
-            self._next_t = event.t + self.interval_s
-            return
-        if event.t >= self._next_t:
-            self._write()
-            # Catch up past idle gaps without a burst of rewrites.
-            while self._next_t <= event.t:
-                self._next_t += self.interval_s
-
-    def _write(self) -> None:
-        write_export(self.registry, self.path, fmt=self.fmt, prefix=self.prefix)
-        self.n_exports += 1
-
-    def close(self) -> None:
-        self._write()

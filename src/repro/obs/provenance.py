@@ -24,7 +24,6 @@ deliberately tolerates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
@@ -32,8 +31,7 @@ from repro.obs.events import (
     EVENT_TYPES,
     TraceEvent,
     iter_events,
-    open_trace_segment,
-    trace_segments,
+    decode_trace_lines,
 )
 from repro.obs.metrics import MetricRegistry
 from repro.obs.sinks import EventSink
@@ -158,7 +156,7 @@ class ProvenanceIndex(EventSink):
     # ------------------------------------------------------------------
     @classmethod
     def from_trace(cls, path: str, strict: bool = False) -> "ProvenanceIndex":
-        """Replay a JSONL trace (rotated/gzipped segments included)."""
+        """Replay a JSONL trace."""
         index = cls()
         for event in iter_events(path, strict=strict):
             index.emit(event)
@@ -418,12 +416,12 @@ class ProvenanceIndex(EventSink):
 class TraceViolation:
     """One broken invariant at a specific trace line."""
 
-    segment: str
+    path: str
     line_no: int
     message: str
 
     def __str__(self) -> str:
-        return f"{self.segment}:{self.line_no}: {self.message}"
+        return f"{self.path}:{self.line_no}: {self.message}"
 
 
 @dataclass
@@ -487,8 +485,10 @@ def validate_trace(path: str, max_violations: int = 100) -> TraceValidation:
       still open at EOF are reported but are not violations (a trace
       may legitimately end mid-excursion).
 
-    Reads rotated/gzipped segments transparently. Collection stops
-    after ``max_violations`` so a corrupt gigabyte file fails fast.
+    A torn final line (the writer died mid-line) is a violation here,
+    though :func:`~repro.obs.events.iter_events` skips it when lenient.
+    Collection stops after ``max_violations`` so a corrupt gigabyte
+    file fails fast.
     """
     result = TraceValidation(path=path)
     field_cache: Dict[str, Dict[str, Any]] = {}
@@ -503,202 +503,178 @@ def validate_trace(path: str, max_violations: int = 100) -> TraceValidation:
     last_frame_seq: Optional[int] = None
     truncated = False
 
-    def violation(segment: str, line_no: int, message: str) -> bool:
-        result.violations.append(TraceViolation(segment, line_no, message))
+    def violation(line_no: int, message: str) -> bool:
+        result.violations.append(TraceViolation(path, line_no, message))
         return len(result.violations) >= max_violations
 
-    for segment in trace_segments(path):
-        if truncated:
-            break
-        with open_trace_segment(segment) as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, data in decode_trace_lines(fh):
+            result.n_lines += 1
+            if isinstance(data, ValueError):
+                truncated = violation(line_no, f"bad JSON: {data}")
+                if truncated:
+                    break
+                continue
+            if not isinstance(data, dict):
+                truncated = violation(line_no, "line is not an object")
+                if truncated:
+                    break
+                continue
+            kind = data.get("kind")
+            cls = EVENT_TYPES.get(kind or "")
+            if cls is None:
+                truncated = violation(line_no, f"unknown event kind {kind!r}")
+                if truncated:
+                    break
+                continue
+            defaults = field_cache.get(kind)  # type: ignore[arg-type]
+            if defaults is None:
+                defaults = field_cache[kind] = _class_field_defaults(cls)
+            bad = False
+            for name, value in data.items():
+                if name == "kind":
                     continue
-                result.n_lines += 1
-                try:
-                    data = json.loads(raw)
-                except ValueError as exc:
-                    truncated = violation(segment, line_no, f"bad JSON: {exc}")
-                    if truncated:
-                        break
-                    continue
-                if not isinstance(data, dict):
-                    truncated = violation(segment, line_no, "line is not an object")
-                    if truncated:
-                        break
-                    continue
-                kind = data.get("kind")
-                cls = EVENT_TYPES.get(kind or "")
-                if cls is None:
+                if name not in defaults:
                     truncated = violation(
-                        segment, line_no, f"unknown event kind {kind!r}"
+                        line_no,
+                        f"unknown field {name!r} on kind {kind!r}",
+                    )
+                    bad = True
+                    break
+                if not _field_type_ok(value, defaults[name]):
+                    truncated = violation(
+                        line_no,
+                        f"field {name!r} on kind {kind!r} has "
+                        f"{type(value).__name__} value {value!r}",
+                    )
+                    bad = True
+                    break
+            if truncated:
+                break
+            if bad:
+                continue
+            result.n_valid += 1
+            result.kind_counts[kind] = result.kind_counts.get(kind, 0) + 1
+
+            if kind == "trace_meta":
+                schema = data.get("schema", 0)
+                if schema != SCHEMA_VERSION:
+                    truncated = violation(
+                        line_no,
+                        f"trace schema {schema} is not the supported "
+                        f"version {SCHEMA_VERSION}",
                     )
                     if truncated:
                         break
-                    continue
-                defaults = field_cache.get(kind)  # type: ignore[arg-type]
-                if defaults is None:
-                    defaults = field_cache[kind] = _class_field_defaults(cls)
-                bad = False
-                for name, value in data.items():
-                    if name == "kind":
-                        continue
-                    if name not in defaults:
-                        truncated = violation(
-                            segment,
-                            line_no,
-                            f"unknown field {name!r} on kind {kind!r}",
+            elif kind == "battery_frame":
+                n = data.get("n", 0)
+                nodes_text = data.get("nodes", "")
+                seq = data.get("seq", 0)
+                frame_problems = []
+                if nodes_text:
+                    frame_roster = len(nodes_text.split(","))
+                    if seq != 0:
+                        frame_problems.append(
+                            f"roster carried on mid-run frame seq={seq}"
                         )
-                        bad = True
-                        break
-                    if not _field_type_ok(value, defaults[name]):
-                        truncated = violation(
-                            segment,
-                            line_no,
-                            f"field {name!r} on kind {kind!r} has "
-                            f"{type(value).__name__} value {value!r}",
+                if frame_roster is None:
+                    frame_problems.append(
+                        "frame before any roster-carrying frame"
+                    )
+                elif n != frame_roster:
+                    frame_problems.append(
+                        f"n={n} does not match roster of {frame_roster}"
+                    )
+                if last_frame_seq is not None and seq != last_frame_seq + 1:
+                    frame_problems.append(
+                        f"seq {seq} after {last_frame_seq} "
+                        f"(delta chain broken)"
+                    )
+                last_frame_seq = seq
+                for column in ("soc", "cur"):
+                    text = data.get(column, "")
+                    count = len(text.split(",")) if text else 0
+                    if count != n:
+                        frame_problems.append(
+                            f"{column} column has {count} entries, "
+                            f"expected {n}"
                         )
-                        bad = True
+                for problem in frame_problems:
+                    truncated = violation(line_no, "battery_frame: " + problem)
+                    if truncated:
                         break
                 if truncated:
                     break
-                if bad:
-                    continue
-                result.n_valid += 1
-                result.kind_counts[kind] = result.kind_counts.get(kind, 0) + 1
 
-                if kind == "trace_meta":
-                    schema = data.get("schema", 0)
-                    if schema != SCHEMA_VERSION:
-                        truncated = violation(
-                            segment,
-                            line_no,
-                            f"trace schema {schema} is not the supported "
-                            f"version {SCHEMA_VERSION}",
-                        )
-                        if truncated:
-                            break
-                elif kind == "battery_frame":
-                    n = data.get("n", 0)
-                    nodes_text = data.get("nodes", "")
-                    seq = data.get("seq", 0)
-                    frame_problems = []
-                    if nodes_text:
-                        frame_roster = len(nodes_text.split(","))
-                        if seq != 0:
-                            frame_problems.append(
-                                f"roster carried on mid-run frame seq={seq}"
-                            )
-                    if frame_roster is None:
-                        frame_problems.append(
-                            "frame before any roster-carrying frame"
-                        )
-                    elif n != frame_roster:
-                        frame_problems.append(
-                            f"n={n} does not match roster of {frame_roster}"
-                        )
-                    if last_frame_seq is not None and seq != last_frame_seq + 1:
-                        frame_problems.append(
-                            f"seq {seq} after {last_frame_seq} "
-                            f"(delta chain broken)"
-                        )
-                    last_frame_seq = seq
-                    for column in ("soc", "cur"):
-                        text = data.get(column, "")
-                        count = len(text.split(",")) if text else 0
-                        if count != n:
-                            frame_problems.append(
-                                f"{column} column has {count} entries, "
-                                f"expected {n}"
-                            )
-                    for problem in frame_problems:
-                        truncated = violation(
-                            segment, line_no, "battery_frame: " + problem
-                        )
-                        if truncated:
-                            break
+            t = data.get("t", 0.0)
+            scope = data.get("scope", "run")
+            campaign_clock = (
+                kind in CAMPAIGN_EVENT_KINDS
+                or (kind in ("span_start", "span_end") and scope == "campaign")
+                or (kind == "alert" and data.get("node") == "campaign")
+            )
+            if kind == "run_start" or kind == "trace_meta":
+                # Both open a fresh run scope: trace_meta is the
+                # header stamped just before its run_start.
+                last_t_run = t
+                last_run_kind = kind
+                frame_roster = None
+                last_frame_seq = None
+                if kind == "run_start":
+                    result.n_runs += 1
+            elif campaign_clock:
+                if last_t_campaign is not None and t < last_t_campaign:
+                    truncated = violation(
+                        line_no,
+                        f"campaign clock went backwards: {kind} at t={t} "
+                        f"after t={last_t_campaign}",
+                    )
                     if truncated:
                         break
-
-                t = data.get("t", 0.0)
-                scope = data.get("scope", "run")
-                campaign_clock = (
-                    kind in CAMPAIGN_EVENT_KINDS
-                    or (kind in ("span_start", "span_end") and scope == "campaign")
-                    or (kind == "alert" and data.get("node") == "campaign")
-                )
-                if kind == "run_start" or kind == "trace_meta":
-                    # Both open a fresh run scope: trace_meta is the
-                    # header stamped just before its run_start.
-                    last_t_run = t
-                    last_run_kind = kind
-                    frame_roster = None
-                    last_frame_seq = None
-                    if kind == "run_start":
-                        result.n_runs += 1
-                elif campaign_clock:
-                    if last_t_campaign is not None and t < last_t_campaign:
-                        truncated = violation(
-                            segment,
-                            line_no,
-                            f"campaign clock went backwards: {kind} at t={t} "
-                            f"after t={last_t_campaign}",
-                        )
-                        if truncated:
-                            break
-                        continue
-                    last_t_campaign = t
-                else:
-                    if last_t_run is not None and t < last_t_run:
-                        truncated = violation(
-                            segment,
-                            line_no,
-                            f"run clock went backwards: {kind} at t={t} "
-                            f"after {last_run_kind} at t={last_t_run}",
-                        )
-                        if truncated:
-                            break
-                        continue
-                    if last_t_run is not None or kind != "alert":
-                        last_t_run, last_run_kind = t, kind
-
-                if kind == "span_start":
-                    span_id = data.get("span_id") or data.get("eid") or 0
-                    if not span_id:
-                        truncated = violation(
-                            segment, line_no, "span_start without a span_id"
-                        )
-                        if truncated:
-                            break
-                        continue
-                    if span_id in open_spans:
-                        truncated = violation(
-                            segment,
-                            line_no,
-                            f"span id {span_id} opened twice",
-                        )
-                        if truncated:
-                            break
-                        continue
-                    open_spans[span_id] = (
-                        data.get("span", ""),
-                        data.get("node", ""),
+                    continue
+                last_t_campaign = t
+            else:
+                if last_t_run is not None and t < last_t_run:
+                    truncated = violation(
+                        line_no,
+                        f"run clock went backwards: {kind} at t={t} "
+                        f"after {last_run_kind} at t={last_t_run}",
                     )
-                elif kind == "span_end":
-                    span_id = data.get("span_id", 0)
-                    if span_id not in open_spans:
-                        truncated = violation(
-                            segment,
-                            line_no,
-                            f"span_end for span id {span_id} "
-                            f"({data.get('span', '?')}) without a matching "
-                            f"span_start",
-                        )
-                        if truncated:
-                            break
-                        continue
-                    del open_spans[span_id]
+                    if truncated:
+                        break
+                    continue
+                if last_t_run is not None or kind != "alert":
+                    last_t_run, last_run_kind = t, kind
+
+            if kind == "span_start":
+                span_id = data.get("span_id") or data.get("eid") or 0
+                if not span_id:
+                    truncated = violation(line_no, "span_start without a span_id")
+                    if truncated:
+                        break
+                    continue
+                if span_id in open_spans:
+                    truncated = violation(line_no, f"span id {span_id} opened twice")
+                    if truncated:
+                        break
+                    continue
+                open_spans[span_id] = (
+                    data.get("span", ""),
+                    data.get("node", ""),
+                )
+            elif kind == "span_end":
+                span_id = data.get("span_id", 0)
+                if span_id not in open_spans:
+                    truncated = violation(
+                        line_no,
+                        f"span_end for span id {span_id} "
+                        f"({data.get('span', '?')}) without a matching "
+                        f"span_start",
+                    )
+                    if truncated:
+                        break
+                    continue
+                del open_spans[span_id]
 
     result.open_spans = [
         (span_id, name, node)

@@ -13,12 +13,10 @@ Three implementations cover the spectrum the telemetry layer needs:
 
 from __future__ import annotations
 
-import gzip
 from collections import deque
 from typing import IO, Deque, List, Optional
 
-from repro.errors import ConfigurationError
-from repro.obs.events import TraceEvent, segment_path
+from repro.obs.events import TraceEvent
 from repro.obs.metrics import REGISTRY
 
 #: Default :class:`MemorySink` ring size. At the BAAT scenario's
@@ -82,86 +80,23 @@ class MemorySink(EventSink):
 class JsonlSink(EventSink):
     """Writes events as JSON Lines to a file path or open text stream.
 
-    File-path targets support size- or event-count-based rotation and
-    optional gzip compression, so month-scale instrumented runs do not
-    grow one unbounded file:
-
-    - ``compress=True`` (or a target ending in ``.gz``) gzips every
-      segment; the effective path gains a ``.gz`` suffix if missing.
-    - ``rotate_bytes``/``rotate_events`` roll to a new segment once the
-      current one reaches the limit. Segments are named by
-      :func:`~repro.obs.events.segment_path` (``trace.jsonl``,
-      ``trace.jsonl.1``, ... — index before ``.gz``), in write order,
-      with no renames, and every replay reader
-      (:func:`~repro.obs.events.iter_events`) walks them transparently.
-      ``rotate_bytes`` counts *uncompressed* line bytes, so the limit
-      bounds replay-buffer cost, not disk.
-
-    Stream targets accept neither rotation nor compression.
+    A path target is one plain file that the sink owns and closes; a
+    stream target is borrowed and left open on :meth:`close`.
     """
 
-    def __init__(
-        self,
-        target,
-        flush_every: int = 256,
-        rotate_bytes: Optional[int] = None,
-        rotate_events: Optional[int] = None,
-        compress: Optional[bool] = None,
-    ):
+    def __init__(self, target, flush_every: int = 256):
         self._flush_every = max(1, flush_every)
         self.n_written = 0
-        self.bytes_written = 0  # total uncompressed line bytes, all segments
-        self.segments_rotated = 0
-        self._rotate_bytes = rotate_bytes
-        self._rotate_events = rotate_events
-        self._segment_index = 0
-        self._segment_bytes = 0
-        self._segment_events = 0
+        self.bytes_written = 0  # total line bytes, newlines included
         if isinstance(target, (str, bytes)):
-            base = target.decode() if isinstance(target, bytes) else str(target)
-            if compress is None:
-                compress = base.endswith(".gz")
-            elif compress and not base.endswith(".gz"):
-                base += ".gz"
-            self._compress = bool(compress)
-            self._base: Optional[str] = base
+            path = target.decode() if isinstance(target, bytes) else str(target)
+            self._fh: IO[str] = open(path, "w", encoding="utf-8")
             self._owns_fh = True
-            self._fh: IO[str] = self._open_segment(0)
-            self.path: Optional[str] = base
+            self.path: Optional[str] = path
         else:
-            if rotate_bytes or rotate_events or compress:
-                raise ConfigurationError(
-                    "JsonlSink rotation/compression requires a file path "
-                    "target, not an open stream"
-                )
-            self._compress = False
-            self._base = None
             self._fh = target
             self._owns_fh = False
             self.path = getattr(target, "name", None)
-
-    def _open_segment(self, index: int) -> IO[str]:
-        assert self._base is not None
-        path = segment_path(self._base, index)
-        if self._compress:
-            return gzip.open(path, "wt", encoding="utf-8")
-        return open(path, "w", encoding="utf-8")
-
-    @property
-    def segment_paths(self) -> List[str]:
-        """Paths of every segment written so far, in write order."""
-        if self._base is None:
-            return [self.path] if self.path else []
-        return [
-            segment_path(self._base, i) for i in range(self._segment_index + 1)
-        ]
-
-    def _should_rotate(self) -> bool:
-        if self._rotate_bytes and self._segment_bytes >= self._rotate_bytes:
-            return True
-        if self._rotate_events and self._segment_events >= self._rotate_events:
-            return True
-        return False
 
     def emit(self, event: TraceEvent) -> None:
         line = event.to_json()
@@ -170,21 +105,10 @@ class JsonlSink(EventSink):
         self.n_written += 1
         line_bytes = len(line) + 1
         self.bytes_written += line_bytes
-        self._segment_bytes += line_bytes
-        self._segment_events += 1
         if REGISTRY.enabled:
             REGISTRY.counter("obs/sink_bytes").inc(line_bytes)
         if self.n_written % self._flush_every == 0:
             self._fh.flush()
-        if self._owns_fh and self._should_rotate():
-            self._fh.close()
-            self._segment_index += 1
-            self._segment_bytes = 0
-            self._segment_events = 0
-            self._fh = self._open_segment(self._segment_index)
-            self.segments_rotated += 1
-            if REGISTRY.enabled:
-                REGISTRY.counter("obs/segments_rotated").inc()
 
     def close(self) -> None:
         if self._fh.closed:

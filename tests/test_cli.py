@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, _resolve_experiment, build_parser, main
+from repro.obs import parse_openmetrics
 
 
 class TestResolution:
@@ -53,12 +54,6 @@ class TestParser:
         assert args.policy == "baat"
         args = build_parser().parse_args(["health", "run.jsonl"])
         assert args.source == "run.jsonl"
-
-    def test_export_format_choices(self):
-        args = build_parser().parse_args(["export", "--format", "csv"])
-        assert args.format == "csv"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["export", "--format", "yaml"])
 
     def test_profile_flag_three_forms(self):
         assert build_parser().parse_args(["stats"]).profile is None
@@ -157,19 +152,20 @@ class TestObservabilityCommands:
         assert "repro_" in out
         assert "phase_" in out  # step-phase timers made it into the export
 
-    def test_export_csv_to_file(self, tmp_path, capsys):
-        out_path = tmp_path / "metrics.csv"
+    def test_export_openmetrics_to_file(self, tmp_path, capsys):
+        out_path = tmp_path / "metrics.prom"
         assert (
             main(
                 [
-                    "export", "--format", "csv", "--out", str(out_path),
+                    "export", "--out", str(out_path),
                     "--day", "sunny", "--dt", "300",
                 ]
             )
             == 0
         )
-        assert "wrote csv export" in capsys.readouterr().out
-        assert out_path.read_text(encoding="utf-8").startswith("metric,field,value")
+        assert "wrote openmetrics export" in capsys.readouterr().out
+        parsed = parse_openmetrics(out_path.read_text(encoding="utf-8"))
+        assert parsed["counter"] and parsed["summary"]
 
     def test_profile_prints_hot_functions(self, capsys):
         assert main(["stats", "--day", "sunny", "--dt", "300", "--profile"]) == 0
@@ -258,27 +254,3 @@ class TestProvenanceCommands:
     def test_explain_missing_trace_exits(self):
         with pytest.raises(SystemExit):
             main(["explain", "no-such-trace.jsonl"])
-
-    def test_trace_gzip_flag_round_trips(self, tmp_path, capsys):
-        path = str(tmp_path / "gz.jsonl")
-        assert (
-            main(
-                [
-                    "stats", "--day", "sunny", "--dt", "300",
-                    "--trace", path, "--trace-gzip",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["trace", "validate", path]) == 0
-        assert main(["explain", path]) == 0
-
-    def test_trace_rotate_mb_must_be_positive(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "stats", "--day", "sunny", "--dt", "300",
-                    "--trace", "x.jsonl", "--trace-rotate-mb", "0",
-                ]
-            )

@@ -6,12 +6,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricRegistry
-from repro.obs.events import DayStartEvent
 from repro.obs.export import (
-    PeriodicExportSink,
     parse_openmetrics,
     sanitize_metric_name,
-    to_csv_snapshot,
     to_openmetrics,
     write_export,
 )
@@ -84,62 +81,11 @@ class TestOpenMetrics:
             parse_openmetrics("mystery_metric 1.0\n# EOF\n")
 
 
-class TestCsv:
-    def test_rows_cover_all_metric_kinds(self, registry):
-        lines = to_csv_snapshot(registry).splitlines()
-        assert lines[0] == "metric,field,value"
-        rows = {tuple(line.split(",")[:2]) for line in lines[1:]}
-        assert ("engine/steps", "count") in rows
-        assert ("planned/dod_goal/node0", "value") in rows
-        for field in ("count", "total", "mean", "min", "max"):
-            assert ("phase/control", field) in rows
-
-    def test_values_repr_round_trip(self, registry):
-        for line in to_csv_snapshot(registry).splitlines()[1:]:
-            value = line.rsplit(",", 1)[1]
-            float(value)  # every value cell parses back
-
-
 class TestWriteExport:
     def test_writes_file_and_returns_text(self, registry, tmp_path):
         path = tmp_path / "metrics.prom"
         text = write_export(registry, str(path))
         assert path.read_text(encoding="utf-8") == text
         assert "# EOF" in text
-
-    def test_csv_format_selectable(self, registry, tmp_path):
-        path = tmp_path / "metrics.csv"
-        write_export(registry, str(path), fmt="csv")
-        assert path.read_text(encoding="utf-8").startswith("metric,field,value")
-
-    def test_unknown_format_rejected(self, registry, tmp_path):
-        with pytest.raises(ConfigurationError):
-            write_export(registry, str(tmp_path / "x"), fmt="yaml")
-
-
-class TestPeriodicExportSink:
-    def test_rewrites_at_event_time_intervals(self, registry, tmp_path):
-        path = tmp_path / "live.prom"
-        sink = PeriodicExportSink(registry, str(path), interval_s=3600.0)
-        sink.emit(DayStartEvent(t=0.0, day_index=0))  # arms the schedule
-        assert sink.n_exports == 0 and not path.exists()
-        sink.emit(DayStartEvent(t=3600.0, day_index=0))
-        assert sink.n_exports == 1 and path.exists()
-        # Idle gap: one rewrite, then the schedule catches up past it.
-        sink.emit(DayStartEvent(t=4.5 * 3600.0, day_index=0))
-        assert sink.n_exports == 2
-        sink.emit(DayStartEvent(t=4.6 * 3600.0, day_index=0))
-        assert sink.n_exports == 2  # next slot is now 5.5 h
-
-    def test_close_writes_final_snapshot(self, registry, tmp_path):
-        path = tmp_path / "final.prom"
-        sink = PeriodicExportSink(registry, str(path), interval_s=3600.0)
-        sink.close()
-        assert sink.n_exports == 1
-        assert parse_openmetrics(path.read_text(encoding="utf-8"))["counter"]
-
-    def test_validates_configuration(self, registry, tmp_path):
-        with pytest.raises(ConfigurationError):
-            PeriodicExportSink(registry, str(tmp_path / "x"), interval_s=0.0)
-        with pytest.raises(ConfigurationError):
-            PeriodicExportSink(registry, str(tmp_path / "x"), fmt="yaml")
+        text = write_export(registry, str(path), prefix="baat")
+        assert "baat_engine_steps" in parse_openmetrics(text)["counter"]

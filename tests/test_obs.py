@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.policies.factory import make_policy
 from repro.errors import ConfigurationError
 from repro.obs import (
@@ -32,6 +33,7 @@ from repro.obs import (
     disable_observability,
     enable_observability,
     event_from_dict,
+    iter_events,
     read_events,
 )
 from repro.obs.timers import STEP_PHASES, StepPhaseTimers, time_phase
@@ -176,73 +178,50 @@ class TestJsonlRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Rotation and compression
+# Torn final line: a writer killed mid-line
 # ----------------------------------------------------------------------
-class TestJsonlRotationAndGzip:
-    def _emit_days(self, sink, n):
-        events = [DayStartEvent(t=120.0 * i, day_index=i) for i in range(n)]
-        for ev in events:
-            sink.emit(ev)
-        sink.close()
-        return events
-
-    def test_event_count_rotation_round_trips(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        sink = JsonlSink(path, rotate_events=4)
-        events = self._emit_days(sink, 10)
-        assert sink.segment_paths == [path, f"{path}.1", f"{path}.2"]
-        for segment in sink.segment_paths:
-            assert (tmp_path / segment.rsplit("/", 1)[1]).exists()
-        # One read walks every segment transparently, in write order.
-        assert read_events(path) == events
-
-    def test_byte_rotation_round_trips(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        sink = JsonlSink(path, rotate_bytes=120)
-        events = self._emit_days(sink, 12)
-        assert len(sink.segment_paths) > 1
-        assert read_events(path) == events
-
-    def test_gzip_suffix_implies_compression(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl.gz")
-        sink = JsonlSink(path)
-        events = self._emit_days(sink, 5)
-        import gzip
-
-        with gzip.open(path, "rt") as fh:
-            assert len(fh.readlines()) == 5
-        assert read_events(path) == events
-
-    def test_compress_flag_appends_gz_suffix(self, tmp_path):
-        base = str(tmp_path / "trace.jsonl")
-        sink = JsonlSink(base, compress=True, rotate_events=2)
-        events = self._emit_days(sink, 5)
-        assert sink.path == f"{base}.gz"
-        assert sink.segment_paths == [
-            f"{base}.gz", f"{base}.1.gz", f"{base}.2.gz"
-        ]
-        # Readers given the *uncompressed* base name fall back to .gz.
-        assert read_events(base) == events
-        assert read_events(f"{base}.gz") == events
-
-    def test_stream_target_rejects_rotation_and_compression(self, tmp_path):
-        with open(tmp_path / "trace.jsonl", "w", encoding="utf-8") as fh:
-            with pytest.raises(ConfigurationError):
-                JsonlSink(fh, rotate_events=4)
-            with pytest.raises(ConfigurationError):
-                JsonlSink(fh, compress=True)
-
-    def test_enable_observability_passes_rotation_through(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        sink = enable_observability(path, rotate_events=3, compress=True)
+class TestTornTrace:
+    @pytest.fixture
+    def torn(self, tiny_scenario, one_sunny_day, tmp_path):
+        """A real BAAT trace with its last line cut mid-way."""
+        path = str(tmp_path / "torn.jsonl")
+        enable_observability(path)
         try:
-            for i in range(7):
-                BUS.emit(DayStartEvent(t=120.0 * i, day_index=i))
+            Simulation(tiny_scenario, make_policy("baat"), one_sunny_day).run()
         finally:
             disable_observability()
-        assert sink.path == f"{path}.gz"
-        assert len(sink.segment_paths) == 3
-        assert len(read_events(path)) == 7
+        complete = read_events(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        last_start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        cut = last_start + (len(data) - last_start) // 2
+        with open(path, "wb") as fh:
+            fh.write(data[:cut])
+        return path, complete
+
+    def test_lenient_replay_drops_only_the_torn_line(self, torn):
+        path, complete = torn
+        assert list(iter_events(path, strict=False)) == complete[:-1]
+        with pytest.raises(ValueError):
+            list(iter_events(path))
+
+    def test_replay_commands_survive_and_validate_flags_it(self, torn, capsys):
+        path, _ = torn
+        assert main(["health", path]) == 0
+        assert main(["explain", path]) == 0
+        assert main(["trace", path]) == 0
+        assert main(["trace", "validate", path]) == 1
+        assert "bad JSON" in capsys.readouterr().out
+
+    def test_malformed_line_before_the_end_still_raises(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"kind": "day_start", "t": 0.0}\n'
+            "not json\n"
+            '{"kind": "day_start", "t": 1.0}'
+        )
+        with pytest.raises(ValueError):
+            list(iter_events(str(path), strict=False))
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ losslessly (property test).
 
 from __future__ import annotations
 
-import gzip
 import json
 from dataclasses import fields, replace
 
@@ -215,13 +214,6 @@ class TestValidateTrace:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             validate_trace(str(tmp_path / "absent.jsonl"))
-
-    def test_reads_gzipped_trace(self, tmp_path):
-        path = tmp_path / "t.jsonl.gz"
-        with gzip.open(path, "wt") as fh:
-            fh.write('{"kind": "run_start", "t": 0.0, "policy": "baat"}\n')
-        result = validate_trace(str(path))
-        assert result.ok and result.n_runs == 1
 
 
 # ----------------------------------------------------------------------
