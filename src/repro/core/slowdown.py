@@ -654,5 +654,5 @@ class SlowdownMonitor:
                 node = fleet.nodes[i]
                 node.server.throttle_up()
                 node.discharge_cap_w = float("inf")
-                fleet.policy_restricted[i] = node.server.freq_index > 0
+                fleet.refresh_node(i)
         return True

@@ -147,7 +147,7 @@ from repro.obs.telemetry import (
     TelemetryPolicy,
     parse_telemetry,
 )
-from repro.obs.timers import STEP_PHASES, StepPhaseTimers, time_phase
+from repro.obs.timers import POWER_KERNELS, STEP_PHASES, StepPhaseTimers, time_phase
 
 __all__ = [
     "BUS",
@@ -156,6 +156,7 @@ __all__ = [
     "SPANS",
     "EVENT_TYPES",
     "STEP_PHASES",
+    "POWER_KERNELS",
     "DEFAULT_MEMORY_SINK_MAXLEN",
     "TraceBus",
     "TraceEvent",

@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.obs.bus import BUS
 from repro.obs.events import BatteryFrameEvent
@@ -122,6 +124,12 @@ def parse_telemetry(spec: str) -> TelemetryPolicy:
     )
 
 
+def quantize(values: Sequence[float], scale: float) -> np.ndarray:
+    """``int(round(v * scale))`` per value, as int64. ``np.rint`` rounds
+    half to even like builtin ``round``, so the two agree exactly."""
+    return np.rint(np.asarray(values, dtype=float) * scale).astype(np.int64)
+
+
 class FrameEncoder:
     """Columnar encoder for one run's battery frames.
 
@@ -136,16 +144,16 @@ class FrameEncoder:
         self.names = list(names)
         self.n = len(self.names)
         self.seq = 0
-        self._prev_soc = [0] * self.n
-        self._prev_cur = [0] * self.n
+        self._prev_soc = np.zeros(self.n, dtype=np.int64)
+        self._prev_cur = np.zeros(self.n, dtype=np.int64)
 
     def encode(
         self, t: float, dt: float, soc: Sequence[float], current: Sequence[float]
     ) -> BatteryFrameEvent:
-        soc_q = [int(round(s * SOC_SCALE)) for s in soc]
-        cur_q = [int(round(c * CUR_SCALE)) for c in current]
-        soc_col = ",".join(str(q - p) for q, p in zip(soc_q, self._prev_soc))
-        cur_col = ",".join(str(q - p) for q, p in zip(cur_q, self._prev_cur))
+        soc_q = quantize(soc, SOC_SCALE)
+        cur_q = quantize(current, CUR_SCALE)
+        soc_col = ",".join(map(str, (soc_q - self._prev_soc).tolist()))
+        cur_col = ",".join(map(str, (cur_q - self._prev_cur).tolist()))
         self._prev_soc = soc_q
         self._prev_cur = cur_q
         event = BatteryFrameEvent(

@@ -23,6 +23,8 @@ import math
 from time import perf_counter
 from typing import Dict
 
+import numpy as np
+
 from repro.core.policies.base import Policy
 from repro.datacenter.power_path import PowerPath
 from repro.errors import ConfigurationError, SimulationError
@@ -100,7 +102,7 @@ class Simulation:
         # external inspection are valid before _begin ever runs.
         self._step = 0
         self._last_draws: Dict[str, float] = {}
-        self._soc_below: Dict[str, bool] = {}
+        self._soc_below = np.zeros(0, dtype=bool)
         self._phase_timers: StepPhaseTimers | None = None
         # Last admin window state written to the servers (None = never):
         # the per-node admin_off fan-out only runs on transitions.
@@ -113,6 +115,8 @@ class Simulation:
             return
         for vm in self.scenario.build_vms():
             self.policy.place_vm(vm)
+        if self._fleet is not None:
+            self._fleet.refresh_policy_view()
         self._placed = True
 
     def _begin(self) -> None:
@@ -171,7 +175,9 @@ class Simulation:
             node.tracker.mark(RUN_MARK)
             self._fade_start[node.name] = node.battery.capacity_fade
             self._last_draws[node.name] = 0.0
-            self._soc_below[node.name] = node.battery.soc < LOW_SOC_THRESHOLD
+        self._soc_below = (
+            np.array([node.battery.soc for node in self.cluster]) < LOW_SOC_THRESHOLD
+        )
         # Built lazily so a disabled registry is never populated with
         # empty phase histograms by a plain (untraced) run.
         if REGISTRY.enabled:
@@ -248,6 +254,8 @@ class Simulation:
         if self._admin_in_window is not in_window:
             for node in self.cluster:
                 node.server.admin_off = not in_window
+            if self._fleet is not None:
+                self._fleet.set_admin_off(not in_window)
             self._admin_in_window = in_window
 
         # --- control phase -------------------------------------------
@@ -359,30 +367,33 @@ class Simulation:
         crossing closes it — the root interval most Fig.-9 provenance
         chains bottom out at.
         """
-        below = self._soc_below
-        fleet_socs = None if self._fleet is None else self._fleet.soc
-        for i, node in enumerate(self.cluster):
-            soc = node.battery.soc if fleet_socs is None else float(fleet_socs[i])
-            now_below = soc < LOW_SOC_THRESHOLD
-            if now_below != below[node.name]:
-                below[node.name] = now_below
-                crossing = SocCrossingEvent(
-                    t=t,
+        if self._fleet is not None:
+            socs = self._fleet.soc
+        else:
+            socs = np.array([node.battery.soc for node in self.cluster])
+        now_below = socs < LOW_SOC_THRESHOLD
+        nodes = self.cluster.nodes
+        for i in np.nonzero(now_below != self._soc_below)[0].tolist():
+            node = nodes[i]
+            down = bool(now_below[i])
+            crossing = SocCrossingEvent(
+                t=t,
+                node=node.name,
+                soc=float(socs[i]),
+                threshold=LOW_SOC_THRESHOLD,
+                direction="down" if down else "up",
+            )
+            BUS.emit(crossing)
+            if down:
+                SPANS.start(
+                    "deep_discharge",
                     node=node.name,
-                    soc=soc,
-                    threshold=LOW_SOC_THRESHOLD,
-                    direction="down" if now_below else "up",
+                    t=t,
+                    cause=crossing.eid,
                 )
-                BUS.emit(crossing)
-                if now_below:
-                    SPANS.start(
-                        "deep_discharge",
-                        node=node.name,
-                        t=t,
-                        cause=crossing.eid,
-                    )
-                else:
-                    SPANS.end("deep_discharge", node=node.name, t=t)
+            else:
+                SPANS.end("deep_discharge", node=node.name, t=t)
+        self._soc_below = now_below
 
     def run(self) -> SimResult:
         """Execute the whole (remaining) trace and return the results."""

@@ -1,16 +1,16 @@
-"""Vectorised fleet stepping: struct-of-arrays battery state + power path.
+"""Vectorised fleet stepping: struct-of-arrays node state + power path.
 
-The reference engine advances each node's :class:`~repro.battery.unit.
-BatteryUnit` object through a deep per-node call chain every step. At
-fleet sizes (48-192 nodes) that chain dominates wall-clock. This module
-provides a fast path that holds the whole fleet's battery/tracker state
-in flat numpy arrays (:class:`FleetState`) and replays the *exact* same
+The reference engine advances each node's battery and server objects
+through a deep per-node call chain every step; at rack and fleet scale
+that chain dominates wall-clock. This module provides a fast path that
+holds the whole fleet's battery, tracker and server power state in flat
+numpy arrays (:class:`FleetState`) and replays the *exact* same
 arithmetic as array passes (:class:`FleetPowerPath`).
 
 Bit-compatibility contract
 --------------------------
 The fast path must produce bit-identical results to the per-node path —
-same ``SimResult``, same recorder series, same RNG draw order. Two rules
+same ``SimResult``, same recorder series, same RNG draw order. Three rules
 make that possible:
 
 - every add/sub/mul/div/min/max is IEEE-754-exact elementwise, so those
@@ -19,23 +19,25 @@ make that possible:
   kernels and Python's libm-backed scalar operators, so every
   transcendental (Arrhenius, OCV fade, Peukert, rate/mass stress,
   thermal decay, self-discharge) is computed per element with Python
-  floats, exactly as the scalar models do.
-
-Sequential semantics (the charge walk's surplus accounting, the utility
-budget, flow accumulators) stay as Python-float folds in the reference
-iteration order.
+  floats, exactly as the scalar models do;
+- sequential folds (the utility budget, the charge walk's surplus, flow
+  sums) stay strict left folds in the reference iteration order:
+  ``np.add.accumulate``/``np.subtract.accumulate`` where the reference
+  loops ``+=``/``-=``, and builtin ``sum()`` where it calls ``sum()``
+  (never the pairwise ``np.sum``).
 
 The fast path intentionally supports only the configuration the scalar
 models ship with: per-server architecture, plain :class:`BatteryUnit`
 instances, and the five default aging mechanisms. Anything else raises
-:class:`~repro.errors.ConfigurationError` at build time so experiments
-silently fall back to nothing.
+:class:`~repro.errors.ConfigurationError` at build time rather than
+silently diverging from the reference stepper.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from time import perf_counter
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -63,11 +65,12 @@ from repro.battery.voltage import (
 )
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.power_path import RESTART_SOC, PowerFlows, PowerPath
-from repro.datacenter.server import IDLE_DYNAMIC_FRACTION, ServerPowerState
+from repro.datacenter.server import IDLE_DYNAMIC_FRACTION, Server, ServerPowerState
 from repro.errors import ConfigurationError
 from repro.obs import BUS, REGISTRY
 from repro.obs.events import BrownoutEvent
 from repro.obs.telemetry import TELEMETRY
+from repro.obs.timers import StepPhaseTimers
 from repro.units import SECONDS_PER_HOUR
 
 #: Canonical mechanism order; row indices of ``FleetState.damage``.
@@ -86,6 +89,14 @@ _OP_REST_KEEP = 1  # discharge cut-off/dead branch: age at 0 A, keep last_curren
 _OP_DISCHARGE = 2
 _OP_CHARGE = 3
 
+#: Server power-state codes of ``FleetState.server_state``.
+_UP, _DOWN, _BOOTING = 0, 1, 2
+_STATE_CODE = {
+    ServerPowerState.UP: _UP,
+    ServerPowerState.DOWN: _DOWN,
+    ServerPowerState.BOOTING: _BOOTING,
+}
+
 #: Tracker region rows (paper Eq. 3): A (>=0.8), B, C, D.
 _REGION_LABELS = ("A", "B", "C", "D")
 
@@ -98,13 +109,36 @@ def _clamp01(values: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.minimum(1.0, values))
 
 
-class FleetState:
-    """Struct-of-arrays mirror of every node's battery + tracker state.
+def _idle_power_w(server: Server) -> float:
+    """Idle draw at the server's current frequency: the expression
+    :meth:`Server.power` evaluates for a booting or VM-less up server."""
+    p = server.params
+    return p.idle_w * (1.0 - IDLE_DYNAMIC_FRACTION * (1.0 - server.frequency))
 
-    Arrays are authoritative between :meth:`capture` and
-    :meth:`materialize`; the per-node objects are only synchronised at
-    policy/inspection boundaries. All arrays are ordered like
+
+class FleetState:
+    """Struct-of-arrays mirror of every node's battery, tracker and
+    server power state.
+
+    Battery and tracker arrays are authoritative between :meth:`capture`
+    and :meth:`materialize`; the per-node objects are only synchronised
+    at policy/inspection boundaries. All arrays are ordered like
     ``cluster.nodes``.
+
+    Server power state has three kinds of writer:
+
+    - the power path owns ``server_state``, ``boot_left_s`` and
+      ``downtime_s``. State transitions (power-on, brownout, finished
+      boot) are sparse and written straight through to the
+      :class:`Server` objects, so ``server.state`` is always current for
+      policies and the VM-advance phase; downtime and boot time left are
+      written back in :meth:`materialize`;
+    - the engine's operating-window fan-out writes ``admin_off`` through
+      :meth:`set_admin_off`;
+    - control-plane inputs (``policy_off_mask``, ``freq_index``,
+      ``idle_now_w``, ``discharge_cap_w``, ``hosting``) are re-read from
+      the objects by :meth:`refresh_policy_view` after any pass that may
+      have changed them, or for one node by :meth:`refresh_node`.
     """
 
     def __init__(self, cluster: Cluster):
@@ -226,6 +260,8 @@ class FleetState:
         self.tracker_lifetime_ah = arr(
             lambda nd: nd.tracker.params.lifetime_ah_throughput
         )
+        #: Base idle power (W), the restart check's bar.
+        self.idle_w = arr(lambda nd: nd.server.params.idle_w)
         self.node_names = [nd.name for nd in self.nodes]
         assert len(self.node_names) == n
 
@@ -271,31 +307,78 @@ class FleetState:
         self.tr_peak_a = arr(lambda nd: acc(nd).peak_discharge_current_a)
         self.tr_high_rate_s = arr(lambda nd: acc(nd).high_rate_low_soc_time_s)
         self.feedback_wh = arr(lambda nd: nd.feedback_wh)
+        servers = [nd.server for nd in self.nodes]
+        self.server_state = np.array(
+            [_STATE_CODE[s.state] for s in servers], dtype=np.int8
+        )
+        self.boot_left_s = np.array([float(s._boot_remaining_s) for s in servers])
+        self.downtime_s = np.array([float(s.downtime_s) for s in servers])
+        self.admin_off = np.array([s.admin_off for s in servers], dtype=bool)
         self._dirty = False
         self._state_version += 1
         self.refresh_policy_view()
 
     def refresh_policy_view(self) -> None:
-        """Rebuild the control-plane masks from the server objects.
+        """Re-read every node's control-plane inputs from the objects.
 
-        ``server_up``, ``policy_off_mask`` and ``policy_restricted`` let
-        policy decision kernels select eligible nodes without touching
-        the object API. The power path keeps ``server_up`` current at the
-        end of every step; the engine re-reads the other two whenever an
-        object-path control pass may have parked/throttled nodes.
+        Parking, DVFS, discharge caps and VM placement are policy
+        actions on the object API; the engine calls this after deploying
+        VMs and after every object-path control pass.
         """
+        nodes = self.nodes
         self.policy_off_mask = np.array(
-            [nd.server.policy_off for nd in self.nodes]
+            [nd.server.policy_off for nd in nodes], dtype=bool
         )
-        self.policy_restricted = np.array(
-            [
-                nd.server.freq_index > 0 or nd.discharge_cap_w != float("inf")
-                for nd in self.nodes
-            ]
+        self.freq_index = np.array(
+            [nd.server.freq_index for nd in nodes], dtype=np.intp
         )
-        self.server_up = np.array(
-            [nd.server.state is ServerPowerState.UP for nd in self.nodes]
-        )
+        self.idle_now_w = np.array([_idle_power_w(nd.server) for nd in nodes])
+        self.discharge_cap_w = np.array([float(nd.discharge_cap_w) for nd in nodes])
+        self.hosting = np.array([bool(nd.server.vms) for nd in nodes], dtype=bool)
+
+    def refresh_node(self, i: int) -> None:
+        """:meth:`refresh_policy_view` for node ``i`` alone (an in-place
+        control action on one node)."""
+        node = self.nodes[i]
+        server = node.server
+        self.policy_off_mask[i] = server.policy_off
+        self.freq_index[i] = server.freq_index
+        self.idle_now_w[i] = _idle_power_w(server)
+        self.discharge_cap_w[i] = node.discharge_cap_w
+        self.hosting[i] = bool(server.vms)
+
+    @property
+    def server_up(self) -> np.ndarray:
+        """Nodes whose server is serving load (``Node.is_up``)."""
+        return self.server_state == _UP
+
+    @property
+    def policy_restricted(self) -> np.ndarray:
+        """Nodes the slowdown monitor has throttled or capped."""
+        return (self.freq_index > 0) | (self.discharge_cap_w != math.inf)
+
+    def set_admin_off(self, off: bool) -> None:
+        """Fan the operating window's administrative shutdown out to every
+        server (the engine writes the objects alongside)."""
+        self.admin_off[:] = off
+
+    # Server transitions: sparse, written through to the objects.
+    def power_on(self, i: int) -> None:
+        server = self.nodes[i].server
+        server.power_on()
+        self.server_state[i] = _STATE_CODE[server.state]
+        self.boot_left_s[i] = server._boot_remaining_s
+
+    def brownout(self, i: int) -> None:
+        server = self.nodes[i].server
+        server.brownout()
+        self.server_state[i] = _STATE_CODE[server.state]
+
+    def finish_boot(self, i: int) -> None:
+        server = self.nodes[i].server
+        server.state = ServerPowerState.UP
+        server._boot_remaining_s = 0.0
+        self.server_state[i] = _UP
 
     def materialize(self) -> None:
         """Write array state back into the per-node objects.
@@ -334,6 +417,8 @@ class FleetState:
             acc.peak_discharge_current_a = float(self.tr_peak_a[i])
             acc.high_rate_low_soc_time_s = float(self.tr_high_rate_s[i])
             node.feedback_wh = float(self.feedback_wh[i])
+            node.server.downtime_s = float(self.downtime_s[i])
+            node.server._boot_remaining_s = float(self.boot_left_s[i])
         self._dirty = False
 
     def set_ambient(self, ambient_c: float) -> None:
@@ -465,6 +550,20 @@ class FleetState:
             v -= LOW_SOC_SAG_V * depth * rate
         return v
 
+    def max_discharge_power(
+        self, idx: np.ndarray, der: Dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """Vector :meth:`BatteryUnit.max_discharge_power` over ``idx``."""
+        soc = self.soc[idx]
+        empty = self.ocv_empty[idx]
+        v = empty + (der["ocv_hi"][idx] - empty) * _clamp01(soc)
+        headroom = v - self.cutoff_v[idx]
+        live = (soc > self.cutoff_soc[idx]) & (headroom > 0.0)
+        i_max = np.where(live, headroom / der["res"][idx], 0.0)
+        live &= i_max > 0.0
+        v = self.terminal_voltage(soc, i_max, der, idx)
+        return np.where(live, np.maximum(0.0, i_max * v), 0.0)
+
     def max_discharge_power_i(self, i: int, der: Dict[str, np.ndarray]) -> float:
         """Scalar twin of :meth:`BatteryUnit.max_discharge_power`."""
         soc = float(self.soc[i])
@@ -533,42 +632,39 @@ class FleetState:
 class FleetPowerPath(PowerPath):
     """Array-native power routing, bit-compatible with :class:`PowerPath`.
 
-    Per-node ``BatteryUnit`` calls are replaced by four vector kernels
-    (discharge, charge, rest, tracker-observe) over :class:`FleetState`
-    arrays; servers, the policy-visible object API, and all sequential
-    accounting (utility budget, charge-walk surplus, flow sums) keep the
-    reference semantics and iteration order exactly.
+    Every part of a step is an array pass over :class:`FleetState`:
+    restart scan, demand, utility allocation, discharge, charge walk,
+    battery advance, server advance and tracker observe. Object calls
+    remain only where the reference's side effects need them, in node
+    order: ``Server.power``/``utilization`` on up servers hosting VMs
+    (their RNG draws) and the sparse server transitions (power-on,
+    brownout with its VM checkpoints and event, finished boot).
+
+    With the metric registry enabled, each kernel's wall time goes to a
+    ``phase/power/<kernel>`` histogram (:data:`~repro.obs.timers.
+    POWER_KERNELS`); ``derived()`` runs before the first kernel and is not
+    counted in any of them.
     """
 
     def __init__(self, cluster: Cluster, utility_budget_w: float = 0.0):
+        if utility_budget_w < 0.0:
+            # The prefix allocation in _allocate assumes a budget that
+            # only shrinks.
+            raise ConfigurationError("the fleet stepper needs utility_budget_w >= 0")
         super().__init__(cluster, utility_budget_w=utility_budget_w)
         self.fleet = FleetState(cluster)
-        # Reusable per-step op buffers (zeroed at each step).
+        # Reusable per-step op buffers, zeroed at each step: mode, signed
+        # current (+ discharge, - charge), gassing current, float flag,
+        # drained Ah, stored Ah, delivered W, absorbed W.
         n = self.fleet.n
-        self._mode = np.zeros(n, dtype=np.int8)
-        self._op_current = np.zeros(n)
-        self._op_gassing = np.zeros(n)
-        self._op_float = np.zeros(n, dtype=bool)
-        self._op_drain_ah = np.zeros(n)
-        self._op_stored_ah = np.zeros(n)
-        self._op_delivered_w = np.zeros(n)
-        self._op_absorbed_w = np.zeros(n)
-        # Idle demand of a VM-less, unthrottled, up server: Server.power
-        # collapses to exactly this constant (utilization and migration
-        # terms are exact zeros), so the demand walk can skip two method
-        # calls per empty node. Precomputed with the same expression the
-        # scalar path evaluates.
-        self._idle_demand = [
-            float(
-                nd.server.params.idle_w
-                * (
-                    1.0
-                    - IDLE_DYNAMIC_FRACTION
-                    * (1.0 - nd.server.params.freq_levels[0])
-                )
-            )
-            for nd in self.fleet.nodes
-        ]
+        self._op_buffers = (
+            np.zeros(n, dtype=np.int8), np.zeros(n), np.zeros(n),
+            np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n), np.zeros(n),
+            np.zeros(n),
+        )
+        # Kernel histograms, built on the first timed step so a disabled
+        # registry never holds them.
+        self._timers: StepPhaseTimers | None = None
 
     # ------------------------------------------------------------------
     def step(
@@ -579,130 +675,44 @@ class FleetPowerPath(PowerPath):
         rng: Optional[np.random.Generator] = None,
         charging_enabled: bool = True,
     ) -> PowerFlows:
-        nodes = self.cluster.nodes
         fs = self.fleet
         der = fs.derived(dt)
+        # One registry check per step: kernel boundaries are stamped and
+        # observed together at the end.
+        timing = REGISTRY.enabled
+        if timing:
+            stamps = [perf_counter()]
 
-        # --- restart any down node that now has a power prospect --------
-        down_state = ServerPowerState.DOWN
-        drawing = sum(
-            1
-            for nd in nodes
-            if not nd.server.admin_off and nd.server.state is not down_state
-        )
-        per_node_solar_guess = solar_w / float(drawing + 1)
-        for i, node in enumerate(nodes):
-            if node.server.state is down_state and not node.server.admin_off:
-                idle = node.server.params.idle_w
-                solar_ok = per_node_solar_guess >= idle
-                battery_ok = (
-                    float(fs.soc[i]) >= RESTART_SOC
-                    and min(fs.max_discharge_power_i(i, der), node.discharge_cap_w)
-                    + per_node_solar_guess
-                    >= idle
-                )
-                if solar_ok or battery_ok:
-                    node.server.power_on()
+        self._restart(solar_w, der)
+        if timing:
+            stamps.append(perf_counter())
 
-        # --- demand (sequential: preserves the RNG draw order) -----------
-        # VM-less up servers at full frequency draw exactly their idle
-        # constant and make no RNG draws, so the object calls are skipped
-        # for them; every other node goes through Server.power unchanged.
-        up_state = ServerPowerState.UP
-        idle_demand = self._idle_demand
-        demands = []
-        for i, nd in enumerate(nodes):
-            server = nd.server
-            if (
-                not server.vms
-                and server._freq_index == 0
-                and not server.admin_off
-                and not server.policy_off
-                and server.state is up_state
-            ):
-                demands.append(idle_demand[i])
-            else:
-                demands.append(server.power(server.utilization(t, rng)))
-        total_demand = sum(demands)
+        demand = self.demand(t, rng)
+        # Builtin sum, as the reference sums its demand dict.
+        total_demand = sum(demand.tolist())
+        if timing:
+            stamps.append(perf_counter())
 
         solar_to_load = min(solar_w, total_demand)
-
-        # --- per-node deficits and the utility budget (sequential) -------
-        utility_left = self.utility_budget_w
-        utility_used = 0.0
-        discharge_idx: List[int] = []
-        discharge_power: List[float] = []
-        deficits: Dict[int, float] = {}
-        for i, node in enumerate(nodes):
-            demand = demands[i]
-            share = (
-                solar_to_load * demand / total_demand if total_demand > 0 else 0.0
-            )
-            deficit = demand - share
-            if deficit <= 1e-9:
-                continue
-            from_utility = min(deficit, utility_left)
-            utility_left -= from_utility
-            utility_used += from_utility
-            deficit -= from_utility
-            if deficit <= 1e-9:
-                continue
-            deficits[i] = deficit
-            allowed = min(deficit, node.discharge_cap_w)
-            if allowed > 0.0:
-                discharge_idx.append(i)
-                discharge_power.append(allowed)
+        def_idx, deficit, utility_used = self._allocate(
+            demand, total_demand, solar_to_load
+        )
+        if timing:
+            stamps.append(perf_counter())
 
         # Per-node op buffers: every battery resolves to exactly one op.
-        mode = self._mode
-        mode.fill(0)
-        op_current = self._op_current  # signed (+ discharge, - charge)
-        op_current.fill(0.0)
-        op_gassing = self._op_gassing
-        op_gassing.fill(0.0)
-        op_float = self._op_float
-        op_float.fill(False)
-        op_drain_ah = self._op_drain_ah
-        op_drain_ah.fill(0.0)
-        op_stored_ah = self._op_stored_ah
-        op_stored_ah.fill(0.0)
-        op_delivered_w = self._op_delivered_w
-        op_delivered_w.fill(0.0)
-        op_absorbed_w = self._op_absorbed_w
-        op_absorbed_w.fill(0.0)
-
-        # --- battery bridges the deficit (vector kernel) ------------------
-        delivered_by_idx: Dict[int, float] = {}
-        if discharge_idx:
-            idx = np.asarray(discharge_idx, dtype=np.intp)
-            power = np.asarray(discharge_power)
-            delivered = self._discharge_kernel(
-                idx, power, dt, der, mode, op_current, op_drain_ah, op_delivered_w
-            )
-            delivered_by_idx = {
-                int(i): float(w) for i, w in zip(idx, delivered)
-            }
-
-        battery_to_load = 0.0
-        unserved = 0.0
-        browned_out = 0
-        for i, deficit in deficits.items():
-            node = nodes[i]
-            delivered = delivered_by_idx.get(i, 0.0)
-            if i in delivered_by_idx:
-                battery_to_load += delivered
-            shortfall = deficit - delivered
-            if shortfall > max(2.0, 0.02 * deficit):
-                unserved += shortfall
-                node.unserved_wh += shortfall * dt / SECONDS_PER_HOUR
-                node.server.brownout()
-                browned_out += 1
-                if BUS.enabled:
-                    BUS.emit(
-                        BrownoutEvent(t=t, node=node.name, shortfall_w=shortfall)
-                    )
-                if REGISTRY.enabled:
-                    REGISTRY.counter("power/brownouts").inc()
+        for buf in self._op_buffers:
+            buf.fill(0)
+        (
+            mode, op_current, op_gassing, op_float,
+            op_drain_ah, op_stored_ah, op_delivered_w, op_absorbed_w,
+        ) = self._op_buffers
+        battery_to_load, unserved, browned_out = self._discharge(
+            t, dt, der, def_idx, deficit,
+            mode, op_current, op_drain_ah, op_delivered_w,
+        )
+        if timing:
+            stamps.append(perf_counter())
 
         # --- surplus solar charges batteries, emptiest first --------------
         surplus = max(0.0, solar_w - solar_to_load)
@@ -716,27 +726,30 @@ class FleetPowerPath(PowerPath):
                     mode, op_current, op_gassing, op_float,
                     op_stored_ah, op_absorbed_w,
                 )
-
         feedback = max(0.0, surplus)
         if feedback > 0.0:
-            per_node = feedback / len(nodes)
+            per_node = feedback / fs.n
             fs.feedback_wh += per_node * dt / SECONDS_PER_HOUR
+        if timing:
+            stamps.append(perf_counter())
 
-        # --- advance all batteries in one pass -----------------------------
         self._advance_all(
             dt, der, mode, op_current, op_gassing, op_float,
             op_drain_ah, op_stored_ah, op_delivered_w, op_absorbed_w,
         )
+        if timing:
+            stamps.append(perf_counter())
 
-        # --- advance servers and sensors ----------------------------------
-        up = fs.server_up
-        for i, node in enumerate(nodes):
-            server = node.server
-            server.advance_state(dt)
-            up[i] = server.state is ServerPowerState.UP
+        self._advance_servers(dt)
+        if timing:
+            stamps.append(perf_counter())
+
         self._observe_all(dt)
         fs._dirty = True
         fs._state_version += 1
+        if timing:
+            stamps.append(perf_counter())
+            self._observe_kernels(stamps)
 
         return PowerFlows(
             demand_w=total_demand,
@@ -750,8 +763,170 @@ class FleetPowerPath(PowerPath):
             browned_out_nodes=browned_out,
         )
 
+    def _observe_kernels(self, stamps) -> None:
+        if self._timers is None:
+            self._timers = StepPhaseTimers(REGISTRY, power_kernels=True)
+        for hist, t0, t1 in zip(self._timers.power_kernels, stamps, stamps[1:]):
+            hist.observe(t1 - t0)
+
     # ------------------------------------------------------------------
-    # Kernels
+    # Server kernels
+    # ------------------------------------------------------------------
+    def _restart(self, solar_w: float, der: Dict[str, np.ndarray]) -> None:
+        """Power on every down node that now has a power prospect.
+
+        The solar estimate is shared across the nodes that would draw
+        if the candidate restarted (see :meth:`PowerPath.step`); the
+        battery prospect needs the restart SoC and enough sustainable
+        discharge power, both evaluated for the down candidates only.
+        """
+        fs = self.fleet
+        state = fs.server_state
+        on = ~fs.admin_off
+        drawing = int(np.count_nonzero(on & (state != _DOWN)))
+        per_node_solar_guess = solar_w / float(drawing + 1)
+        cand = np.nonzero(on & (state == _DOWN))[0]
+        if not len(cand):
+            return
+        idle = fs.idle_w[cand]
+        battery_w = np.minimum(
+            fs.max_discharge_power(cand, der), fs.discharge_cap_w[cand]
+        )
+        ok = (per_node_solar_guess >= idle) | (
+            (fs.soc[cand] >= RESTART_SOC)
+            & (battery_w + per_node_solar_guess >= idle)
+        )
+        for i in cand[ok].tolist():
+            fs.power_on(i)
+
+    def demand(
+        self, t: float, rng: Optional[np.random.Generator] = None
+    ) -> np.ndarray:
+        """Per-node ``Server.power(Server.utilization(t, rng))`` (W).
+
+        Only up, not-off servers hosting VMs sample utilisation (and so
+        draw RNG); they still go through the objects, in node order.
+        Every other server's draw is closed-form: 0 W when off or down,
+        its idle power at the current frequency otherwise.
+        """
+        fs = self.fleet
+        off = fs.admin_off | fs.policy_off_mask
+        state = fs.server_state
+        demand = np.where(off | (state == _DOWN), 0.0, fs.idle_now_w)
+        nodes = fs.nodes
+        for i in np.nonzero(~off & (state == _UP) & fs.hosting)[0].tolist():
+            server = nodes[i].server
+            demand[i] = server.power(server.utilization(t, rng))
+        return demand
+
+    def _advance_servers(self, dt: float) -> None:
+        """Vector :meth:`Server.advance_state`: downtime and boot timers
+        (planned shutdown never counts as downtime)."""
+        fs = self.fleet
+        active = ~(fs.admin_off | fs.policy_off_mask)
+        state = fs.server_state
+        fs.downtime_s[active & (state == _DOWN)] += dt
+        boot = np.nonzero(active & (state == _BOOTING))[0]
+        if len(boot):
+            left = fs.boot_left_s[boot]
+            fs.downtime_s[boot] += np.minimum(dt, left)
+            left -= dt
+            done = left <= 0.0
+            left[done] = 0.0
+            fs.boot_left_s[boot] = left
+            for i in boot[done].tolist():
+                fs.finish_boot(i)
+
+    # ------------------------------------------------------------------
+    # Routing kernels
+    # ------------------------------------------------------------------
+    def _allocate(
+        self, demand: np.ndarray, total_demand: float, solar_to_load: float
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        """Solar share, utility budget and battery-side deficit per node.
+
+        Returns the nodes left with a deficit (node order), their
+        deficits, and the utility power used. The reference hands the
+        budget out in node order (``left -= min(deficit, left)``), a
+        prefix allocation: the strict left fold
+        ``subtract.accumulate([budget, deficits...])`` is the budget left
+        after each node until the first node it cannot cover, which takes
+        the remainder, and every later node gets 0.
+        """
+        share = solar_to_load * demand / total_demand if total_demand > 0 else 0.0
+        deficit = demand - share
+        idx = np.nonzero(deficit > 1e-9)[0]
+        if not len(idx):
+            return idx, deficit[idx], 0.0
+        deficit = deficit[idx]
+        left = np.subtract.accumulate(
+            np.concatenate(([self.utility_budget_w], deficit))
+        )
+        from_utility = deficit.copy()
+        short = np.nonzero(left[1:] < 0.0)[0]
+        if len(short):
+            k = short[0]
+            from_utility[k] = left[k]
+            from_utility[k + 1:] = 0.0
+        utility_used = float(
+            np.add.accumulate(np.concatenate(([0.0], from_utility)))[-1]
+        )
+        deficit = deficit - from_utility
+        keep = deficit > 1e-9
+        return idx[keep], deficit[keep], utility_used
+
+    def _discharge(
+        self,
+        t: float,
+        dt: float,
+        der: Dict[str, np.ndarray],
+        idx: np.ndarray,
+        deficit: np.ndarray,
+        mode: np.ndarray,
+        op_current: np.ndarray,
+        op_drain_ah: np.ndarray,
+        op_delivered_w: np.ndarray,
+    ) -> Tuple[float, float, int]:
+        """Batteries bridge the deficits under each node's discharge cap;
+        a node left materially short browns out.
+
+        Returns battery-to-load power, unserved power and the brownout
+        count. Only the browned-out nodes take object calls and events.
+        """
+        fs = self.fleet
+        allowed = np.minimum(deficit, fs.discharge_cap_w[idx])
+        live = allowed > 0.0
+        delivered = np.zeros(len(idx))
+        battery_to_load = 0.0
+        if live.any():
+            out = self._discharge_kernel(
+                idx[live], allowed[live], dt, der,
+                mode, op_current, op_drain_ah, op_delivered_w,
+            )
+            delivered[live] = out
+            battery_to_load = float(
+                np.add.accumulate(np.concatenate(([0.0], out)))[-1]
+            )
+        # Tolerate solver rounding and small sags: a server browns out
+        # only on a materially unmet deficit (>2 % or >2 W).
+        shortfall = deficit - delivered
+        failed = np.nonzero(shortfall > np.maximum(2.0, 0.02 * deficit))[0]
+        unserved = 0.0
+        for k in failed.tolist():
+            i = int(idx[k])
+            node = fs.nodes[i]
+            short = float(shortfall[k])
+            unserved += short
+            node.unserved_wh += short * dt / SECONDS_PER_HOUR
+            fs.brownout(i)
+            if BUS.enabled:
+                BUS.emit(BrownoutEvent(t=t, node=node.name, shortfall_w=short))
+            if REGISTRY.enabled:
+                REGISTRY.counter("power/brownouts").inc()
+        return battery_to_load, unserved, len(failed)
+
+    # ------------------------------------------------------------------
+    # Battery kernels
     # ------------------------------------------------------------------
     def _peukert(
         self, current: np.ndarray, i_ref: np.ndarray, k_minus_1: np.ndarray
@@ -842,7 +1017,7 @@ class FleetPowerPath(PowerPath):
         op_stored_ah: np.ndarray,
         op_absorbed_w: np.ndarray,
     ) -> Tuple[float, float]:
-        """Sequential emptiest-first charge walk with vector precompute.
+        """Emptiest-first charge walk as accumulate passes.
 
         The acceptance-limited outcome of :meth:`BatteryUnit.charge` does
         not depend on the offered power, so it is precomputed for every
@@ -902,25 +1077,46 @@ class FleetPowerPath(PowerPath):
         absorbed0 = cur0 * v2
         float0 = (soc >= 0.99) & (cur0 <= flt * 2.0)
 
-        solar_to_battery = 0.0
+        # The walk, emptiest first. While candidates take their
+        # acceptance-limited charge, the surplus before each one is the
+        # strict left fold subtract.accumulate([surplus, absorbed0...]),
+        # equal to the reference's running `surplus -= absorbed`; the
+        # first candidate that fails the fast test (usually the last one
+        # charged) goes through the scalar transcription and the fold
+        # restarts after it.
         order = np.argsort(soc, kind="stable")
-        for j in order.tolist():
-            if surplus <= 1e-9:
+        v1_o, ia_o, abs_o = v1[order], i_accept[order], absorbed0[order]
+        solar_to_battery = 0.0
+        k, m = 0, len(order)
+        while k < m and surplus > 1e-9:
+            acc = np.subtract.accumulate(np.concatenate(([surplus], abs_o[k:])))
+            before = acc[:-1]
+            fast = (
+                (before > 1e-9)
+                & (ia_o[k:] <= before / np.maximum(v1_o[k:], 1e-6))
+                & (abs_o[k:] <= before)
+            )
+            n_fast = len(fast) if fast.all() else int(np.argmin(fast))
+            if n_fast:
+                js = order[k:k + n_fast]
+                idx = cand[js]
+                mode[idx] = _OP_CHARGE
+                op_current[idx] = -cur0[js]
+                op_gassing[idx] = gas0[js]
+                op_float[idx] = float0[js]
+                op_stored_ah[idx] = st_ah0[js]
+                op_absorbed_w[idx] = absorbed0[js]
+                solar_to_battery = float(np.add.accumulate(
+                    np.concatenate(([solar_to_battery], abs_o[k:k + n_fast]))
+                )[-1])
+                surplus = float(acc[n_fast])
+                k += n_fast
+            if k == m or surplus <= 1e-9:
                 break
-            i = int(cand[j])
-            v1_j = float(v1[j])
-            i_request = surplus / max(v1_j, 1e-6)
-            ia = float(i_accept[j])
-            if ia <= i_request and float(absorbed0[j]) <= surplus:
-                cur = float(cur0[j])
-                gas = float(gas0[j])
-                st_ah = float(st_ah0[j])
-                absorbed = float(absorbed0[j])
-                is_float = bool(float0[j])
-            else:
-                cur, gas, st_ah, absorbed, is_float = self._charge_scalar(
-                    i, surplus, dt, der
-                )
+            i = int(cand[order[k]])
+            cur, gas, st_ah, absorbed, is_float = self._charge_scalar(
+                i, surplus, dt, der
+            )
             mode[i] = _OP_CHARGE
             op_current[i] = -cur
             op_gassing[i] = gas
@@ -929,6 +1125,7 @@ class FleetPowerPath(PowerPath):
             op_absorbed_w[i] = absorbed
             solar_to_battery += absorbed
             surplus -= absorbed
+            k += 1
         return surplus, solar_to_battery
 
     def _charge_scalar(

@@ -6,6 +6,8 @@ a server crash — and asserts the cluster keeps serving and the policies
 adapt rather than wedging.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.policies.factory import make_policy
@@ -13,15 +15,38 @@ from repro.errors import SimulationError
 from repro.sim.engine import Simulation
 from repro.solar.weather import DayClass
 
+STEPPERS = ("reference", "fleet")
+
 
 def run_with_event(scenario, policy_name, trace, event_step, event):
-    """Run a simulation, applying ``event(sim)`` at ``event_step``."""
+    """Run a simulation, applying ``event(sim)`` at ``event_step``.
+
+    The fleet stepper keeps node state in arrays between steps, so the
+    event sees synced objects and the arrays re-read what it changed.
+    """
     sim = Simulation(scenario, make_policy(policy_name), trace)
     while sim.steps_done < sim.steps_total:
         if sim.steps_done == event_step:
+            if sim._fleet is not None:
+                sim._fleet.materialize()
             event(sim)
+            if sim._fleet is not None:
+                sim._fleet.capture()
         sim.step_once()
     return sim, sim._collect()
+
+
+def run_on_stepper(stepper, scenario, policy_name, trace, event_step, event):
+    """:func:`run_with_event` on ``stepper``; a fleet run must also equal
+    the reference run exactly."""
+    sim, result = run_with_event(
+        dataclasses.replace(scenario, stepper=stepper),
+        policy_name, trace, event_step, event,
+    )
+    if stepper == "fleet":
+        _ref_sim, ref = run_with_event(scenario, policy_name, trace, event_step, event)
+        assert result == ref
+    return sim, result
 
 
 @pytest.fixture
@@ -78,9 +103,10 @@ class TestBatteryFailures:
         assert battery.time_s == pytest.approx(one_cloudy_day.duration_s)
 
 
+@pytest.mark.parametrize("stepper", STEPPERS)
 class TestServerFailures:
     def test_server_crash_checkpoint_and_recovery(
-        self, tiny_scenario, one_sunny_day, midday_step
+        self, stepper, tiny_scenario, one_sunny_day, midday_step
     ):
         """A crashed server checkpoints its VMs and reboots once power
         allows; on a sunny day it must be back up by end of window."""
@@ -88,22 +114,22 @@ class TestServerFailures:
         def crash(sim):
             sim.cluster.node("node2").server.brownout()
 
-        sim, result = run_with_event(
-            tiny_scenario, "e-buff", one_sunny_day, midday_step, crash
+        sim, result = run_on_stepper(
+            stepper, tiny_scenario, "e-buff", one_sunny_day, midday_step, crash
         )
         node2 = sim.cluster.node("node2")
         assert node2.server.downtime_s > 0.0
         assert result.throughput > 0.0
 
     def test_all_servers_crashing_is_not_fatal(
-        self, tiny_scenario, one_sunny_day, midday_step
+        self, stepper, tiny_scenario, one_sunny_day, midday_step
     ):
         def crash_all(sim):
             for node in sim.cluster:
                 node.server.brownout()
 
-        _sim, result = run_with_event(
-            tiny_scenario, "baat", one_sunny_day, midday_step, crash_all
+        _sim, result = run_on_stepper(
+            stepper, tiny_scenario, "baat", one_sunny_day, midday_step, crash_all
         )
         assert result.total_downtime_s > 0.0
         assert result.throughput > 0.0

@@ -28,7 +28,7 @@ from repro.obs import (
     validate_trace,
 )
 from repro.obs.events import RunStartEvent
-from repro.obs.telemetry import CUR_SCALE, SCHEMA_VERSION, SOC_SCALE
+from repro.obs.telemetry import CUR_SCALE, SCHEMA_VERSION, SOC_SCALE, quantize
 from repro.sim.engine import Simulation
 from repro.sim.scenario import Scenario
 from repro.solar.weather import DayClass
@@ -147,6 +147,17 @@ class TestFrameCodec:
         )
         assert got_soc == soc
         assert got_cur == cur
+
+    def test_quantize_matches_builtin_round(self):
+        # Half-quantum ties round to even, negative zero to 0, like round().
+        values = [
+            0.0, -0.0, 0.5 / SOC_SCALE, 1.5 / SOC_SCALE, 2.5 / SOC_SCALE,
+            -0.5 / SOC_SCALE, -2.5 / SOC_SCALE, 0.1, 0.99999653, 1.0,
+            -3.75, 12.345678951,
+        ]
+        for scale in (SOC_SCALE, CUR_SCALE):
+            want = [int(round(v * scale)) for v in values]
+            assert quantize(values, scale).tolist() == want
 
     def test_roster_omitted_from_wire_after_first_frame(self):
         encoder = FrameEncoder(["a", "b"])
