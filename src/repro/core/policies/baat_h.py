@@ -118,10 +118,14 @@ class BAATHidingPolicy(Policy):
             last = self._last_migration_s.get(node.name, -float("inf"))
             if t - last < MIGRATION_COOLDOWN_S:
                 continue
+            if not migrated:
+                # Migration acts on the VM objects: sync them first.
+                fleet.materialize()
             self._migrate_random_vm(node.name, t)
             migrated = True
         if migrated:
-            # A migration moves hosting and may wake a parked destination.
+            # A migration moves hosting and VMs and may wake a parked
+            # destination.
             fleet.refresh_policy_view()
         return True
 

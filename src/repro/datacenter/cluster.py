@@ -8,9 +8,7 @@ and aggregate cluster-level statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterable, List, Sequence
 
 from repro.datacenter.node import Node
 from repro.datacenter.vm import VM
@@ -129,10 +127,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    def total_power(self, t: float, rng: Optional[np.random.Generator] = None) -> float:
-        """Instantaneous cluster power draw (W)."""
-        return sum(n.server.power(n.server.utilization(t, rng)) for n in self.nodes)
-
     def total_progress(self) -> float:
         """Sum of all VM progress counters (the Fig. 20 throughput proxy)."""
         return sum(vm.progress for vm in self.vms.values())

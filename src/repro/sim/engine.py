@@ -116,6 +116,7 @@ class Simulation:
         for vm in self.scenario.build_vms():
             self.policy.place_vm(vm)
         if self._fleet is not None:
+            self._fleet.validate_vms(self.cluster)
             self._fleet.refresh_policy_view()
         self._placed = True
 
@@ -312,8 +313,11 @@ class Simulation:
         # VM progress accounting. Overcommitted servers time-share: when
         # hosted VMs demand more than one CPU, each runs at its
         # proportional share (consolidation trades speed for staying
-        # powered, which the throughput metric must reflect).
-        if in_window:
+        # powered, which the throughput metric must reflect). Fleet runs
+        # do the same as one array pass over the VM table.
+        if in_window and self._fleet is not None:
+            self._fleet.advance_vms(t, dt, self._rng)
+        elif in_window:
             for node in self.cluster:
                 if not node.server.vms:
                     # No hosted VMs: neither branch below would advance

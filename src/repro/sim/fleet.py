@@ -3,9 +3,10 @@
 The reference engine advances each node's battery and server objects
 through a deep per-node call chain every step; at rack and fleet scale
 that chain dominates wall-clock. This module provides a fast path that
-holds the whole fleet's battery, tracker and server power state in flat
-numpy arrays (:class:`FleetState`) and replays the *exact* same
-arithmetic as array passes (:class:`FleetPowerPath`).
+holds the whole fleet's battery, tracker, server power and VM state in
+flat numpy arrays (:class:`FleetState`) and replays the *exact* same
+arithmetic as array passes (:class:`FleetPowerPath`, and the VM-advance
+pass :meth:`FleetState.advance_vms`).
 
 Bit-compatibility contract
 --------------------------
@@ -26,9 +27,15 @@ make that possible:
   loops ``+=``/``-=``, and builtin ``sum()`` where it calls ``sum()``
   (never the pairwise ``np.sum``).
 
+RNG draws keep the reference order: one masked vector
+``rng.normal(0.0, sd[mask])`` over the VM table (node order, then
+``server.vms`` order) yields the same values and generator state as the
+per-VM scalar draws.
+
 The fast path intentionally supports only the configuration the scalar
-models ship with: per-server architecture, plain :class:`BatteryUnit`
-instances, and the five default aging mechanisms. Anything else raises
+models ship with: per-server architecture, plain :class:`BatteryUnit`,
+:class:`Server`, :class:`VM` and :class:`WorkloadProfile` instances, and
+the five default aging mechanisms. Anything else raises
 :class:`~repro.errors.ConfigurationError` at build time rather than
 silently diverging from the reference stepper.
 """
@@ -65,7 +72,14 @@ from repro.battery.voltage import (
 )
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.power_path import RESTART_SOC, PowerFlows, PowerPath
-from repro.datacenter.server import IDLE_DYNAMIC_FRACTION, Server, ServerPowerState
+from repro.datacenter.server import (
+    DVFS_POWER_EXPONENT,
+    IDLE_DYNAMIC_FRACTION,
+    Server,
+    ServerPowerState,
+)
+from repro.datacenter.vm import MIGRATION_POWER_W, VM
+from repro.datacenter.workloads import WorkloadProfile
 from repro.errors import ConfigurationError
 from repro.obs import BUS, REGISTRY
 from repro.obs.events import BrownoutEvent
@@ -117,28 +131,39 @@ def _idle_power_w(server: Server) -> float:
 
 
 class FleetState:
-    """Struct-of-arrays mirror of every node's battery, tracker and
-    server power state.
+    """Struct-of-arrays mirror of every node's battery, tracker, server
+    power and VM state.
 
     Battery and tracker arrays are authoritative between :meth:`capture`
     and :meth:`materialize`; the per-node objects are only synchronised
-    at policy/inspection boundaries. All arrays are ordered like
-    ``cluster.nodes``.
+    at policy/inspection boundaries. Node arrays are ordered like
+    ``cluster.nodes``; the VM table (``vm_*`` arrays, ``vms``) is ordered
+    by node, then by ``server.vms``, with ``vm_node`` the host's index.
 
-    Server power state has three kinds of writer:
+    Server and VM state have four kinds of writer:
 
     - the power path owns ``server_state``, ``boot_left_s`` and
       ``downtime_s``. State transitions (power-on, brownout, finished
       boot) are sparse and written straight through to the
       :class:`Server` objects, so ``server.state`` is always current for
-      policies and the VM-advance phase; downtime and boot time left are
-      written back in :meth:`materialize`;
+      policies; downtime and boot time left are written back in
+      :meth:`materialize`;
+    - the demand kernel and :meth:`advance_vms` own the VM table's
+      dynamic columns (``vm_stall_s``, ``vm_progress`` and the
+      per-timestamp utilisation cache ``vm_cache_t``/``vm_cache_util``),
+      written back to the :class:`VM` objects in :meth:`materialize`. A
+      brownout's checkpoint stall is written through;
     - the engine's operating-window fan-out writes ``admin_off`` through
       :meth:`set_admin_off`;
     - control-plane inputs (``policy_off_mask``, ``freq_index``,
-      ``idle_now_w``, ``discharge_cap_w``, ``hosting``) are re-read from
-      the objects by :meth:`refresh_policy_view` after any pass that may
-      have changed them, or for one node by :meth:`refresh_node`.
+      ``frequency``, ``f_pow``, ``idle_now_w``, ``discharge_cap_w``,
+      ``hosting``) are re-read from the objects by
+      :meth:`refresh_policy_view` after any pass that may have changed
+      them, or for one node by :meth:`refresh_node`. The VM table is
+      re-read with them: its layout and workload columns always, its
+      dynamic columns by :meth:`refresh_policy_view`, whose callers
+      :meth:`materialize` before acting on the objects (placing or
+      migrating VMs).
     """
 
     def __init__(self, cluster: Cluster):
@@ -171,7 +196,13 @@ class FleetState:
         custom mechanism sets would silently diverge, so they are refused
         loudly instead.
         """
+        FleetState.validate_vms(cluster)
         for node in cluster.nodes:
+            if type(node.server) is not Server:
+                raise ConfigurationError(
+                    f"fleet stepper requires plain Server nodes; "
+                    f"{node.name} has {type(node.server).__name__}"
+                )
             b = node.battery
             if type(b) is not BatteryUnit:
                 raise ConfigurationError(
@@ -196,6 +227,23 @@ class FleetState:
                     f"fleet stepper requires the five default aging "
                     f"mechanisms in canonical order; {node.name} differs"
                 )
+
+    @staticmethod
+    def validate_vms(cluster: Cluster) -> None:
+        """The VM part of :meth:`validate`, run again when VMs are
+        deployed."""
+        for node in cluster.nodes:
+            for vm in node.server.vms:
+                if type(vm) is not VM:
+                    raise ConfigurationError(
+                        f"fleet stepper requires plain VMs; "
+                        f"{vm.name} on {node.name} is {type(vm).__name__}"
+                    )
+                if type(vm.workload) is not WorkloadProfile:
+                    raise ConfigurationError(
+                        f"fleet stepper requires plain WorkloadProfile "
+                        f"workloads; {vm.name} runs {type(vm.workload).__name__}"
+                    )
 
     # ------------------------------------------------------------------
     # Allocation and synchronisation
@@ -262,6 +310,8 @@ class FleetState:
         )
         #: Base idle power (W), the restart check's bar.
         self.idle_w = arr(lambda nd: nd.server.params.idle_w)
+        #: Dynamic power span ``peak_w - idle_w`` (W) of :meth:`Server.power`.
+        self.span_w = arr(lambda nd: nd.server.params.peak_w - nd.server.params.idle_w)
         self.node_names = [nd.name for nd in self.nodes]
         assert len(self.node_names) == n
 
@@ -332,9 +382,14 @@ class FleetState:
         self.freq_index = np.array(
             [nd.server.freq_index for nd in nodes], dtype=np.intp
         )
+        freq = [nd.server.frequency for nd in nodes]
+        self.frequency = np.array(freq, dtype=float)
+        # Scalar pow, as Server.power takes it.
+        self.f_pow = np.array([f ** DVFS_POWER_EXPONENT for f in freq], dtype=float)
         self.idle_now_w = np.array([_idle_power_w(nd.server) for nd in nodes])
         self.discharge_cap_w = np.array([float(nd.discharge_cap_w) for nd in nodes])
         self.hosting = np.array([bool(nd.server.vms) for nd in nodes], dtype=bool)
+        self._read_vms()
 
     def refresh_node(self, i: int) -> None:
         """:meth:`refresh_policy_view` for node ``i`` alone (an in-place
@@ -343,9 +398,153 @@ class FleetState:
         server = node.server
         self.policy_off_mask[i] = server.policy_off
         self.freq_index[i] = server.freq_index
+        self.frequency[i] = server.frequency
+        self.f_pow[i] = server.frequency ** DVFS_POWER_EXPONENT
         self.idle_now_w[i] = _idle_power_w(server)
         self.discharge_cap_w[i] = node.discharge_cap_w
         self.hosting[i] = bool(server.vms)
+        self._read_workloads(self._vm_start[i], self._vm_start[i + 1])
+
+    # ------------------------------------------------------------------
+    # VM table
+    # ------------------------------------------------------------------
+    def _read_vms(self) -> None:
+        """Rebuild the VM table from ``server.vms``: layout, workload
+        columns, and the dynamic columns, which the objects must hold
+        current (see the class docstring)."""
+        vms, node_of, slot = [], [], []
+        for i, node in enumerate(self.nodes):
+            for k, vm in enumerate(node.server.vms):
+                vms.append(vm)
+                node_of.append(i)
+                slot.append(k)
+        self.vms = vms
+        self.vm_node = np.array(node_of, dtype=np.intp)
+        #: Table offsets: node i's VMs are ``vms[_vm_start[i]:_vm_start[i+1]]``.
+        self._vm_start = np.searchsorted(self.vm_node, np.arange(self.n + 1))
+        slot_arr = np.array(slot, dtype=np.intp)
+        #: Per in-server position k: (table rows, their nodes). Folding the
+        #: positions in order gives each server's left-fold VM sum.
+        self._vm_slots = [
+            (rows, self.vm_node[rows])
+            for rows in (
+                np.nonzero(slot_arr == k)[0] for k in range(max(slot, default=-1) + 1)
+            )
+        ]
+        m = len(vms)
+        self.vm_mean = np.zeros(m)
+        self.vm_burst = np.zeros(m)
+        self.vm_noise_sd = np.zeros(m)
+        self.vm_draws = np.zeros(m, dtype=bool)
+        self.vm_group = np.zeros(m, dtype=np.intp)
+        self._wave_groups: Dict[Tuple[float, float, float], int] = {}
+        self._read_workloads(0, m)
+        self.vm_stall_s = np.array([float(vm._stall_remaining_s) for vm in vms])
+        self.vm_progress = np.array([float(vm.progress) for vm in vms])
+        self.vm_cache_t = np.array([float(vm._cache_t) for vm in vms])
+        self.vm_cache_util = np.array([float(vm._cache_util) for vm in vms])
+
+    def _read_workloads(self, lo: int, hi: int) -> None:
+        """Re-read the workload columns of table rows ``lo:hi``."""
+        groups = self._wave_groups
+        for k in range(lo, hi):
+            w = self.vms[k].workload
+            self.vm_mean[k] = w.mean_util
+            self.vm_burst[k] = w.burst_util
+            self.vm_noise_sd[k] = w.burstiness * w.mean_util
+            self.vm_draws[k] = w.burstiness > 0
+            key = (float(w.period_s), float(w.phase), float(w.duty_cycle))
+            self.vm_group[k] = groups.setdefault(key, len(groups))
+
+    def _wave(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Per wave group (distinct period, phase, duty cycle): whether
+        the workload is inside its duty cycle at ``t`` and its
+        raised-cosine level, computed with the scalar expression of
+        :meth:`WorkloadProfile.utilization_at` (so no array ``cos`` has
+        to match libm)."""
+        active, wave = [], []
+        for period, phase, duty in self._wave_groups:
+            cycle_pos = ((t / period) + phase) % 1.0
+            on = not cycle_pos > duty
+            active.append(on)
+            wave.append(
+                0.5 - 0.5 * math.cos(2.0 * math.pi * cycle_pos / duty) if on else 0.0
+            )
+        return np.array(active, dtype=bool), np.array(wave, dtype=float)
+
+    def vm_utilization(
+        self, on_node: np.ndarray, t: float, rng: Optional[np.random.Generator]
+    ) -> np.ndarray:
+        """Per table row, :meth:`VM.utilization` for the VMs hosted on
+        ``on_node`` nodes (0 elsewhere and while stalled).
+
+        Rows already sampled at ``t`` reuse the cache; the rest are
+        sampled with one masked normal draw in table order and, with an
+        ``rng``, cached.
+        """
+        util = np.zeros(len(self.vms))
+        rows = np.nonzero(on_node[self.vm_node] & ~(self.vm_stall_s > 0.0))[0]
+        if rng is not None and len(rows):
+            hit = self.vm_cache_t[rows] == t
+            if hit.any():
+                util[rows[hit]] = self.vm_cache_util[rows[hit]]
+                rows = rows[~hit]
+        if not len(rows):
+            return util
+        active, wave = self._wave(t)
+        group = self.vm_group[rows]
+        on = active[group]
+        u = np.where(on, self.vm_mean[rows] + self.vm_burst[rows] * wave[group], 0.0)
+        if rng is not None:
+            draw = on & self.vm_draws[rows]
+            if draw.any():
+                u[draw] += rng.normal(0.0, self.vm_noise_sd[rows[draw]])
+        u = _clamp01(u)
+        util[rows] = u
+        if rng is not None:
+            self.vm_cache_t[rows] = t
+            self.vm_cache_util[rows] = u
+        return util
+
+    def sum_by_node(self, values: np.ndarray) -> np.ndarray:
+        """Per node, the left fold ``sum()`` of its VMs' ``values``
+        (0 on nodes without VMs)."""
+        total = np.zeros(self.n)
+        for rows, nodes in self._vm_slots:
+            total[nodes] += values[rows]
+        return total
+
+    def advance_vms(
+        self, t: float, dt: float, rng: Optional[np.random.Generator]
+    ) -> None:
+        """The engine's VM-advance phase as one array pass: utilisation
+        once per VM (cached since demand, fresh for a host that finished
+        booting this step), time-shared contention, stall consumption and
+        ``util * factor * active_dt`` progress.
+
+        Applied to every row: a VM with no stall consumes
+        ``min(0, dt) = 0``, and one with no active time or zero speed
+        gains exactly ``0.0``, so those rows are left unchanged as
+        :meth:`VM.advance` leaves them.
+        """
+        if not self.vms:
+            return
+        speed = np.where(
+            self.server_up & ~(self.admin_off | self.policy_off_mask),
+            self.frequency,
+            0.0,
+        )
+        util = self.vm_utilization(speed > 0.0, t, rng)
+        demand = self.sum_by_node(util)
+        contention = np.ones(self.n)
+        over = demand > 1.0
+        if over.any():
+            contention[over] = np.minimum(1.0, 1.0 / demand[over])
+        factor = (speed * contention)[self.vm_node]
+        consumed = np.minimum(self.vm_stall_s, dt)
+        self.vm_stall_s -= consumed
+        self.vm_progress += util * factor * (dt - consumed)
+        self._dirty = True
 
     @property
     def server_up(self) -> np.ndarray:
@@ -371,7 +570,14 @@ class FleetState:
 
     def brownout(self, i: int) -> None:
         server = self.nodes[i].server
+        # The checkpoint goes through the objects, so hand them the
+        # current stall and take the checkpointed one back.
+        lo, hi = self._vm_start[i], self._vm_start[i + 1]
+        vms = self.vms[lo:hi]
+        for vm, stall in zip(vms, self.vm_stall_s[lo:hi].tolist()):
+            vm._stall_remaining_s = stall
         server.brownout()
+        self.vm_stall_s[lo:hi] = [vm._stall_remaining_s for vm in vms]
         self.server_state[i] = _STATE_CODE[server.state]
 
     def finish_boot(self, i: int) -> None:
@@ -383,9 +589,10 @@ class FleetState:
     def materialize(self) -> None:
         """Write array state back into the per-node objects.
 
-        Called before any code that reads batteries/trackers through the
-        object API (policy control, day hooks, result collection). A
-        no-op when the arrays have not advanced since the last sync.
+        Called before any code that reads batteries, trackers or VMs
+        through the object API (policy control, day hooks, result
+        collection). A no-op when the arrays have not advanced since the
+        last sync.
         """
         if not self._dirty:
             return
@@ -419,6 +626,17 @@ class FleetState:
             node.feedback_wh = float(self.feedback_wh[i])
             node.server.downtime_s = float(self.downtime_s[i])
             node.server._boot_remaining_s = float(self.boot_left_s[i])
+        for vm, stall, progress, cache_t, cache_util in zip(
+            self.vms,
+            self.vm_stall_s.tolist(),
+            self.vm_progress.tolist(),
+            self.vm_cache_t.tolist(),
+            self.vm_cache_util.tolist(),
+        ):
+            vm._stall_remaining_s = stall
+            vm.progress = progress
+            vm._cache_t = cache_t
+            vm._cache_util = cache_util
         self._dirty = False
 
     def set_ambient(self, ambient_c: float) -> None:
@@ -633,12 +851,11 @@ class FleetPowerPath(PowerPath):
     """Array-native power routing, bit-compatible with :class:`PowerPath`.
 
     Every part of a step is an array pass over :class:`FleetState`:
-    restart scan, demand, utility allocation, discharge, charge walk,
-    battery advance, server advance and tracker observe. Object calls
-    remain only where the reference's side effects need them, in node
-    order: ``Server.power``/``utilization`` on up servers hosting VMs
-    (their RNG draws) and the sparse server transitions (power-on,
-    brownout with its VM checkpoints and event, finished boot).
+    restart scan, demand (including the per-VM utilisation draws),
+    utility allocation, discharge, charge walk, battery advance, server
+    advance and tracker observe. Object calls remain only for the sparse
+    server transitions (power-on, brownout with its VM checkpoints and
+    event, finished boot), in node order.
 
     With the metric registry enabled, each kernel's wall time goes to a
     ``phase/power/<kernel>`` histogram (:data:`~repro.obs.timers.
@@ -805,18 +1022,28 @@ class FleetPowerPath(PowerPath):
         """Per-node ``Server.power(Server.utilization(t, rng))`` (W).
 
         Only up, not-off servers hosting VMs sample utilisation (and so
-        draw RNG); they still go through the objects, in node order.
-        Every other server's draw is closed-form: 0 W when off or down,
-        its idle power at the current frequency otherwise.
+        draw RNG), as one pass over the VM table: their VMs' clamped
+        utilisation summed per server in ``server.vms`` order, then
+        ``idle + span * u * f**2.2 + migrating * 15 W``. Every other
+        server's draw is closed-form: 0 W when off or down, its idle
+        power at the current frequency otherwise.
         """
         fs = self.fleet
         off = fs.admin_off | fs.policy_off_mask
         state = fs.server_state
         demand = np.where(off | (state == _DOWN), 0.0, fs.idle_now_w)
-        nodes = fs.nodes
-        for i in np.nonzero(~off & (state == _UP) & fs.hosting)[0].tolist():
-            server = nodes[i].server
-            demand[i] = server.power(server.utilization(t, rng))
+        busy = ~off & (state == _UP) & fs.hosting
+        b = np.nonzero(busy)[0]
+        if len(b):
+            u = _clamp01(fs.sum_by_node(fs.vm_utilization(busy, t, rng))[b])
+            migrating = np.bincount(
+                fs.vm_node[fs.vm_stall_s > 0.0], minlength=fs.n
+            )[b]
+            demand[b] = (
+                fs.idle_now_w[b]
+                + fs.span_w[b] * u * fs.f_pow[b]
+                + migrating * MIGRATION_POWER_W
+            )
         return demand
 
     def _advance_servers(self, dt: float) -> None:
