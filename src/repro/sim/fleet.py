@@ -159,11 +159,11 @@ class FleetState:
       ``frequency``, ``f_pow``, ``idle_now_w``, ``discharge_cap_w``,
       ``hosting``) are re-read from the objects by
       :meth:`refresh_policy_view` after any pass that may have changed
-      them, or for one node by :meth:`refresh_node`. The VM table is
-      re-read with them: its layout and workload columns always, its
-      dynamic columns by :meth:`refresh_policy_view`, whose callers
-      :meth:`materialize` before acting on the objects (placing or
-      migrating VMs).
+      them, or for one node by :meth:`refresh_node`. The VM table
+      (layout, workload columns and dynamic columns) is rebuilt by
+      :meth:`refresh_policy_view`, whose callers :meth:`materialize`
+      before acting on the objects (placing or migrating VMs);
+      :meth:`refresh_node` leaves it alone.
     """
 
     def __init__(self, cluster: Cluster):
@@ -393,7 +393,8 @@ class FleetState:
 
     def refresh_node(self, i: int) -> None:
         """:meth:`refresh_policy_view` for node ``i`` alone (an in-place
-        control action on one node)."""
+        control action on one node that leaves its VMs where they are).
+        It does not touch the VM table."""
         node = self.nodes[i]
         server = node.server
         self.policy_off_mask[i] = server.policy_off
@@ -403,7 +404,6 @@ class FleetState:
         self.idle_now_w[i] = _idle_power_w(server)
         self.discharge_cap_w[i] = node.discharge_cap_w
         self.hosting[i] = bool(server.vms)
-        self._read_workloads(self._vm_start[i], self._vm_start[i + 1])
 
     # ------------------------------------------------------------------
     # VM table
@@ -423,13 +423,20 @@ class FleetState:
         #: Table offsets: node i's VMs are ``vms[_vm_start[i]:_vm_start[i+1]]``.
         self._vm_start = np.searchsorted(self.vm_node, np.arange(self.n + 1))
         slot_arr = np.array(slot, dtype=np.intp)
-        #: Per in-server position k: (table rows, their nodes). Folding the
-        #: positions in order gives each server's left-fold VM sum.
+        #: Per in-server position k < 2: (table rows, their nodes). For a
+        #: server with one or two VMs, folding the positions in order is
+        #: exactly builtin ``sum()`` of its VMs.
         self._vm_slots = [
             (rows, self.vm_node[rows])
-            for rows in (
-                np.nonzero(slot_arr == k)[0] for k in range(max(slot, default=-1) + 1)
-            )
+            for rows in (np.nonzero(slot_arr == k)[0] for k in range(2))
+        ]
+        #: (node, first row, end row) of servers with three or more VMs,
+        #: which :meth:`sum_by_node` sums with builtin ``sum()`` itself
+        #: (compensated, not a left fold, from Python 3.12 on).
+        count = np.diff(self._vm_start)
+        self._vm_wide = [
+            (i, int(self._vm_start[i]), int(self._vm_start[i + 1]))
+            for i in np.nonzero(count > 2)[0].tolist()
         ]
         m = len(vms)
         self.vm_mean = np.zeros(m)
@@ -437,24 +444,20 @@ class FleetState:
         self.vm_noise_sd = np.zeros(m)
         self.vm_draws = np.zeros(m, dtype=bool)
         self.vm_group = np.zeros(m, dtype=np.intp)
-        self._wave_groups: Dict[Tuple[float, float, float], int] = {}
-        self._read_workloads(0, m)
-        self.vm_stall_s = np.array([float(vm._stall_remaining_s) for vm in vms])
-        self.vm_progress = np.array([float(vm.progress) for vm in vms])
-        self.vm_cache_t = np.array([float(vm._cache_t) for vm in vms])
-        self.vm_cache_util = np.array([float(vm._cache_util) for vm in vms])
-
-    def _read_workloads(self, lo: int, hi: int) -> None:
-        """Re-read the workload columns of table rows ``lo:hi``."""
-        groups = self._wave_groups
-        for k in range(lo, hi):
-            w = self.vms[k].workload
+        groups: Dict[Tuple[float, float, float], int] = {}
+        for k, vm in enumerate(vms):
+            w = vm.workload
             self.vm_mean[k] = w.mean_util
             self.vm_burst[k] = w.burst_util
             self.vm_noise_sd[k] = w.burstiness * w.mean_util
             self.vm_draws[k] = w.burstiness > 0
             key = (float(w.period_s), float(w.phase), float(w.duty_cycle))
             self.vm_group[k] = groups.setdefault(key, len(groups))
+        self._wave_groups = groups
+        self.vm_stall_s = np.array([float(vm._stall_remaining_s) for vm in vms])
+        self.vm_progress = np.array([float(vm.progress) for vm in vms])
+        self.vm_cache_t = np.array([float(vm._cache_t) for vm in vms])
+        self.vm_cache_util = np.array([float(vm._cache_util) for vm in vms])
 
     def _wave(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """Per wave group (distinct period, phase, duty cycle): whether
@@ -507,11 +510,13 @@ class FleetState:
         return util
 
     def sum_by_node(self, values: np.ndarray) -> np.ndarray:
-        """Per node, the left fold ``sum()`` of its VMs' ``values``
-        (0 on nodes without VMs)."""
+        """Per node, builtin ``sum()`` of its VMs' ``values`` in
+        ``server.vms`` order (0 on nodes without VMs)."""
         total = np.zeros(self.n)
         for rows, nodes in self._vm_slots:
             total[nodes] += values[rows]
+        for i, lo, hi in self._vm_wide:
+            total[i] = sum(values[lo:hi].tolist())
         return total
 
     def advance_vms(

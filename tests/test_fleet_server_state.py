@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.datacenter.workloads import PAPER_WORKLOADS, WorkloadProfile, standar
 from repro.errors import ConfigurationError
 from repro.obs import REGISTRY
 from repro.obs.timers import POWER_KERNELS
+from repro.sim import fleet as fleet_module
 from repro.sim.engine import Simulation
 from repro.sim.fleet import FleetPowerPath
 from repro.sim.scenario import Scenario
@@ -453,6 +455,28 @@ class TestVMKernels:
         fleet.brownout(1)
         assert fleet.vm_stall_s.tolist() == [300.0, 400.0]
         assert [vm._stall_remaining_s for vm in vms] == [300.0, 400.0]
+
+    def test_sum_by_node_is_builtin_sum(self, monkeypatch):
+        """Per-server VM sums are builtin ``sum()`` in ``server.vms``
+        order, which compensates from Python 3.12 on: a plain left fold
+        of [0.1, 0.2, 0.3] gives 0.6000000000000001 where that sum gives
+        0.6. ``math.fsum`` stands in for a compensated ``sum()`` so the
+        check bites on every Python version."""
+        counts = (0, 1, 2, 3, 4)
+        cluster = Scenario(n_nodes=len(counts)).build_cluster()
+        web = PAPER_WORKLOADS["web_serving"]
+        for node, count in zip(cluster.nodes, counts):
+            for j in range(count):
+                node.server.attach(VM(name=f"{node.name}-vm{j}", workload=web))
+        fleet = FleetPowerPath(cluster).fleet
+        per_node = [[], [0.5], [0.1, 0.2], [0.1, 0.2, 0.3], [0.3, 0.1, 0.2, 0.4]]
+        values = np.array([u for us in per_node for u in us])
+
+        assert fleet.sum_by_node(values).tolist() == [sum(us) for us in per_node]
+        monkeypatch.setattr(fleet_module, "sum", math.fsum, raising=False)
+        got = fleet.sum_by_node(values).tolist()
+        assert got == [math.fsum(us) for us in per_node]
+        assert got[3] == 0.6
 
 
 class _OddServer(Server):
