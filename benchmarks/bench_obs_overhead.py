@@ -25,19 +25,6 @@ tracing must stay within :data:`MAX_FLEET_TRACED_RATIO` x the untraced
 fleet run, and the trace must stay within
 :data:`MAX_FRAME_BYTES_PER_NODE_STEP` bytes per node-step on disk.
 
-Standalone runs also measure the **campaign monitor mode**: a pooled
-multi-worker campaign (``cache=None`` so every cell executes) untraced
-vs live-monitored — a :class:`~repro.obs.campaign_monitor.
-CampaignMonitor` on the bus with the ``CaptureConfig.monitoring()``
-worker tier, the ``repro campaign --watch --capture monitoring``
-configuration. The whole monitoring stack (per-cell capture in the
-worker at the sampled telemetry tier, health folding, alert episodes,
-pickling the event buffer back, replay onto the parent bus, rollup
-folding) must stay within :data:`MAX_CAMPAIGN_MONITOR_OVERHEAD_PCT` of
-the untraced campaign. Full-fidelity capture (``--trace`` at
-the default tier) deliberately trades more overhead for replayable
-traces and is covered by the single-run modes above, not this gate.
-
 Run standalone (``python benchmarks/bench_obs_overhead.py``) or through
 pytest (``pytest benchmarks/bench_obs_overhead.py -s``; the pytest path
 skips the minutes-long fleet mode). Standalone, ``--json PATH``
@@ -56,15 +43,11 @@ import sys
 import tempfile
 from time import perf_counter
 
-from repro.campaign import RunSpec, run_campaign
 from repro.core.policies.factory import make_policy
-from repro.datacenter.workloads import PAPER_WORKLOADS
 from repro.obs import (
     ALERTS,
     BUS,
     REGISTRY,
-    CampaignMonitor,
-    CaptureConfig,
     JsonlSink,
     MemorySink,
     NullSink,
@@ -107,14 +90,6 @@ MAX_FLEET_TRACED_RATIO = 1.5
 #: On-disk trace bytes per node-step. A retired per-node sample line
 #: took ~122 B, so this ceiling keeps frames >= 10x smaller than it.
 MAX_FRAME_BYTES_PER_NODE_STEP = 12.0
-
-#: Campaign monitor mode: pooled cells, workers, repeats, and budget.
-#: The live-monitoring stack (capture fan-in at the monitoring tier +
-#: live monitor rollups) over an untraced pooled campaign, percent.
-CAMPAIGN_CELLS = 4
-CAMPAIGN_WORKERS = 2
-CAMPAIGN_REPEATS = 3
-MAX_CAMPAIGN_MONITOR_OVERHEAD_PCT = 10.0
 
 
 def _step_loop_seconds(dt_s: float = 120.0) -> float:
@@ -269,98 +244,6 @@ def measure_fleet(n_nodes: int = FLEET_NODES) -> dict:
     }
 
 
-def _campaign_specs(n_cells: int = CAMPAIGN_CELLS) -> list:
-    """Small, distinct, pool-eligible cells (policy-by-name, one day)."""
-    workloads = tuple(
-        PAPER_WORKLOADS[name]
-        for name in (
-            "web_serving",
-            "data_analytics",
-            "word_count",
-            "nutch_indexing",
-        )
-    )
-    scenario = Scenario(
-        n_nodes=3,
-        dt_s=300.0,
-        manufacturing_variation=False,
-        workloads=workloads,
-        seed=11,
-    )
-    trace = scenario.trace_generator().day(DayClass.CLOUDY)
-    policies = ("baat", "e-buff", "baat-s", "baat-h")
-    return [
-        RunSpec(
-            scenario=scenario,
-            trace=trace,
-            policy=policies[i % len(policies)],
-            label=f"bench-{policies[i % len(policies)]}-{i}",
-        )
-        for i in range(n_cells)
-    ]
-
-
-def _campaign_seconds(specs: list, monitored: bool = False) -> float:
-    """One pooled campaign, optionally live-monitored (``--watch``).
-
-    The monitored mode is exactly the CLI's watch path: a
-    :class:`CampaignMonitor` bus sink (which by itself flips the bus
-    enabled and selects the traced worker fan-in protocol — no JSONL
-    file needed) with the lean ``CaptureConfig.monitoring()`` tier in
-    the workers.
-    """
-    monitor = None
-    if monitored:
-        monitor = BUS.add_sink(CampaignMonitor())
-    try:
-        t0 = perf_counter()
-        run_campaign(
-            specs,
-            n_workers=CAMPAIGN_WORKERS,
-            cache=None,
-            retries=0,
-            capture=CaptureConfig.monitoring() if monitored else None,
-        )
-        return perf_counter() - t0
-    finally:
-        if monitor is not None:
-            BUS.remove_sink(monitor)
-
-
-def measure_campaign() -> dict:
-    """Overhead of the live-monitoring stack on a pooled campaign."""
-    specs = _campaign_specs()
-    _campaign_seconds(specs)  # warm-up: pool spawn, imports in workers
-    untraced_s = float("inf")
-    monitored_s = float("inf")
-    for _ in range(CAMPAIGN_REPEATS):
-        # Interleave so load drift hits both modes equally.
-        untraced_s = min(untraced_s, _campaign_seconds(specs))
-        monitored_s = min(monitored_s, _campaign_seconds(specs, monitored=True))
-    return {
-        "n_cells": CAMPAIGN_CELLS,
-        "n_workers": CAMPAIGN_WORKERS,
-        "untraced_s": untraced_s,
-        "monitored_s": monitored_s,
-        "monitor_overhead_pct": (
-            100.0 * (monitored_s - untraced_s) / untraced_s
-        ),
-    }
-
-
-def campaign_report(campaign: dict) -> str:
-    return "\n".join(
-        [
-            f"campaign {campaign['n_cells']} cells x "
-            f"{campaign['n_workers']} workers:",
-            f"  untraced      : {campaign['untraced_s'] * 1e3:8.1f} ms/run",
-            f"  monitored     : {campaign['monitored_s'] * 1e3:8.1f} ms/run "
-            f"({campaign['monitor_overhead_pct']:+.2f} %, budget "
-            f"{MAX_CAMPAIGN_MONITOR_OVERHEAD_PCT} %)",
-        ]
-    )
-
-
 def fleet_report(fleet: dict) -> str:
     return "\n".join(
         [
@@ -391,9 +274,7 @@ def report(results: dict) -> str:
     )
 
 
-def payload(
-    results: dict, fleet: dict | None = None, campaign: dict | None = None
-) -> dict:
+def payload(results: dict, fleet: dict | None = None) -> dict:
     """The machine-readable form of one measurement (``BENCH_obs.json``)."""
     data = {
         **results,
@@ -405,7 +286,6 @@ def payload(
             "alerting_pct": MAX_ALERTING_OVERHEAD_PCT,
             "fleet_traced_ratio": MAX_FLEET_TRACED_RATIO,
             "frame_bytes_per_node_step": MAX_FRAME_BYTES_PER_NODE_STEP,
-            "campaign_monitor_pct": MAX_CAMPAIGN_MONITOR_OVERHEAD_PCT,
         },
         "ok_null": results["null_overhead_pct"] < MAX_NULL_OVERHEAD_PCT,
         "ok_alerting": (
@@ -417,12 +297,6 @@ def payload(
         data["ok_fleet_ratio"] = fleet["traced_ratio"] <= MAX_FLEET_TRACED_RATIO
         data["ok_fleet_size"] = (
             fleet["frame_bytes_per_node_step"] <= MAX_FRAME_BYTES_PER_NODE_STEP
-        )
-    if campaign is not None:
-        data["campaign"] = campaign
-        data["ok_campaign"] = (
-            campaign["monitor_overhead_pct"]
-            < MAX_CAMPAIGN_MONITOR_OVERHEAD_PCT
         )
     data["ok"] = all(v for k, v in data.items() if k.startswith("ok_"))
     return data
@@ -458,10 +332,6 @@ def main(argv=None) -> int:
         help="skip the enabled-path fleet measurement",
     )
     parser.add_argument(
-        "--skip-campaign", action="store_true",
-        help="skip the campaign monitor measurement",
-    )
-    parser.add_argument(
         "--perf-history", default=None, metavar="PATH",
         help="also append the measurements to a perf-history JSONL "
         "(see 'repro perf')",
@@ -473,11 +343,7 @@ def main(argv=None) -> int:
     if not args.skip_fleet:
         fleet = measure_fleet(args.fleet_nodes)
         print(fleet_report(fleet))
-    campaign = None
-    if not args.skip_campaign:
-        campaign = measure_campaign()
-        print(campaign_report(campaign))
-    data = payload(results, fleet, campaign)
+    data = payload(results, fleet)
     from repro.perf import PerfHistory, collect_meta
 
     document = {"obs_overhead": data, "meta": collect_meta()}
@@ -509,12 +375,6 @@ def main(argv=None) -> int:
             f"frame trace size "
             f"{'within' if data['ok_fleet_size'] else 'EXCEEDS'} "
             f"{MAX_FRAME_BYTES_PER_NODE_STEP} B/node-step ceiling"
-        )
-    if campaign is not None:
-        print(
-            f"campaign monitor overhead "
-            f"{'within' if data['ok_campaign'] else 'EXCEEDS'} "
-            f"{MAX_CAMPAIGN_MONITOR_OVERHEAD_PCT} % budget"
         )
     return 0 if data["ok"] else 1
 

@@ -30,7 +30,7 @@ import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import ResultCache, default_cache
@@ -38,23 +38,19 @@ from repro.campaign.spec import RunSpec
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import ALERTS, BUS, REGISTRY
 from repro.obs.capture import (
-    CaptureConfig,
     CellCapture,
     replay_capture,
     run_captured,
     sanitize_forked_worker,
-    summarize_health,
 )
 from repro.obs.events import (
     CampaignFinishEvent,
     CampaignStartEvent,
     CellCacheHitEvent,
     CellFinishEvent,
-    CellHealthEvent,
     CellRetryEvent,
     CellStartEvent,
 )
-from repro.obs.health import FleetHealthModel
 from repro.obs.spans import SPANS, in_span
 from repro.obs.telemetry import TELEMETRY
 from repro.sim.results import SimResult
@@ -220,27 +216,19 @@ def _execute_spec(spec: RunSpec) -> SimResult:
 
 
 def _execute_spec_captured(
-    spec: RunSpec, cfg: CaptureConfig
+    spec: RunSpec, telemetry: str
 ) -> Tuple[Optional[SimResult], Optional[str], CellCapture]:
     """Worker entry point for traced campaigns: run one cell with capture.
 
-    Wraps the cell in :func:`~repro.obs.capture.run_captured`, so the
-    worker-local trace events, metrics snapshot, and health rollup ship
-    back to the parent with the result for fan-in onto the parent bus.
+    Wraps the cell in :func:`~repro.obs.capture.run_captured` at the
+    parent's telemetry tier, so the worker-local trace events and
+    metrics snapshot ship back to the parent with the result for fan-in
+    onto the parent bus.
     Cell exceptions come back as the ``error`` string (with the partial
     capture) instead of raising, so the parent can replay what the
     failed attempt did before retrying.
     """
-    return run_captured(spec.execute, cfg)
-
-
-def _emit_cell_health(
-    label: str, health: Optional[dict], t: float, span_id: int
-) -> None:
-    """Emit a :class:`CellHealthEvent` from a health-summary dict."""
-    if not health or not BUS.enabled:
-        return
-    BUS.emit(CellHealthEvent(t=t, span_id=span_id, label=label, **health))
+    return run_captured(spec.execute, telemetry)
 
 
 def _finish_cell(
@@ -252,9 +240,9 @@ def _finish_cell(
 ) -> None:
     """Completion bookkeeping, at the moment the cell actually finishes.
 
-    Emitting ``cell_finish`` here (not in the assembly phase) is what
-    lets a live monitor see progress while later cells are still
-    running.
+    Emitting ``cell_finish`` here (not in the assembly phase) puts it
+    in the trace at the cell's real completion time, not after the
+    slowest cell.
     """
     if BUS.enabled:
         BUS.emit(
@@ -313,7 +301,6 @@ def run_campaign(
     n_workers: Optional[int] = None,
     cache: Union[ResultCache, None, object] = DEFAULT_CACHE,
     retries: int = 1,
-    capture: Optional[CaptureConfig] = None,
 ) -> CampaignReport:
     """Execute a list of run specs with caching and parallel fan-out.
 
@@ -329,12 +316,6 @@ def run_campaign(
         default sentinel to use the process default cache.
     retries:
         How many times to re-run a failed cell (default 1).
-    capture:
-        What traced pooled cells capture and ship back. ``None`` (the
-        default) is full fidelity at the parent's telemetry tier;
-        :meth:`CaptureConfig.monitoring` is the lean live-dashboard
-        tier. A config with an empty ``telemetry`` inherits the
-        parent's tier. Ignored for untraced campaigns.
     """
     specs = list(specs)
     if retries < 0:
@@ -419,19 +400,14 @@ def run_campaign(
     inline_jobs = [(i, s, k) for i, s, k in pending if i not in pool_indices]
 
     if pool_jobs:
-        # Traced campaigns ship a CaptureConfig — by default the
-        # parent's telemetry tier at full fidelity: the worker runs
-        # with full capture and returns (result, error, capture) for
-        # fan-in; untraced campaigns keep the bare-result protocol.
-        cfg: Optional[CaptureConfig] = None
-        if traced:
-            cfg = capture or CaptureConfig()
-            if not cfg.telemetry:
-                cfg = replace(cfg, telemetry=TELEMETRY.policy.spec())
+        # Traced campaigns ship the parent's telemetry tier: the worker
+        # runs with full capture and returns (result, error, capture)
+        # for fan-in; untraced campaigns keep the bare-result protocol.
+        telemetry = TELEMETRY.policy.spec()
 
         def _submit(pool, spec):
             if traced:
-                return pool.submit(_execute_spec_captured, spec, cfg)
+                return pool.submit(_execute_spec_captured, spec, telemetry)
             return pool.submit(_execute_spec, spec)
 
         # Each queued job carries the full retry state of one cell —
@@ -466,17 +442,10 @@ def run_campaign(
                 )
             queue.append((i, spec, key, 0, 0, (), time.perf_counter(), span_id))
 
-        def _finish_pooled(job, result, cell_capture) -> None:
+        def _finish_pooled(job, result) -> None:
             """Final completion of a pooled cell (success or exhausted)."""
             i, spec, key, genuine, strikes, errors, started, span_id = job
             if traced:
-                if cell_capture is not None and result is not None:
-                    _emit_cell_health(
-                        spec.effective_label,
-                        cell_capture.health,
-                        time.perf_counter() - t0,
-                        span_id,
-                    )
                 SPANS.end(
                     "campaign_cell",
                     node=spec.effective_label,
@@ -503,7 +472,7 @@ def run_campaign(
                 retryable = genuine <= retries
             job = (i, spec, key, genuine, strikes, errors, started, span_id)
             if not retryable:
-                _finish_pooled(job, None, None)
+                _finish_pooled(job, None)
                 return None
             if BUS.enabled:
                 BUS.emit(
@@ -577,7 +546,7 @@ def run_campaign(
                             if REGISTRY.enabled:
                                 REGISTRY.merge_snapshot(cell_capture.metrics)
                         if error is None:
-                            _finish_pooled(job, result, cell_capture)
+                            _finish_pooled(job, result)
                             continue
                         retry_job = _record_failure(job, error, pool_died)
                         if retry_job is None:
@@ -615,26 +584,9 @@ def run_campaign(
                     span_id=span_id,
                 )
             )
-        # A per-cell health model folds this cell's own events into the
-        # same rollup shape pooled cells ship back, so CellHealthEvents
-        # appear uniformly regardless of where the cell ran.
-        model = FleetHealthModel() if traced else None
-        if model is not None:
-            BUS.add_sink(model)
         started = time.perf_counter()
-        try:
-            with in_span(span_id):
-                result, attempts, errors = _run_inline(spec, retries, t0=t0)
-        finally:
-            if model is not None:
-                BUS.remove_sink(model)
-        if model is not None and result is not None:
-            _emit_cell_health(
-                spec.effective_label,
-                summarize_health(model),
-                time.perf_counter() - t0,
-                span_id,
-            )
+        with in_span(span_id):
+            result, attempts, errors = _run_inline(spec, retries, t0=t0)
         SPANS.end(
             "campaign_cell",
             node=spec.effective_label,

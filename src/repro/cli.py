@@ -8,10 +8,8 @@ The subcommands mirror how the prototype was operated:
 - ``repro compare`` — run the Table-4 schemes head-to-head on a chosen
   day/battery-age cell and print the comparison;
 - ``repro campaign`` — run an arbitrary policy x weather sweep through
-  the parallel, cached campaign runner; ``--watch`` renders a live
-  dashboard and ``--summary FILE`` writes the machine-readable rollup;
-- ``repro top <trace>`` — live operator dashboard tailing a campaign
-  trace while it is being written;
+  the parallel, cached campaign runner; with ``--trace FILE`` every
+  cell's events, pooled workers' included, fan in to that one trace;
 - ``repro cache`` — inspect or clear the on-disk result cache;
 - ``repro trace <file>`` — inspect a trace JSONL written by ``--trace``;
 - ``repro trace diff <a> <b>`` — event-count and per-battery aging
@@ -28,8 +26,8 @@ The subcommands mirror how the prototype was operated:
 - ``repro export`` — run one instrumented simulation and export the
   metric registry (OpenMetrics/Prometheus text format);
 - ``repro perf record <payload>...`` — append BENCH_engine.json /
-  BENCH_obs.json / bench-suite / campaign-summary payloads to the
-  append-only perf history (JSONL, provenance-stamped);
+  BENCH_obs.json / bench-suite payloads to the append-only perf
+  history (JSONL, provenance-stamped);
 - ``repro perf history [METRIC]`` — ASCII sparkline + table of one
   metric's recorded trajectory (omit METRIC to list the series);
 - ``repro perf diff SHA_A SHA_B`` — metric-by-metric comparison of two
@@ -41,11 +39,12 @@ The subcommands mirror how the prototype was operated:
 
 Every simulation-running subcommand accepts ``--workers N`` (process
 fan-out), ``--no-cache`` (force fresh runs), ``--cache-dir``,
-``--trace FILE`` (stream structured telemetry events to a JSONL file —
-engine events are captured from in-process runs, so use ``--workers 1``,
-the default, for full control-loop traces), and ``--profile [FILE]``
-(cProfile the command; hot functions print next to the step-phase
-timers, or dump to FILE for snakeviz-style tooling).
+``--trace FILE`` (stream structured telemetry events to a JSONL file;
+pooled workers capture each cell's engine events and the parent replays
+them into the same trace, keeping the first 65,536 events per cell),
+and ``--profile [FILE]`` (cProfile the command; hot functions print
+next to the step-phase timers, or dump to FILE for snakeviz-style
+tooling).
 
 Usage::
 
@@ -54,8 +53,7 @@ Usage::
     python -m repro run fig18 --trace out.jsonl
     python -m repro compare --day rainy --fade 0.1 --days 2
     python -m repro campaign --policies e-buff,baat --days 3 --workers 4
-    python -m repro campaign --days 3 --workers 4 --watch --summary rollup.json
-    python -m repro top campaign.jsonl
+    python -m repro campaign --days 3 --workers 4 --trace campaign.jsonl
     python -m repro trace out.jsonl --kind vm_migrated
     python -m repro trace diff baseline.jsonl candidate.jsonl
     python -m repro trace validate out.jsonl
@@ -75,8 +73,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-import threading
-import time
 from collections import Counter as _Counter
 from typing import List, Optional, Sequence
 
@@ -94,15 +90,10 @@ from repro.errors import ConfigurationError
 from repro.obs import (
     BUS,
     REGISTRY,
-    CampaignMonitor,
-    CaptureConfig,
-    TraceTailer,
     disable_observability,
     enable_observability,
     iter_events,
     parse_telemetry,
-    render_dashboard,
-    write_summary,
 )
 from repro.rng import DEFAULT_SEED
 from repro.sim.scenario import Scenario
@@ -295,53 +286,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_live(monitor: "CampaignMonitor", ansi: bool) -> None:
-    """Print one dashboard frame (clear-and-home on ANSI terminals)."""
-    text = render_dashboard(monitor.summary(), ansi=ansi)
-    if ansi:
-        sys.stdout.write("\x1b[2J\x1b[H" + text + "\n")
-    else:
-        sys.stdout.write(text + "\n\n")
-    sys.stdout.flush()
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live dashboard: tail a campaign trace while it is being written."""
-    monitor = CampaignMonitor()
-    tailer = TraceTailer(args.file)
-    ansi = sys.stdout.isatty() and not args.no_ansi
-
-    def _feed() -> int:
-        events = tailer.drain()
-        for event in events:
-            monitor.emit(event)
-        return len(events)
-
-    try:
-        if args.once:
-            _feed()
-            print(render_dashboard(monitor.summary(), ansi=ansi))
-            return 0
-        idle_s = 0.0
-        while True:
-            n = _feed()
-            _render_live(monitor, ansi)
-            if monitor.finished and n == 0:
-                return 0
-            idle_s = 0.0 if n else idle_s + args.interval
-            if idle_s >= args.timeout:
-                print(
-                    f"no new events for {args.timeout:.0f}s; exiting",
-                    file=sys.stderr,
-                )
-                return 1
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        tailer.close()
-
-
 def cmd_campaign(args: argparse.Namespace) -> int:
     _apply_execution_flags(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
@@ -368,39 +312,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         RunSpec(scenario=scenario, trace=trace, policy=name) for name in policies
     ]
 
-    # --watch / --summary / --perf-history attach a CampaignMonitor to
-    # the bus. A bus sink implies live observability, so any of these
-    # flags turns on the traced campaign protocol (worker fan-in
-    # included) even without --trace.
-    monitor: Optional[CampaignMonitor] = None
-    if args.watch or args.summary or args.perf_history:
-        monitor = CampaignMonitor()
-        BUS.add_sink(monitor)
-    watcher: Optional[threading.Thread] = None
-    render_stop: Optional[threading.Event] = None
-    ansi = sys.stdout.isatty()
-    if args.watch:
-        render_stop = threading.Event()
-
-        def _watch_loop() -> None:
-            while not render_stop.wait(args.watch_interval):
-                _render_live(monitor, ansi)
-
-        watcher = threading.Thread(target=_watch_loop, daemon=True)
-        watcher.start()
-    capture = (
-        CaptureConfig.monitoring() if args.capture == "monitoring" else None
-    )
-    try:
-        report = run_campaign(specs, n_workers=args.workers, capture=capture)
-    finally:
-        if render_stop is not None:
-            render_stop.set()
-            watcher.join(timeout=5.0)
-        if monitor is not None:
-            BUS.remove_sink(monitor)
-    if args.watch:
-        _render_live(monitor, ansi)
+    report = run_campaign(specs, n_workers=args.workers)
     failures = report.failures
     ok_labels = [o.label for o in report.outcomes if o.ok]
     if ok_labels:
@@ -414,19 +326,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     print(f"  {report.summary_line()}")
     for outcome in failures:
         print(f"  FAILED {outcome.label}: {'; '.join(outcome.errors)}")
-    if monitor is not None and args.summary:
-        write_summary(monitor, args.summary)
-        print(f"  summary written to {args.summary}")
-    if monitor is not None and args.perf_history:
-        from repro.perf import PerfHistory
-
-        record = PerfHistory(args.perf_history).record_payload(
-            monitor.summary()
-        )
-        print(
-            f"  recorded {len(record.metrics)} campaign metric(s) "
-            f"to {args.perf_history}"
-        )
     return 1 if failures else 0
 
 
@@ -1052,58 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="initial battery fade (0.10 = 'old')")
     campaign.add_argument("--dt", type=float, default=120.0)
     campaign.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    campaign.add_argument(
-        "--watch",
-        action="store_true",
-        help="render a live dashboard while the campaign runs",
-    )
-    campaign.add_argument(
-        "--watch-interval", type=float, default=1.0, metavar="S",
-        help="dashboard refresh period for --watch (seconds)",
-    )
-    campaign.add_argument(
-        "--summary", default=None, metavar="FILE",
-        help="write a machine-readable campaign_summary.json rollup",
-    )
-    campaign.add_argument(
-        "--perf-history", default=None, metavar="FILE",
-        help="append the campaign rollup to a perf-history JSONL "
-        "(see 'repro perf')",
-    )
-    campaign.add_argument(
-        "--capture", choices=("full", "monitoring"), default="full",
-        help="what traced pooled cells ship back: 'full' keeps whole "
-        "worker traces at the parent telemetry tier; 'monitoring' is the "
-        "lean live-dashboard tier (sampled battery telemetry, no worker "
-        "step metrics) that keeps --watch overhead to a few percent",
-    )
     _add_stepper_flag(campaign)
     _add_execution_flags(campaign)
-
-    top = sub.add_parser(
-        "top",
-        help="live dashboard tailing a campaign trace as it is written",
-    )
-    top.add_argument(
-        "file",
-        help="trace JSONL path",
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0, metavar="S",
-        help="poll-and-render period (seconds)",
-    )
-    top.add_argument(
-        "--once",
-        action="store_true",
-        help="drain what is readable now, render one frame, exit",
-    )
-    top.add_argument(
-        "--timeout", type=float, default=30.0, metavar="S",
-        help="exit non-zero after this many idle seconds with no new events",
-    )
-    top.add_argument(
-        "--no-ansi", action="store_true", help="plain-text frames (no colours)"
-    )
 
     cache = sub.add_parser("cache", help="inspect or clear the result cache")
     cache.add_argument(
@@ -1221,8 +1070,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_record = perf_sub.add_parser(
         "record",
-        help="append BENCH_engine.json / BENCH_obs.json / bench-suite / "
-        "campaign-summary payloads to the history",
+        help="append BENCH_engine.json / BENCH_obs.json / bench-suite "
+        "payloads to the history",
     )
     perf_record.add_argument(
         "files", nargs="+", metavar="PAYLOAD",
@@ -1293,7 +1142,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         "run": cmd_run,
         "compare": cmd_compare,
         "campaign": cmd_campaign,
-        "top": cmd_top,
         "cache": cmd_cache,
         "trace": cmd_trace,
         "explain": cmd_explain,

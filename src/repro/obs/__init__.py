@@ -53,19 +53,12 @@ from repro.obs.alerts import (
     severity_rank,
 )
 from repro.obs.bus import BUS, TraceBus
-from repro.obs.campaign_monitor import (
-    CampaignMonitor,
-    render_dashboard,
-    write_summary,
-)
 from repro.obs.capture import (
     DEFAULT_CAPTURE_MAXLEN,
-    CaptureConfig,
     CaptureSink,
     CellCapture,
     replay_capture,
     run_captured,
-    summarize_health,
 )
 from repro.obs.events import (
     EVENT_TYPES,
@@ -77,7 +70,6 @@ from repro.obs.events import (
     CampaignStartEvent,
     CellCacheHitEvent,
     CellFinishEvent,
-    CellHealthEvent,
     CellRetryEvent,
     CellStartEvent,
     ConsolidationEvent,
@@ -95,7 +87,6 @@ from repro.obs.events import (
     SpanStartEvent,
     TraceEvent,
     TraceMetaEvent,
-    TraceTailer,
     VMMigratedEvent,
     VMPlacedEvent,
     WakeEvent,
@@ -222,16 +213,10 @@ __all__ = [
     "CellCacheHitEvent",
     "CellRetryEvent",
     "CellFinishEvent",
-    "CellHealthEvent",
     "CampaignStartEvent",
     "CampaignFinishEvent",
     "SpanStartEvent",
     "SpanEndEvent",
-    "TraceTailer",
-    "CampaignMonitor",
-    "render_dashboard",
-    "write_summary",
-    "CaptureConfig",
     "CaptureSink",
     "CellCapture",
     "DEFAULT_CAPTURE_MAXLEN",
@@ -239,7 +224,6 @@ __all__ = [
     "P2Quantile",
     "run_captured",
     "replay_capture",
-    "summarize_health",
 ]
 
 _active_jsonl: Optional[JsonlSink] = None

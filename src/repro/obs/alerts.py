@@ -344,7 +344,7 @@ class AlertEngine:
 # The standard rule set
 # ----------------------------------------------------------------------
 def default_rules() -> List[AlertRule]:
-    """The fleet-health rule set the CLI and live monitors install.
+    """The fleet-health rule set the CLI and campaign workers install.
 
     Thresholds mirror the control defaults they watch
     (:class:`~repro.core.slowdown.SlowdownConfig`): the rules alert on

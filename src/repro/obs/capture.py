@@ -2,15 +2,15 @@
 
 A campaign cell running inside a ``ProcessPoolExecutor`` worker has its
 own process-local :data:`~repro.obs.bus.BUS` — events it emits never
-reach the parent's sinks, which is why (before this module) only inline
-cells appeared in a campaign trace. The fix is capture-and-ship:
+reach the parent's sinks on their own. Capture-and-ship fans them in,
+so a traced campaign's one trace file is its whole record:
 
 - :func:`run_captured` wraps a cell's execution in the worker. It
   enables the worker-local observability singletons for exactly the
   duration of the cell (worker processes are *reused* across cells, so
-  per-cell setup/teardown is mandatory), buffers every bus event in a
-  bounded :class:`CaptureSink`, folds fleet health live, and returns a
-  picklable :class:`CellCapture` next to the cell result.
+  per-cell setup/teardown is mandatory) at the parent's telemetry tier,
+  buffers every bus event in a bounded :class:`CaptureSink`, and
+  returns a picklable :class:`CellCapture` next to the cell result.
 - :func:`replay_capture` re-emits a shipped capture on the parent bus
   with fresh parent event ids, remapping the worker-local provenance
   ids (``eid``/``cause_id``/``span_id``) through the same table so
@@ -20,13 +20,13 @@ cells appeared in a campaign trace. The fix is capture-and-ship:
   validator (:func:`~repro.obs.provenance.validate_trace`) cannot tell
   fan-out cells from inline ones.
 
-The capture buffer keeps the *first* ``max_events`` events (head-keep)
-rather than the last: the head contains the ``trace_meta``/``run_start``
-header that resets the trace validator's run clock, plus the span starts
-later events reference. Dropped-tail counts are reported on the capture
-so truncation is visible, and :func:`replay_capture` skips ``span_end``
-events whose start fell past the cap so the trace never contains an
-unmatched span end.
+The capture buffer keeps the *first* :data:`DEFAULT_CAPTURE_MAXLEN`
+events (head-keep) rather than the last: the head contains the
+``trace_meta``/``run_start`` header that resets the trace validator's
+run clock, plus the span starts later events reference. Dropped-tail
+counts are reported on the capture so truncation is visible, and
+:func:`replay_capture` skips ``span_end`` events whose start fell past
+the cap so the trace never contains an unmatched span end.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.obs.alerts import ALERTS, default_rules
 from repro.obs.bus import BUS
 from repro.obs.events import TraceEvent, event_from_dict
-from repro.obs.health import FleetHealthModel
 from repro.obs.metrics import REGISTRY
 from repro.obs.sinks import EventSink
 from repro.obs.spans import SPANS
@@ -48,41 +47,6 @@ from repro.obs.telemetry import TELEMETRY
 #: per step (~4.3k) plus its control events; 64k covers it with wide
 #: headroom while bounding a runaway cell to ~25 MB of pickled events.
 DEFAULT_CAPTURE_MAXLEN = 65536
-
-
-@dataclass(frozen=True)
-class CaptureConfig:
-    """What the parent asks each pooled cell to capture.
-
-    Picklable and shipped to the worker with the spec. ``telemetry`` is
-    the tier *spec string* (see :mod:`repro.obs.telemetry`) so the
-    parent's ``--telemetry`` choice governs worker cells too; empty
-    means "leave the worker's default".
-    """
-
-    telemetry: str = ""
-    max_events: int = DEFAULT_CAPTURE_MAXLEN
-    alerts: bool = True
-    health: bool = True
-    #: Arm the worker's metric registry (step-phase timers, engine
-    #: counters). The full-fidelity default; the monitoring preset turns
-    #: it off because a live dashboard consumes none of it.
-    metrics: bool = True
-
-    @classmethod
-    def monitoring(cls, telemetry: str = "sampled:8") -> "CaptureConfig":
-        """The lean tier for live campaign monitoring (``--watch``).
-
-        Keeps what a :class:`~repro.obs.campaign_monitor.CampaignMonitor`
-        actually consumes — cell lifecycle, per-cell health rollups, and
-        alert episodes — while dropping the deep-debugging payload:
-        battery telemetry is sampled (every 8th step by default) and the
-        worker metric registry stays dark. This is what keeps a watched
-        campaign within a few percent of an untraced one; pass a full
-        :class:`CaptureConfig` (the default protocol) when you need
-        full traces instead.
-        """
-        return cls(telemetry=telemetry, metrics=False)
 
 
 def sanitize_forked_worker() -> None:
@@ -150,62 +114,21 @@ class CellCapture:
     n_seen: int = 0
     n_dropped: int = 0
     metrics: Dict[str, Any] = field(default_factory=dict)
-    health: Optional[Dict[str, Any]] = None
 
     @property
     def truncated(self) -> bool:
         return self.n_dropped > 0
 
 
-def summarize_health(model: FleetHealthModel) -> Optional[Dict[str, Any]]:
-    """Reduce a cell's :class:`FleetHealthModel` to one rollup dict.
-
-    The dict mirrors :class:`~repro.obs.events.CellHealthEvent`'s
-    payload fields; ``None`` when the model saw no battery telemetry
-    (e.g. a cell that ran no simulation).
-    """
-    model.finalize()
-    run = None
-    for candidate in reversed(model.runs):
-        if candidate.batteries:
-            run = candidate
-            break
-    if run is None:
-        return None
-    scores: List[float] = []
-    worst = ""
-    worst_score = float("-inf")
-    nat_max = ddt_max = dr_max = 0.0
-    n_samples = 0
-    for node, battery in sorted(run.batteries.items()):
-        breakdown = battery.breakdown(model.weights)
-        scores.append(breakdown.score)
-        if breakdown.score > worst_score:
-            worst_score = breakdown.score
-            worst = node
-        metrics = battery.metrics()
-        nat_max = max(nat_max, metrics.nat)
-        ddt_max = max(ddt_max, metrics.ddt)
-        dr_max = max(dr_max, metrics.dr_mean)
-        n_samples += battery.n_samples
-    return {
-        "n_batteries": len(run.batteries),
-        "n_samples": n_samples,
-        "score_mean": sum(scores) / len(scores),
-        "score_max": max(scores),
-        "worst": worst,
-        "nat_max": nat_max,
-        "ddt_max": ddt_max,
-        "dr_max": dr_max,
-        "alerts": len(run.alerts),
-    }
-
-
 def run_captured(
     fn: Callable[[], Any],
-    cfg: CaptureConfig,
+    telemetry: str,
 ) -> Tuple[Any, Optional[str], CellCapture]:
     """Run ``fn`` in this (worker) process with full capture around it.
+
+    ``telemetry`` is the parent's tier *spec string* (see
+    :mod:`repro.obs.telemetry`), so the parent's ``--telemetry`` choice
+    governs worker cells too.
 
     Returns ``(result, error, capture)`` where exactly one of
     ``result``/``error`` is meaningful: exceptions are caught and
@@ -214,8 +137,7 @@ def run_captured(
     (BUS sinks, REGISTRY, ALERTS, TELEMETRY) are set up before and
     restored after *every* cell, because pool workers are reused.
     """
-    sink = CaptureSink(maxlen=cfg.max_events)
-    model = FleetHealthModel() if cfg.health else None
+    sink = CaptureSink()
 
     prev_registry_enabled = REGISTRY.enabled
     prev_alerts_enabled = ALERTS.enabled
@@ -223,19 +145,15 @@ def run_captured(
     prev_telemetry = TELEMETRY.policy.spec()
 
     BUS.add_sink(sink)
-    if model is not None:
-        BUS.add_sink(model)
-    if cfg.telemetry:
-        TELEMETRY.set_policy(cfg.telemetry)
+    TELEMETRY.set_policy(telemetry)
     REGISTRY.reset()
-    REGISTRY.enabled = cfg.metrics
-    if cfg.alerts:
-        if not ALERTS.rules:
-            for rule in default_rules():
-                ALERTS.add_rule(rule)
-        ALERTS.reset()
-        ALERTS.bus = BUS
-        ALERTS.enabled = True
+    REGISTRY.enabled = True
+    if not ALERTS.rules:
+        for rule in default_rules():
+            ALERTS.add_rule(rule)
+    ALERTS.reset()
+    ALERTS.bus = BUS
+    ALERTS.enabled = True
 
     result: Any = None
     error: Optional[str] = None
@@ -245,24 +163,19 @@ def run_captured(
         error = f"{type(exc).__name__}: {exc}"
     finally:
         BUS.remove_sink(sink)
-        if model is not None:
-            BUS.remove_sink(model)
         metrics = REGISTRY.snapshot()
         REGISTRY.reset()
         REGISTRY.enabled = prev_registry_enabled
-        if cfg.alerts:
-            ALERTS.reset()
+        ALERTS.reset()
         ALERTS.enabled = prev_alerts_enabled
         ALERTS.bus = prev_alerts_bus
-        if cfg.telemetry:
-            TELEMETRY.set_policy(prev_telemetry)
+        TELEMETRY.set_policy(prev_telemetry)
 
     capture = CellCapture(
         events=[_serialize(e) for e in sink.events],
         n_seen=sink.n_seen,
         n_dropped=sink.n_dropped,
         metrics=metrics,
-        health=summarize_health(model) if model is not None else None,
     )
     return result, error, capture
 

@@ -21,14 +21,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from typing import (
-    IO,
     Any,
     ClassVar,
     Dict,
     Iterable,
     Iterator,
     List,
-    Optional,
     Tuple,
     Type,
 )
@@ -426,33 +424,8 @@ class CellFinishEvent(TraceEvent):
 
 
 @dataclass
-class CellHealthEvent(TraceEvent):
-    """Per-cell aging rollup: the cell's fleet health in one event.
-
-    Emitted once per executed cell of a traced campaign — computed from
-    a live :class:`~repro.obs.health.FleetHealthModel` for inline cells
-    and from the worker-shipped health summary for pooled cells — so a
-    campaign-level monitor can aggregate aging across thousands of cells
-    without re-folding every battery sample.
-    """
-
-    label: str = ""
-    n_batteries: int = 0
-    n_samples: int = 0
-    score_mean: float = 0.0
-    score_max: float = 0.0
-    worst: str = ""
-    nat_max: float = 0.0
-    ddt_max: float = 0.0
-    dr_max: float = 0.0
-    alerts: int = 0
-
-    kind: ClassVar[str] = "cell_health"
-
-
-@dataclass
 class CampaignStartEvent(TraceEvent):
-    """A campaign began: the denominator every progress view needs."""
+    """A campaign began: how many cells, on how many workers."""
 
     n_cells: int = 0
     n_workers: int = 0
@@ -537,9 +510,9 @@ def decode_trace_lines(
     Yields ``(line_no, value)`` for each non-blank line, numbered from
     1: ``value`` is the decoded JSON, or the :class:`ValueError` of a
     line that does not decode, so each caller decides whether that
-    raises (:func:`iter_events`), counts as a violation
-    (:func:`~repro.obs.provenance.validate_trace`) or is skipped
-    (:class:`TraceTailer`). With ``strict=False``, a final line that has
+    raises (:func:`iter_events`) or counts as a violation
+    (:func:`~repro.obs.provenance.validate_trace`). With
+    ``strict=False``, a final line that has
     no trailing newline and does not decode is a torn write — the
     writer died mid-line — and is dropped.
     """
@@ -554,63 +527,6 @@ def decode_trace_lines(
                 return
             value = exc
         yield line_no, value
-
-
-class TraceTailer:
-    """Follow-mode reader for a trace that is still being written.
-
-    Unlike :func:`iter_events` (a one-shot replay of a finished trace),
-    a tailer is *incremental*: every :meth:`drain` call returns the
-    typed events that became readable since the last call and returns
-    immediately — the ``repro top`` dashboard polls it on its render
-    interval. It keeps one file handle open; a partially written
-    trailing line (no ``\\n`` yet) is carried over and completed on a
-    later drain, so no event is ever split or dropped.
-
-    A missing file is not an error — the tailer waits for the writer to
-    create it (``drain`` returns nothing until then), which is what lets
-    ``repro top`` be started before the campaign.
-    """
-
-    def __init__(self, path: str, strict: bool = False):
-        self.path = path
-        self.strict = strict
-        self.n_events = 0
-        self._fh: Optional[IO[str]] = None
-        self._carry = ""  # partial trailing line, awaiting its newline
-
-    def drain(self) -> List[TraceEvent]:
-        """Every event that became readable since the last drain."""
-        out: List[TraceEvent] = []
-        if self._fh is None:
-            try:
-                self._fh = open(self.path, "r", encoding="utf-8")
-            except OSError:
-                return out
-        lines = []
-        for line in self._fh:
-            if not line.endswith("\n"):
-                self._carry += line
-                break
-            lines.append(self._carry + line)
-            self._carry = ""
-        for _, data in decode_trace_lines(lines, self.strict):
-            try:
-                if isinstance(data, ValueError):
-                    raise data
-                event = event_from_dict(data)
-            except (ValueError, ConfigurationError):
-                if self.strict:
-                    raise
-                continue
-            self.n_events += 1
-            out.append(event)
-        return out
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 def iter_events(path: str, strict: bool = True) -> Iterator[TraceEvent]:

@@ -62,7 +62,6 @@ INDEXED_KINDS = frozenset(
         "cell_cache_hit",
         "cell_retry",
         "cell_finish",
-        "cell_health",
         "campaign_start",
         "campaign_finish",
     }
@@ -98,7 +97,6 @@ CAMPAIGN_EVENT_KINDS = frozenset(
         "cell_cache_hit",
         "cell_retry",
         "cell_finish",
-        "cell_health",
         "campaign_start",
         "campaign_finish",
     }

@@ -58,9 +58,10 @@ __all__ = [
 #: Trace wire-schema version stamped into ``trace_meta`` headers.
 #: Version 2 introduced frames and the header itself; version 3 retired
 #: the per-node ``battery_sample`` and ``fleet_summary`` kinds, leaving
-#: ``battery_frame`` the only battery telemetry. ``validate_trace``
+#: ``battery_frame`` the only battery telemetry; version 4 retired the
+#: per-cell health rollup kind of campaign traces. ``validate_trace``
 #: rejects mismatched versions loudly.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Quantization scales for frame columns. SoC lives in [0, 1] so 1e8
 #: gives a 1e-8 quantum (5e-9 worst-case round error); currents are

@@ -3,8 +3,8 @@
 The repo's perf gates (``BENCH_engine.json``, ``BENCH_obs.json``) are
 absolute budgets overwritten on every run — a 30 % regression that stays
 under a static gate ships silently. This package adds the longitudinal
-layer: every bench payload and campaign rollup appends one provenance-
-stamped record to an append-only, schema-versioned JSONL history
+layer: every bench payload appends one provenance-stamped record to an
+append-only, schema-versioned JSONL history
 (:class:`~repro.perf.store.PerfHistory`), and a regression detector
 (:mod:`repro.perf.regression`) compares each metric's newest value to a
 rolling same-host baseline (median ± MAD of the last K records) plus a

@@ -1,9 +1,9 @@
-"""Flatten bench payloads and campaign rollups into named metric series.
+"""Flatten bench payloads into named metric series.
 
 Every producer the repo has — ``bench_engine.py`` (``BENCH_engine.json``),
-``bench_obs_overhead.py`` (``BENCH_obs.json``), the pytest bench suite
-(``benchmarks/conftest.py --bench-json``), and the campaign monitor's
-``campaign_summary.json`` — writes a differently-shaped document.
+``bench_obs_overhead.py`` (``BENCH_obs.json``), and the pytest bench
+suite (``benchmarks/conftest.py --bench-json``) — writes a
+differently-shaped document.
 :func:`extract_metrics` detects which one it is looking at and flattens
 it to ``metric-name -> float``, the only shape the history store and the
 regression detector consume. Names are stable, ``/``-separated paths
@@ -58,11 +58,6 @@ _OBS_FLEET_KEYS = (
     "frame_trace_bytes",
 )
 
-_OBS_CAMPAIGN_KEYS = ("untraced_s", "monitored_s", "monitor_overhead_pct")
-
-#: Quantile fields lifted from the campaign summary's wall-time histogram.
-_SUMMARY_WALL_KEYS = ("mean", "p50", "p95", "p99", "max")
-
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -107,9 +102,6 @@ def flatten_obs_overhead(data: Dict[str, Any]) -> Dict[str, float]:
     fleet = data.get("fleet") or {}
     for key in _OBS_FLEET_KEYS:
         _put(out, f"obs/fleet/{key}", fleet.get(key))
-    campaign = data.get("campaign") or {}
-    for key in _OBS_CAMPAIGN_KEYS:
-        _put(out, f"obs/campaign/{key}", campaign.get(key))
     return out
 
 
@@ -142,25 +134,6 @@ def flatten_bench_suite(data: Dict[str, Any]) -> Dict[str, float]:
     return out
 
 
-def flatten_campaign_summary(data: Dict[str, Any]) -> Dict[str, float]:
-    """A ``campaign_summary.json`` rollup -> campaign throughput series."""
-    out: Dict[str, float] = {}
-    campaign = data.get("campaign") or {}
-    _put(out, "campaign/wall_s", campaign.get("wall_s"))
-    _put(out, "campaign/n_cells", campaign.get("n_cells"))
-    throughput = data.get("throughput") or {}
-    _put(out, "campaign/cells_per_s", throughput.get("cells_per_s"))
-    cache = data.get("cache") or {}
-    _put(out, "campaign/hit_rate", cache.get("hit_rate"))
-    wall = data.get("wall_time_s") or {}
-    for key in _SUMMARY_WALL_KEYS:
-        _put(out, f"campaign/cell_wall_s/{key}", wall.get(key))
-    health = data.get("health") or {}
-    for key in ("score_mean", "score_max", "nat_max", "ddt_max", "dr_max"):
-        _put(out, f"campaign/health/{key}", health.get(key))
-    return out
-
-
 def detect_source(data: Dict[str, Any]) -> str:
     """Which producer wrote this document?
 
@@ -176,12 +149,10 @@ def detect_source(data: Dict[str, Any]) -> str:
         return "bench_suite"
     if "obs_overhead" in data:
         return "obs_overhead"
-    if "campaign" in data and "cells" in data:
-        return "campaign_summary"
     raise ConfigurationError(
         "unrecognised perf payload: expected a BENCH_engine.json, "
-        "BENCH_obs.json, --bench-json report, or "
-        f"campaign_summary.json shape, got top-level keys {sorted(data)[:8]}"
+        "BENCH_obs.json, or --bench-json report shape, got top-level "
+        f"keys {sorted(data)[:8]}"
     )
 
 
@@ -192,10 +163,8 @@ def extract_metrics(data: Dict[str, Any]) -> Tuple[str, Dict[str, float]]:
         metrics = flatten_engine_bench(data["engine_bench"])
     elif source == "bench_suite":
         metrics = flatten_bench_suite(data)
-    elif source == "obs_overhead":
-        metrics = flatten_obs_overhead(data["obs_overhead"])
     else:
-        metrics = flatten_campaign_summary(data)
+        metrics = flatten_obs_overhead(data["obs_overhead"])
     if not metrics:
         raise ConfigurationError(
             f"perf payload of source {source!r} flattened to no metrics"

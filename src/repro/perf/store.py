@@ -1,13 +1,13 @@
 """Append-only, schema-versioned store of benchmark measurements.
 
 One :class:`PerfRecord` per ingested payload — a ``BENCH_engine.json``,
-a ``BENCH_obs.json``, a pytest bench-suite report, or a
-``campaign_summary.json`` — holding the payload's provenance ``meta``
-block and its metrics flattened to ``name -> float``
-(:mod:`repro.perf.ingest`). Records serialise one-per-line to JSONL, so
-the history file is an append-only log: CI restores it, appends the
-fresh run, and re-caches it — nothing is ever rewritten, and two
-processes appending interleave safely at line granularity.
+a ``BENCH_obs.json``, or a pytest bench-suite report — holding the
+payload's provenance ``meta`` block and its metrics flattened to
+``name -> float`` (:mod:`repro.perf.ingest`). Records serialise
+one-per-line to JSONL, so the history file is an append-only log: CI
+restores it, appends the fresh run, and re-caches it — nothing is ever
+rewritten, and two processes appending interleave safely at line
+granularity.
 
 Forward compatibility mirrors the trace-event contract: every line
 carries ``schema``; lines from a *newer* schema than this code are

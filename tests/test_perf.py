@@ -87,11 +87,10 @@ class TestMeta:
 
 
 class TestIngest:
-    def test_detects_all_four_sources(self):
+    def test_detects_the_three_sources(self):
         assert detect_source({"engine_bench": {}}) == "engine_bench"
         assert detect_source({"benches": {}}) == "bench_suite"
         assert detect_source({"obs_overhead": {}}) == "obs_overhead"
-        assert detect_source({"campaign": {}, "cells": {}}) == "campaign_summary"
         with pytest.raises(ConfigurationError):
             detect_source({"something": 1})
 
@@ -148,20 +147,15 @@ class TestIngest:
             "obs/fleet/frame_trace_bytes": 2.9e6,
         }
 
-    def test_campaign_summary_rollup(self):
+    def test_campaign_rollup_is_not_a_payload(self):
+        """The retired campaign rollup shape is rejected, not recorded."""
         data = {
             "campaign": {"wall_s": 12.0, "n_cells": 4},
             "cells": {"done": 4},
             "throughput": {"cells_per_s": 0.33},
-            "cache": {"hit_rate": 0.5},
-            "wall_time_s": {"p50": 2.5, "p95": 4.0, "count": 4},
-            "health": {"score_max": 1.2, "nat_max": 0.1},
         }
-        _, metrics = extract_metrics(data)
-        assert metrics["campaign/wall_s"] == 12.0
-        assert metrics["campaign/cells_per_s"] == 0.33
-        assert metrics["campaign/cell_wall_s/p95"] == 4.0
-        assert metrics["campaign/health/score_max"] == 1.2
+        with pytest.raises(ConfigurationError):
+            extract_metrics(data)
 
     def test_empty_payload_raises(self):
         with pytest.raises(ConfigurationError):
@@ -459,12 +453,3 @@ class TestObsWiring:
         (rule,) = [r for r in default_rules() if r.name == "perf_regression"]
         assert rule.threshold == DEVIATION_THRESHOLD
         assert rule.direction == "above"
-
-    def test_write_summary_stamps_provenance(self, tmp_path):
-        from repro.obs import CampaignMonitor, write_summary
-
-        path = tmp_path / "campaign_summary.json"
-        write_summary(CampaignMonitor(), str(path))
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert "meta" in data
-        assert set(collect_meta()) <= set(data["meta"])
