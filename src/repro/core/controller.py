@@ -45,6 +45,10 @@ class BAATController:
         #: the tracker-accumulator arrays directly instead of building a
         #: per-node ``AgingMetrics`` object chain.
         self._fleet = None
+        #: Fleet rankings per ``(weights, up_only)``, valid while
+        #: ``_rank_stamp`` (fleet state version, window epoch) holds.
+        self._rank_cache: Dict[Tuple[MetricWeights, bool], List[Tuple[Node, float]]] = {}
+        self._rank_stamp: Optional[Tuple[int, int]] = None
         for node in cluster:
             node.tracker.mark(WINDOW_MARK)
 
@@ -183,16 +187,32 @@ class BAATController:
         the preferred migration target (slowdown). With a fleet attached
         the scores come from one array pass instead of a per-node object
         chain; the result is bit-identical either way.
+
+        A fleet ranking reads only the tracker window arrays, the window
+        marks and the servers' up state, none of which a control pass or
+        VM placement changes. It is therefore computed once per key
+        ``(fleet._state_version, window_epoch, weights, up_only)`` — the
+        version moves with every power step, capture and server
+        transition — and each call returns a fresh copy of the list.
         """
-        if self._fleet is not None:
-            scores = self.score_array(self._fleet, weights).tolist()
-            pool = zip(self._fleet.nodes, scores)
-            scored = [
-                (n, s) for n, s in pool if (n.is_up if up_only else True)
-            ]
-        else:
-            nodes = self.cluster.up_nodes() if up_only else list(self.cluster.nodes)
-            scored = [(n, self.score(n, weights)) for n in nodes]
+        fleet = self._fleet
+        if fleet is not None:
+            stamp = (fleet._state_version, self.window_epoch)
+            if stamp != self._rank_stamp:
+                self._rank_stamp = stamp
+                self._rank_cache.clear()
+            ranked = self._rank_cache.get((weights, up_only))
+            if ranked is None:
+                scores = self.score_array(fleet, weights).tolist()
+                ranked = list(zip(fleet.nodes, scores))
+                if up_only:
+                    up = fleet.server_up.tolist()
+                    ranked = [pair for pair, ok in zip(ranked, up) if ok]
+                ranked.sort(key=lambda pair: (pair[1], pair[0].name))
+                self._rank_cache[(weights, up_only)] = ranked
+            return list(ranked)
+        nodes = self.cluster.up_nodes() if up_only else list(self.cluster.nodes)
+        scored = [(n, self.score(n, weights)) for n in nodes]
         scored.sort(key=lambda pair: (pair[1], pair[0].name))
         return scored
 

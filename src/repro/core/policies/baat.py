@@ -28,7 +28,7 @@ from repro.core.policies.base import Policy
 from repro.core.slowdown import SlowdownConfig, SlowdownMonitor
 from repro.datacenter.vm import VM
 from repro.errors import MigrationError
-from repro.obs import ALERTS, BUS, REGISTRY
+from repro.obs import BUS, REGISTRY
 from repro.obs.events import ConsolidationEvent, ParkEvent, WakeEvent
 from repro.obs.spans import SPANS, caused_by
 from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -146,13 +146,10 @@ class BAATPolicy(Policy):
         action is needed, return False so the engine materializes and the
         object path acts — the rare case by construction.
 
-        An idle pass emits no events on the object path either
-        (consolidation/park/wake events only fire in the acting
-        branches), so plain tracing keeps the array fast path; alerting
-        still forces the object path because check/control feed
-        ``ALERTS.observe`` for every node."""
-        if ALERTS.enabled:
-            return False
+        A pass that takes no action stays here under tracing and
+        alerting alike: consolidation emits events only in its acting
+        branches, and :meth:`SlowdownMonitor.fleet_control` makes the
+        monitor's alert observations and recovery releases itself."""
         if not self._consolidation_idle(t, solar_w, fleet):
             return False
         assert self.monitor is not None

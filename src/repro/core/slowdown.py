@@ -47,6 +47,16 @@ from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 #: from ``Scenario.operating_window_h`` instead.
 DEFAULT_WINDOW_END_H = 18.5
 
+#: The alert rules a monitoring pass observes, floor rule first.
+_WATCHED_RULES = ("soc_floor_violation", "ddt_window_breach", "dr_reserve_exhaustion")
+
+
+def _key_mask(fleet, keys) -> np.ndarray:
+    """Per fleet node: is its name among ``keys``?"""
+    if not keys:
+        return np.zeros(fleet.n, dtype=bool)
+    return np.array([name in keys for name in fleet.node_names])
+
 
 def reserve_seconds(battery: BatteryUnit, power_w: float) -> float:
     """How long the battery could sustain ``power_w`` before its cut-off.
@@ -246,24 +256,8 @@ class SlowdownMonitor:
         ddt_alert = dr_alert = None
         if alerting:
             # Feed the watched values even when healthy, so active alerts
-            # can observe their hysteresis release. Observing inside the
-            # node's deep-discharge span (if one is open) stamps the
-            # excursion onto the alert events for provenance chains.
-            with in_span(SPANS.open_id("deep_discharge", node.name)):
-                ddt_alert = ALERTS.observe(
-                    "ddt_window_breach",
-                    node.name,
-                    ddt,
-                    self._last_t,
-                    threshold=self.config.ddt_threshold,
-                )
-                dr_alert = ALERTS.observe(
-                    "dr_reserve_exhaustion",
-                    node.name,
-                    reserve,
-                    self._last_t,
-                    threshold=self.config.reserve_seconds_threshold,
-                )
+            # can observe their hysteresis release.
+            ddt_alert, dr_alert = self._observe_watchdogs(node.name, ddt, reserve)
         if not below:
             return False
         if ddt > self.config.ddt_threshold:
@@ -276,6 +270,31 @@ class SlowdownMonitor:
             self._record_trigger(node, "ration", None, None)
             return True
         return False
+
+    def _observe_watchdogs(self, name: str, ddt: float, reserve: float) -> tuple:
+        """Feed one node's DDT and DR values to their alert rules.
+
+        Observing inside the node's deep-discharge span (if one is open)
+        stamps the excursion onto the alert events for provenance chains.
+        Returns the (DDT, DR) alert emissions, either possibly None.
+        """
+        with in_span(SPANS.open_id("deep_discharge", name)):
+            return (
+                ALERTS.observe(
+                    "ddt_window_breach",
+                    name,
+                    ddt,
+                    self._last_t,
+                    threshold=self.config.ddt_threshold,
+                ),
+                ALERTS.observe(
+                    "dr_reserve_exhaustion",
+                    name,
+                    reserve,
+                    self._last_t,
+                    threshold=self.config.reserve_seconds_threshold,
+                ),
+            )
 
     def _record_trigger(self, node: Node, trigger: str, alert, rule_name) -> None:
         """Remember which check tripped and its causal anchor event.
@@ -423,20 +442,24 @@ class SlowdownMonitor:
             # battery does not mean the fleet can afford another server.
             return
         if node.battery.soc >= self.config.recovery_soc:
-            if node.server.throttle_up() and BUS.enabled:
-                BUS.emit(
-                    DvfsUncapEvent(
-                        t=self._last_t,
-                        span_id=SPANS.open_id("dvfs_cap", node.name),
-                        node=node.name,
-                        freq_index=node.server.freq_index,
-                        freq=node.server.frequency,
-                    )
+            self._release(node)
+
+    def _release(self, node: Node) -> None:
+        """Step a recovered node one DVFS level up and lift its cap."""
+        if node.server.throttle_up() and BUS.enabled:
+            BUS.emit(
+                DvfsUncapEvent(
+                    t=self._last_t,
+                    span_id=SPANS.open_id("dvfs_cap", node.name),
+                    node=node.name,
+                    freq_index=node.server.freq_index,
+                    freq=node.server.frequency,
                 )
-                if node.server.freq_index == 0:
-                    # Back at full frequency: the cap episode is over.
-                    SPANS.end("dvfs_cap", node=node.name, t=self._last_t)
-            node.discharge_cap_w = float("inf")
+            )
+            if node.server.freq_index == 0:
+                # Back at full frequency: the cap episode is over.
+                SPANS.end("dvfs_cap", node=node.name, t=self._last_t)
+        node.discharge_cap_w = float("inf")
 
     def protected_floor(self, node: Node) -> float:
         """SoC floor the rationing protects for this node.
@@ -598,61 +621,100 @@ class SlowdownMonitor:
     def fleet_control(self, t: float, fleet) -> bool:
         """One monitoring pass as array threshold checks over ``fleet``.
 
-        Covers the pure-decision part of :meth:`control`: the Fig.-9
-        trigger predicates (DDT, reserve, ration) for every eligible node
-        plus the recovery release. Returns ``False`` — telling the caller
-        to materialize and run the object path instead — whenever
-        alerting is on (check/control feed ``ALERTS.observe`` for every
-        node, triggered or not), any node actually triggers its action
-        ladder, or a traced pass would release restricted nodes (the
-        object path's ``recover()`` emits the DvfsUncap events); the
-        rare per-node actions are deliberately not replicated in array
-        form. A traced pass with zero triggers and zero releases emits
-        no events on the object path either, so plain tracing keeps the
-        array fast path and traces stay event-for-event identical.
+        Covers every pass of :meth:`control` in which no node triggers:
+        the Fig.-9 trigger predicates (DDT, reserve, ration) for every
+        eligible node, then, per node in node order, the alert
+        observations :meth:`control` and :meth:`check` make and the
+        recovery release of :meth:`recover` (with its DvfsUncap event
+        and ``dvfs_cap`` span end when the bus is on). Returns ``False``
+        — telling the caller to materialize and run the object path
+        instead — when any node triggers its action ladder (the rare
+        per-node actions are deliberately not replicated in array form),
+        or when alerting is on and a watched rule is not a ``threshold``
+        rule.
 
         Bit-compatibility: the trigger predicates depend only on battery/
         tracker state and constants, never on earlier actions within the
-        same pass, so evaluating them in one batch matches the sequential
-        object loop; a pass with zero triggers performs exactly the
-        recovery writes, applied here to the same nodes in node order.
+        same pass, so evaluating them in one batch, before any side
+        effect, matches the sequential object loop. A threshold rule's
+        observation changes nothing for a key that is neither breached
+        nor in an active episode, so observing only the others emits the
+        same alerts in the same order; the watched values are the array
+        twins of the object path's floats.
         """
-        if ALERTS.enabled:
-            return False
         self._last_t = t
         cfg = self.config
         soc = fleet.soc
         eligible = fleet.server_up & ~fleet.policy_off_mask
         thr, floor = self._fleet_thresholds(fleet)
         below = eligible & (soc < thr)
-        if below.any():
-            bi = np.nonzero(below)[0]
-            ddt = self.controller.window_ddt_array(fleet)[bi]
-            triggered = ddt > cfg.ddt_threshold
-            if not triggered.all():
-                der = fleet.derived_now()
-                # The DR draw signal: the same floats the engine's lazy
-                # last_draw_powers() refresh hands the object path.
-                cur = np.maximum(0.0, fleet.last_current[bi])
-                tv = fleet.terminal_voltage(soc[bi], cur, der, bi)
-                draws = cur * np.maximum(tv, 0.0)
-                v0 = fleet.ocv(soc, der)[bi]
-                reserve = self._reserve_seconds_array(fleet, bi, draws, v0, der)
-                triggered |= reserve < cfg.reserve_seconds_threshold
-                ration = self._ration_w_array(fleet, bi, floor[bi], v0, der, t)
-                triggered |= draws > ration
-            if triggered.any():
+        alerting = ALERTS.enabled
+        if alerting:
+            rules = [ALERTS.rule(name) for name in _WATCHED_RULES]
+            if any(rule.kind != "threshold" for rule in rules):
                 return False
-        # No trigger anywhere: the object loop would only run recover().
+            # check() reads DDT/DR below the line, and wherever an
+            # episode needs to observe its hysteresis release.
+            watch = below | (
+                eligible
+                & (
+                    _key_mask(fleet, ALERTS.active_keys("ddt_window_breach"))
+                    | _key_mask(fleet, ALERTS.active_keys("dr_reserve_exhaustion"))
+                )
+            )
+        else:
+            watch = below
+        wi = np.nonzero(watch)[0]
+        if len(wi):
+            in_below = below[wi]
+            ddt = self.controller.window_ddt_array(fleet)[wi]
+            if (in_below & (ddt > cfg.ddt_threshold)).any():
+                return False
+            der = fleet.derived_now()
+            # The DR draw signal: the same floats the engine's lazy
+            # last_draw_powers() refresh hands the object path.
+            cur = np.maximum(0.0, fleet.last_current[wi])
+            tv = fleet.terminal_voltage(soc[wi], cur, der, wi)
+            draws = cur * np.maximum(tv, 0.0)
+            v0 = fleet.ocv(soc, der)[wi]
+            reserve = self._reserve_seconds_array(fleet, wi, draws, v0, der)
+            ration = self._ration_w_array(fleet, wi, floor[wi], v0, der, t)
+            if (
+                in_below
+                & ((reserve < cfg.reserve_seconds_threshold) | (draws > ration))
+            ).any():
+                return False
+        # No trigger anywhere: the object loop would only observe alerts
+        # and run recover().
         rec = eligible & (soc >= cfg.recovery_soc) & fleet.policy_restricted
-        if rec.any():
-            if BUS.enabled:
-                # Releases emit DvfsUncapEvents — those must come from
-                # the object path so traced runs see identical events.
-                return False
-            for i in np.nonzero(rec)[0].tolist():
-                node = fleet.nodes[i]
-                node.server.throttle_up()
-                node.discharge_cap_w = float("inf")
+        if alerting:
+            # AlertRule.breached compares elementwise given arrays.
+            floor_obs = eligible & (
+                rules[0].breached(soc, floor)
+                | _key_mask(fleet, ALERTS.active_keys("soc_floor_violation"))
+            )
+            watched = (
+                dict(zip(wi.tolist(), zip(ddt.tolist(), reserve.tolist())))
+                if len(wi)
+                else {}
+            )
+            todo = np.nonzero(floor_obs | watch | rec)[0].tolist()
+        else:
+            todo = np.nonzero(rec)[0].tolist()
+        for i in todo:
+            node = fleet.nodes[i]
+            if alerting:
+                if floor_obs[i]:
+                    ALERTS.observe(
+                        "soc_floor_violation",
+                        node.name,
+                        float(soc[i]),
+                        t,
+                        threshold=float(floor[i]),
+                    )
+                if i in watched:
+                    self._observe_watchdogs(node.name, *watched[i])
+            if rec[i]:
+                self._release(node)
                 fleet.refresh_node(i)
         return True

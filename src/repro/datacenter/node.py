@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.battery.unit import BatteryUnit
-from repro.datacenter.server import Server
+from repro.datacenter.server import Server, ServerPowerState
 from repro.metrics.tracker import MetricsTracker
 from repro.obs import BUS
 from repro.obs.telemetry import TELEMETRY
@@ -73,6 +73,4 @@ class Node:
     @property
     def is_up(self) -> bool:
         """True when the server is serving load."""
-        from repro.datacenter.server import ServerPowerState
-
         return self.server.state is ServerPowerState.UP

@@ -29,7 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from statistics import median
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.events import AlertEvent
@@ -314,6 +314,10 @@ class AlertEngine:
         needs to observe its hysteresis release.
         """
         return (rule_name, key) in self._active
+
+    def active_keys(self, rule_name: str) -> Set[str]:
+        """Keys with an episode of ``rule_name`` currently in breach."""
+        return {key for (name, key) in self._active if name == rule_name}
 
     def active_cause(self, rule_name: str, key: str) -> int:
         """Event id anchoring an active (rule, key) breach, or 0.

@@ -176,9 +176,10 @@ class FleetState:
         self._decay_dt: float | None = None
         self._decay: np.ndarray | None = None
         self._sd_factor: np.ndarray | None = None
-        #: Monotone battery-state generation: bumped whenever the arrays
-        #: take new values (capture, end of a power step) so per-step
-        #: derived() results can be memoized safely.
+        #: Monotone state generation: bumped whenever the arrays take new
+        #: values (capture, end of a power step, server transitions) so
+        #: per-step derived() results and node rankings can be memoized
+        #: safely.
         self._state_version = 0
         self._derived_cache: Dict[float, Tuple[int, Dict[str, np.ndarray]]] = {}
         # Per-label (epoch, arrays) snapshots of tracker marks.
@@ -566,12 +567,14 @@ class FleetState:
         server (the engine writes the objects alongside)."""
         self.admin_off[:] = off
 
-    # Server transitions: sparse, written through to the objects.
+    # Server transitions: sparse, written through to the objects. Each
+    # moves the state version, which keys cached node rankings.
     def power_on(self, i: int) -> None:
         server = self.nodes[i].server
         server.power_on()
         self.server_state[i] = _STATE_CODE[server.state]
         self.boot_left_s[i] = server._boot_remaining_s
+        self._state_version += 1
 
     def brownout(self, i: int) -> None:
         server = self.nodes[i].server
@@ -584,12 +587,14 @@ class FleetState:
         server.brownout()
         self.vm_stall_s[lo:hi] = [vm._stall_remaining_s for vm in vms]
         self.server_state[i] = _STATE_CODE[server.state]
+        self._state_version += 1
 
     def finish_boot(self, i: int) -> None:
         server = self.nodes[i].server
         server.state = ServerPowerState.UP
         server._boot_remaining_s = 0.0
         self.server_state[i] = _UP
+        self._state_version += 1
 
     def materialize(self) -> None:
         """Write array state back into the per-node objects.

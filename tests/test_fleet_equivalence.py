@@ -73,6 +73,14 @@ def _assert_runs_match(ref_sim, ref, fleet_sim, fleet):
     )
 
 
+def _dense_profiles(n):
+    mix = standard_mix()
+    return tuple(
+        dataclasses.replace(mix[i % len(mix)], name=f"{mix[i % len(mix)].name}-{i}")
+        for i in range(n)
+    )
+
+
 class TestGoldenEquivalence:
     """ISSUE acceptance: e-Buff and BAAT over a >= 3-day trace."""
 
@@ -130,19 +138,12 @@ class TestActionRichFleetEquivalence:
     """
 
     def _scenario(self):
-        mix = standard_mix()
-        profiles = tuple(
-            dataclasses.replace(
-                mix[i % len(mix)], name=f"{mix[i % len(mix)].name}-{i}"
-            )
-            for i in range(24)
-        )
         return Scenario(
             n_nodes=48,
             dt_s=300.0,
             initial_soc=0.55,
             sunny_day_kwh=24.0,
-            workloads=profiles,
+            workloads=_dense_profiles(24),
         )
 
     def test_48_node_stressed_baat(self):
@@ -257,6 +258,119 @@ class TestTracedEquivalence:
                     assert a == b, name
                 else:
                     assert b == pytest.approx(a, rel=1e-6, abs=1e-9), name
+
+
+class TestAlertingEquivalence:
+    """With alerting on, the fleet stepper's array control passes make
+    the monitor's alert observations themselves; the event stream must
+    still equal the reference stepper's, alert for alert.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _alerting(self):
+        from repro.obs import (
+            ALERTS,
+            BUS,
+            disable_observability,
+            enable_observability,
+        )
+        from repro.obs.alerts import default_rules
+
+        BUS.clear_sinks()
+        enable_observability()
+        try:
+            yield ALERTS
+        finally:
+            disable_observability()
+            BUS.clear_sinks()
+            for rule in default_rules():
+                ALERTS.add_rule(rule)
+
+    @staticmethod
+    def _traced_run(scenario, policy_name, days):
+        """Run with a bus capture; returns (sim, result, events, per-pass
+        log of (control_fleet result, alerts it emitted))."""
+        from repro.obs import ALERTS, BUS
+
+        # Fresh event ids and alert episodes for each run.
+        BUS.clear_sinks()
+        ALERTS.reset()
+        trace = scenario.trace_generator().days(days)
+        sim = Simulation(scenario, make_policy(policy_name), trace, record_series=True)
+        passes = []
+        with BUS.capture(maxlen=None) as sink:
+            array_pass = sim.policy.control_fleet
+
+            def logged(*args, **kwargs):
+                before = len(sink.events)
+                handled = array_pass(*args, **kwargs)
+                emitted = list(sink.events)[before:]
+                passes.append((handled, sum(e.kind == "alert" for e in emitted)))
+                return handled
+
+            sim.policy.control_fleet = logged
+            result = sim.run()
+            events = [e.to_dict() for e in sink.events if e.kind != "trace_meta"]
+        return sim, result, events, passes
+
+    def _assert_alerting_equivalent(self, scenario, policy_name, days):
+        ref_sim, ref, ref_events, _ = self._traced_run(scenario, policy_name, days)
+        fleet_sim, fleet, fleet_events, passes = self._traced_run(
+            dataclasses.replace(scenario, stepper="fleet"), policy_name, days
+        )
+        _assert_runs_match(ref_sim, ref, fleet_sim, fleet)
+        assert fleet_events == ref_events
+        return fleet_events, passes
+
+    @pytest.mark.parametrize(
+        "policy_name, scenario, days",
+        [
+            (
+                "baat",
+                Scenario(
+                    n_nodes=12,
+                    dt_s=120.0,
+                    sunny_day_kwh=6.0,
+                    workloads=_dense_profiles(12),
+                ),
+                [DayClass.CLOUDY, DayClass.RAINY, DayClass.SUNNY],
+            ),
+            (
+                "baat-s",
+                Scenario(n_nodes=6, dt_s=300.0, initial_fade=0.1),
+                [DayClass.RAINY, DayClass.SUNNY, DayClass.SUNNY],
+            ),
+        ],
+        ids=["baat", "baat-s"],
+    )
+    def test_alert_streams_identical(self, policy_name, scenario, days):
+        events, passes = self._assert_alerting_equivalent(scenario, policy_name, days)
+        alerts = [e for e in events if e["kind"] == "alert"]
+        assert any(not a["cleared"] for a in alerts)
+        assert any(a["cleared"] for a in alerts)
+        # The array path really ran with alerting on, and itself emitted
+        # alerts: the equality is not carried by object-path fallbacks.
+        assert any(handled for handled, _ in passes)
+        assert sum(n for handled, n in passes if handled) > 0
+
+    def test_non_threshold_watched_rule_falls_back(self, _alerting):
+        from repro.obs.alerts import AlertRule
+
+        _alerting.add_rule(
+            AlertRule(
+                name="ddt_window_breach",
+                kind="rate",
+                threshold=1e-5,
+                direction="above",
+                window_s=3600.0,
+            )
+        )
+        scenario = Scenario(n_nodes=6, dt_s=300.0, initial_fade=0.1)
+        _, passes = self._assert_alerting_equivalent(
+            scenario, "baat-s", [DayClass.RAINY]
+        )
+        assert passes
+        assert not any(handled for handled, _ in passes)
 
 
 class TestStepperSelection:
