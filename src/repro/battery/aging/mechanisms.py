@@ -26,7 +26,7 @@ from typing import List
 
 from repro.battery.aging.conditions import OperatingConditions
 from repro.battery.thermal import arrhenius_factor
-from repro.units import SECONDS_PER_HOUR, clamp
+from repro.units import SECONDS_PER_HOUR
 
 #: Fade fraction at which the battery is end-of-life (80 % capacity floor).
 EOL_FADE = 0.20
@@ -40,7 +40,7 @@ def soc_stress_weight(soc: float) -> float:
     SoC regions as Eq. 3 with super-linear weights — region A (100-80 %)
     is the benign baseline, region D (below 40 %) is 3x as damaging.
     """
-    soc = clamp(soc, 0.0, 1.0)
+    soc = max(0.0, min(1.0, soc))
     if soc >= 0.80:
         return 1.0
     if soc >= 0.60:
@@ -169,7 +169,7 @@ class Sulphation(AgingMechanism):
             return 0.0
         depth = (self.low_soc_threshold - cond.soc) / self.low_soc_threshold
         # Crystal growth develops over ~48 h without a full recharge.
-        staleness = clamp(cond.hours_since_full_charge / 48.0, 0.1, 1.0)
+        staleness = max(0.1, min(1.0, cond.hours_since_full_charge / 48.0))
         rate = self.base_rate * depth * staleness * arrhenius_factor(cond.temperature_c)
         return rate * dt
 
@@ -220,7 +220,9 @@ class Stratification(AgingMechanism):
     def damage(self, cond: OperatingConditions, dt: float) -> float:
         if cond.current == 0.0:
             return 0.0
-        staleness = clamp(cond.hours_since_full_charge / self.saturation_hours, 0.0, 1.0)
+        staleness = max(
+            0.0, min(1.0, cond.hours_since_full_charge / self.saturation_hours)
+        )
         if staleness == 0.0:
             return 0.0
         rate = self.base_rate * staleness

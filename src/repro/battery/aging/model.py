@@ -15,13 +15,15 @@ Two modelling choices beyond the raw mechanisms:
 - **Derived quantities** — capacity fade (sum of damage), resistance growth
   (resistive share of each mechanism, scaled), and coulombic-efficiency
   degradation (gassing worsens with age), which together reproduce the
-  Fig. 3/4/5 measurements.
+  Fig. 3/4/5 measurements. A battery reads them several times per step,
+  so the model derives them once per change to the damage record (see
+  :meth:`AgingModel.derived`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.battery.aging.conditions import OperatingConditions
 from repro.battery.aging.mechanisms import (
@@ -29,7 +31,6 @@ from repro.battery.aging.mechanisms import (
     AgingMechanism,
     default_mechanisms,
 )
-from repro.units import clamp
 
 #: Multiplier translating resistive damage into fractional resistance growth.
 RESISTANCE_GROWTH_GAIN = 3.0
@@ -96,6 +97,10 @@ class AgingModel:
         # order, which varied with each battery's history.
         self.state = AgingState(damage={m.name: 0.0 for m in self.mechanisms})
         self._resistance_shares = {m.name: m.resistance_share for m in self.mechanisms}
+        # derived() cache: the damage items it was computed from, and the
+        # (total fade, capacity fade, resistance growth) it computed.
+        self._derived_key: Optional[tuple] = None
+        self._derived_values: Tuple[float, float, float] = (0.0, 0.0, 0.0)
         #: Stratification accumulated since the last full charge — the
         #: portion a completing charge can still stir away.
         self._recoverable_stratification = 0.0
@@ -104,7 +109,7 @@ class AgingModel:
         """Apply ``dt`` seconds of the given conditions; return added fade."""
         if dt < 0:
             raise ValueError("dt must be non-negative")
-        feedback = 1.0 + self.feedback_gain * self.state.total_fade()
+        feedback = 1.0 + self.feedback_gain * self.derived()[0]
         added = 0.0
         for mech in self.mechanisms:
             d = mech.damage(cond, dt) * feedback
@@ -124,34 +129,54 @@ class AgingModel:
     # ------------------------------------------------------------------
     # Derived degradation quantities
     # ------------------------------------------------------------------
+    def derived(self) -> Tuple[float, float, float]:
+        """``(total fade, capacity fade, resistance growth)`` of the
+        present damage record.
+
+        Recomputed only when the damage changed since the last call. The
+        cache key is the damage items themselves, so every writer is seen
+        without hooks: :meth:`step`, :meth:`recover_stratification`, a
+        direct ``state.damage[name] = value`` write, or a whole new
+        ``state``. The floats are those of the plain formulas: the total
+        sums ``damage.values()`` in dict (mechanism) order.
+        """
+        key = tuple(self.state.damage.items())
+        if key != self._derived_key:
+            total = sum(self.state.damage.values())
+            shares = self._resistance_shares
+            resistive = sum([d * shares.get(name, 0.0) for name, d in key])
+            self._derived_values = (
+                total,
+                max(0.0, min(0.95, total)),
+                RESISTANCE_GROWTH_GAIN * resistive,
+            )
+            self._derived_key = key
+        return self._derived_values
+
     @property
     def capacity_fade(self) -> float:
         """Fraction of nominal capacity permanently lost (capped at 95 %)."""
-        return clamp(self.state.total_fade(), 0.0, 0.95)
+        return self.derived()[1]
 
     @property
     def resistance_growth(self) -> float:
         """Fractional internal-resistance increase due to aging."""
-        resistive = sum(
-            d * self._resistance_shares.get(name, 0.0)
-            for name, d in self.state.damage.items()
-        )
-        return RESISTANCE_GROWTH_GAIN * resistive
+        return self.derived()[2]
 
     @property
     def coulombic_efficiency_factor(self) -> float:
         """Multiplier (<= 1) on the fresh coulombic efficiency."""
-        return clamp(1.0 - COULOMBIC_DEGRADATION * self.capacity_fade, 0.3, 1.0)
+        return max(0.3, min(1.0, 1.0 - COULOMBIC_DEGRADATION * self.derived()[1]))
 
     @property
     def is_end_of_life(self) -> bool:
         """True once fade reaches the 80 %-of-nominal-capacity floor."""
-        return self.state.total_fade() >= self.eol_fade
+        return self.derived()[0] >= self.eol_fade
 
     @property
     def health(self) -> float:
         """State of health in [0, 1]: 1 = new, 0 = at end-of-life fade."""
-        return clamp(1.0 - self.state.total_fade() / self.eol_fade, 0.0, 1.0)
+        return max(0.0, min(1.0, 1.0 - self.derived()[0] / self.eol_fade))
 
     def recover_stratification(self, fraction: float = 0.25) -> float:
         """Partially reverse stratification damage after a full charge.
@@ -179,7 +204,7 @@ class AgingModel:
 
     def damage_breakdown(self) -> Dict[str, float]:
         """Per-mechanism share of total damage (sums to 1; empty if new)."""
-        total = self.state.total_fade()
+        total = self.derived()[0]
         if total <= 0.0:
             return {}
         return {name: d / total for name, d in self.state.damage.items()}

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.battery.params import BatteryParams
 from repro.errors import ConfigurationError
-from repro.units import clamp
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,8 @@ class Charger:
         remaining capacity: less active mass means less material available
         to convert, so bulk current scales by ``(1 - fade)``.
         """
-        soc = clamp(soc, 0.0, 1.0)
-        bulk = self.max_current * (1.0 - clamp(capacity_fade, 0.0, 1.0))
+        soc = max(0.0, min(1.0, soc))
+        bulk = self.max_current * (1.0 - max(0.0, min(1.0, capacity_fade)))
         start = self.params.taper_start_soc
         if soc < start:
             return bulk
@@ -104,7 +103,7 @@ class Charger:
         the current drives electrolysis. The lost fraction is what pushes
         the charge factor (Eq. 2) above 1 during normal cycling.
         """
-        soc = clamp(soc, 0.0, 1.0)
+        soc = max(0.0, min(1.0, soc))
         base = self.battery.coulombic_efficiency
         gas = self.battery.gassing_soc
         if soc <= gas:

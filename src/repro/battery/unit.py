@@ -31,7 +31,7 @@ from repro.battery.peukert import peukert_factor
 from repro.battery.thermal import ThermalModel
 from repro.battery.voltage import VoltageModel
 from repro.errors import BatteryCutoffError, ConfigurationError
-from repro.units import SECONDS_PER_HOUR, clamp
+from repro.units import SECONDS_PER_HOUR
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class BatteryUnit:
     @property
     def effective_capacity_ah(self) -> float:
         """Presently usable capacity in Ah (manufacturing x aging)."""
-        return self.params.capacity_ah * self.capacity_factor * (1.0 - self.capacity_fade)
+        return self._capacity_ah(self.capacity_fade)
 
     @property
     def stored_ah(self) -> float:
@@ -172,9 +172,8 @@ class BatteryUnit:
 
     def terminal_voltage(self, current: float = 0.0) -> float:
         """Terminal voltage at a hypothetical signed current (A)."""
-        return self.voltage_model.terminal_voltage(
-            self._soc, current, self.capacity_fade, self.aging.resistance_growth
-        )
+        _, fade, growth = self.aging.derived()
+        return self.voltage_model.terminal_voltage(self._soc, current, fade, growth)
 
     def open_circuit_voltage(self) -> float:
         """Rested voltage at the present SoC and age."""
@@ -189,15 +188,18 @@ class BatteryUnit:
 
     def sample(self) -> BatteryState:
         """A Table-2 sensor reading for the BAAT power table."""
+        _, fade, growth = self.aging.derived()
         return BatteryState(
             name=self.name,
             time_s=self._time_s,
             soc=self._soc,
             current_a=self._last_current,
-            terminal_voltage_v=self.terminal_voltage(self._last_current),
+            terminal_voltage_v=self.voltage_model.terminal_voltage(
+                self._soc, self._last_current, fade, growth
+            ),
             temperature_c=self.thermal.temperature_c,
-            capacity_fade=self.capacity_fade,
-            effective_capacity_ah=self.effective_capacity_ah,
+            capacity_fade=fade,
+            effective_capacity_ah=self._capacity_ah(fade),
             hours_since_full_charge=self._hours_since_full,
             is_end_of_life=self.is_end_of_life,
         )
@@ -215,14 +217,11 @@ class BatteryUnit:
         """
         if self._soc <= self.params.cutoff_soc:
             return 0.0
-        i_max = self.voltage_model.max_discharge_current(
-            self._soc, self.capacity_fade, self.aging.resistance_growth
-        )
+        _, fade, growth = self.aging.derived()
+        i_max = self.voltage_model.max_discharge_current(self._soc, fade, growth)
         if i_max <= 0.0:
             return 0.0
-        v = self.voltage_model.terminal_voltage(
-            self._soc, i_max, self.capacity_fade, self.aging.resistance_growth
-        )
+        v = self.voltage_model.terminal_voltage(self._soc, i_max, fade, growth)
         return max(0.0, i_max * v)
 
     def discharge(self, power_w: float, dt: float, strict: bool = False) -> StepResult:
@@ -241,8 +240,7 @@ class BatteryUnit:
         if power_w == 0.0:
             return self.rest(dt)
 
-        fade = self.capacity_fade
-        growth = self.aging.resistance_growth
+        _, fade, growth = self.aging.derived()
         curtailed = False
 
         if self._soc <= self.params.cutoff_soc:
@@ -277,7 +275,7 @@ class BatteryUnit:
             return StepResult(0.0, 0.0, self.terminal_voltage(0.0), True)
 
         # Charge-availability limit: cannot drain below the cut-off SoC.
-        cap = self.effective_capacity_ah
+        cap = self._capacity_ah(fade)
         pf = peukert_factor(current, self.params)
         drain_ah = current * pf * dt / SECONDS_PER_HOUR
         avail_ah = max(0.0, (self._soc - self.params.cutoff_soc) * cap)
@@ -293,8 +291,8 @@ class BatteryUnit:
         delivered_w = current * max(v, 0.0)
 
         cond = self._conditions(current=current)
-        self._apply_step(cond, dt)
-        self._soc = clamp(self._soc - drain_ah / max(cap, 1e-9), 0.0, 1.0)
+        self._apply_step(cond, dt, growth)
+        self._soc = max(0.0, min(1.0, self._soc - drain_ah / max(cap, 1e-9)))
         self.energy_out_wh += delivered_w * dt / SECONDS_PER_HOUR
         self._last_current = current
         return StepResult(delivered_w, current, v, curtailed)
@@ -318,8 +316,7 @@ class BatteryUnit:
                 self._register_float(dt)
             return result
 
-        fade = self.capacity_fade
-        growth = self.aging.resistance_growth
+        _, fade, growth = self.aging.derived()
         v = self.voltage_model.terminal_voltage(self._soc, -1.0, fade, growth)
         i_request = power_w / max(v, 1e-6)
         i_accept = self.charger.acceptance_current(self._soc, fade)
@@ -332,7 +329,7 @@ class BatteryUnit:
         stored_current = current * eta
         gassing_current = current - stored_current
 
-        cap = self.effective_capacity_ah
+        cap = self._capacity_ah(fade)
         stored_ah = stored_current * dt / SECONDS_PER_HOUR
         room_ah = max(0.0, (1.0 - self._soc) * cap)
         if stored_ah > room_ah:
@@ -359,9 +356,9 @@ class BatteryUnit:
         cond = self._conditions(
             current=-current, gassing_current=gassing_current, is_float=is_float
         )
-        self._apply_step(cond, dt)
+        self._apply_step(cond, dt, growth)
         reached_full = self._soc < 0.99
-        self._soc = clamp(self._soc + stored_ah / max(cap, 1e-9), 0.0, 1.0)
+        self._soc = max(0.0, min(1.0, self._soc + stored_ah / max(cap, 1e-9)))
         if self._soc >= 0.99:
             if reached_full:
                 # Completing a full charge stirs the electrolyte and
@@ -400,8 +397,17 @@ class BatteryUnit:
             hours_since_full_charge=self._hours_since_full,
         )
 
-    def _apply_step(self, cond: OperatingConditions, dt: float) -> None:
-        resistance = self.voltage_model.resistance(self.aging.resistance_growth)
+    def _capacity_ah(self, fade: float) -> float:
+        """Usable capacity (Ah) at the given capacity fade."""
+        return self.params.capacity_ah * self.capacity_factor * (1.0 - fade)
+
+    def _apply_step(
+        self, cond: OperatingConditions, dt: float, resistance_growth: float
+    ) -> None:
+        """Advance heat, aging and clocks by one step. ``resistance_growth``
+        is the caller's reading from before the step (the damage has not
+        moved since)."""
+        resistance = self.voltage_model.resistance(resistance_growth)
         self.thermal.step(abs(cond.current), resistance, dt)
         self.aging.step(cond, dt)
         self._time_s += dt
@@ -409,7 +415,9 @@ class BatteryUnit:
             self._hours_since_full += dt / SECONDS_PER_HOUR
 
     def _advance_rest(self, dt: float) -> None:
-        self._apply_step(self._conditions(current=0.0), dt)
+        self._apply_step(
+            self._conditions(current=0.0), dt, self.aging.resistance_growth
+        )
         # Self-discharge: stored charge leaks at rest (the reason float
         # charging exists). Exponential decay of the stored fraction.
         rate = self.params.self_discharge_per_day

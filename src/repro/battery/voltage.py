@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.battery.params import BatteryParams
-from repro.units import clamp
 
 #: Coefficient and exponent coupling full-charge OCV loss to capacity fade:
 #: ``drop = OCV_FADE_COEFF * fade ** OCV_FADE_EXPONENT``. Superlinear in
@@ -59,9 +58,11 @@ class VoltageModel:
         capacity_fade:
             Fraction of nominal capacity lost to aging, in ``[0, 1)``.
         """
-        soc = clamp(soc, 0.0, 1.0)
+        # Inline clamps: the bounds are constants, and this runs several
+        # times per battery step.
+        soc = max(0.0, min(1.0, soc))
         p = self.params
-        fade = clamp(capacity_fade, 0.0, 1.0)
+        fade = max(0.0, min(1.0, capacity_fade))
         full = p.ocv_full * (1.0 - OCV_FADE_COEFF * fade**OCV_FADE_EXPONENT)
         empty = p.ocv_empty
         if full < empty:  # pathological age; keep the window non-inverted
@@ -97,7 +98,7 @@ class VoltageModel:
         if current > 0.0 and soc < LOW_SOC_KNEE:
             # The knee scales linearly with both depth below the knee and
             # (capped) discharge rate relative to the reference current.
-            depth = (LOW_SOC_KNEE - clamp(soc, 0.0, 1.0)) / LOW_SOC_KNEE
+            depth = (LOW_SOC_KNEE - max(0.0, min(1.0, soc))) / LOW_SOC_KNEE
             rate = min(current / self.params.reference_current, 4.0) / 4.0
             v -= LOW_SOC_SAG_V * depth * rate
         return v

@@ -59,16 +59,22 @@ class Node:
         return cls(name=name, server=server, battery=battery, tracker=tracker)
 
     def observe_battery(self, dt: float) -> None:
-        """Sample the battery into the metrics tracker (sensor poll)."""
-        state = self.battery.sample()
-        self.tracker.observe(state.soc, state.current_a, dt)
+        """Sample the battery into the metrics tracker (sensor poll).
+
+        Reads the two sensor values the tracker uses, ``soc`` and
+        ``last_current_a``, straight off the battery: the same values
+        :meth:`BatteryUnit.sample` reports, without deriving the rest of
+        the sensor record (voltage, fade, capacity) every step.
+        """
+        battery = self.battery
+        soc = battery.soc
+        current = battery.last_current_a
+        self.tracker.observe(soc, current, dt)
         # Publish the identical sample into the step's battery frame
         # (the fleet kernel feeds the same encoder, so both steppers
         # write identical frames).
         if BUS.enabled:
-            TELEMETRY.record_sample(
-                BUS.now, self.name, state.soc, state.current_a, dt
-            )
+            TELEMETRY.record_sample(BUS.now, self.name, soc, current, dt)
 
     @property
     def is_up(self) -> bool:

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.datacenter.vm import MIGRATION_POWER_W, VM
 from repro.errors import ConfigurationError
-from repro.units import clamp
 
 #: Exponent of the frequency term in dynamic power.
 DVFS_POWER_EXPONENT = 2.2
@@ -156,7 +155,7 @@ class Server:
         if self.admin_off or self.policy_off or self.state is not ServerPowerState.UP:
             return 0.0
         total = sum(vm.utilization(t, rng) for vm in self.vms)
-        return clamp(total, 0.0, 1.0)
+        return max(0.0, min(1.0, total))
 
     # ------------------------------------------------------------------
     # Power
@@ -170,7 +169,8 @@ class Server:
         idle = p.idle_w * (1.0 - IDLE_DYNAMIC_FRACTION * (1.0 - f))
         if self.state is ServerPowerState.BOOTING:
             return idle
-        dynamic = (p.peak_w - p.idle_w) * clamp(utilization, 0.0, 1.0) * f**DVFS_POWER_EXPONENT
+        util = max(0.0, min(1.0, utilization))
+        dynamic = (p.peak_w - p.idle_w) * util * f**DVFS_POWER_EXPONENT
         migrating = sum(1 for vm in self.vms if vm.is_stalled)
         return idle + dynamic + migrating * MIGRATION_POWER_W
 

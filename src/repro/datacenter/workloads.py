@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.units import SECONDS_PER_HOUR, clamp
+from repro.units import SECONDS_PER_HOUR
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class WorkloadProfile:
         util = self.mean_util + self.burst_util * wave
         if rng is not None and self.burstiness > 0:
             util += rng.normal(0.0, self.burstiness * self.mean_util)
-        return clamp(util, 0.0, 1.0)
+        return max(0.0, min(1.0, util))
 
     def mean_power_w(self, idle_w: float, peak_w: float) -> float:
         """Expected power contribution on a server with the given envelope."""

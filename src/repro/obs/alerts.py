@@ -336,11 +336,20 @@ class AlertEngine:
             if not e.cleared and (rule_name is None or e.rule == rule_name)
         ]
 
-    def reset(self) -> None:
-        """Drop all alert state and history (rules and ``enabled`` persist)."""
+    def reset_episodes(self) -> None:
+        """Forget every open episode and the samples rules evaluate over.
+
+        :attr:`history`, the rules and ``enabled`` persist. A simulation
+        calls this when it starts, so an episode a previous run left
+        active neither suppresses nor clears inside the next run.
+        """
         self._active.clear()
         self._rate_hist.clear()
         self._fleet_values.clear()
+
+    def reset(self) -> None:
+        """Drop all alert state and history (rules and ``enabled`` persist)."""
+        self.reset_episodes()
         self.history.clear()
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.policies.base import Policy
 from repro.datacenter.power_path import PowerPath
 from repro.errors import ConfigurationError, SimulationError
-from repro.obs import BUS, REGISTRY
+from repro.obs import ALERTS, BUS, REGISTRY
 from repro.obs.events import (
     BatteryConfigEvent,
     DayStartEvent,
@@ -130,6 +130,9 @@ class Simulation:
         if self._begun:
             return
         self._begun = True
+        # Alert episodes are per run too: one a previous run left open
+        # must neither suppress nor clear inside this one.
+        ALERTS.reset_episodes()
         if BUS.enabled:
             BUS.now = 0.0
             # A previous run in this process may have ended mid-excursion;
@@ -271,14 +274,15 @@ class Simulation:
                 t, dt, self._fleet, solar_w=solar_w
             )
             if not handled:
+                # Derive the DR draw signal here, at the only pass that
+                # reads it: battery state is unchanged between the end of
+                # the previous power phase and this control pass, so these
+                # draws are bit-identical to refreshing them every step.
                 if self._fleet is not None:
-                    # Sync objects and derive the DR draw signal lazily:
-                    # the fleet state is unchanged between the end of the
-                    # previous step and this control pass, so the draws
-                    # computed here are bit-identical to the reference
-                    # path's per-step ones.
                     self._fleet.materialize()
                     self._last_draws = self._fleet.last_draw_powers()
+                else:
+                    self._last_draws = self._draw_powers()
                 self.policy.control(t, dt, self._last_draws, solar_w=solar_w)
                 if self._fleet is not None:
                     # The object pass may have parked, throttled, capped,
@@ -291,16 +295,6 @@ class Simulation:
 
         # --- power-path phase ----------------------------------------
         flows = self.power_path.step(t, dt, solar_w, rng=self._rng)
-
-        # Per-node battery draws for the next control pass (the DR
-        # signal): approximate by each node's battery discharge share.
-        # Fleet mode computes this lazily at the next control pass
-        # instead of scanning every node every step.
-        if self._fleet is None:
-            for node in self.cluster:
-                current = max(0.0, node.battery.last_current_a)
-                voltage = node.battery.terminal_voltage(current)
-                self._last_draws[node.name] = current * max(voltage, 0.0)
         if timing:
             t1 = perf_counter()
             self._phase_timers.power.observe(t1 - t0)
@@ -363,6 +357,16 @@ class Simulation:
             self._phase_timers.record.observe(perf_counter() - t0)
         self._step += 1
 
+    def _draw_powers(self) -> Dict[str, float]:
+        """Per-node battery draw (W) for the DR signal: each battery's
+        last-step discharge current times its terminal voltage there."""
+        draws = {}
+        for node in self.cluster:
+            current = max(0.0, node.battery.last_current_a)
+            voltage = node.battery.terminal_voltage(current)
+            draws[node.name] = current * max(voltage, 0.0)
+        return draws
+
     def _emit_soc_crossings(self, t: float) -> None:
         """Emit an event whenever a battery crosses the low-SoC line.
 
@@ -377,7 +381,7 @@ class Simulation:
             socs = np.array([node.battery.soc for node in self.cluster])
         now_below = socs < LOW_SOC_THRESHOLD
         nodes = self.cluster.nodes
-        for i in np.nonzero(now_below != self._soc_below)[0].tolist():
+        for i in (now_below != self._soc_below).nonzero()[0].tolist():
             node = nodes[i]
             down = bool(now_below[i])
             crossing = SocCrossingEvent(

@@ -429,7 +429,7 @@ class FleetState:
         #: exactly builtin ``sum()`` of its VMs.
         self._vm_slots = [
             (rows, self.vm_node[rows])
-            for rows in (np.nonzero(slot_arr == k)[0] for k in range(2))
+            for rows in ((slot_arr == k).nonzero()[0] for k in range(2))
         ]
         #: (node, first row, end row) of servers with three or more VMs,
         #: which :meth:`sum_by_node` sums with builtin ``sum()`` itself
@@ -437,7 +437,7 @@ class FleetState:
         count = np.diff(self._vm_start)
         self._vm_wide = [
             (i, int(self._vm_start[i]), int(self._vm_start[i + 1]))
-            for i in np.nonzero(count > 2)[0].tolist()
+            for i in (count > 2).nonzero()[0].tolist()
         ]
         m = len(vms)
         self.vm_mean = np.zeros(m)
@@ -487,7 +487,7 @@ class FleetState:
         ``rng``, cached.
         """
         util = np.zeros(len(self.vms))
-        rows = np.nonzero(on_node[self.vm_node] & ~(self.vm_stall_s > 0.0))[0]
+        rows = (on_node[self.vm_node] & ~(self.vm_stall_s > 0.0)).nonzero()[0]
         if rng is not None and len(rows):
             hit = self.vm_cache_t[rows] == t
             if hit.any():
@@ -946,7 +946,7 @@ class FleetPowerPath(PowerPath):
         solar_to_battery = 0.0
         if charging_enabled and surplus > 0.0:
             touched = mode != _OP_REST
-            cand = np.nonzero((fs.soc < 1.0) & ~touched)[0]
+            cand = ((fs.soc < 1.0) & ~touched).nonzero()[0]
             if len(cand):
                 surplus, solar_to_battery = self._charge_walk(
                     cand, surplus, dt, der,
@@ -1012,7 +1012,7 @@ class FleetPowerPath(PowerPath):
         on = ~fs.admin_off
         drawing = int(np.count_nonzero(on & (state != _DOWN)))
         per_node_solar_guess = solar_w / float(drawing + 1)
-        cand = np.nonzero(on & (state == _DOWN))[0]
+        cand = (on & (state == _DOWN)).nonzero()[0]
         if not len(cand):
             return
         idle = fs.idle_w[cand]
@@ -1043,7 +1043,7 @@ class FleetPowerPath(PowerPath):
         state = fs.server_state
         demand = np.where(off | (state == _DOWN), 0.0, fs.idle_now_w)
         busy = ~off & (state == _UP) & fs.hosting
-        b = np.nonzero(busy)[0]
+        b = busy.nonzero()[0]
         if len(b):
             u = _clamp01(fs.sum_by_node(fs.vm_utilization(busy, t, rng))[b])
             migrating = np.bincount(
@@ -1063,7 +1063,7 @@ class FleetPowerPath(PowerPath):
         active = ~(fs.admin_off | fs.policy_off_mask)
         state = fs.server_state
         fs.downtime_s[active & (state == _DOWN)] += dt
-        boot = np.nonzero(active & (state == _BOOTING))[0]
+        boot = (active & (state == _BOOTING)).nonzero()[0]
         if len(boot):
             left = fs.boot_left_s[boot]
             fs.downtime_s[boot] += np.minimum(dt, left)
@@ -1092,7 +1092,7 @@ class FleetPowerPath(PowerPath):
         """
         share = solar_to_load * demand / total_demand if total_demand > 0 else 0.0
         deficit = demand - share
-        idx = np.nonzero(deficit > 1e-9)[0]
+        idx = (deficit > 1e-9).nonzero()[0]
         if not len(idx):
             return idx, deficit[idx], 0.0
         deficit = deficit[idx]
@@ -1100,7 +1100,7 @@ class FleetPowerPath(PowerPath):
             np.concatenate(([self.utility_budget_w], deficit))
         )
         from_utility = deficit.copy()
-        short = np.nonzero(left[1:] < 0.0)[0]
+        short = (left[1:] < 0.0).nonzero()[0]
         if len(short):
             k = short[0]
             from_utility[k] = left[k]
@@ -1147,7 +1147,7 @@ class FleetPowerPath(PowerPath):
         # Tolerate solver rounding and small sags: a server browns out
         # only on a materially unmet deficit (>2 % or >2 W).
         shortfall = deficit - delivered
-        failed = np.nonzero(shortfall > np.maximum(2.0, 0.02 * deficit))[0]
+        failed = (shortfall > np.maximum(2.0, 0.02 * deficit)).nonzero()[0]
         unserved = 0.0
         for k in failed.tolist():
             i = int(idx[k])
@@ -1451,16 +1451,16 @@ class FleetPowerPath(PowerPath):
         # are bit-equal to full-fleet adds of masked zeros (x + 0.0 == x).
         # Grid corrosion (always active).
         rate = fs.cor_base * arr
-        fi = np.nonzero(op_float)[0]
+        fi = op_float.nonzero()[0]
         if len(fi):
             rate[fi] *= 1.0 + fs.cor_float_mult[fi]
-        hsi = np.nonzero(pre_soc > 0.9)[0]
+        hsi = (pre_soc > 0.9).nonzero()[0]
         if len(hsi):
             rate[hsi] *= 1.0 + fs.cor_high_mult[hsi] * (pre_soc[hsi] - 0.9) / 0.1
         fs.damage[0] += (rate * dt) * fbk
         # Active-mass degradation (discharge only; op currents are
         # strictly positive exactly on the discharge ops).
-        di = np.nonzero(current > 0.0)[0]
+        di = (current > 0.0).nonzero()[0]
         rn_d: np.ndarray | None = None
         if len(di):
             cd = current[di]
@@ -1473,14 +1473,14 @@ class FleetPowerPath(PowerPath):
                 (s < 0.80).astype(np.intp) + (s < 0.60) + (s < 0.40)
             ]
             ratew = np.ones(len(di))
-            hot = np.nonzero(rn_d > 1.0)[0]
+            hot = (rn_d > 1.0).nonzero()[0]
             if len(hot):
                 ratew[hot] = [min(2.0, r ** 0.25) for r in rn_d[hot].tolist()]
             arr_sqrt = np.array([a ** 0.5 for a in arr[di].tolist()])
             weight = socw * ratew * arr_sqrt
             fs.damage[1][di] += (fs.am_pcf[di] * nat * weight) * fbk[di]
         # Sulphation (low SoC only; uses pre-step hours-since-full).
-        si = np.nonzero(pre_soc < fs.sul_thresh)[0]
+        si = (pre_soc < fs.sul_thresh).nonzero()[0]
         if len(si):
             depth = (fs.sul_thresh[si] - pre_soc[si]) / fs.sul_thresh[si]
             stale_s = np.maximum(0.1, np.minimum(1.0, fs.h_full[si] / 48.0))
@@ -1488,7 +1488,7 @@ class FleetPowerPath(PowerPath):
                 (fs.sul_base[si] * depth * stale_s * arr[si]) * dt
             ) * fbk[si]
         # Water loss (gassing only; damage already integrates dt via Ah).
-        wli = np.nonzero(op_gassing > 0.0)[0]
+        wli = (op_gassing > 0.0).nonzero()[0]
         if len(wli):
             gah = op_gassing[wli] * dt / SECONDS_PER_HOUR
             fs.damage[3][wli] += (
@@ -1496,7 +1496,7 @@ class FleetPowerPath(PowerPath):
             ) * fbk[wli]
         # Stratification (any current, stale full charge).
         stale_t = np.maximum(0.0, np.minimum(1.0, fs.h_full / fs.st_sat))
-        ti = np.nonzero((current != 0.0) & (stale_t != 0.0))[0]
+        ti = ((current != 0.0) & (stale_t != 0.0)).nonzero()[0]
         if len(ti):
             rate_t = fs.st_base * stale_t
             if len(di):
@@ -1510,7 +1510,7 @@ class FleetPowerPath(PowerPath):
 
         if len(di):
             fs.aging_discharged_ah[di] += current[di] * dt / 3600.0
-        ci = np.nonzero(current < 0.0)[0]
+        ci = (current < 0.0).nonzero()[0]
         if len(ci):
             fs.aging_charged_ah[ci] += -current[ci] * dt / 3600.0
 
@@ -1529,13 +1529,13 @@ class FleetPowerPath(PowerPath):
         if len(di):
             cap_d = np.maximum(der["eff_cap"][di], 1e-9)
             soc[di] = _clamp01(pre_soc[di] - op_drain_ah[di] / cap_d)
-        chg_i = np.nonzero(mode == _OP_CHARGE)[0]
+        chg_i = (mode == _OP_CHARGE).nonzero()[0]
         if len(chg_i):
             cap_c = np.maximum(der["eff_cap"][chg_i], 1e-9)
             soc[chg_i] = _clamp01(pre_soc[chg_i] + op_stored_ah[chg_i] / cap_c)
-        sd_i = np.nonzero(
+        sd_i = (
             (mode <= _OP_REST_KEEP) & (fs.sd_rate > 0.0) & (pre_soc > 0.0)
-        )[0]
+        ).nonzero()[0]
         if len(sd_i):
             soc[sd_i] *= der["sd_factor"][sd_i]
         fs.soc = soc
@@ -1548,7 +1548,7 @@ class FleetPowerPath(PowerPath):
                 if len(rec_i):
                     d4 = fs.damage[_STRAT_ROW]
                     rec = np.minimum(d4[rec_i], fs.recoverable_strat[rec_i] * 0.25)
-                    pos = np.nonzero(rec > 0.0)[0]
+                    pos = (rec > 0.0).nonzero()[0]
                     if len(pos):
                         d4[rec_i[pos]] -= rec[pos]
                     fs.recoverable_strat[rec_i] = 0.0
@@ -1561,7 +1561,7 @@ class FleetPowerPath(PowerPath):
             fs.energy_in_wh[chg_i] += op_absorbed_w[chg_i] * dt / SECONDS_PER_HOUR
         last = fs.last_current
         last[mode == _OP_REST] = 0.0
-        act = np.nonzero(mode >= _OP_DISCHARGE)[0]
+        act = (mode >= _OP_DISCHARGE).nonzero()[0]
         if len(act):
             last[act] = current[act]
 
@@ -1572,10 +1572,10 @@ class FleetPowerPath(PowerPath):
         current = fs.last_current
         fs.tr_total_time_s += dt
         deep = soc < 0.40
-        dpi = np.nonzero(deep)[0]
+        dpi = deep.nonzero()[0]
         if len(dpi):
             fs.tr_deep_time_s[dpi] += dt
-        di = np.nonzero(current > 0.0)[0]
+        di = (current > 0.0).nonzero()[0]
         if len(di):
             cd = current[di]
             ah = cd * dt / SECONDS_PER_HOUR
@@ -1586,13 +1586,13 @@ class FleetPowerPath(PowerPath):
             fs.tr_discharge_time_s[di] += dt
             fs.tr_current_time_as[di] += cd * dt
             peak = fs.tr_peak_a[di]
-            upd = np.nonzero(cd > peak)[0]
+            upd = (cd > peak).nonzero()[0]
             if len(upd):
                 fs.tr_peak_a[di[upd]] = cd[upd]
             hri = di[deep[di] & (cd > fs.tracker_ref_current[di])]
             if len(hri):
                 fs.tr_high_rate_s[hri] += dt
-        ci = np.nonzero(current < 0.0)[0]
+        ci = (current < 0.0).nonzero()[0]
         if len(ci):
             fs.tr_charged_ah[ci] += -current[ci] * dt / SECONDS_PER_HOUR
         if BUS.enabled:

@@ -45,6 +45,12 @@ def soc_bin(soc: float) -> int:
     return min(max(idx, 0), _LAST_BIN)
 
 
+def _clip_bins(bins: np.ndarray) -> np.ndarray:
+    """Clamp bin indices into ``[0, _LAST_BIN]`` in place."""
+    np.maximum(bins, 0, out=bins)
+    return np.minimum(bins, _LAST_BIN, out=bins)
+
+
 class TraceRecorder:
     """Accumulates per-step series and distributions for one run."""
 
@@ -88,15 +94,19 @@ class TraceRecorder:
         """
         self.total_time_s += dt
         names = list(node_socs)
-        socs = np.clip(
-            np.fromiter(node_socs.values(), dtype=float, count=len(names)),
-            0.0,
+        # np.minimum/np.maximum rather than np.clip: the same values
+        # without np.clip's Python-level dispatch, which dominates on
+        # arrays this small.
+        socs = np.minimum(
+            np.maximum(
+                np.fromiter(node_socs.values(), dtype=float, count=len(names)), 0.0
+            ),
             1.0,
         )
         # All nodes binned in one vectorised pass (no per-node edge scan).
-        bins = np.searchsorted(_BIN_EDGES, socs, side="right") - 1
-        np.clip(bins, 0, _LAST_BIN, out=bins)
-        for name, soc, soc_idx in zip(names, socs, bins):
+        bins = _clip_bins(_BIN_EDGES.searchsorted(socs, side="right") - 1)
+        soc_values = socs.tolist()
+        for name, soc, soc_idx in zip(names, soc_values, bins.tolist()):
             self.soc_time_s[name][soc_idx] += dt
             if soc < LOW_SOC_THRESHOLD:
                 self.low_soc_time_s[name] += dt
@@ -111,8 +121,8 @@ class TraceRecorder:
             self.demand_w.append(flows.demand_w)
             self.battery_w.append(flows.battery_to_load_w)
             self.feedback_w.append(flows.grid_feedback_w)
-            for name, soc in zip(names, socs):
-                self.soc_series[name].append(float(soc))
+            for name, soc in zip(names, soc_values):
+                self.soc_series[name].append(soc)
                 current = (node_currents or {}).get(name, 0.0)
                 self.current_series[name].append(current)
 
@@ -132,14 +142,13 @@ class TraceRecorder:
         dicts; the input arrays are not mutated.
         """
         self.total_time_s += dt
-        clipped = np.clip(socs, 0.0, 1.0)
-        bins = np.searchsorted(_BIN_EDGES, clipped, side="right") - 1
-        np.clip(bins, 0, _LAST_BIN, out=bins)
+        clipped = np.minimum(np.maximum(socs, 0.0), 1.0)
+        bins = _clip_bins(_BIN_EDGES.searchsorted(clipped, side="right") - 1)
         # Each node lands in exactly one bin, so a direct fancy-indexed
         # add is safe (no duplicate targets) and bit-equal to the scalar
         # per-node adds.
         self._soc_time[self._node_index, bins] += dt
-        for i in np.nonzero(clipped < LOW_SOC_THRESHOLD)[0].tolist():
+        for i in (clipped < LOW_SOC_THRESHOLD).nonzero()[0].tolist():
             self.low_soc_time_s[self.node_names[i]] += dt
         if REGISTRY.enabled:
             REGISTRY.counter("recorder/steps").inc()

@@ -1,10 +1,12 @@
 """Unit tests for the combined aging model."""
 
+import dataclasses
+
 import pytest
 
 from repro.battery.aging.conditions import OperatingConditions
-from repro.battery.aging.model import AgingModel, AgingState
-from repro.units import days, hours
+from repro.battery.aging.model import RESISTANCE_GROWTH_GAIN, AgingModel, AgingState
+from repro.units import clamp, days, hours
 
 
 def conditions(**overrides) -> OperatingConditions:
@@ -175,3 +177,93 @@ class TestStratificationRecovery:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             AgingModel().recover_stratification(fraction=1.5)
+
+
+def recomputed(model: AgingModel):
+    """``(capacity_fade, resistance_growth, health)`` from the plain
+    formulas over the model's present damage, with no cache."""
+    damage = model.state.damage
+    shares = {m.name: m.resistance_share for m in model.mechanisms}
+    total = sum(damage.values())
+    growth = RESISTANCE_GROWTH_GAIN * sum(
+        d * shares.get(name, 0.0) for name, d in damage.items()
+    )
+    return (
+        clamp(total, 0.0, 0.95),
+        growth,
+        clamp(1.0 - total / model.eol_fade, 0.0, 1.0),
+    )
+
+
+def cached(model: AgingModel):
+    return model.capacity_fade, model.resistance_growth, model.health
+
+
+class TestDerivedCache:
+    """The derived quantities are cached per damage state; every writer of
+    the damage record must be seen, bit for bit."""
+
+    def _aged(self) -> AgingModel:
+        model = AgingModel()
+        for _ in range(5):
+            model.step(
+                conditions(current=2.0, soc=0.5, hours_since_full_charge=100.0),
+                hours(5),
+            )
+        return model
+
+    def test_fresh_model_matches_formulas(self):
+        model = AgingModel()
+        assert cached(model) == recomputed(model)
+
+    def test_step(self):
+        model = self._aged()
+        before = cached(model)
+        model.step(conditions(current=5.0, soc=0.3), hours(1))
+        assert cached(model) != before
+        assert cached(model) == recomputed(model)
+
+    def test_recover_stratification(self):
+        model = self._aged()
+        before = cached(model)
+        assert model.recover_stratification(fraction=0.5) > 0.0
+        assert cached(model) != before
+        assert cached(model) == recomputed(model)
+
+    def test_direct_damage_write(self):
+        model = self._aged()
+        before = cached(model)
+        model.state.damage["corrosion"] += 0.01
+        assert cached(model) != before
+        assert cached(model) == recomputed(model)
+        model.state.damage["corrosion"] = 0.0
+        assert cached(model) == recomputed(model)
+
+    def test_state_swap(self):
+        model = self._aged()
+        before = cached(model)
+        other = AgingModel()
+        other.state.damage["sulphation"] = 0.03
+        model.state = other.state
+        assert cached(model) != before
+        assert cached(model) == recomputed(model)
+        # Back to a copy of the old record: same floats as before.
+        model.state = self._aged().state
+        assert cached(model) == before
+
+    def test_fleet_materialize_write_back(self, tiny_scenario, one_cloudy_day):
+        from repro.core.policies.factory import make_policy
+        from repro.sim.engine import Simulation
+
+        scenario = dataclasses.replace(tiny_scenario, stepper="fleet")
+        sim = Simulation(scenario, make_policy("baat"), one_cloudy_day)
+        sim.step_once()
+        batteries = [node.battery for node in sim.cluster]
+        before = [cached(b.aging) for b in batteries]
+        # The arrays advance while the objects (and their caches) stay put.
+        for _ in range(60):
+            sim.step_once()
+        sim._fleet.materialize()
+        after = [cached(b.aging) for b in batteries]
+        assert after != before
+        assert after == [recomputed(b.aging) for b in batteries]

@@ -302,3 +302,56 @@ class TestResetSemantics:
 
     def test_renotify_inf_default(self):
         assert ABOVE.renotify_s == math.inf
+
+    def test_reset_episodes_keeps_history(self):
+        engine = engine_with(ABOVE)
+        engine.observe("hot", "n1", 11.0, t=0.0)
+        fired = list(engine.history)
+        engine.reset_episodes()
+        assert engine.history == fired
+        assert engine.active() == [] and engine.rules
+        # A fresh breach opens a new episode instead of deduplicating.
+        engine.observe("hot", "n1", 12.0, t=1.0)
+        assert len(engine.history) == 2
+
+
+class TestEpisodesPerRun:
+    """A run starts with no open alert episodes: the ones the previous
+    serial cell left active must not clear inside the next cell."""
+
+    def test_serial_campaign_attributes_alerts_to_their_own_cell(self, tmp_path):
+        from collections import Counter
+
+        from repro.campaign import RunSpec, run_campaign
+        from repro.obs import enable_observability, iter_events
+        from repro.sim.scenario import Scenario
+        from repro.solar.weather import DayClass
+
+        scenario = Scenario(n_nodes=6)
+        trace = scenario.trace_generator().days([DayClass.RAINY])
+        specs = [
+            RunSpec(scenario=scenario, trace=trace, policy=name)
+            for name in ("baat-s", "baat")
+        ]
+        path = tmp_path / "trace.jsonl"
+        enable_observability(str(path))
+        try:
+            run_campaign(specs, n_workers=1, cache=None, retries=0)
+        finally:
+            disable_observability()
+
+        cells = []
+        for event in iter_events(str(path)):
+            if event.kind == "run_start":
+                cells.append((event.policy, Counter(), Counter()))
+            elif event.kind == "alert":
+                _, fired, cleared = cells[-1]
+                (cleared if event.cleared else fired)[(event.rule, event.node)] += 1
+        assert [policy for policy, _, _ in cells] == ["baat-s", "baat"]
+        # The first cell ends with episodes still open (what used to leak).
+        _, fired, cleared = cells[0]
+        assert sum(fired.values()) > sum(cleared.values())
+        for policy, fired, cleared in cells:
+            # Every clear closes an episode its own cell opened.
+            for key, n in cleared.items():
+                assert n <= fired[key], (policy, key)

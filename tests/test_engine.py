@@ -200,3 +200,37 @@ class TestBeginOnce:
             sim.step_once()
         for node in sim.cluster:
             assert sim._last_draws[node.name] == node.battery.last_current_a
+
+
+class TestDrawSignal:
+    """The reference stepper derives the DR draw signal at the control
+    pass; it must equal the draws refreshed eagerly after every step."""
+
+    def test_control_sees_eager_draws(self, tiny_scenario, one_cloudy_day):
+        policy = make_policy("baat")
+        sim = Simulation(tiny_scenario, policy, one_cloudy_day)
+
+        def eager_draws():
+            draws = {}
+            for node in sim.cluster:
+                current = max(0.0, node.battery.last_current_a)
+                voltage = node.battery.terminal_voltage(current)
+                draws[node.name] = current * max(voltage, 0.0)
+            return draws
+
+        expected = [eager_draws()]
+        passes = []
+        control = policy.control
+
+        def spy(t, dt, draws, solar_w=0.0):
+            passes.append((dict(draws), expected[0]))
+            control(t, dt, draws, solar_w=solar_w)
+
+        policy.control = spy
+        while sim.steps_done < sim.steps_total:
+            sim.step_once()
+            expected[0] = eager_draws()
+        assert passes
+        assert any(w > 0.0 for seen, _ in passes for w in seen.values())
+        for seen, eager in passes:
+            assert seen == eager

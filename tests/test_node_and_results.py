@@ -48,6 +48,48 @@ class TestNode:
         lifetime = node.tracker.lifetime()
         assert lifetime.discharged_ah > 0.0
 
+    def test_observe_battery_hands_out_the_sensor_sample(self, monkeypatch):
+        """The tracker and the telemetry frame get exactly the ``(soc,
+        current)`` that :meth:`BatteryUnit.sample` reports."""
+        from repro.obs import BUS
+        from repro.obs.telemetry import TELEMETRY
+
+        node = Node.build("n")
+        seen = {"tracker": [], "telemetry": []}
+        tracker_observe = node.tracker.observe
+
+        def observe(soc, current, dt):
+            seen["tracker"].append((soc, current))
+            tracker_observe(soc, current, dt)
+
+        monkeypatch.setattr(node.tracker, "observe", observe)
+        monkeypatch.setattr(
+            TELEMETRY,
+            "record_sample",
+            lambda t, name, soc, current, dt: seen["telemetry"].append((soc, current)),
+        )
+        battery = node.battery
+        steps = [
+            lambda: battery.discharge(40.0, 60.0),
+            lambda: battery.discharge(40.0, 60.0),
+            lambda: battery.rest(60.0),
+            lambda: battery.charge(40.0, 60.0),
+            lambda: battery.charge(40.0, 60.0),
+            lambda: battery.rest(60.0),
+        ]
+        expected = []
+        with BUS.capture():
+            for step in steps:
+                step()
+                node.observe_battery(60.0)
+                state = node.battery.sample()
+                expected.append((state.soc, state.current_a))
+        assert seen["tracker"] == expected
+        assert seen["telemetry"] == expected
+        assert {(current > 0, current < 0) for _, current in expected} == {
+            (True, False), (False, True), (False, False)
+        }
+
     def test_is_up_reflects_server_state(self):
         node = Node.build("n")
         assert node.is_up
