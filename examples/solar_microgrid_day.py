@@ -6,7 +6,7 @@ showing the control story of paper Figs. 8-9 end to end:
 
 - the solar trace and the cluster's demand;
 - per-node battery SoC evolution and the five aging metrics
-  (NAT / CF / PC / DDT / DR) the controller computes from its power table;
+  (NAT / CF / PC / DDT / DR) the controller computes from its sensor trackers;
 - the actions BAAT takes — weighted placement, DVFS throttling, VM
   migration, consolidation parking — as supply tightens.
 

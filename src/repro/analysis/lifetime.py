@@ -37,10 +37,6 @@ class LifetimeEstimate:
     mean_fade_per_day: float
     season_result: SimResult
 
-    @property
-    def lifetime_years(self) -> float:
-        return self.lifetime_days / 365.0
-
 
 def season_day_classes(
     sunshine_fraction: float, n_days: int, seed: int

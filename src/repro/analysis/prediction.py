@@ -90,10 +90,6 @@ class LifetimePrediction:
             return 0.0
         return min(a, b) / max(a, b)
 
-    @property
-    def end_of_life_in_years(self) -> float:
-        return self.remaining_days / 365.0
-
 
 class LifetimePredictor:
     """Blends the two models, weighting toward damage as fade grows.

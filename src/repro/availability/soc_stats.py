@@ -31,12 +31,6 @@ class AvailabilityStats:
     unserved_wh: float
     downtime_s: float
 
-    @property
-    def availability_proxy(self) -> float:
-        """1 - worst low-SoC fraction: the share of time the worst battery
-        retained its emergency reserve."""
-        return 1.0 - self.worst_low_soc_fraction
-
 
 def low_soc_stats(result: SimResult) -> AvailabilityStats:
     """Extract Fig.-18 statistics from one run."""

@@ -25,7 +25,7 @@ from repro.battery.cycle_life import (
     cycle_life_at_dod,
 )
 from repro.battery.aging import AgingModel, AgingState, OperatingConditions
-from repro.battery.unit import BatteryUnit, BatteryState, StepResult
+from repro.battery.unit import BatteryUnit, StepResult
 from repro.battery.pool import BatteryPool
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "AgingState",
     "OperatingConditions",
     "BatteryUnit",
-    "BatteryState",
     "StepResult",
     "BatteryPool",
 ]

@@ -61,10 +61,6 @@ class AgingState:
         """Total capacity-fade fraction (0 = new)."""
         return sum(self.damage.values())
 
-    def fade_of(self, mechanism: str) -> float:
-        """Fade contributed by one named mechanism."""
-        return self.damage.get(mechanism, 0.0)
-
     def copy(self) -> "AgingState":
         """An independent snapshot of this state."""
         return AgingState(

@@ -60,11 +60,6 @@ class BatteryPool:
         """Aggregate sustainable discharge power."""
         return sum(u.max_discharge_power() for u in self.units)
 
-    def worst_unit(self) -> BatteryUnit:
-        """The member with the highest capacity fade (the paper always
-        reports the worst battery node)."""
-        return max(self.units, key=lambda u: u.capacity_fade)
-
     # ------------------------------------------------------------------
     # Power interface
     # ------------------------------------------------------------------

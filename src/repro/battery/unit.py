@@ -10,9 +10,7 @@ behind a power-oriented API:
   cut-off voltage, or sheer emptiness);
 - :meth:`charge` — "absorb up to P watts for dt seconds", limited by the
   charger's acceptance current and taper;
-- :meth:`rest` — idle for dt seconds (calendar aging still accrues);
-- :meth:`sample` — a Table-2-style sensor reading (current, voltage,
-  temperature, time) for the BAAT power table.
+- :meth:`rest` — idle for dt seconds (calendar aging still accrues).
 
 Sign convention: *positive current = discharge*, matching the paper's
 equations (Eq. 1 integrates the discharge current).
@@ -32,23 +30,6 @@ from repro.battery.thermal import ThermalModel
 from repro.battery.voltage import VoltageModel
 from repro.errors import BatteryCutoffError, ConfigurationError
 from repro.units import SECONDS_PER_HOUR
-
-
-@dataclass(frozen=True)
-class BatteryState:
-    """Sensor-style snapshot of a battery (the paper's Table 2 variables
-    plus derived health quantities)."""
-
-    name: str
-    time_s: float
-    soc: float
-    current_a: float
-    terminal_voltage_v: float
-    temperature_c: float
-    capacity_fade: float
-    effective_capacity_ah: float
-    hours_since_full_charge: float
-    is_end_of_life: bool
 
 
 @dataclass(frozen=True)
@@ -178,31 +159,6 @@ class BatteryUnit:
     def open_circuit_voltage(self) -> float:
         """Rested voltage at the present SoC and age."""
         return self.voltage_model.ocv(self._soc, self.capacity_fade)
-
-    def round_trip_efficiency(self) -> float:
-        """Lifetime terminal-energy efficiency (out / in), or 1.0 if the
-        battery has never been charged."""
-        if self.energy_in_wh <= 0.0:
-            return 1.0
-        return min(1.0, self.energy_out_wh / self.energy_in_wh)
-
-    def sample(self) -> BatteryState:
-        """A Table-2 sensor reading for the BAAT power table."""
-        _, fade, growth = self.aging.derived()
-        return BatteryState(
-            name=self.name,
-            time_s=self._time_s,
-            soc=self._soc,
-            current_a=self._last_current,
-            terminal_voltage_v=self.voltage_model.terminal_voltage(
-                self._soc, self._last_current, fade, growth
-            ),
-            temperature_c=self.thermal.temperature_c,
-            capacity_fade=fade,
-            effective_capacity_ah=self._capacity_ah(fade),
-            hours_since_full_charge=self._hours_since_full,
-            is_end_of_life=self.is_end_of_life,
-        )
 
     # ------------------------------------------------------------------
     # Power API

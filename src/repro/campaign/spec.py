@@ -44,8 +44,6 @@ class RunSpec:
     setup:
         Optional hook ``setup(sim)`` run after the simulation is built
         and before any stepping.
-    record_series:
-        Capture full per-step series in the result's recorder.
     label:
         Key for this cell in campaign reports (defaults to ``policy``).
     """
@@ -55,7 +53,6 @@ class RunSpec:
     policy: Optional[str] = None
     policy_factory: Optional[Callable[[], Policy]] = None
     setup: Optional[Callable[[Simulation], None]] = None
-    record_series: bool = False
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -105,7 +102,6 @@ class RunSpec:
             policy_token,
             setup_token,
             canonical(self.trace),
-            self.record_series,
         )
 
     # ------------------------------------------------------------------
@@ -117,12 +113,7 @@ class RunSpec:
 
     def build_simulation(self) -> Simulation:
         """Construct the simulation (setup hook applied, not yet run)."""
-        sim = Simulation(
-            self.scenario,
-            self.build_policy(),
-            self.trace,
-            record_series=self.record_series,
-        )
+        sim = Simulation(self.scenario, self.build_policy(), self.trace)
         if self.setup is not None:
             self.setup(sim)
         return sim

@@ -1,13 +1,11 @@
 """BAAT: the battery anti-aging treatment framework (paper section IV).
 
-The framework couples a sensor-table power-monitoring architecture with a
-workload scheduler on top of distributed energy storage:
+The framework couples battery power monitoring with a workload scheduler
+on top of distributed energy storage:
 
-- :class:`~repro.core.power_table.PowerTable` — per-battery utilisation
-  history logs (Table 2);
 - :class:`~repro.core.controller.BAATController` — computes the five
-  aging metrics from the logs and ranks battery nodes by the Eq.-6
-  weighted aging score;
+  aging metrics from each node's sensor-fed metrics tracker and ranks
+  battery nodes by the Eq.-6 weighted aging score;
 - :mod:`~repro.core.scheduler` — aging-hiding placement/consolidation
   (Fig. 8);
 - :mod:`~repro.core.slowdown` — DDT/DR threshold monitoring with VM
@@ -18,7 +16,6 @@ workload scheduler on top of distributed energy storage:
   Table 4 (e-Buff, BAAT-s, BAAT-h, BAAT) plus the planned-aging variant.
 """
 
-from repro.core.power_table import PowerTable, PowerTableEntry
 from repro.core.controller import BAATController
 from repro.core.scheduler import AgingHidingScheduler
 from repro.core.slowdown import SlowdownConfig, SlowdownMonitor, reserve_seconds
@@ -35,8 +32,6 @@ from repro.core.policies import (
 )
 
 __all__ = [
-    "PowerTable",
-    "PowerTableEntry",
     "BAATController",
     "AgingHidingScheduler",
     "SlowdownConfig",

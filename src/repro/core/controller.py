@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.power_table import PowerTable
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.node import Node
 from repro.metrics.accumulator import PC_WEIGHTS, SOC_REGIONS
@@ -34,9 +33,8 @@ WINDOW_MARK = "baat/window"
 class BAATController:
     """Aging assessment service over a cluster's battery sensors."""
 
-    def __init__(self, cluster: Cluster, power_table: Optional[PowerTable] = None):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
-        self.power_table = power_table or PowerTable()
         #: Monotone counter of window restarts; array readers key their
         #: cached per-node mark snapshots on it (see ``attach_fleet``).
         self.window_epoch = 0
@@ -65,13 +63,8 @@ class BAATController:
         self._fleet = fleet
 
     # ------------------------------------------------------------------
-    # Sensing
+    # Assessment window
     # ------------------------------------------------------------------
-    def log_sensors(self) -> None:
-        """Poll every battery sensor into the power table."""
-        for node in self.cluster:
-            self.power_table.record(node.battery.sample())
-
     def reset_window(self, node: Optional[Node] = None) -> None:
         """Restart the rolling assessment window (all nodes, or one)."""
         targets = [node] if node is not None else list(self.cluster)
@@ -85,14 +78,6 @@ class BAATController:
     def window_metrics(self, node: Node) -> AgingMetrics:
         """The five metrics over the current assessment window."""
         return node.tracker.since(WINDOW_MARK)
-
-    def lifetime_metrics(self, node: Node) -> AgingMetrics:
-        """The five metrics over the node's whole history."""
-        return node.tracker.lifetime()
-
-    def all_window_metrics(self) -> Dict[str, AgingMetrics]:
-        """Window metrics for every node, keyed by node name."""
-        return {n.name: self.window_metrics(n) for n in self.cluster}
 
     # ------------------------------------------------------------------
     # Array metrics (fleet fast path)
@@ -215,22 +200,3 @@ class BAATController:
         scored = [(n, self.score(n, weights)) for n in nodes]
         scored.sort(key=lambda pair: (pair[1], pair[0].name))
         return scored
-
-    def slowest_aging_node(
-        self,
-        weights: MetricWeights = EQUAL_WEIGHTS,
-        exclude: Tuple[str, ...] = (),
-    ) -> Optional[Node]:
-        """The healthiest placement/migration target, or None if no node
-        qualifies."""
-        for node, _ in self.rank_nodes(weights):
-            if node.name not in exclude:
-                return node
-        return None
-
-    def fastest_aging_node(
-        self, weights: MetricWeights = EQUAL_WEIGHTS
-    ) -> Optional[Node]:
-        """The most-stressed node (the candidate to off-load)."""
-        ranked = self.rank_nodes(weights)
-        return ranked[-1][0] if ranked else None

@@ -79,31 +79,6 @@ def reserve_seconds(battery: BatteryUnit, power_w: float) -> float:
     return avail_ah / drain_per_s
 
 
-def two_minute_safe_power(battery: BatteryUnit, t_threshold_s: float = 120.0) -> float:
-    """The largest power the battery can sustain for ``t_threshold_s``.
-
-    This is the Fig.-9 ``P_threshold``: discharging harder than this
-    leaves less than the required emergency reserve.
-    """
-    if t_threshold_s <= 0:
-        raise ConfigurationError("t_threshold_s must be positive")
-    avail_ah = max(
-        0.0, (battery.soc - battery.params.cutoff_soc) * battery.effective_capacity_ah
-    )
-    voltage = battery.terminal_voltage(0.0)
-    if voltage <= 0 or avail_ah <= 0:
-        return 0.0
-    # Available energy spread over the threshold window, corrected for the
-    # Peukert drain inflation at the implied (usually large) current via a
-    # short fixed-point iteration.
-    power = avail_ah * voltage * SECONDS_PER_HOUR / t_threshold_s
-    for _ in range(4):
-        current = power / voltage
-        pf = peukert_factor(current, battery.params)
-        power = avail_ah / pf * voltage * SECONDS_PER_HOUR / t_threshold_s
-    return power
-
-
 @dataclass(frozen=True)
 class SlowdownConfig:
     """Thresholds of the Fig.-9 procedure.

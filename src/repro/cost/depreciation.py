@@ -60,11 +60,3 @@ class DepreciationModel:
         return self.n_batteries * annual_depreciation_usd(
             self.unit_cost_usd, lifetime_days
         )
-
-    def saving_vs(
-        self, lifetime_days: float, baseline_lifetime_days: float
-    ) -> float:
-        """Annual USD saved relative to a baseline lifetime."""
-        return self.annual_cost_usd(baseline_lifetime_days) - self.annual_cost_usd(
-            lifetime_days
-        )

@@ -14,10 +14,8 @@ than by formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.battery.aging.mechanisms import EOL_FADE
 from repro.battery.params import BatteryParams
@@ -57,19 +55,6 @@ class FleetSchedule:
     @property
     def replacements(self) -> int:
         return len(self.events)
-
-    def irregularity(self) -> float:
-        """Coefficient of variation of achieved battery lifetimes.
-
-        0 means every battery lasts the same (maintenance can be batched
-        and planned); large values mean the irregular, unplannable swaps
-        the paper warns about.
-        """
-        if len(self.events) < 3:
-            return 0.0
-        lifetimes = np.array([e.lifetime_days for e in self.events])
-        mean = float(np.mean(lifetimes))
-        return float(np.std(lifetimes) / mean) if mean > 0 else 0.0
 
 
 class ReplacementSimulator:

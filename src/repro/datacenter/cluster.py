@@ -131,11 +131,6 @@ class Cluster:
         """Sum of all VM progress counters (the Fig. 20 throughput proxy)."""
         return sum(vm.progress for vm in self.vms.values())
 
-    def worst_battery_node(self) -> Node:
-        """The node whose battery has aged the most (the paper reports the
-        worst battery node in every comparison)."""
-        return max(self.nodes, key=lambda n: n.battery.capacity_fade)
-
     def up_nodes(self) -> List[Node]:
         """Nodes currently serving load."""
         return [n for n in self.nodes if n.is_up]

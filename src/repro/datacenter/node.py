@@ -4,7 +4,7 @@ The per-server integration (Google style, Fig. 2/7 left) is the paper's
 default experimental architecture: "each server is equipped with
 individual battery unit". A :class:`Node` bundles the server, its battery,
 and the battery's :class:`~repro.metrics.tracker.MetricsTracker` (the
-sensor + power-table slice for this battery), plus the policy-writable
+Table-2 sensor log for this battery), plus the policy-writable
 discharge cap used by the slowdown scheme.
 """
 
@@ -61,10 +61,8 @@ class Node:
     def observe_battery(self, dt: float) -> None:
         """Sample the battery into the metrics tracker (sensor poll).
 
-        Reads the two sensor values the tracker uses, ``soc`` and
-        ``last_current_a``, straight off the battery: the same values
-        :meth:`BatteryUnit.sample` reports, without deriving the rest of
-        the sensor record (voltage, fade, capacity) every step.
+        Reads the two Table-2 sensor values the tracker uses, ``soc`` and
+        ``last_current_a``, straight off the battery.
         """
         battery = self.battery
         soc = battery.soc

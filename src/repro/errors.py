@@ -32,12 +32,6 @@ class BatteryCutoffError(BatteryError):
     """
 
 
-class BatteryEndOfLifeError(BatteryError):
-    """Raised when operating a battery whose capacity has degraded below the
-    end-of-life floor (80 % of nominal, per the paper) with ``strict=True``.
-    """
-
-
 class SchedulingError(ReproError):
     """Raised when a workload placement request cannot be satisfied, e.g.
     no server has enough resource headroom for a VM."""

@@ -36,7 +36,6 @@ def run_policies(
     scenario: Scenario,
     trace: SolarTrace,
     policies: Sequence[str] = POLICIES,
-    record_series: bool = False,
     policy_builder=None,
     n_workers: Optional[int] = None,
     cache=DEFAULT_CACHE,
@@ -56,7 +55,6 @@ def run_policies(
             policy_factory=(
                 functools.partial(policy_builder, name) if policy_builder else None
             ),
-            record_series=record_series,
             label=name,
         )
         for name in policies

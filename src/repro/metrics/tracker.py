@@ -10,7 +10,7 @@ AgingMetrics`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.battery.params import BatteryParams
 from repro.errors import ConfigurationError
@@ -45,10 +45,6 @@ class MetricsTracker:
         self._marks[label] = self.acc.copy()
         self.mark_version += 1
 
-    def has_mark(self, label: str) -> bool:
-        """True if ``label`` was previously marked."""
-        return label in self._marks
-
     def mark_acc(self, label: str) -> MetricsAccumulator:
         """The frozen accumulator snapshot behind ``label``.
 
@@ -70,14 +66,6 @@ class MetricsTracker:
     def lifetime(self) -> AgingMetrics:
         """Metrics over the battery's entire observed history."""
         return self._metrics(self.acc)
-
-    def window_between(self, start: str, end: str) -> AgingMetrics:
-        """Metrics between two previously recorded marks."""
-        for label in (start, end):
-            if label not in self._marks:
-                raise ConfigurationError(f"no mark named {label!r}")
-        window = self._marks[end] - self._marks[start]
-        return self._metrics(window)
 
     # ------------------------------------------------------------------
     def _metrics(self, acc: MetricsAccumulator) -> AgingMetrics:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import median
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -434,15 +434,6 @@ def default_rules() -> List[AlertRule]:
             renotify_s=0.0,
         ),
     ]
-
-
-def rules_by_name(rules: Iterable[AlertRule]) -> Dict[str, AlertRule]:
-    return {r.name: r for r in rules}
-
-
-def with_thresholds(base: AlertRule, **overrides) -> AlertRule:
-    """A copy of ``base`` with fields replaced (rule sets are frozen)."""
-    return replace(base, **overrides)
 
 
 #: The process-wide engine live control code observes into. Disabled by

@@ -454,7 +454,6 @@ def run_policy_on_trace(
     scenario: Scenario,
     policy: Policy,
     trace: SolarTrace,
-    record_series: bool = False,
 ) -> SimResult:
     """Convenience one-shot: build, run, and return the result."""
-    return Simulation(scenario, policy, trace, record_series=record_series).run()
+    return Simulation(scenario, policy, trace).run()

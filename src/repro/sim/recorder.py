@@ -13,7 +13,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.datacenter.power_path import PowerFlows
-from repro.errors import ConfigurationError
 from repro.obs import REGISTRY
 
 #: Fig. 19 bins: SoC1 [0,15) ... SoC6 [75,90), SoC7 [90,100].
@@ -23,26 +22,8 @@ SOC_BIN_LABELS = tuple(f"SoC{i}" for i in range(1, 8))
 _BIN_EDGES = np.asarray(SOC_BIN_EDGES)
 _LAST_BIN = len(SOC_BIN_LABELS) - 1
 
-#: Float-accumulation drift tolerated outside [0, 1] before an SoC value
-#: is considered a genuine bug rather than numerical noise.
-SOC_DRIFT_TOLERANCE = 1e-6
-
 #: The paper's low-SoC / deep-discharge line.
 LOW_SOC_THRESHOLD = 0.40
-
-
-def soc_bin(soc: float) -> int:
-    """Index of the Fig.-19 bin containing ``soc`` (0-based).
-
-    Values an epsilon outside [0, 1] (coulomb-counting float drift) are
-    clamped; anything further out is a real error and still raises.
-    """
-    if not 0.0 <= soc <= 1.0:
-        if not -SOC_DRIFT_TOLERANCE <= soc <= 1.0 + SOC_DRIFT_TOLERANCE:
-            raise ConfigurationError("soc must be in [0, 1]")
-        soc = min(1.0, max(0.0, soc))
-    idx = int(np.searchsorted(_BIN_EDGES, soc, side="right")) - 1
-    return min(max(idx, 0), _LAST_BIN)
 
 
 def _clip_bins(bins: np.ndarray) -> np.ndarray:
@@ -64,8 +45,7 @@ class TraceRecorder:
         self.feedback_w: List[float] = []
         self.soc_series: Dict[str, List[float]] = {n: [] for n in self.node_names}
         #: Signed per-node battery current (A, + = discharge), recorded
-        #: alongside SoC so intra-day metric curves (the paper's
-        #: Fig. 12(e)-(k)) can be recomputed offline.
+        #: alongside SoC.
         self.current_series: Dict[str, List[float]] = {n: [] for n in self.node_names}
         # Distributions are always recorded (cheap and needed by figures).
         # One (nodes, bins) matrix backs the per-node dict as row views so
@@ -179,16 +159,6 @@ class TraceRecorder:
             label: float(self.soc_time_s[node][i] / total)
             for i, label in enumerate(SOC_BIN_LABELS)
         }
-
-    def worst_low_soc_time_s(self) -> float:
-        """Low-SoC residence of the worst node (Fig. 18's headline)."""
-        return max(self.low_soc_time_s.values())
-
-    def low_soc_fraction(self, node: str) -> float:
-        """Share of the run the node's battery spent below 40 % SoC."""
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.low_soc_time_s[node] / self.total_time_s
 
     def as_arrays(self) -> Dict[str, np.ndarray]:
         """Bulk numpy views of the recorded series."""

@@ -73,10 +73,6 @@ class SimResult:
         Ah-throughput")."""
         return max(self.nodes, key=lambda n: n.discharged_ah)
 
-    def mean_fade_added(self) -> float:
-        """Mean capacity fade added across nodes."""
-        return sum(n.fade_added for n in self.nodes) / len(self.nodes)
-
     def worst_damage_per_day(self) -> float:
         """Worst node's fade rate (per day)."""
         return self.worst_node().damage_per_day(self.duration_s)

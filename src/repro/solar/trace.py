@@ -13,7 +13,7 @@ fraction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,25 +60,9 @@ class SolarTrace:
         """Number of whole days covered."""
         return int(round(self.duration_s / SECONDS_PER_DAY))
 
-    def power_at(self, t: float) -> float:
-        """Generation at absolute time ``t`` (seconds from trace start)."""
-        idx = int(t // self.dt_s)
-        if not 0 <= idx < len(self.power_w):
-            raise TraceError(f"time {t} outside trace of {self.duration_s}s")
-        return float(self.power_w[idx])
-
     def energy_wh(self) -> float:
         """Total trace energy in watt-hours."""
         return float(self.power_w.sum() * self.dt_s / SECONDS_PER_HOUR)
-
-    def daily_energy_wh(self) -> List[float]:
-        """Energy per day, in watt-hours."""
-        steps_per_day = int(round(SECONDS_PER_DAY / self.dt_s))
-        out = []
-        for start in range(0, len(self.power_w), steps_per_day):
-            chunk = self.power_w[start : start + steps_per_day]
-            out.append(float(chunk.sum() * self.dt_s / SECONDS_PER_HOUR))
-        return out
 
 
 class SolarTraceGenerator:

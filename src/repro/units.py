@@ -7,8 +7,7 @@ Quantity                  Unit
 ========================  ==========================================
 time                      seconds (``float``)
 power                     watts
-energy                    joules internally, watt-hours at the API
-                          surface where the paper speaks in Wh/kWh
+energy                    watt-hours (kWh where the paper speaks in kWh)
 charge                    ampere-hours (Ah) — the paper's native unit
 current                   amperes
 voltage                   volts
@@ -19,8 +18,8 @@ depth of discharge (DoD)  fraction in ``[0, 1]``
 
 Charge is deliberately kept in ampere-hours rather than coulombs because
 every equation in the paper (Eqs. 1-5, 7) is written in Ah and battery
-datasheets quote Ah capacity. The converters below make the few crossings
-between conventions explicit.
+datasheets quote Ah capacity. The converters below turn the paper's hours,
+days, months and kWh into these base units.
 """
 
 from __future__ import annotations
@@ -53,44 +52,9 @@ def months(m: float) -> float:
     return m * DAYS_PER_MONTH * SECONDS_PER_DAY
 
 
-def seconds_to_hours(s: float) -> float:
-    """Convert seconds to hours."""
-    return s / SECONDS_PER_HOUR
-
-
-def seconds_to_days(s: float) -> float:
-    """Convert seconds to days."""
-    return s / SECONDS_PER_DAY
-
-
-def amp_seconds_to_ah(amp_seconds: float) -> float:
-    """Convert a charge expressed in ampere-seconds to ampere-hours."""
-    return amp_seconds / SECONDS_PER_HOUR
-
-
-def ah_to_amp_seconds(ah: float) -> float:
-    """Convert ampere-hours to ampere-seconds."""
-    return ah * SECONDS_PER_HOUR
-
-
-def wh_to_joules(wh: float) -> float:
-    """Convert watt-hours to joules."""
-    return wh * SECONDS_PER_HOUR
-
-
-def joules_to_wh(joules: float) -> float:
-    """Convert joules to watt-hours."""
-    return joules / SECONDS_PER_HOUR
-
-
 def kwh_to_wh(kwh: float) -> float:
     """Convert kilowatt-hours to watt-hours."""
     return kwh * 1000.0
-
-
-def wh_to_kwh(wh: float) -> float:
-    """Convert watt-hours to kilowatt-hours."""
-    return wh / 1000.0
 
 
 def clamp(value: float, lo: float, hi: float) -> float:

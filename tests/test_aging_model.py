@@ -118,9 +118,6 @@ class TestAgingState:
         assert snap.damage["corrosion"] == 0.01
         assert snap.discharged_ah == 5.0
 
-    def test_fade_of_missing_mechanism_is_zero(self):
-        assert AgingState().fade_of("corrosion") == 0.0
-
 
 class TestCalibration:
     def test_six_month_aggressive_cycling_near_paper_fade(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,6 @@ from repro.obs.alerts import (
     AlertRule,
     default_rules,
     severity_rank,
-    with_thresholds,
 )
 from repro.obs.sinks import MemorySink
 
@@ -63,10 +63,6 @@ class TestRuleValidation:
             < severity_rank("warning")
             < severity_rank("critical")
         )
-
-    def test_with_thresholds_replaces(self):
-        tweaked = with_thresholds(ABOVE, threshold=5.0)
-        assert tweaked.threshold == 5.0 and tweaked.name == ABOVE.name
 
 
 class TestThresholdHysteresis:
@@ -136,7 +132,7 @@ class TestDedup:
         assert len(engine.fired("hot")) == 1
 
     def test_renotify_interval(self):
-        rule = with_thresholds(ABOVE, renotify_s=10.0)
+        rule = replace(ABOVE, renotify_s=10.0)
         engine = engine_with(rule)
         engine.observe("hot", "n1", 11.0, t=0.0)
         assert engine.observe("hot", "n1", 11.0, t=5.0) is None

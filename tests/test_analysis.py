@@ -73,10 +73,6 @@ class TestLifetimeEstimation:
         b = estimates["baat"].season_result
         assert a.duration_s == b.duration_s
 
-    def test_years_property(self, scenario):
-        est = estimate_lifetime_days("e-buff", scenario, 0.5, n_days=2)
-        assert est.lifetime_years == pytest.approx(est.lifetime_days / 365.0)
-
 
 class TestReporting:
     def test_ratio_and_changes(self):

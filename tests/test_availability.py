@@ -41,9 +41,6 @@ class TestLowSocStats:
         stats = low_soc_stats(stressed_results["e-buff"])
         assert stats.policy_name == "e-buff"
         assert 0.0 <= stats.mean_low_soc_fraction <= stats.worst_low_soc_fraction <= 1.0
-        assert stats.availability_proxy == pytest.approx(
-            1.0 - stats.worst_low_soc_fraction
-        )
 
     def test_baat_reduces_low_soc_exposure(self, stressed_results):
         ebuff = low_soc_stats(stressed_results["e-buff"])

@@ -45,12 +45,6 @@ class TestAggregates:
         pool = BatteryPool(make_units(3))
         assert pool.effective_capacity_ah == pytest.approx(3 * 35.0)
 
-    def test_worst_unit(self):
-        units = make_units(3)
-        units[1].aging.state.damage["active_mass"] = 0.1
-        pool = BatteryPool(units)
-        assert pool.worst_unit() is units[1]
-
 
 class TestProportionalDischarge:
     def test_meets_request(self):

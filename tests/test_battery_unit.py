@@ -122,7 +122,8 @@ class TestCharge:
         battery.discharge(60.0, hours(3))
         for _ in range(10):
             battery.charge(50.0, hours(1))
-        eta = battery.round_trip_efficiency()
+        # Fig. 5 reads efficiency off the terminal energy counters.
+        eta = battery.energy_out_wh / battery.energy_in_wh
         assert 0.5 < eta < 1.0
 
 
@@ -150,18 +151,6 @@ class TestRestAndAging:
         aged.aging.state.damage["active_mass"] = 0.15
         aged.aging.state.damage["corrosion"] = 0.03
         assert aged.max_discharge_power() < fresh.max_discharge_power()
-
-
-class TestSample:
-    def test_sample_fields(self, battery):
-        battery.discharge(100.0, 60.0)
-        state = battery.sample()
-        assert state.name == "test-battery"
-        assert state.current_a > 0.0
-        assert 0.0 <= state.soc <= 1.0
-        assert state.terminal_voltage_v > 0.0
-        assert state.temperature_c > 0.0
-        assert not state.is_end_of_life
 
 
 class TestLastCurrentProperty:

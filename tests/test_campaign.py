@@ -114,19 +114,8 @@ class TestRunSpec:
             trace=one_sunny_day,
             policy="baat",
         )
-        with_series = RunSpec(
-            scenario=tiny_scenario,
-            trace=one_sunny_day,
-            policy="baat",
-            record_series=True,
-        )
-        keys = {
-            spec.cache_key(),
-            other_policy.cache_key(),
-            other_seed.cache_key(),
-            with_series.cache_key(),
-        }
-        assert len(keys) == 4
+        keys = {spec.cache_key(), other_policy.cache_key(), other_seed.cache_key()}
+        assert len(keys) == 3
 
     def test_lambda_factory_is_uncacheable(self, tiny_scenario, one_sunny_day):
         spec = RunSpec(

@@ -113,11 +113,6 @@ class TestMigration:
 
 
 class TestAggregates:
-    def test_worst_battery_node(self):
-        cluster = make_cluster()
-        cluster.node("node2").battery.aging.state.damage["active_mass"] = 0.1
-        assert cluster.worst_battery_node().name == "node2"
-
     def test_total_progress(self):
         cluster = make_cluster()
         vm = vm_with_util("a", 0.5)

@@ -1,4 +1,4 @@
-"""Unit tests for the BAAT controller (ranking, windows, sensing)."""
+"""Unit tests for the BAAT controller (ranking and assessment windows)."""
 
 import pytest
 
@@ -28,10 +28,6 @@ def stress(node, hours_deep=4.0):
 
 
 class TestSensing:
-    def test_log_sensors_fills_power_table(self, controller, cluster):
-        controller.log_sensors()
-        assert len(controller.power_table) == len(cluster)
-
     def test_window_metrics_start_neutral(self, controller, cluster):
         for node in cluster:
             m = controller.window_metrics(node)
@@ -51,17 +47,6 @@ class TestRanking:
         ranked = controller.rank_nodes(EQUAL_WEIGHTS)
         assert ranked[-1][0].name == "node1"
         assert ranked[-1][1] > ranked[0][1]
-
-    def test_slowest_aging_node_excludes(self, controller, cluster):
-        stress(cluster.node("node1"))
-        best = controller.slowest_aging_node(exclude=("node0",))
-        assert best is not None
-        assert best.name not in ("node0", "node1")
-
-    def test_fastest_aging_node(self, controller, cluster):
-        stress(cluster.node("node2"))
-        worst = controller.fastest_aging_node()
-        assert worst.name == "node2"
 
     def test_ties_break_by_name(self, controller):
         ranked = controller.rank_nodes()

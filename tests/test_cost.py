@@ -28,11 +28,6 @@ class TestDepreciation:
         single = annual_depreciation_usd(model.unit_cost_usd, 365.0)
         assert model.annual_cost_usd(365.0) == pytest.approx(6 * single)
 
-    def test_saving_vs_baseline(self):
-        model = DepreciationModel(BatteryParams(), n_batteries=6)
-        saving = model.saving_vs(lifetime_days=730.0, baseline_lifetime_days=365.0)
-        assert saving == pytest.approx(model.annual_cost_usd(365.0) / 2.0)
-
     def test_paper_26_percent_example(self):
         """A 1.35x lifetime extension yields ~26 % lower depreciation."""
         model = DepreciationModel(BatteryParams(), n_batteries=6)

@@ -37,27 +37,9 @@ class TestMarks:
         with pytest.raises(ConfigurationError):
             tracker.since("nope")
 
-    def test_has_mark(self, tracker):
-        assert not tracker.has_mark("day")
-        tracker.mark("day")
-        assert tracker.has_mark("day")
-
     def test_remarking_moves_the_window(self, tracker):
         tracker.mark("w")
         tracker.observe(0.9, 7.0, hours(1))
         tracker.mark("w")
         tracker.observe(0.9, 3.5, hours(1))
         assert tracker.since("w").discharged_ah == pytest.approx(3.5)
-
-    def test_window_between_marks(self, tracker):
-        tracker.mark("a")
-        tracker.observe(0.9, 7.0, hours(1))
-        tracker.mark("b")
-        tracker.observe(0.9, 7.0, hours(1))
-        between = tracker.window_between("a", "b")
-        assert between.discharged_ah == pytest.approx(7.0)
-
-    def test_window_between_requires_both_marks(self, tracker):
-        tracker.mark("a")
-        with pytest.raises(ConfigurationError):
-            tracker.window_between("a", "b")

@@ -49,8 +49,8 @@ class TestNode:
         assert lifetime.discharged_ah > 0.0
 
     def test_observe_battery_hands_out_the_sensor_sample(self, monkeypatch):
-        """The tracker and the telemetry frame get exactly the ``(soc,
-        current)`` that :meth:`BatteryUnit.sample` reports."""
+        """The tracker and the telemetry frame get exactly the battery's
+        ``(soc, last_current_a)`` after each step."""
         from repro.obs import BUS
         from repro.obs.telemetry import TELEMETRY
 
@@ -82,8 +82,7 @@ class TestNode:
             for step in steps:
                 step()
                 node.observe_battery(60.0)
-                state = node.battery.sample()
-                expected.append((state.soc, state.current_a))
+                expected.append((battery.soc, battery.last_current_a))
         assert seen["tracker"] == expected
         assert seen["telemetry"] == expected
         assert {(current > 0, current < 0) for _, current in expected} == {
@@ -143,7 +142,8 @@ class TestSimResult:
         result = self._result(
             [node_result("a", fade_end=0.01), node_result("b", fade_end=0.03)]
         )
-        assert result.mean_fade_added() == pytest.approx(0.02)
+        # Over the one-day run the mean fade rate is the mean fade added.
+        assert result.mean_damage_per_day() == pytest.approx(0.02)
 
     def test_low_soc_fraction(self):
         result = self._result(

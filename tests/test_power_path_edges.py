@@ -44,8 +44,8 @@ class TestUtilityBudgetOrdering:
         # node0's whole 60 W idle deficit came from the grid; node1 had
         # to draw its own battery.
         assert flows.utility_to_load_w == pytest.approx(60.0)
-        assert nodes[0].battery.sample().current_a == 0.0
-        assert nodes[1].battery.sample().current_a > 0.0
+        assert nodes[0].battery.last_current_a == 0.0
+        assert nodes[1].battery.last_current_a > 0.0
         assert flows.battery_to_load_w == pytest.approx(60.0, rel=0.05)
         assert flows.unserved_w == 0.0
         assert flows.browned_out_nodes == 0
@@ -57,7 +57,7 @@ class TestUtilityBudgetOrdering:
         # 60 W to node0, the remaining 30 W to node1; node1's battery
         # bridges only its residual ~30 W.
         assert flows.utility_to_load_w == pytest.approx(90.0)
-        assert nodes[0].battery.sample().current_a == 0.0
+        assert nodes[0].battery.last_current_a == 0.0
         assert flows.battery_to_load_w == pytest.approx(30.0, rel=0.05)
 
     def test_exhausted_budget_leaves_batteries_carrying_everything(self):

@@ -90,11 +90,6 @@ class TestBlendedPredictor:
         # Heavy damage pulls the blend to the (short) damage estimate.
         assert p.remaining_days == pytest.approx(p.by_damage_days, rel=0.05)
 
-    def test_years_property(self):
-        battery, elapsed = cycled_battery()
-        p = LifetimePredictor().predict(battery, elapsed)
-        assert p.end_of_life_in_years == pytest.approx(p.remaining_days / 365.0)
-
     def test_rejects_negative_gain(self):
         with pytest.raises(ConfigurationError):
             LifetimePredictor(damage_weight_gain=-1.0)

@@ -1,15 +1,14 @@
 """Unit tests for the trace recorder."""
 
+import numpy as np
 import pytest
 
 from repro.datacenter.power_path import PowerFlows
-from repro.errors import ConfigurationError
-from repro.sim.recorder import (
-    LOW_SOC_THRESHOLD,
-    SOC_BIN_LABELS,
-    TraceRecorder,
-    soc_bin,
-)
+from repro.sim.recorder import LOW_SOC_THRESHOLD, SOC_BIN_LABELS, TraceRecorder
+
+#: The two ways a step reaches the recorder: the reference stepper's
+#: dict-based ``record`` and the fleet stepper's ``record_arrays``.
+RECORD_PATHS = ("record", "record_arrays")
 
 
 def flows(demand=100.0, solar=50.0):
@@ -26,6 +25,25 @@ def flows(demand=100.0, solar=50.0):
     )
 
 
+def record_step(rec, path, t, soc):
+    """Fold one 60 s step of node ``a`` at ``soc`` through ``path``."""
+    if path == "record":
+        rec.record(t, 60.0, flows(), {"a": soc})
+    else:
+        rec.record_arrays(t, 60.0, flows(), np.array([soc]), np.zeros(1))
+
+
+def recorded_bins(soc):
+    """The Fig.-19 bin each record path files one step at ``soc`` under."""
+    bins = []
+    for path in RECORD_PATHS:
+        rec = TraceRecorder(["a"])
+        record_step(rec, path, 0.0, soc)
+        (idx,) = rec.soc_time_s["a"].nonzero()[0].tolist()
+        bins.append(idx)
+    return bins
+
+
 class TestSocBins:
     def test_seven_paper_bins(self):
         assert SOC_BIN_LABELS == tuple(f"SoC{i}" for i in range(1, 8))
@@ -35,11 +53,7 @@ class TestSocBins:
         [(0.0, 0), (0.14, 0), (0.15, 1), (0.44, 2), (0.45, 3), (0.89, 5), (0.90, 6), (1.0, 6)],
     )
     def test_bin_edges(self, soc, idx):
-        assert soc_bin(soc) == idx
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            soc_bin(1.5)
+        assert recorded_bins(soc) == [idx, idx]
 
 
 class TestRecording:
@@ -52,12 +66,12 @@ class TestRecording:
         assert rec.soc_distribution("b")["SoC2"] == pytest.approx(1.0)
 
     def test_low_soc_accounting(self):
-        rec = TraceRecorder(["a"])
-        rec.record(0.0, 60.0, flows(), {"a": LOW_SOC_THRESHOLD - 0.01})
-        rec.record(60.0, 60.0, flows(), {"a": LOW_SOC_THRESHOLD + 0.01})
-        assert rec.low_soc_time_s["a"] == 60.0
-        assert rec.low_soc_fraction("a") == pytest.approx(0.5)
-        assert rec.worst_low_soc_time_s() == 60.0
+        for path in RECORD_PATHS:
+            rec = TraceRecorder(["a"])
+            record_step(rec, path, 0.0, LOW_SOC_THRESHOLD - 0.01)
+            record_step(rec, path, 60.0, LOW_SOC_THRESHOLD + 0.01)
+            assert rec.low_soc_time_s["a"] == 60.0, path
+            assert rec.low_soc_time_s["a"] / rec.total_time_s == pytest.approx(0.5)
 
     def test_series_capture(self):
         rec = TraceRecorder(["a"], record_series=True)
@@ -74,28 +88,22 @@ class TestRecording:
     def test_empty_distribution(self):
         rec = TraceRecorder(["a"])
         assert rec.soc_distribution("a")["SoC1"] == 0.0
-        assert rec.low_soc_fraction("a") == 0.0
+        assert rec.low_soc_time_s["a"] == 0.0
+        assert rec.total_time_s == 0.0
 
 
 class TestEpsilonDrift:
     """Regression: integrator round-off used to crash the recorder.
 
-    SoC integration can land epsilon outside [0, 1]; ``soc_bin`` now
-    clamps drift within SOC_DRIFT_TOLERANCE instead of raising, while
-    genuinely out-of-range values are still rejected.
+    SoC integration can land epsilon outside [0, 1]; both record paths
+    clamp it into the edge bins.
     """
 
     def test_epsilon_above_one_is_clamped(self):
-        assert soc_bin(1.0 + 1e-12) == 6
+        assert recorded_bins(1.0 + 1e-12) == [6, 6]
 
     def test_epsilon_below_zero_is_clamped(self):
-        assert soc_bin(-1e-12) == 0
-
-    def test_beyond_tolerance_still_rejected(self):
-        with pytest.raises(ConfigurationError):
-            soc_bin(1.0 + 1e-3)
-        with pytest.raises(ConfigurationError):
-            soc_bin(-1e-3)
+        assert recorded_bins(-1e-12) == [0, 0]
 
     def test_record_accepts_integrator_drift(self):
         rec = TraceRecorder(["a"], record_series=True)

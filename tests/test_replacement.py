@@ -43,17 +43,6 @@ class TestSchedules:
         assert schedule.annual_cost_usd == pytest.approx(straight_line, rel=0.05)
 
 
-class TestIrregularity:
-    def test_spread_creates_irregular_maintenance(self, simulator):
-        regular = simulator.simulate(0.002, horizon_days=3650.0, damage_spread=0.0)
-        irregular = simulator.simulate(0.002, horizon_days=3650.0, damage_spread=0.3)
-        assert irregular.irregularity() > regular.irregularity()
-
-    def test_few_events_report_zero(self, simulator):
-        schedule = simulator.simulate(0.0001, horizon_days=100.0)
-        assert schedule.irregularity() == 0.0
-
-
 class TestCompare:
     def test_policy_comparison(self, simulator):
         schedules = simulator.compare({"e-buff": 0.0024, "baat": 0.0014})

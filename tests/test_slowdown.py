@@ -12,7 +12,6 @@ from repro.core.slowdown import (
     SlowdownConfig,
     SlowdownMonitor,
     reserve_seconds,
-    two_minute_safe_power,
 )
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.node import Node
@@ -56,19 +55,6 @@ class TestReserveHelpers:
         empty = BatteryUnit(params, initial_soc=params.cutoff_soc)
         assert reserve_seconds(empty, 100.0) == 0.0
 
-    def test_two_minute_power_scales_with_charge(self, params):
-        full = BatteryUnit(params, initial_soc=1.0)
-        half = BatteryUnit(params, initial_soc=0.5)
-        assert two_minute_safe_power(full) > two_minute_safe_power(half)
-
-    def test_two_minute_power_definition(self, battery):
-        """Draining at exactly the safe power empties in ~the window."""
-        p = two_minute_safe_power(battery, 120.0)
-        assert reserve_seconds(battery, p) == pytest.approx(120.0, rel=0.2)
-
-    def test_rejects_bad_threshold(self, battery):
-        with pytest.raises(ConfigurationError):
-            two_minute_safe_power(battery, 0.0)
 
 
 class TestConfig:

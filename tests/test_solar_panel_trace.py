@@ -65,9 +65,8 @@ class TestTraceGenerator:
 
     def test_different_days_differ(self, generator):
         trace = generator.days([DayClass.CLOUDY, DayClass.CLOUDY])
-        day_energy = trace.daily_energy_wh()
-        assert len(day_energy) == 2
-        assert day_energy[0] != pytest.approx(day_energy[1], rel=1e-6)
+        first, second = np.split(trace.power_w, 2)
+        assert not np.array_equal(first, second)
 
     def test_season_day_count(self, generator):
         trace = generator.season(5, sunshine_fraction=0.5)
@@ -86,16 +85,6 @@ class TestTraceGenerator:
 
 
 class TestSolarTrace:
-    def test_power_at(self, generator):
-        trace = generator.day(DayClass.SUNNY)
-        assert trace.power_at(hours(12.75)) > 0.0
-        assert trace.power_at(0.0) == 0.0
-
-    def test_power_at_out_of_range(self, generator):
-        trace = generator.day(DayClass.SUNNY)
-        with pytest.raises(TraceError):
-            trace.power_at(trace.duration_s + 1.0)
-
     def test_rejects_negative_power(self):
         with pytest.raises(TraceError):
             SolarTrace(dt_s=60.0, power_w=np.array([-1.0]), day_classes=(DayClass.SUNNY,))

@@ -12,19 +12,9 @@ class TestUnits:
         assert units.minutes(3) == 180.0
         assert units.days(1) == 86400.0
         assert units.months(1) == pytest.approx(30.4375 * 86400.0)
-        assert units.seconds_to_hours(7200.0) == 2.0
-        assert units.seconds_to_days(86400.0) == 1.0
-
-    def test_charge_conversions_roundtrip(self):
-        assert units.ah_to_amp_seconds(units.amp_seconds_to_ah(12345.0)) == pytest.approx(
-            12345.0
-        )
 
     def test_energy_conversions(self):
-        assert units.wh_to_joules(1.0) == 3600.0
-        assert units.joules_to_wh(3600.0) == 1.0
         assert units.kwh_to_wh(2.5) == 2500.0
-        assert units.wh_to_kwh(2500.0) == 2.5
 
     def test_clamp(self):
         assert units.clamp(5.0, 0.0, 1.0) == 1.0
@@ -67,7 +57,6 @@ class TestErrorHierarchy:
             errors.ConfigurationError,
             errors.BatteryError,
             errors.BatteryCutoffError,
-            errors.BatteryEndOfLifeError,
             errors.SchedulingError,
             errors.MigrationError,
             errors.SimulationError,
