@@ -107,7 +107,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricRegistry,
-    P2Quantile,
 )
 from repro.obs.provenance import (
     ProvenanceIndex,
@@ -221,7 +220,6 @@ __all__ = [
     "CellCapture",
     "DEFAULT_CAPTURE_MAXLEN",
     "DEFAULT_SAMPLE_LIMIT",
-    "P2Quantile",
     "run_captured",
     "replay_capture",
 ]

@@ -42,6 +42,19 @@ EVENT_TYPES: Dict[str, Type["TraceEvent"]] = {}
 #: exact shape and round-trip losslessly.
 PROVENANCE_FIELDS = ("eid", "span_id", "cause_id")
 
+#: event class -> its ``(field name, omit when falsy)`` pairs in field
+#: order, built on the class's first ``to_dict``. Keyed by the exact
+#: class, so a subclass never reuses its parent's plan.
+_ENCODE_PLANS: Dict[type, Tuple[Tuple[str, bool], ...]] = {}
+
+
+def _encode_plan(cls: type) -> Tuple[Tuple[str, bool], ...]:
+    """Build and cache ``cls``'s serialisation plan (see :data:`_ENCODE_PLANS`)."""
+    omit = set(PROVENANCE_FIELDS) | set(cls.OMIT_EMPTY_FIELDS)
+    plan = tuple((f.name, f.name in omit) for f in fields(cls))
+    _ENCODE_PLANS[cls] = plan
+    return plan
+
 
 @dataclass
 class TraceEvent:
@@ -80,13 +93,14 @@ class TraceEvent:
         Provenance ids are omitted while 0 so un-instrumented events
         keep the pre-provenance wire shape.
         """
+        cls = type(self)
+        plan = _ENCODE_PLANS.get(cls) or _encode_plan(cls)
         out: Dict[str, Any] = {"kind": self.kind}
-        omit = self.OMIT_EMPTY_FIELDS
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not value and (f.name in PROVENANCE_FIELDS or f.name in omit):
+        for name, omit_empty in plan:
+            value = getattr(self, name)
+            if omit_empty and not value:
                 continue
-            out[f.name] = value
+            out[name] = value
         return out
 
     def to_json(self) -> str:

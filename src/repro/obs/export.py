@@ -8,17 +8,18 @@ simulated datacenter's telemetry drops straight into the dashboards a
 production fleet would use. :func:`write_export` writes that text to a
 file, and :func:`parse_openmetrics` reads it back (round-trip tested).
 
-Histograms are bucket-free summaries, so they export as the
-``_count``/``_sum`` pair OpenMetrics defines plus ``_min``/``_max``
-gauges (a common pattern for summary-style metrics) and the streaming
-p50/p95/p99 estimates as the standard ``{quantile="..."}``-labelled
-summary samples.
+Histograms export as the OpenMetrics ``histogram`` type: cumulative
+``_bucket{le="..."}`` samples at each nonzero bucket's upper bound (the
+registry's fixed log-spaced layout), a ``le="+Inf"`` bucket equal to
+``_count``, then ``_count``/``_sum``, plus ``_min``/``_max`` gauges.
+Quantiles are left to the consumer, which reads them from the buckets
+as the registry does.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict
+from typing import Any, Dict
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricRegistry
@@ -28,9 +29,8 @@ from repro.obs.metrics import MetricRegistry
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_FIX = re.compile(r"[^a-zA-Z0-9_:]")
 
-#: Histogram quantile keys and their OpenMetrics ``quantile`` label.
-_QUANTILE_KEYS = (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99"))
-_QUANTILE_BY_LABEL = {q: key for key, q in _QUANTILE_KEYS}
+#: A histogram's cumulative bucket sample: ``metric_bucket{le="..."}``.
+_BUCKET_SAMPLE = re.compile(r'^(.+)_bucket\{le="([^"]+)"\}$')
 
 
 def sanitize_metric_name(name: str) -> str:
@@ -45,8 +45,9 @@ def to_openmetrics(registry: MetricRegistry, prefix: str = "repro") -> str:
     """Render a registry snapshot in OpenMetrics text format.
 
     Counters get the mandated ``_total`` sample suffix, gauges export
-    verbatim, histograms as ``_count``/``_sum`` plus ``_min``/``_max``
-    gauges. Ends with the required ``# EOF`` marker.
+    verbatim, histograms as cumulative ``_bucket{le=...}`` samples plus
+    ``_count``/``_sum`` and ``_min``/``_max`` gauges. Ends with the
+    required ``# EOF`` marker.
     """
     snap = registry.snapshot()
     lines = []
@@ -60,11 +61,14 @@ def to_openmetrics(registry: MetricRegistry, prefix: str = "repro") -> str:
         lines.append(f"{metric} {value!r}")
     for name, hist in snap["histograms"].items():
         metric = f"{prefix}_{sanitize_metric_name(name)}"
-        lines.append(f"# TYPE {metric} summary")
-        for key, q in _QUANTILE_KEYS:
-            if key in hist:
-                lines.append(f'{metric}{{quantile="{q}"}} {hist[key]!r}')
-        lines.append(f"{metric}_count {hist['count']!r}")
+        lines.append(f"# TYPE {metric} histogram")
+        cumulative = 0
+        for le, n in hist["buckets"].items():
+            cumulative += n
+            if le != "+Inf":
+                lines.append(f'{metric}_bucket{{le="{le}"}} {cumulative}')
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {hist["count"]}')
+        lines.append(f"{metric}_count {hist['count']}")
         lines.append(f"{metric}_sum {hist['total']!r}")
         lines.append(f"# TYPE {metric}_min gauge")
         lines.append(f"{metric}_min {hist['min']!r}")
@@ -74,17 +78,23 @@ def to_openmetrics(registry: MetricRegistry, prefix: str = "repro") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_openmetrics(text: str) -> Dict[str, Dict[str, float]]:
+def parse_openmetrics(text: str) -> Dict[str, Dict[str, Any]]:
     """Parse :func:`to_openmetrics` output back into typed value maps.
 
-    Returns ``{"counter": {...}, "gauge": {...}, "summary": {...}}``
+    Returns ``{"counter": {...}, "gauge": {...}, "histogram": {...}}``
     keyed by the *exported* metric name (prefix included, ``_total`` and
-    summary suffixes stripped). Summaries map to their
-    ``count``/``sum``/``min``/``max`` fields. Only the subset of the
-    format :func:`to_openmetrics` emits is supported.
+    histogram suffixes stripped). A histogram maps to its ``count``/
+    ``sum``/``min``/``max`` fields and ``buckets``: the cumulative count
+    at each ``le`` bound as a float (``inf`` for ``+Inf``), in file
+    order. Only the subset of the format :func:`to_openmetrics` emits is
+    supported.
     """
     types: Dict[str, str] = {}
-    out: Dict[str, Dict[str, float]] = {"counter": {}, "gauge": {}, "summary": {}}
+    out: Dict[str, Dict[str, Any]] = {"counter": {}, "gauge": {}, "histogram": {}}
+
+    def histogram(base: str) -> Dict[str, Any]:
+        return out["histogram"].setdefault(base, {"buckets": {}})
+
     for line in text.splitlines():
         line = line.strip()
         if not line or line == "# EOF":
@@ -101,15 +111,12 @@ def parse_openmetrics(text: str) -> Dict[str, Dict[str, float]]:
             raise ConfigurationError(f"malformed OpenMetrics line: {line!r}")
         value = float(value_str)
         if "{" in name:
-            # A quantile-labelled summary sample: metric{quantile="0.5"}.
-            base, _, labels = name.partition("{")
-            match = re.match(r'quantile="([^"]+)"\}$', labels)
-            key = _QUANTILE_BY_LABEL.get(match.group(1)) if match else None
-            if key is None or types.get(base) != "summary":
+            match = _BUCKET_SAMPLE.match(name)
+            if match is None or types.get(match.group(1)) != "histogram":
                 raise ConfigurationError(
                     f"unsupported labelled OpenMetrics sample: {line!r}"
                 )
-            out["summary"].setdefault(base, {})[key] = value
+            histogram(match.group(1))["buckets"][float(match.group(2))] = value
             continue
         base, suffix = name, ""
         for candidate in ("_total", "_count", "_sum", "_min", "_max"):
@@ -118,25 +125,13 @@ def parse_openmetrics(text: str) -> Dict[str, Dict[str, float]]:
                 break
         if types.get(base) == "counter" and suffix == "_total":
             out["counter"][base] = value
-        elif types.get(base) == "summary" and suffix in ("_count", "_sum"):
-            field = "count" if suffix == "_count" else "sum"
-            out["summary"].setdefault(base, {})[field] = value
-        elif types.get(base) == "summary" and suffix in ("_min", "_max"):
-            out["summary"].setdefault(base, {})[suffix.lstrip("_")] = value
+        elif types.get(base) == "histogram" and suffix:
+            # _count/_sum, and the _min/_max gauges typed on base+suffix.
+            histogram(base)[suffix.lstrip("_")] = value
         elif types.get(name) == "gauge":
-            out["gauge"][name] = value
-        elif types.get(base) == "gauge" and suffix:
-            # A summary's _min/_max arrive typed as gauges on base+suffix.
             out["gauge"][name] = value
         else:
             raise ConfigurationError(f"untyped OpenMetrics sample: {line!r}")
-    # Fold stray summary _min/_max gauges back under their summary.
-    for name in list(out["gauge"]):
-        for candidate in ("_min", "_max"):
-            if name.endswith(candidate) and name[: -len(candidate)] in out["summary"]:
-                out["summary"][name[: -len(candidate)]][candidate.lstrip("_")] = (
-                    out["gauge"].pop(name)
-                )
     return out
 
 

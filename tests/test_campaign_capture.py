@@ -1,7 +1,7 @@
 """Tests for campaign-scale observability.
 
-Covers streaming P² quantiles and histogram merging
-(`repro.obs.metrics`, which the runner uses to fold worker registries),
+Covers bucketed histogram quantiles and merging (`repro.obs.metrics`,
+which the runner uses to fold worker registries),
 worker capture / parent replay (`repro.obs.capture`), and the
 end-to-end agreement between a pooled traced campaign's fan-in trace
 and its returned `CampaignReport`.
@@ -9,8 +9,11 @@ and its returned `CampaignReport`.
 
 from __future__ import annotations
 
+import json
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.campaign import RunSpec, run_campaign
@@ -25,7 +28,6 @@ from repro.obs import (
     Histogram,
     MemorySink,
     MetricRegistry,
-    P2Quantile,
     disable_observability,
     enable_observability,
     iter_events,
@@ -73,42 +75,82 @@ def specs(tiny_scenario, one_sunny_day):
 
 
 # ----------------------------------------------------------------------
-# P2 streaming quantiles
+# Bucketed histograms
 # ----------------------------------------------------------------------
-class TestP2Quantile:
-    def test_rejects_degenerate_quantiles(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
+#: The read-out's stated relative error bound (16 buckets per octave).
+BUCKET_REL_ERROR = 2.0 ** (1 / 16) - 1
 
-    def test_empty_reports_zero(self):
-        assert P2Quantile(0.5).value == 0.0
+PERCENTILES = (("p50", 50), ("p95", 95), ("p99", 99))
 
-    def test_exact_for_first_five_observations(self):
-        q = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            q.observe(x)
-        assert q.value == pytest.approx(3.0)
-        q.observe(2.0)
-        q.observe(4.0)
-        assert q.value == pytest.approx(3.0)
 
-    @pytest.mark.parametrize("target", [0.5, 0.95, 0.99])
-    def test_tracks_known_distribution(self, target):
-        # A deterministic shuffle of 0..999 scaled to [0, 1): the true
-        # quantile of the stream is simply `target`.
-        q = P2Quantile(target)
-        n = 1000
-        for i in range(n):
-            q.observe(((i * 389) % n) / n)
-        assert q.value == pytest.approx(target, abs=0.03)
+def _fed(values) -> Histogram:
+    hist = Histogram("x")
+    for v in values:
+        hist.observe(float(v))
+    return hist
 
-    def test_constant_stream(self):
-        q = P2Quantile(0.95)
-        for _ in range(100):
-            q.observe(7.0)
-        assert q.value == pytest.approx(7.0)
+
+def _lognormal(seed: int, n: int = 10_000) -> np.ndarray:
+    # Step-phase-like latencies: median ~1 ms, tails spanning decades.
+    return np.random.default_rng(seed).lognormal(mean=-7.0, sigma=1.5, size=n)
+
+
+def _bimodal(seed: int, n: int = 10_000) -> np.ndarray:
+    # Fast steps around 20 us plus a 10% slow mode around 5 ms.
+    rng = np.random.default_rng(seed)
+    fast = rng.normal(2e-5, 3e-6, size=n - n // 10)
+    slow = rng.normal(5e-3, 1e-3, size=n // 10)
+    return rng.permutation(np.abs(np.concatenate([fast, slow])))
+
+
+class TestHistogramBuckets:
+    @pytest.mark.parametrize("value", [3.7e-6, 0.123, 1.0, 86400.0 * 3])
+    def test_single_sample_reads_back_exactly(self, value):
+        d = _fed([value]).to_dict()
+        assert (d["p50"], d["p95"], d["p99"]) == (value, value, value)
+        assert sum(d["buckets"].values()) == 1
+
+    def test_constant_stream_reads_back_exactly(self):
+        d = _fed([7.3e-4] * 500).to_dict()
+        assert (d["p50"], d["p95"], d["p99"]) == (7.3e-4, 7.3e-4, 7.3e-4)
+        assert list(d["buckets"].values()) == [500]
+
+    def test_underflow_and_nonpositive_values_share_the_first_bucket(self):
+        d = _fed([-1.0, 0.0, 1e-12]).to_dict()
+        assert len(d["buckets"]) == 1
+        assert d["min"] == -1.0 and d["max"] == 1e-12
+        assert d["p99"] == 1e-12  # clamped to max
+
+    def test_overflow_reads_max(self):
+        d = _fed([1e9, 2e9]).to_dict()
+        assert list(d["buckets"]) == ["+Inf"]
+        assert d["p50"] == 2e9 and d["p99"] == 2e9
+
+    @pytest.mark.parametrize("make", [_lognormal, _bimodal], ids=["lognormal", "bimodal"])
+    def test_quantiles_within_stated_bound(self, make):
+        samples = make(seed=7)
+        d = _fed(samples).to_dict()
+        for key, pct in PERCENTILES:
+            exact = float(np.percentile(samples, pct, method="inverted_cdf"))
+            # One-sided: the read-out is its bucket's upper bound.
+            assert exact <= d[key] <= exact * (1 + BUCKET_REL_ERROR), key
+
+    @pytest.mark.parametrize("make", [_lognormal, _bimodal], ids=["lognormal", "bimodal"])
+    def test_merge_equals_concatenated_samples(self, make):
+        left, right = make(seed=1), make(seed=2)
+        whole = _fed(np.concatenate([left, right])).to_dict()
+        for via_json in (False, True):
+            snap = _fed(right).to_dict()
+            if via_json:
+                snap = json.loads(json.dumps(snap))
+            merged = _fed(left)
+            merged.merge(snap)
+            d = merged.to_dict()
+            assert d["buckets"] == whole["buckets"]
+            for key in ("count", "min", "max", "p50", "p95", "p99"):
+                assert d[key] == whole[key], key
+            # Only the float sum depends on summation order.
+            assert math.isclose(d["total"], whole["total"], rel_tol=1e-12)
 
 
 class TestHistogramMerge:
@@ -118,14 +160,20 @@ class TestHistogramMerge:
             src.observe(v)
         dst = Histogram("x")
         dst.merge(src.to_dict())
-        assert dst.to_dict() == pytest.approx(src.to_dict())
+        assert dst.to_dict() == src.to_dict()
 
     def test_merge_empty_snapshot_is_a_noop(self):
-        dst = Histogram("x")
-        dst.observe(1.0)
-        before = dst.to_dict()
-        dst.merge(Histogram("y").to_dict())
-        assert dst.to_dict() == before
+        for via_json in (False, True):
+            empty = Histogram("y").to_dict()
+            if via_json:
+                empty = json.loads(json.dumps(empty))
+            dst = _fed([1.0, 2.5, 4e-3])
+            before = dst.to_dict()
+            dst.merge(empty)
+            assert dst.to_dict() == before
+            blank = Histogram("z")
+            blank.merge(empty)
+            assert blank.to_dict() == Histogram("z").to_dict()
 
     def test_merge_accumulates_counts_and_extremes(self):
         a = Histogram("x")

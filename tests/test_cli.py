@@ -165,7 +165,7 @@ class TestObservabilityCommands:
         )
         assert "wrote openmetrics export" in capsys.readouterr().out
         parsed = parse_openmetrics(out_path.read_text(encoding="utf-8"))
-        assert parsed["counter"] and parsed["summary"]
+        assert parsed["counter"] and parsed["histogram"]
 
     def test_profile_prints_hot_functions(self, capsys):
         assert main(["stats", "--day", "sunny", "--dt", "300", "--profile"]) == 0

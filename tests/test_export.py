@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -43,18 +45,35 @@ class TestOpenMetrics:
         parsed = parse_openmetrics(to_openmetrics(registry))
         assert parsed["counter"]["repro_engine_steps"] == 42.0
         assert parsed["gauge"]["repro_planned_dod_goal_node0"] == 0.55
-        summary = parsed["summary"]["repro_phase_control"]
-        # Three observations: quantiles are still the exact sorted-sample
-        # interpolation (the P2 markers take over after five).
-        assert summary == {
-            "count": 3.0,
-            "sum": pytest.approx(0.012),
-            "min": 0.001,
-            "max": 0.009,
-            "p50": pytest.approx(0.002),
-            "p95": pytest.approx(0.0083),
-            "p99": pytest.approx(0.00886),
-        }
+        hist = parsed["histogram"]["repro_phase_control"]
+        buckets = hist.pop("buckets")
+        assert hist == {"count": 3.0, "sum": 0.012, "min": 0.001, "max": 0.009}
+        # 0.001, 0.002, 0.009: one bucket each, then +Inf equals _count.
+        assert list(buckets.values()) == [1.0, 2.0, 3.0, 3.0]
+        assert list(buckets)[-1] == math.inf
+
+    def test_histogram_buckets_round_trip(self, registry):
+        hist = registry.histogram("phase/control")
+        for v in (0.0, 1e-9, 0.0042, 0.0042, 0.5, 3.0e8):
+            hist.observe(v)
+        parsed = parse_openmetrics(to_openmetrics(registry))
+        snap = registry.snapshot()["histograms"]["phase/control"]
+        expected, cumulative = {}, 0
+        for le, n in snap["buckets"].items():
+            cumulative += n
+            expected[float(le)] = cumulative
+        assert parsed["histogram"]["repro_phase_control"]["buckets"] == expected
+        assert expected[math.inf] == snap["count"] == 9
+
+    def test_bucket_readout_within_bound_of_exact_quantiles(self, registry):
+        # The read-outs of the three samples 0.001, 0.002, 0.009 are
+        # bucket upper bounds, within 2**(1/16) - 1 of the exact
+        # nearest-rank values 0.002, 0.009, 0.009.
+        snap = registry.snapshot()["histograms"]["phase/control"]
+        for key, exact in (("p50", 0.002), ("p95", 0.009), ("p99", 0.009)):
+            assert exact <= snap[key] <= exact * 2.0 ** (1 / 16), key
+        assert snap["p50"] == pytest.approx(0.0020396, rel=1e-4)
+        assert snap["p95"] == snap["p99"] == 0.009
 
     def test_terminates_with_eof(self, registry):
         text = to_openmetrics(registry)
@@ -73,7 +92,7 @@ class TestOpenMetrics:
         assert parse_openmetrics(to_openmetrics(MetricRegistry())) == {
             "counter": {},
             "gauge": {},
-            "summary": {},
+            "histogram": {},
         }
 
     def test_untyped_sample_rejected(self):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -248,10 +249,17 @@ class TestMetricRegistry:
             "mean": 3.0,
             "min": 1.0,
             "max": 6.0,
-            "p50": pytest.approx(2.0),
-            "p95": pytest.approx(5.6),
-            "p99": pytest.approx(5.92),
+            "p50": 2.0,
+            "p95": 6.0,
+            "p99": 6.0,
+            "buckets": {"1.0": 1, "2.0": 1, repr(2.0 ** (42 / 16)): 1},
         }
+        # Nearest-rank read-outs: each is its bucket's upper bound clamped
+        # into [min, max], within 2**(1/16) - 1 of the exact value.
+        for key, pct in (("p50", 50), ("p95", 95), ("p99", 99)):
+            exact = float(np.percentile([1.0, 2.0, 6.0], pct, method="inverted_cdf"))
+            got = snap["histograms"]["lat"][key]
+            assert exact <= got <= exact * 2.0 ** (1 / 16)
 
     def test_empty_histogram_reports_zeros(self):
         from repro.obs import Histogram
@@ -266,6 +274,7 @@ class TestMetricRegistry:
             "p50": 0.0,
             "p95": 0.0,
             "p99": 0.0,
+            "buckets": {},
         }
 
     def test_handles_are_shared(self):
