@@ -15,7 +15,7 @@ die forces maintenance) and the paper's reporting convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.battery.aging.mechanisms import EOL_FADE
 from repro.campaign import DEFAULT_CACHE, RunSpec, run_campaign
@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError
 from repro.rng import spawn
 from repro.sim.results import SimResult
 from repro.sim.scenario import Scenario
-from repro.solar.trace import SolarTraceGenerator
+from repro.solar.trace import SolarTrace
 from repro.solar.weather import DayClass, WeatherModel
 
 
@@ -114,14 +114,71 @@ def lifetime_for_policies(
     """
     if day_classes is None:
         day_classes = season_day_classes(sunshine_fraction, n_days, scenario.seed)
-    generator: SolarTraceGenerator = scenario.trace_generator()
-    trace = generator.days(list(day_classes))
-    specs = [
-        RunSpec(scenario=scenario, trace=trace, policy=name, label=name)
-        for name in policies
+    return lifetime_sweep(
+        [SweepPoint(scenario, sunshine_fraction, tuple(policies), tuple(day_classes))],
+        n_days,
+        n_workers=n_workers,
+        cache=cache,
+    )[0]
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One point of a lifetime sweep: a scenario at a sunshine fraction,
+    evaluated for ``policies`` (``day_classes`` overrides the season
+    sampler)."""
+
+    scenario: Scenario
+    sunshine_fraction: float
+    policies: Tuple[str, ...]
+    day_classes: Optional[Tuple[DayClass, ...]] = None
+
+
+def lifetime_sweep(
+    points: Sequence[SweepPoint],
+    n_days: int,
+    n_workers: Optional[int] = None,
+    cache=DEFAULT_CACHE,
+) -> List[Dict[str, LifetimeEstimate]]:
+    """:func:`lifetime_for_policies` for every point, as one campaign.
+
+    Handing the runner the whole sweep lets it step every cell that
+    shares a batch key as one batched fleet. Points that share a panel,
+    seed, step and day sequence share one generated solar trace. Returns
+    one ``{policy: estimate}`` per point, in order.
+    """
+    traces: Dict[Tuple, SolarTrace] = {}
+    specs: List[RunSpec] = []
+    for k, point in enumerate(points):
+        scenario = point.scenario
+        day_classes = point.day_classes or tuple(
+            season_day_classes(point.sunshine_fraction, n_days, scenario.seed)
+        )
+        trace_key = (
+            scenario.sunny_day_kwh,
+            scenario.clear_sky,
+            scenario.seed,
+            scenario.dt_s,
+            day_classes,
+        )
+        if trace_key not in traces:
+            traces[trace_key] = scenario.trace_generator().days(list(day_classes))
+        specs += [
+            RunSpec(
+                scenario=scenario,
+                trace=traces[trace_key],
+                policy=name,
+                label=name if len(points) == 1 else f"{k}/{name}",
+            )
+            for name in point.policies
+        ]
+    results = iter(
+        run_campaign(specs, n_workers=n_workers, cache=cache).results().values()
+    )
+    return [
+        {
+            name: _estimate_from_result(name, point.scenario, next(results))
+            for name in point.policies
+        }
+        for point in points
     ]
-    results = run_campaign(specs, n_workers=n_workers, cache=cache).results()
-    return {
-        name: _estimate_from_result(name, scenario, results[name])
-        for name in policies
-    }

@@ -9,7 +9,10 @@ Execution pipeline for a list of :class:`~repro.campaign.spec.RunSpec`:
    :class:`concurrent.futures.ProcessPoolExecutor` (``n_workers`` > 1) or
    inline in this process (``n_workers=1``, the deterministic serial
    fallback). Specs that cannot be pickled into a worker (closure-built
-   policies) transparently run inline.
+   policies) transparently run inline. With tracing and alerting off, every
+   group of two or more cells with one :attr:`~repro.campaign.spec.
+   RunSpec.batch_key` steps as one batched fleet (a pool sends each
+   worker one sub-batch); each cell's result equals its run alone.
 3. **Retry** — a failed cell is retried once (configurable); every
    attempt's error is recorded on the outcome so flaky infrastructure is
    visible even when the retry succeeds.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import ResultCache, default_cache
-from repro.campaign.spec import RunSpec
+from repro.campaign.spec import RunSpec, batched
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import ALERTS, BUS, REGISTRY
 from repro.obs.capture import (
@@ -288,6 +291,72 @@ def _run_inline(
     return None, 1 + retries, tuple(errors)
 
 
+def _execute_batch(
+    specs: List[RunSpec],
+) -> List[Tuple[Optional[SimResult], Optional[str]]]:
+    """Worker entry point: step a sub-batch, then each cell's (result,
+    error) as its execute() hands it back."""
+    out: List[Tuple[Optional[SimResult], Optional[str]]] = []
+    with batched(specs):
+        for spec in specs:
+            try:
+                out.append((_execute_spec(spec), None))
+            except Exception as exc:  # noqa: BLE001 - retried by the caller
+                out.append((None, _error_string(exc)))
+    return out
+
+
+def _batches(jobs: Sequence[Tuple], n_parts: int = 1) -> List[List[Tuple]]:
+    """The jobs (tuples whose second item is the spec) that step as
+    batches: per batch key, in first-seen order, the key's jobs split
+    into up to ``n_parts`` contiguous parts of two or more; a key with
+    one job is left out."""
+    groups: Dict[Tuple, List[Tuple]] = {}
+    for job in jobs:
+        key = job[1].batch_key
+        if key is not None:
+            groups.setdefault(key, []).append(job)
+    parts = []
+    for group in groups.values():
+        n = min(n_parts, len(group) // 2)
+        for k in range(n):
+            parts.append(group[k * len(group) // n:(k + 1) * len(group) // n])
+    return parts
+
+
+def _run_sub_batches(
+    sub_batches: List[List[Tuple]], workers: int
+) -> List[Tuple[Tuple, Optional[SimResult], Optional[str], bool]]:
+    """Step each sub-batch of pool jobs in a worker; per job, (job,
+    result, error, whether the pool died)."""
+    out = []
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(sub_batches)),
+        initializer=sanitize_forked_worker,
+    ) as pool:
+        submitted = []
+        for sub in sub_batches:
+            try:
+                fut = pool.submit(_execute_batch, [job[1] for job in sub])
+            except BrokenProcessPool as exc:
+                fut = exc
+            submitted.append((sub, fut))
+        for sub, fut in submitted:
+            pool_died = isinstance(fut, BrokenProcessPool)
+            error = _error_string(fut) if pool_died else None
+            if not pool_died:
+                try:
+                    outcomes = fut.result()
+                except BrokenProcessPool as exc:
+                    pool_died, error = True, _error_string(exc)
+                except Exception as exc:  # noqa: BLE001 - retried by the caller
+                    error = _error_string(exc)
+            if error is not None:
+                outcomes = [(None, error)] * len(sub)
+            out += [(job, *outcome, pool_died) for job, outcome in zip(sub, outcomes)]
+    return out
+
+
 def _is_picklable(spec: RunSpec) -> bool:
     try:
         pickle.dumps(spec)
@@ -331,8 +400,10 @@ def run_campaign(
 
     # Captured once: whether this campaign is traced decides the pooled
     # execution protocol (capture-and-ship vs bare results) for its
-    # whole lifetime, even if sinks change mid-run.
+    # whole lifetime, even if sinks change mid-run. Batches run only
+    # with tracing and alerting off (both key on node names).
     traced = BUS.enabled
+    batching = not (traced or ALERTS.enabled)
     t0 = time.perf_counter()
     if traced:
         BUS.emit(
@@ -486,6 +557,22 @@ def run_campaign(
                 )
             return job
 
+        # Batching: each worker first steps one sub-batch; a cell its
+        # sub-batch failed joins the per-cell rounds below as a retry.
+        sub_batches = _batches(queue, workers) if batching else []
+        if sub_batches:
+            in_sub = {job[0] for sub in sub_batches for job in sub}
+            queue = [job for job in queue if job[0] not in in_sub]
+            for job, result, error, pool_died in _run_sub_batches(
+                sub_batches, workers
+            ):
+                if error is None:
+                    _finish_pooled(job, result)
+                    continue
+                retry_job = _record_failure(job, error, pool_died)
+                if retry_job is not None:
+                    queue.append(retry_job)
+
         while queue:
             jobs, queue = queue, []
             broken = False
@@ -565,7 +652,9 @@ def run_campaign(
                             states[retry] = retry_job
                             not_done.add(retry)
 
-    for i, spec, key in inline_jobs:
+    def _inline_cell(
+        i: int, spec: RunSpec, key: Optional[str], started: Optional[float] = None
+    ):
         # The cell span brackets the whole inline execution (campaign
         # wall-clock scope); running inside ``in_span`` stamps every event
         # the simulation emits with the enclosing cell, so `repro explain`
@@ -584,7 +673,8 @@ def run_campaign(
                     span_id=span_id,
                 )
             )
-        started = time.perf_counter()
+        if started is None:
+            started = time.perf_counter()
         with in_span(span_id):
             result, attempts, errors = _run_inline(spec, retries, t0=t0)
         SPANS.end(
@@ -595,6 +685,20 @@ def run_campaign(
         duration = time.perf_counter() - started
         _finish_cell(spec, result, attempts, duration, t0)
         fresh.append((i, spec, key, result, attempts, errors, duration))
+
+    # Batching: each batch steps first; its cells then collect their
+    # results through execute() inside the batched() block. A batched
+    # cell's wall time is its batch's, as for a pooled sub-batch.
+    inline_batches = _batches(inline_jobs) if batching else []
+    in_batch = {job[0] for batch in inline_batches for job in batch}
+    for batch in inline_batches:
+        started = time.perf_counter()
+        with batched([job[1] for job in batch]):
+            for job in batch:
+                _inline_cell(*job, started)
+    for job in inline_jobs:
+        if job[0] not in in_batch:
+            _inline_cell(*job)
 
     # Phase 3: memoize and assemble.
     for i, spec, key, result, attempts, errors, duration in fresh:

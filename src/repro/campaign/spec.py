@@ -7,18 +7,24 @@ factory) instead of carrying a constructed :class:`~repro.core.policies.
 base.Policy`, and its optional ``setup`` hook is a picklable callable
 applied to the freshly built :class:`~repro.sim.engine.Simulation` before
 stepping (sensitivity analysis swaps perturbed aging models in there).
+
+:func:`batched` steps several cells as one batched simulation; inside
+its block each cell's :meth:`RunSpec.execute` hands back the cell's
+share of the batch.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import callable_token, canonical, object_key
 from repro.core.policies.base import Policy
 from repro.core.policies.factory import make_policy
 from repro.errors import ConfigurationError
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, batch_key
 from repro.sim.results import SimResult
 from repro.sim.scenario import Scenario
 from repro.solar.trace import SolarTrace
@@ -118,6 +124,72 @@ class RunSpec:
             self.setup(sim)
         return sim
 
+    @property
+    def batch_key(self) -> Optional[Tuple]:
+        """Cells with one key can step as one batch (see
+        :func:`~repro.sim.engine.batch_key`); ``None`` for a cell that
+        always runs alone, such as one with a ``setup`` hook."""
+        if self.setup is not None:
+            return None
+        return batch_key(self.scenario, self.trace)
+
     def execute(self) -> SimResult:
-        """Run this cell to completion (in whatever process we are in)."""
-        return self.build_simulation().run()
+        """Run this cell to completion (in whatever process we are in).
+
+        Inside a :func:`batched` block, a cell the batch already stepped
+        is not run again: its first call returns the batch's result for
+        it, or raises the batch's error for it.
+        """
+        serving = _SERVING.get()
+        outcome = serving.pop(id(self), None) if serving else None
+        if outcome is None:
+            return self.build_simulation().run()
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+Outcome = Union[SimResult, Exception]
+
+#: Inside a batched() block: the outcomes its cells' execute() has not
+#: collected yet, by spec identity.
+_SERVING: ContextVar[Optional[Dict[int, Outcome]]] = ContextVar(
+    "batch_outcomes", default=None
+)
+
+
+@contextmanager
+def batched(specs: Sequence[RunSpec]) -> Iterator[None]:
+    """Step ``specs`` (one batch key, no ``setup`` hooks) as one batched
+    simulation on the fleet stepper, then serve each cell's outcome to
+    its first :meth:`RunSpec.execute` inside the block.
+
+    Each cell's result equals its run alone, bit for bit. A cell whose
+    policy fails to build, or whose policy hooks raise, ends alone; an
+    error of the batch as a whole ends every cell. Either way the error
+    is what that cell's execute() raises, so retries run the cell alone.
+    """
+    outcomes = _step_batch(specs)
+    token = _SERVING.set({id(s): o for s, o in zip(specs, outcomes)})
+    try:
+        yield
+    finally:
+        _SERVING.reset(token)
+
+
+def _step_batch(specs: Sequence[RunSpec]) -> List[Outcome]:
+    outcomes: List[Optional[Outcome]] = [None] * len(specs)
+    runs = []
+    for k, spec in enumerate(specs):
+        try:
+            runs.append((k, (spec.scenario, spec.build_policy(), spec.trace)))
+        except Exception as exc:  # noqa: BLE001 - this cell's error
+            outcomes[k] = exc
+    if runs:
+        try:
+            stepped = Simulation.batch([run for _, run in runs]).run_cells()
+        except Exception as exc:  # noqa: BLE001 - every cell's error
+            stepped = [exc] * len(runs)
+        for (k, _), outcome in zip(runs, stepped):
+            outcomes[k] = outcome
+    return outcomes

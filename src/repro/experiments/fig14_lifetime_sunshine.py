@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.lifetime import lifetime_for_policies
+from repro.analysis.lifetime import SweepPoint, lifetime_sweep
 from repro.analysis.reporting import improvement_percent
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import POLICIES, sweep_scenario
@@ -33,13 +33,15 @@ def run(
     if n_days <= 0:
         n_days = 4 if quick else 8
 
+    scenario = sweep_scenario(seed=seed)
+    sweep = lifetime_sweep(
+        [SweepPoint(scenario, fraction, POLICIES) for fraction in fractions],
+        n_days,
+        n_workers=n_workers,
+    )
     rows: List[Sequence[object]] = []
     gains: Dict[str, List[float]] = {name: [] for name in POLICIES if name != "e-buff"}
-    for fraction in fractions:
-        scenario = sweep_scenario(seed=seed)
-        estimates = lifetime_for_policies(
-            scenario, sunshine_fraction=fraction, n_days=n_days, n_workers=n_workers
-        )
+    for fraction, estimates in zip(fractions, sweep):
         base = estimates["e-buff"].lifetime_days
         rows.append(
             (f"{fraction:.0%}",)

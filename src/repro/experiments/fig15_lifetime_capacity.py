@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.lifetime import lifetime_for_policies
+from repro.analysis.lifetime import SweepPoint, lifetime_sweep
 from repro.analysis.reporting import improvement_percent, reduction_percent
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import sweep_scenario
@@ -37,17 +37,21 @@ def run(
         ratios = QUICK_RATIOS if quick else FULL_RATIOS
     n_days = 4 if quick else 8
 
+    sweep = lifetime_sweep(
+        [
+            SweepPoint(
+                sweep_scenario(seed=seed).with_server_to_battery_ratio(ratio),
+                SUNSHINE,
+                ("e-buff", "baat"),
+            )
+            for ratio in ratios
+        ],
+        n_days,
+        n_workers=n_workers,
+    )
     rows: List[Sequence[object]] = []
     lifetimes: Dict[float, Dict[str, float]] = {}
-    for ratio in ratios:
-        scenario = sweep_scenario(seed=seed).with_server_to_battery_ratio(ratio)
-        estimates = lifetime_for_policies(
-            scenario,
-            sunshine_fraction=SUNSHINE,
-            n_days=n_days,
-            policies=("e-buff", "baat"),
-            n_workers=n_workers,
-        )
+    for ratio, estimates in zip(ratios, sweep):
         lifetimes[ratio] = {k: v.lifetime_days for k, v in estimates.items()}
         gain = improvement_percent(
             lifetimes[ratio]["baat"], lifetimes[ratio]["e-buff"]

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.lifetime import lifetime_for_policies
+from repro.analysis.lifetime import LifetimeEstimate, SweepPoint, lifetime_sweep
 from repro.cost.depreciation import DepreciationModel
 from repro.cost.expansion import ExpansionModel, expansion_at_constant_tco
 from repro.cost.tco import TCOModel
@@ -27,25 +27,13 @@ FULL_FRACTIONS = (0.2, 0.35, 0.5, 0.65, 0.8, 0.95)
 FIT_RATIOS = (4.3, 8.0)
 
 
-def _fit_lifetime_of_ratio(
-    scenario_seed: int,
-    sunshine: float,
-    n_days: int,
-    n_workers: Optional[int] = None,
-):
-    """Fit ``lifetime = a * ratio ** b`` through two sweep points."""
-    points = []
-    for ratio in FIT_RATIOS:
-        scenario = sweep_scenario(seed=scenario_seed).with_server_to_battery_ratio(ratio)
-        est = lifetime_for_policies(
-            scenario,
-            sunshine_fraction=sunshine,
-            n_days=n_days,
-            policies=("baat",),
-            n_workers=n_workers,
-        )["baat"]
-        points.append((ratio, max(est.lifetime_days, 1.0)))
-    (r0, l0), (r1, l1) = points
+def _fit_lifetime_of_ratio(ratio_estimates: Sequence[Dict[str, LifetimeEstimate]]):
+    """Fit ``lifetime = a * ratio ** b`` through the BAAT lifetimes at
+    the two :data:`FIT_RATIOS` sweep points."""
+    (r0, l0), (r1, l1) = (
+        (ratio, max(est["baat"].lifetime_days, 1.0))
+        for ratio, est in zip(FIT_RATIOS, ratio_estimates)
+    )
     b = float(np.log(l1 / l0) / np.log(r1 / r0))
     a = l0 / r0**b
     return lambda ratio: a * ratio**b
@@ -62,18 +50,24 @@ def run(
         fractions = QUICK_FRACTIONS if quick else FULL_FRACTIONS
     n_days = 4 if quick else 8
 
+    # One campaign for the whole sweep: per fraction, the base pair and
+    # the BAAT cells at each fit ratio.
+    scenario = sweep_scenario(seed=seed)
+    points = []
+    for sunshine in fractions:
+        points.append(SweepPoint(scenario, sunshine, ("e-buff", "baat")))
+        points += [
+            SweepPoint(scenario.with_server_to_battery_ratio(ratio), sunshine, ("baat",))
+            for ratio in FIT_RATIOS
+        ]
+    sweep = lifetime_sweep(points, n_days, n_workers=n_workers)
+    per_fraction = 1 + len(FIT_RATIOS)
+
     rows: List[Sequence[object]] = []
     expansions: Dict[float, float] = {}
-    for sunshine in fractions:
-        scenario = sweep_scenario(seed=seed)
-        estimates = lifetime_for_policies(
-            scenario,
-            sunshine_fraction=sunshine,
-            n_days=n_days,
-            policies=("e-buff", "baat"),
-            n_workers=n_workers,
-        )
-        lifetime_fn = _fit_lifetime_of_ratio(seed, sunshine, n_days, n_workers)
+    for k, sunshine in enumerate(fractions):
+        estimates, *ratio_estimates = sweep[k * per_fraction:(k + 1) * per_fraction]
+        lifetime_fn = _fit_lifetime_of_ratio(ratio_estimates)
         depreciation = DepreciationModel(scenario.battery, n_batteries=scenario.n_nodes)
         tco = TCOModel(depreciation=depreciation)
         model = ExpansionModel(

@@ -56,6 +56,11 @@ def _encode_plan(cls: type) -> Tuple[Tuple[str, bool], ...]:
     return plan
 
 
+#: One compact encoder for every event line: ``json.dumps`` with
+#: ``separators`` builds a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 @dataclass
 class TraceEvent:
     """Base event: a timestamp plus a ``kind`` discriminator.
@@ -104,7 +109,7 @@ class TraceEvent:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _ENCODER.encode(self.to_dict())
 
 
 # ----------------------------------------------------------------------

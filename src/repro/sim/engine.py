@@ -1,7 +1,8 @@
 """The time-stepped simulation engine.
 
 One :class:`Simulation` executes one policy against one scenario and one
-solar trace:
+solar trace (or, built by :meth:`Simulation.batch`, several such runs as
+the cells of one batched fleet):
 
 1. Build the cluster, bind the policy, and let it place every VM.
 2. Step through the trace. Inside the operating window servers run their
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Dict
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +41,8 @@ from repro.obs.spans import SPANS
 from repro.obs.telemetry import SCHEMA_VERSION, TELEMETRY
 from repro.obs.timers import StepPhaseTimers
 from repro.rng import spawn
-from repro.sim.recorder import LOW_SOC_THRESHOLD, TraceRecorder
+from repro.sim.fleet import FleetCell, FleetPowerPath, FleetState
+from repro.sim.recorder import LOW_SOC_THRESHOLD, BatchRecorder, TraceRecorder
 from repro.sim.results import NodeResult, SimResult
 from repro.sim.scenario import Scenario
 from repro.solar.trace import SolarTrace
@@ -50,15 +52,16 @@ from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 RUN_MARK = "sim/run-start"
 
 
-class Simulation:
-    """Runs one policy over one scenario and solar trace."""
+class _Cell:
+    """One scenario/policy/trace run inside a :class:`Simulation`: the
+    state that stays per run when several runs step as one batch."""
 
     def __init__(
         self,
         scenario: Scenario,
         policy: Policy,
         trace: SolarTrace,
-        record_series: bool = False,
+        record_series: bool,
     ):
         if abs(trace.dt_s - scenario.dt_s) > 1e-9:
             raise ConfigurationError(
@@ -68,63 +71,163 @@ class Simulation:
         self.policy = policy
         self.trace = trace
         self.cluster = scenario.build_cluster()
-        self.policy.bind(self.cluster, scenario=scenario)
-        if scenario.architecture == "rack-pool":
-            from repro.datacenter.rack import RackPowerPath
-
-            self.power_path = RackPowerPath(
-                self.cluster, utility_budget_w=scenario.utility_budget_w
-            )
-        elif scenario.stepper == "fleet":
-            from repro.sim.fleet import FleetPowerPath
-
-            self.power_path = FleetPowerPath(
-                self.cluster, utility_budget_w=scenario.utility_budget_w
-            )
-        else:
-            self.power_path = PowerPath(
-                self.cluster, utility_budget_w=scenario.utility_budget_w
-            )
-        # Fleet mode keeps battery/tracker state in struct-of-arrays form
-        # between steps; the engine materializes it back onto the objects
-        # only at the boundaries that read them (policy hooks, collect).
-        self._fleet = getattr(self.power_path, "fleet", None)
-        if self._fleet is not None and self.policy.controller is not None:
-            self.policy.controller.attach_fleet(self._fleet)
+        policy.bind(self.cluster, scenario=scenario)
         self.recorder = TraceRecorder(
             [n.name for n in self.cluster], record_series=record_series
         )
-        self._rng = spawn(scenario.seed, f"workload/{policy.name}")
-        self._fade_start: Dict[str, float] = {}
+        self.rng = spawn(scenario.seed, f"workload/{policy.name}")
+        #: The fleet arrays this cell's policy reads: the FleetState of a
+        #: single fleet run, this cell's FleetCell view in a batch, or
+        #: None on the reference and rack-pool paths.
+        self.fleet = None
+        #: This cell's position in its simulation.
+        self.index = 0
+        self.fade_start: Dict[str, float] = {}
+        self.last_draws: Dict[str, float] = {}
+        #: The exception that ended this cell inside a batch.
+        self.error: Optional[Exception] = None
+
+    def attach(self, fleet, index: int) -> None:
+        """Place the cell in its simulation; its controller ranks nodes
+        from ``fleet`` when there is one."""
+        self.fleet, self.index = fleet, index
+        if fleet is not None and self.policy.controller is not None:
+            self.policy.controller.attach_fleet(fleet)
+
+
+class Simulation:
+    """Runs one policy over one scenario and solar trace.
+
+    :meth:`batch` builds a simulation of several independent runs (the
+    *cells* of a batch) that step together on the fleet stepper, each
+    with its own cluster, policy, solar trace, demand generator and
+    recorder; each cell's result equals its run alone, bit for bit.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        policy: Policy,
+        trace: SolarTrace,
+        record_series: bool = False,
+    ):
+        self._build([_Cell(scenario, policy, trace, record_series)], batched=False)
+
+    @classmethod
+    def batch(
+        cls, runs: Sequence[Tuple[Scenario, Policy, SolarTrace]]
+    ) -> "Simulation":
+        """One simulation of several independent runs as a batched fleet.
+
+        The runs must share every scenario field the engine reads per
+        step rather than per node (:func:`batch_key`), and use the
+        per-server architecture. Tracing and alerting, which key on node
+        names, are not supported inside a batch. :meth:`run_cells`
+        returns one result (or the exception that ended it) per run.
+        """
+        keys = {batch_key(scenario, trace) for scenario, _, trace in runs}
+        if len(keys) != 1 or None in keys:
+            raise ConfigurationError(
+                "a batch needs per-server runs with one batch key"
+            )
+        if BUS.enabled or ALERTS.enabled:
+            raise ConfigurationError("a batch cannot run with tracing or alerting on")
+        sim = cls.__new__(cls)
+        sim._build([_Cell(*run, record_series=False) for run in runs], batched=True)
+        return sim
+
+    def _build(self, cells: List[_Cell], batched: bool) -> None:
+        self.cells = cells
+        self._batched = batched
+        first = cells[0]
+        #: The (first) cell's run; a batch's cells share every field of
+        #: the scenario the engine reads per step.
+        self.scenario = scenario = first.scenario
+        self.policy = first.policy
+        self.trace = first.trace
+        self.cluster = first.cluster
+        if batched:
+            self.power_path = FleetPowerPath(
+                [c.cluster for c in cells],
+                utility_budget_w=[c.scenario.utility_budget_w for c in cells],
+            )
+            fleet = self.power_path.fleet
+            for k, cell in enumerate(cells):
+                cell.attach(FleetCell(fleet, k), k)
+            self._batch_recorder = BatchRecorder([c.recorder for c in cells])
+        else:
+            if scenario.architecture == "rack-pool":
+                from repro.datacenter.rack import RackPowerPath
+
+                self.power_path = RackPowerPath(
+                    self.cluster, utility_budget_w=scenario.utility_budget_w
+                )
+            elif scenario.stepper == "fleet":
+                self.power_path = FleetPowerPath(
+                    self.cluster, utility_budget_w=scenario.utility_budget_w
+                )
+            else:
+                self.power_path = PowerPath(
+                    self.cluster, utility_budget_w=scenario.utility_budget_w
+                )
+            # Fleet mode keeps battery/tracker state in struct-of-arrays
+            # form between steps; the engine materializes it back onto the
+            # objects only at the boundaries that read them (policy hooks,
+            # collect).
+            fleet = getattr(self.power_path, "fleet", None)
+            first.attach(fleet, 0)
+        self._fleet = fleet
+        self.recorder = first.recorder
+        self._rng = first.rng
+        #: The demand noise generator(s) the fleet kernels draw from.
+        self._rngs = [c.rng for c in cells] if batched else first.rng
+        #: Cells still running (a batch drops a cell whose hooks raised).
+        self._live = tuple(cells)
         self._placed = False
         self._begun = False
         # Step state is defined from construction so steps_done and
         # external inspection are valid before _begin ever runs.
         self._step = 0
-        self._last_draws: Dict[str, float] = {}
         self._soc_below = np.zeros(0, dtype=bool)
         self._phase_timers: StepPhaseTimers | None = None
         # Last admin window state written to the servers (None = never):
         # the per-node admin_off fan-out only runs on transitions.
         self._admin_in_window: bool | None = None
 
+    def _each_cell(self, hook, *args) -> None:
+        """``hook(cell, *args)`` for every live cell. In a batch, a cell
+        whose hook raises stops there alone; its batch-mates go on."""
+        for cell in self._live:
+            try:
+                hook(cell, *args)
+            except Exception as exc:
+                if not self._batched:
+                    raise
+                cell.error = exc
+                self._live = tuple(c for c in self._live if c is not cell)
+
     # ------------------------------------------------------------------
     def deploy(self) -> None:
         """Place every scenario VM through the policy (once)."""
         if self._placed:
             return
-        for vm in self.scenario.build_vms():
-            self.policy.place_vm(vm)
+        self._each_cell(self._deploy_cell)
         if self._fleet is not None:
-            self._fleet.validate_vms(self.cluster)
             self._fleet.refresh_policy_view()
         self._placed = True
+
+    @staticmethod
+    def _deploy_cell(cell: _Cell) -> None:
+        for vm in cell.scenario.build_vms():
+            cell.policy.place_vm(vm)
+        if cell.fleet is not None:
+            FleetState.validate_vms(cell.cluster)
 
     def _begin(self) -> None:
         """One-time setup before stepping: deploy VMs, mark trackers.
 
-        Guarded by an explicit flag — truthiness of ``_fade_start`` is
-        not a begun-sentinel (it stays empty on an empty cluster, which
+        Guarded by an explicit flag — truthiness of a cell's
+        ``fade_start`` is not a begun-sentinel (it stays empty on an empty cluster, which
         would re-run setup and re-mark trackers every step).
         """
         if self._begun:
@@ -175,10 +278,11 @@ class Simulation:
                     )
                 )
         self.deploy()
-        for node in self.cluster:
-            node.tracker.mark(RUN_MARK)
-            self._fade_start[node.name] = node.battery.capacity_fade
-            self._last_draws[node.name] = 0.0
+        for cell in self.cells:
+            for node in cell.cluster:
+                node.tracker.mark(RUN_MARK)
+                cell.fade_start[node.name] = node.battery.capacity_fade
+                cell.last_draws[node.name] = 0.0
         self._soc_below = (
             np.array([node.battery.soc for node in self.cluster]) < LOW_SOC_THRESHOLD
         )
@@ -218,9 +322,11 @@ class Simulation:
         window_lo, window_hi = scenario.operating_window_h
         control_every = self._control_every
         steps_per_day = self._steps_per_day
+        fleet = self._fleet
 
         step = self._step
-        solar_w = float(self.trace.power_w[step])
+        # Solar watts per cell.
+        solar = [float(cell.trace.power_w[step]) for cell in self.cells]
         t = step * dt
         tod_h = (t % SECONDS_PER_DAY) / SECONDS_PER_HOUR
         in_window = window_lo <= tod_h < window_hi
@@ -239,8 +345,8 @@ class Simulation:
         ambient = scenario.ambient_mean_c + 0.5 * scenario.ambient_swing_c * (
             math.cos(2.0 * math.pi * (tod_h - 14.0) / 24.0)
         )
-        if self._fleet is not None:
-            self._fleet.set_ambient(ambient)
+        if fleet is not None:
+            fleet.set_ambient(ambient)
         else:
             for node in self.cluster:
                 node.battery.thermal.ambient_c = ambient
@@ -251,50 +357,32 @@ class Simulation:
                 BUS.emit(DayStartEvent(t=t, day_index=day_index))
             if timing and step > 0:
                 REGISTRY.sample(t)
-            if self._fleet is not None:
-                self._fleet.materialize()
-            self.policy.on_day_start(t)
+            self._each_cell(self._day_start, t)
 
         if self._admin_in_window is not in_window:
-            for node in self.cluster:
-                node.server.admin_off = not in_window
-            if self._fleet is not None:
-                self._fleet.set_admin_off(not in_window)
+            for cell in self.cells:
+                for node in cell.cluster:
+                    node.server.admin_off = not in_window
+            if fleet is not None:
+                fleet.set_admin_off(not in_window)
             self._admin_in_window = in_window
 
         # --- control phase -------------------------------------------
         if timing:
             t0 = perf_counter()
         if in_window and step % control_every == 0:
-            # Fleet runs try the policy's array decision pass first; it
-            # returns False whenever the pass decides per-node actions
-            # (or observability) require the object path, which is rare
-            # in steady state.
-            handled = self._fleet is not None and self.policy.control_fleet(
-                t, dt, self._fleet, solar_w=solar_w
-            )
-            if not handled:
-                # Derive the DR draw signal here, at the only pass that
-                # reads it: battery state is unchanged between the end of
-                # the previous power phase and this control pass, so these
-                # draws are bit-identical to refreshing them every step.
-                if self._fleet is not None:
-                    self._fleet.materialize()
-                    self._last_draws = self._fleet.last_draw_powers()
-                else:
-                    self._last_draws = self._draw_powers()
-                self.policy.control(t, dt, self._last_draws, solar_w=solar_w)
-                if self._fleet is not None:
-                    # The object pass may have parked, throttled, capped,
-                    # or woken nodes; re-read the control-plane masks.
-                    self._fleet.refresh_policy_view()
+            self._each_cell(self._control, t, dt, solar)
         if timing:
             t1 = perf_counter()
             self._phase_timers.control.observe(t1 - t0)
             t0 = t1
 
         # --- power-path phase ----------------------------------------
-        flows = self.power_path.step(t, dt, solar_w, rng=self._rng)
+        if self._batched:
+            self.power_path.step(t, dt, solar, rng=self._rngs)
+            flows = self.power_path.cell_flows
+        else:
+            flows = (self.power_path.step(t, dt, solar[0], rng=self._rng),)
         if timing:
             t1 = perf_counter()
             self._phase_timers.power.observe(t1 - t0)
@@ -309,8 +397,8 @@ class Simulation:
         # proportional share (consolidation trades speed for staying
         # powered, which the throughput metric must reflect). Fleet runs
         # do the same as one array pass over the VM table.
-        if in_window and self._fleet is not None:
-            self._fleet.advance_vms(t, dt, self._rng)
+        if in_window and fleet is not None:
+            fleet.advance_vms(t, dt, self._rngs)
         elif in_window:
             for node in self.cluster:
                 if not node.server.vms:
@@ -341,15 +429,15 @@ class Simulation:
             t0 = t1
 
         # --- record phase --------------------------------------------
-        if self._fleet is not None:
-            self.recorder.record_arrays(
-                t, dt, flows, self._fleet.soc, self._fleet.last_current
-            )
+        if self._batched:
+            self._batch_recorder.record(dt, fleet.soc)
+        elif fleet is not None:
+            self.recorder.record_arrays(t, dt, flows[0], fleet.soc, fleet.last_current)
         else:
             self.recorder.record(
                 t,
                 dt,
-                flows,
+                flows[0],
                 {n.name: n.battery.soc for n in self.cluster},
                 {n.name: n.battery.last_current_a for n in self.cluster},
             )
@@ -357,6 +445,40 @@ class Simulation:
             self._phase_timers.record.observe(perf_counter() - t0)
         self._step += 1
 
+    @staticmethod
+    def _day_start(cell: _Cell, t: float) -> None:
+        if cell.fleet is not None:
+            cell.fleet.materialize()
+        cell.policy.on_day_start(t)
+
+    def _control(
+        self, cell: _Cell, t: float, dt: float, solar: Sequence[float]
+    ) -> None:
+        """One cell's control pass."""
+        solar_w = solar[cell.index]
+        fleet = cell.fleet
+        # Fleet runs try the policy's array decision pass first; it
+        # returns False whenever the pass decides per-node actions (or
+        # observability) require the object path, which is rare in
+        # steady state.
+        if fleet is not None and cell.policy.control_fleet(
+            t, dt, fleet, solar_w=solar_w
+        ):
+            return
+        # Derive the DR draw signal here, at the only pass that reads it:
+        # battery state is unchanged between the end of the previous power
+        # phase and this control pass, so these draws are bit-identical to
+        # refreshing them every step.
+        if fleet is not None:
+            fleet.materialize()
+            cell.last_draws = fleet.last_draw_powers()
+        else:
+            cell.last_draws = self._draw_powers()
+        cell.policy.control(t, dt, cell.last_draws, solar_w=solar_w)
+        if fleet is not None:
+            # The object pass may have parked, throttled, capped, or woken
+            # nodes; re-read the control-plane masks.
+            fleet.refresh_policy_view()
     def _draw_powers(self) -> Dict[str, float]:
         """Per-node battery draw (W) for the DR signal: each battery's
         last-step discharge current times its terminal voltage there."""
@@ -410,6 +532,19 @@ class Simulation:
             self.step_once()
         return self._collect()
 
+    def run_cells(self) -> List[Union[SimResult, Exception]]:
+        """Execute the whole (remaining) trace; per cell, its result or
+        the exception that ended it."""
+        self._begin()
+        while self._step < self.steps_total:
+            self.step_once()
+        if self._fleet is not None:
+            self._fleet.materialize()
+        return [
+            cell.error if cell.error is not None else self._collect_cell(cell)
+            for cell in self.cells
+        ]
+
     # ------------------------------------------------------------------
     def _collect(self) -> SimResult:
         if BUS.enabled:
@@ -417,37 +552,63 @@ class Simulation:
             TELEMETRY.end_run()
         if self._fleet is not None:
             self._fleet.materialize()
+        return self._collect_cell(self.cells[0])
+
+    def _collect_cell(self, cell: _Cell) -> SimResult:
+        cluster, recorder = cell.cluster, cell.recorder
         nodes = []
-        for node in self.cluster:
+        for node in cluster:
             metrics = node.tracker.since(RUN_MARK)
             nodes.append(
                 NodeResult(
                     name=node.name,
-                    fade_start=self._fade_start[node.name],
+                    fade_start=cell.fade_start[node.name],
                     fade_end=node.battery.capacity_fade,
                     discharged_ah=metrics.discharged_ah,
                     charged_ah=metrics.charged_ah,
                     metrics=metrics,
                     downtime_s=node.server.downtime_s,
-                    low_soc_time_s=self.recorder.low_soc_time_s[node.name],
-                    soc_distribution=self.recorder.soc_distribution(node.name),
+                    low_soc_time_s=recorder.low_soc_time_s[node.name],
+                    soc_distribution=recorder.soc_distribution(node.name),
                     final_soc=node.battery.soc,
                 )
             )
-        migrations = sum(vm.migrations for vm in self.cluster.vms.values())
-        dvfs = sum(n.server.dvfs_transitions for n in self.cluster)
+        migrations = sum(vm.migrations for vm in cluster.vms.values())
+        dvfs = sum(n.server.dvfs_transitions for n in cluster)
         return SimResult(
-            policy_name=self.policy.name,
-            duration_s=self.trace.duration_s,
-            throughput=self.cluster.total_progress(),
+            policy_name=cell.policy.name,
+            duration_s=cell.trace.duration_s,
+            throughput=cluster.total_progress(),
             nodes=nodes,
-            total_downtime_s=sum(n.server.downtime_s for n in self.cluster),
+            total_downtime_s=sum(n.server.downtime_s for n in cluster),
             migrations=migrations,
             dvfs_transitions=dvfs,
-            unserved_wh=sum(n.unserved_wh for n in self.cluster),
-            feedback_wh=sum(n.feedback_wh for n in self.cluster),
-            recorder=self.recorder,
+            unserved_wh=sum(n.unserved_wh for n in cluster),
+            feedback_wh=sum(n.feedback_wh for n in cluster),
+            recorder=recorder,
         )
+
+
+def batch_key(scenario: Scenario, trace: SolarTrace) -> Optional[Tuple]:
+    """What runs must share to step as one batch, or ``None`` for a run
+    that never batches (the rack-pool architecture).
+
+    Every scenario field the engine reads per step rather than per node:
+    the step and trace length, the control interval, the operating
+    window and the ambient temperature curve. Everything else (node
+    count, battery and server parameters, seed, utility budget, solar)
+    may differ between cells.
+    """
+    if scenario.architecture != "per-server":
+        return None
+    return (
+        scenario.dt_s,
+        len(trace.power_w),
+        scenario.control_interval_s,
+        tuple(scenario.operating_window_h),
+        scenario.ambient_mean_c,
+        scenario.ambient_swing_c,
+    )
 
 
 def run_policy_on_trace(

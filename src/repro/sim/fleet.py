@@ -32,6 +32,17 @@ RNG draws keep the reference order: one masked vector
 ``server.vms`` order) yields the same values and generator state as the
 per-VM scalar draws.
 
+Batches
+-------
+A :class:`FleetState` may hold several independent runs (*cells*) on
+one node axis, each cell one cluster. Everything elementwise per node
+runs once for the whole batch; what the reference folds across a
+cluster (the solar share and restart guess, the utility budget, the
+charge walk's surplus, the flow sums and grid feedback) and the demand
+noise stay per cell, each in the order the cell alone would use, so
+every cell is bit-identical to its run alone. Policies read their cell
+through a :class:`FleetCell` view.
+
 The fast path intentionally supports only the configuration the scalar
 models ship with: per-server architecture, plain :class:`BatteryUnit`,
 :class:`Server`, :class:`VM` and :class:`WorkloadProfile` instances, and
@@ -44,7 +55,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -118,6 +129,11 @@ _REGION_LABELS = ("A", "B", "C", "D")
 _SOC_WEIGHTS = np.array([1.0, 1.5, 2.1, 3.0])
 
 
+#: The demand noise generator(s): one for a single cell, one per cell for
+#: a batch.
+Rngs = Union[np.random.Generator, Sequence[np.random.Generator]]
+
+
 def _clamp01(values: np.ndarray) -> np.ndarray:
     """Vector twin of ``clamp(v, 0.0, 1.0)`` (= max(0, min(1, v)))."""
     return np.maximum(0.0, np.minimum(1.0, values))
@@ -137,8 +153,9 @@ class FleetState:
     Battery and tracker arrays are authoritative between :meth:`capture`
     and :meth:`materialize`; the per-node objects are only synchronised
     at policy/inspection boundaries. Node arrays are ordered like
-    ``cluster.nodes``; the VM table (``vm_*`` arrays, ``vms``) is ordered
-    by node, then by ``server.vms``, with ``vm_node`` the host's index.
+    ``cluster.nodes`` (cluster after cluster for a batch); the VM table
+    (``vm_*`` arrays, ``vms``) is ordered by node, then by
+    ``server.vms``, with ``vm_node`` the host's index.
 
     Server and VM state have four kinds of writer:
 
@@ -166,11 +183,25 @@ class FleetState:
       :meth:`refresh_node` leaves it alone.
     """
 
-    def __init__(self, cluster: Cluster):
-        self.cluster = cluster
-        self.nodes = list(cluster.nodes)
+    def __init__(self, cluster: Union[Cluster, Sequence[Cluster]]):
+        clusters = [cluster] if isinstance(cluster, Cluster) else list(cluster)
+        for c in clusters:
+            self.validate(c)
+        self.nodes = [node for c in clusters for node in c.nodes]
         self.n = len(self.nodes)
-        self.validate(cluster)
+        #: Node ranges of the cells: cell k owns nodes ``cells[k][0]`` up
+        #: to ``cells[k][1]``. One cell per cluster; a batch of several
+        #: independent runs concatenates their clusters on the node axis.
+        bounds = [0]
+        for c in clusters:
+            bounds.append(bounds[-1] + len(c.nodes))
+        self.cells: Tuple[Tuple[int, int], ...] = tuple(zip(bounds, bounds[1:]))
+        self.n_cells = len(self.cells)
+        self._bounds = np.array(bounds, dtype=np.intp)
+        #: Per node, the index of its cell.
+        self.cell_index = np.repeat(
+            np.arange(self.n_cells), np.diff(self._bounds)
+        )
         self._alloc_constants()
         # Cached per-dt exponential factors (thermal decay, self-discharge).
         self._decay_dt: float | None = None
@@ -365,32 +396,41 @@ class FleetState:
         self.boot_left_s = np.array([float(s._boot_remaining_s) for s in servers])
         self.downtime_s = np.array([float(s.downtime_s) for s in servers])
         self.admin_off = np.array([s.admin_off for s in servers], dtype=bool)
-        self._dirty = False
+        #: Cells whose objects hold the arrays' values (see materialize).
+        self._synced = set(range(self.n_cells))
         self._state_version += 1
         self.refresh_policy_view()
 
-    def refresh_policy_view(self) -> None:
+    def refresh_policy_view(self, cell: Optional[int] = None) -> None:
         """Re-read every node's control-plane inputs from the objects.
 
         Parking, DVFS, discharge caps and VM placement are policy
         actions on the object API; the engine calls this after deploying
-        VMs and after every object-path control pass.
+        VMs and after every object-path control pass. With ``cell``, only
+        that cell's nodes and VMs are re-read.
         """
-        nodes = self.nodes
-        self.policy_off_mask = np.array(
-            [nd.server.policy_off for nd in nodes], dtype=bool
-        )
-        self.freq_index = np.array(
-            [nd.server.freq_index for nd in nodes], dtype=np.intp
-        )
+        if cell is None:
+            lo, hi = 0, self.n
+            self.policy_off_mask = np.zeros(self.n, dtype=bool)
+            self.freq_index = np.zeros(self.n, dtype=np.intp)
+            self.frequency = np.zeros(self.n)
+            self.f_pow = np.zeros(self.n)
+            self.idle_now_w = np.zeros(self.n)
+            self.discharge_cap_w = np.zeros(self.n)
+            self.hosting = np.zeros(self.n, dtype=bool)
+        else:
+            lo, hi = self.cells[cell]
+        nodes = self.nodes[lo:hi]
+        self.policy_off_mask[lo:hi] = [nd.server.policy_off for nd in nodes]
+        self.freq_index[lo:hi] = [nd.server.freq_index for nd in nodes]
         freq = [nd.server.frequency for nd in nodes]
-        self.frequency = np.array(freq, dtype=float)
+        self.frequency[lo:hi] = freq
         # Scalar pow, as Server.power takes it.
-        self.f_pow = np.array([f ** DVFS_POWER_EXPONENT for f in freq], dtype=float)
-        self.idle_now_w = np.array([_idle_power_w(nd.server) for nd in nodes])
-        self.discharge_cap_w = np.array([float(nd.discharge_cap_w) for nd in nodes])
-        self.hosting = np.array([bool(nd.server.vms) for nd in nodes], dtype=bool)
-        self._read_vms()
+        self.f_pow[lo:hi] = [f ** DVFS_POWER_EXPONENT for f in freq]
+        self.idle_now_w[lo:hi] = [_idle_power_w(nd.server) for nd in nodes]
+        self.discharge_cap_w[lo:hi] = [float(nd.discharge_cap_w) for nd in nodes]
+        self.hosting[lo:hi] = [bool(nd.server.vms) for nd in nodes]
+        self._read_vms(cell)
 
     def refresh_node(self, i: int) -> None:
         """:meth:`refresh_policy_view` for node ``i`` alone (an in-place
@@ -409,10 +449,13 @@ class FleetState:
     # ------------------------------------------------------------------
     # VM table
     # ------------------------------------------------------------------
-    def _read_vms(self) -> None:
+    def _read_vms(self, cell: Optional[int] = None) -> None:
         """Rebuild the VM table from ``server.vms``: layout, workload
         columns, and the dynamic columns, which the objects must hold
-        current (see the class docstring)."""
+        current (see the class docstring). With ``cell``, only that
+        cell's dynamic columns are read from the objects; the other
+        cells' rows keep their array values (VMs never leave their cell,
+        so each cell's block of rows keeps its place and length)."""
         vms, node_of, slot = [], [], []
         for i, node in enumerate(self.nodes):
             for k, vm in enumerate(node.server.vms):
@@ -423,6 +466,8 @@ class FleetState:
         self.vm_node = np.array(node_of, dtype=np.intp)
         #: Table offsets: node i's VMs are ``vms[_vm_start[i]:_vm_start[i+1]]``.
         self._vm_start = np.searchsorted(self.vm_node, np.arange(self.n + 1))
+        #: Per cell, its first VM row; the last entry is the table length.
+        self._vm_bounds = self._vm_start[self._bounds].tolist()
         slot_arr = np.array(slot, dtype=np.intp)
         #: Per in-server position k < 2: (table rows, their nodes). For a
         #: server with one or two VMs, folding the positions in order is
@@ -455,10 +500,19 @@ class FleetState:
             key = (float(w.period_s), float(w.phase), float(w.duty_cycle))
             self.vm_group[k] = groups.setdefault(key, len(groups))
         self._wave_groups = groups
-        self.vm_stall_s = np.array([float(vm._stall_remaining_s) for vm in vms])
-        self.vm_progress = np.array([float(vm.progress) for vm in vms])
-        self.vm_cache_t = np.array([float(vm._cache_t) for vm in vms])
-        self.vm_cache_util = np.array([float(vm._cache_util) for vm in vms])
+        if cell is None:
+            lo, hi = 0, m
+            self.vm_stall_s = np.zeros(m)
+            self.vm_progress = np.zeros(m)
+            self.vm_cache_t = np.zeros(m)
+            self.vm_cache_util = np.zeros(m)
+        else:
+            lo, hi = self._vm_bounds[cell], self._vm_bounds[cell + 1]
+        fresh = vms[lo:hi]
+        self.vm_stall_s[lo:hi] = [float(vm._stall_remaining_s) for vm in fresh]
+        self.vm_progress[lo:hi] = [float(vm.progress) for vm in fresh]
+        self.vm_cache_t[lo:hi] = [float(vm._cache_t) for vm in fresh]
+        self.vm_cache_util[lo:hi] = [float(vm._cache_util) for vm in fresh]
 
     def _wave(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """Per wave group (distinct period, phase, duty cycle): whether
@@ -477,13 +531,14 @@ class FleetState:
         return np.array(active, dtype=bool), np.array(wave, dtype=float)
 
     def vm_utilization(
-        self, on_node: np.ndarray, t: float, rng: Optional[np.random.Generator]
+        self, on_node: np.ndarray, t: float, rng: Optional[Rngs]
     ) -> np.ndarray:
         """Per table row, :meth:`VM.utilization` for the VMs hosted on
         ``on_node`` nodes (0 elsewhere and while stalled).
 
         Rows already sampled at ``t`` reuse the cache; the rest are
-        sampled with one masked normal draw in table order and, with an
+        sampled with one masked normal draw per cell in table order
+        (``rng`` holds one generator per cell on a batch) and, with an
         ``rng``, cached.
         """
         util = np.zeros(len(self.vms))
@@ -502,13 +557,32 @@ class FleetState:
         if rng is not None:
             draw = on & self.vm_draws[rows]
             if draw.any():
-                u[draw] += rng.normal(0.0, self.vm_noise_sd[rows[draw]])
+                if self.n_cells == 1:
+                    u[draw] += rng.normal(0.0, self.vm_noise_sd[rows[draw]])
+                else:
+                    self._draw_by_cell(u, draw, rows, rng)
         u = _clamp01(u)
         util[rows] = u
         if rng is not None:
             self.vm_cache_t[rows] = t
             self.vm_cache_util[rows] = u
         return util
+
+    def _draw_by_cell(
+        self,
+        u: np.ndarray,
+        draw: np.ndarray,
+        rows: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+    ) -> None:
+        """The demand noise of a batch: each cell's rows draw from that
+        cell's generator, in table order, exactly as the cell alone."""
+        at = draw.nonzero()[0]
+        drawn = rows[at]
+        cuts = np.searchsorted(drawn, self._vm_bounds).tolist()
+        for rng, lo, hi in zip(rngs, cuts, cuts[1:]):
+            if hi > lo:
+                u[at[lo:hi]] += rng.normal(0.0, self.vm_noise_sd[drawn[lo:hi]])
 
     def sum_by_node(self, values: np.ndarray) -> np.ndarray:
         """Per node, builtin ``sum()`` of its VMs' ``values`` in
@@ -520,9 +594,7 @@ class FleetState:
             total[i] = sum(values[lo:hi].tolist())
         return total
 
-    def advance_vms(
-        self, t: float, dt: float, rng: Optional[np.random.Generator]
-    ) -> None:
+    def advance_vms(self, t: float, dt: float, rng: Optional[Rngs]) -> None:
         """The engine's VM-advance phase as one array pass: utilisation
         once per VM (cached since demand, fresh for a host that finished
         booting this step), time-shared contention, stall consumption and
@@ -550,7 +622,7 @@ class FleetState:
         consumed = np.minimum(self.vm_stall_s, dt)
         self.vm_stall_s -= consumed
         self.vm_progress += util * factor * (dt - consumed)
-        self._dirty = True
+        self._synced.clear()
 
     @property
     def server_up(self) -> np.ndarray:
@@ -596,63 +668,71 @@ class FleetState:
         self.server_state[i] = _UP
         self._state_version += 1
 
-    def materialize(self) -> None:
+    def materialize(self, cell: Optional[int] = None) -> None:
         """Write array state back into the per-node objects.
 
         Called before any code that reads batteries, trackers or VMs
         through the object API (policy control, day hooks, result
-        collection). A no-op when the arrays have not advanced since the
-        last sync.
+        collection). With ``cell``, only that cell's nodes and VMs. A
+        no-op for cells whose arrays have not advanced since their last
+        sync.
         """
-        if not self._dirty:
-            return
-        for i, node in enumerate(self.nodes):
-            bat = node.battery
-            bat._soc = float(self.soc[i])
-            bat.thermal.temperature_c = float(self.temp_c[i])
-            bat.thermal.ambient_c = float(self.ambient_c[i])
-            bat._time_s = float(self.time_s[i])
-            bat._last_current = float(self.last_current[i])
-            bat._hours_since_full = float(self.h_full[i])
-            bat.energy_in_wh = float(self.energy_in_wh[i])
-            bat.energy_out_wh = float(self.energy_out_wh[i])
-            damage = bat.aging.state.damage
-            for row, name in enumerate(self.mech_names):
-                damage[name] = float(self.damage[row, i])
-            bat.aging.state.discharged_ah = float(self.aging_discharged_ah[i])
-            bat.aging.state.charged_ah = float(self.aging_charged_ah[i])
-            bat.aging._recoverable_stratification = float(self.recoverable_strat[i])
-            acc = node.tracker.acc
-            acc.discharged_ah = float(self.tr_discharged_ah[i])
-            acc.charged_ah = float(self.tr_charged_ah[i])
-            for row, label in enumerate(_REGION_LABELS):
-                acc.region_discharged_ah[label] = float(self.tr_region[row, i])
-            acc.total_time_s = float(self.tr_total_time_s[i])
-            acc.deep_discharge_time_s = float(self.tr_deep_time_s[i])
-            acc.discharge_time_s = float(self.tr_discharge_time_s[i])
-            acc.discharge_current_time_as = float(self.tr_current_time_as[i])
-            acc.peak_discharge_current_a = float(self.tr_peak_a[i])
-            acc.high_rate_low_soc_time_s = float(self.tr_high_rate_s[i])
-            node.feedback_wh = float(self.feedback_wh[i])
-            node.server.downtime_s = float(self.downtime_s[i])
-            node.server._boot_remaining_s = float(self.boot_left_s[i])
-        for vm, stall, progress, cache_t, cache_util in zip(
-            self.vms,
-            self.vm_stall_s.tolist(),
-            self.vm_progress.tolist(),
-            self.vm_cache_t.tolist(),
-            self.vm_cache_util.tolist(),
-        ):
-            vm._stall_remaining_s = stall
-            vm.progress = progress
-            vm._cache_t = cache_t
-            vm._cache_util = cache_util
-        self._dirty = False
+        for k in range(self.n_cells) if cell is None else (cell,):
+            if k in self._synced:
+                continue
+            lo, hi = self.cells[k]
+            for i in range(lo, hi):
+                self._write_node(i)
+            vlo, vhi = self._vm_bounds[k], self._vm_bounds[k + 1]
+            for vm, stall, progress, cache_t, cache_util in zip(
+                self.vms[vlo:vhi],
+                self.vm_stall_s[vlo:vhi].tolist(),
+                self.vm_progress[vlo:vhi].tolist(),
+                self.vm_cache_t[vlo:vhi].tolist(),
+                self.vm_cache_util[vlo:vhi].tolist(),
+            ):
+                vm._stall_remaining_s = stall
+                vm.progress = progress
+                vm._cache_t = cache_t
+                vm._cache_util = cache_util
+            self._synced.add(k)
+
+    def _write_node(self, i: int) -> None:
+        node = self.nodes[i]
+        bat = node.battery
+        bat._soc = float(self.soc[i])
+        bat.thermal.temperature_c = float(self.temp_c[i])
+        bat.thermal.ambient_c = float(self.ambient_c[i])
+        bat._time_s = float(self.time_s[i])
+        bat._last_current = float(self.last_current[i])
+        bat._hours_since_full = float(self.h_full[i])
+        bat.energy_in_wh = float(self.energy_in_wh[i])
+        bat.energy_out_wh = float(self.energy_out_wh[i])
+        damage = bat.aging.state.damage
+        for row, name in enumerate(self.mech_names):
+            damage[name] = float(self.damage[row, i])
+        bat.aging.state.discharged_ah = float(self.aging_discharged_ah[i])
+        bat.aging.state.charged_ah = float(self.aging_charged_ah[i])
+        bat.aging._recoverable_stratification = float(self.recoverable_strat[i])
+        acc = node.tracker.acc
+        acc.discharged_ah = float(self.tr_discharged_ah[i])
+        acc.charged_ah = float(self.tr_charged_ah[i])
+        for row, label in enumerate(_REGION_LABELS):
+            acc.region_discharged_ah[label] = float(self.tr_region[row, i])
+        acc.total_time_s = float(self.tr_total_time_s[i])
+        acc.deep_discharge_time_s = float(self.tr_deep_time_s[i])
+        acc.discharge_time_s = float(self.tr_discharge_time_s[i])
+        acc.discharge_current_time_as = float(self.tr_current_time_as[i])
+        acc.peak_discharge_current_a = float(self.tr_peak_a[i])
+        acc.high_rate_low_soc_time_s = float(self.tr_high_rate_s[i])
+        node.feedback_wh = float(self.feedback_wh[i])
+        node.server.downtime_s = float(self.downtime_s[i])
+        node.server._boot_remaining_s = float(self.boot_left_s[i])
 
     def set_ambient(self, ambient_c: float) -> None:
         """Fan one ambient temperature out to every battery (array write)."""
         self.ambient_c[:] = ambient_c
-        self._dirty = True
+        self._synced.clear()
 
     # ------------------------------------------------------------------
     # Per-step derived quantities
@@ -857,6 +937,84 @@ class FleetState:
         return out
 
 
+#: Every per-node array of :class:`FleetState` (node axis last), which a
+#: :class:`FleetCell` shows sliced to its cell.
+NODE_ARRAYS = frozenset(
+    """
+    admin_off aging_charged_ah aging_discharged_ah am_pcf ambient_c
+    boot_left_s cap_scaled charge_float charge_max cor_base cor_float_mult
+    cor_high_mult coul_base cutoff_soc cutoff_v damage discharge_cap_w
+    downtime_s energy_in_wh energy_out_wh f_pow feedback_gain feedback_wh
+    freq_index frequency gassing_soc h_full hosting i_ref idle_now_w idle_w
+    k_minus_1 last_current ocv_empty ocv_full policy_off_mask r0 r_th
+    recoverable_strat resistance_shares sd_rate server_state soc span_w
+    st_base st_sat sul_base sul_thresh taper_start tau temp_c time_s
+    tr_charged_ah tr_current_time_as tr_deep_time_s tr_discharge_time_s
+    tr_discharged_ah tr_high_rate_s tr_peak_a tr_region tr_total_time_s
+    tracker_lifetime_ah tracker_ref_current wl_fpc
+    """.split()
+)
+
+
+class FleetCell:
+    """One cell's view of a batched :class:`FleetState`.
+
+    A policy, its controller and the engine's per-cell code read the
+    batch through this view exactly as they read a one-cell fleet: every
+    per-node array (:data:`NODE_ARRAYS`) comes sliced to the cell, node
+    indices are cell-local, and the object-path boundaries
+    (:meth:`materialize`, :meth:`refresh_policy_view`,
+    :meth:`refresh_node`) touch this cell alone. Slices are taken at
+    each access, so they follow the batch arrays when a kernel rebinds
+    them.
+    """
+
+    def __init__(self, fleet: FleetState, cell: int):
+        self.fleet = fleet
+        self.cell = cell
+        self._lo, self._hi = fleet.cells[cell]
+        self.nodes = fleet.nodes[self._lo:self._hi]
+        self.node_names = fleet.node_names[self._lo:self._hi]
+        self.n = len(self.nodes)
+        self._mark_cache: Dict[str, Tuple[int, Dict[str, np.ndarray]]] = {}
+        self._derived: Tuple[Optional[dict], Dict[str, np.ndarray]] = (None, {})
+
+    def __getattr__(self, name: str):
+        if name in NODE_ARRAYS:
+            return getattr(self.fleet, name)[..., self._lo:self._hi]
+        raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
+
+    @property
+    def _state_version(self) -> int:
+        return self.fleet._state_version
+
+    def derived_now(self) -> Dict[str, np.ndarray]:
+        """The batch's derived quantities, sliced to this cell."""
+        der = self.fleet.derived_now()
+        if self._derived[0] is not der:
+            lo, hi = self._lo, self._hi
+            self._derived = (der, {k: v[lo:hi] for k, v in der.items()})
+        return self._derived[1]
+
+    def materialize(self) -> None:
+        self.fleet.materialize(self.cell)
+
+    def refresh_policy_view(self) -> None:
+        self.fleet.refresh_policy_view(self.cell)
+
+    def refresh_node(self, i: int) -> None:
+        self.fleet.refresh_node(self._lo + i)
+
+    # What policies, controllers and the engine's per-cell code read,
+    # evaluated on the cell's slices.
+    server_up = FleetState.server_up
+    policy_restricted = FleetState.policy_restricted
+    ocv = FleetState.ocv
+    terminal_voltage = FleetState.terminal_voltage
+    last_draw_powers = FleetState.last_draw_powers
+    mark_arrays = FleetState.mark_arrays
+
+
 class FleetPowerPath(PowerPath):
     """Array-native power routing, bit-compatible with :class:`PowerPath`.
 
@@ -871,15 +1029,37 @@ class FleetPowerPath(PowerPath):
     ``phase/power/<kernel>`` histogram (:data:`~repro.obs.timers.
     POWER_KERNELS`); ``derived()`` runs before the first kernel and is not
     counted in any of them.
+
+    Given a sequence of clusters (and a utility budget per cluster, or
+    one for all), the path routes a *batch*: independent runs concatenated on the node
+    axis as the cells of one :class:`FleetState`. Solar, the demand
+    noise generator, the utility allocation, the charge walk and the
+    grid feedback stay per cell, each in the order the cell alone would
+    use; every other kernel is elementwise per node and runs once for
+    the whole batch. A one-cell path is the single-run case.
     """
 
-    def __init__(self, cluster: Cluster, utility_budget_w: float = 0.0):
-        if utility_budget_w < 0.0:
+    def __init__(
+        self,
+        cluster: Union[Cluster, Sequence[Cluster]],
+        utility_budget_w: Union[float, Sequence[float]] = 0.0,
+    ):
+        super().__init__(cluster, utility_budget_w=utility_budget_w)
+        self.fleet = FleetState(cluster)
+        #: Per cell, its utility budget (one value may serve every cell).
+        self._budgets = (
+            tuple(utility_budget_w)
+            if isinstance(utility_budget_w, Sequence)
+            else (utility_budget_w,) * self.fleet.n_cells
+        )
+        if len(self._budgets) != self.fleet.n_cells:
+            raise ConfigurationError("need one utility budget per cluster")
+        if any(b < 0.0 for b in self._budgets):
             # The prefix allocation in _allocate assumes a budget that
             # only shrinks.
             raise ConfigurationError("the fleet stepper needs utility_budget_w >= 0")
-        super().__init__(cluster, utility_budget_w=utility_budget_w)
-        self.fleet = FleetState(cluster)
+        #: Each cell's flows of the last step (one entry per cell).
+        self.cell_flows: List[PowerFlows] = []
         # Reusable per-step op buffers, zeroed at each step: mode, signed
         # current (+ discharge, - charge), gassing current, float flag,
         # drained Ah, stored Ah, delivered W, absorbed W.
@@ -898,11 +1078,16 @@ class FleetPowerPath(PowerPath):
         self,
         t: float,
         dt: float,
-        solar_w: float,
-        rng: Optional[np.random.Generator] = None,
+        solar_w: Union[float, Sequence[float]],
+        rng: Optional[Rngs] = None,
         charging_enabled: bool = True,
     ) -> PowerFlows:
+        """One routing step. On a batch, ``solar_w`` and ``rng`` hold one
+        entry per cell; the returned flows are then the sums of the
+        cells' flows, which :attr:`cell_flows` holds one by one."""
         fs = self.fleet
+        cells = fs.cells
+        solar = (solar_w,) if fs.n_cells == 1 else tuple(solar_w)
         der = fs.derived(dt)
         # One registry check per step: kernel boundaries are stamped and
         # observed together at the end.
@@ -910,17 +1095,17 @@ class FleetPowerPath(PowerPath):
         if timing:
             stamps = [perf_counter()]
 
-        self._restart(solar_w, der)
+        self._restart(solar, der)
         if timing:
             stamps.append(perf_counter())
 
         demand = self.demand(t, rng)
-        # Builtin sum, as the reference sums its demand dict.
-        total_demand = sum(demand.tolist())
+        # Builtin sum per cell, as the reference sums its demand dict.
+        total_demand = [sum(demand[lo:hi].tolist()) for lo, hi in cells]
         if timing:
             stamps.append(perf_counter())
 
-        solar_to_load = min(solar_w, total_demand)
+        solar_to_load = [min(s, d) for s, d in zip(solar, total_demand)]
         def_idx, deficit, utility_used = self._allocate(
             demand, total_demand, solar_to_load
         )
@@ -942,21 +1127,24 @@ class FleetPowerPath(PowerPath):
             stamps.append(perf_counter())
 
         # --- surplus solar charges batteries, emptiest first --------------
-        surplus = max(0.0, solar_w - solar_to_load)
-        solar_to_battery = 0.0
-        if charging_enabled and surplus > 0.0:
-            touched = mode != _OP_REST
-            cand = ((fs.soc < 1.0) & ~touched).nonzero()[0]
+        surplus = [max(0.0, s - used) for s, used in zip(solar, solar_to_load)]
+        solar_to_battery = [0.0] * fs.n_cells
+        if charging_enabled and any(x > 0.0 for x in surplus):
+            chargeable = (fs.soc < 1.0) & (mode == _OP_REST)
+            if fs.n_cells > 1:
+                chargeable &= (np.array(surplus) > 0.0)[fs.cell_index]
+            cand = chargeable.nonzero()[0]
             if len(cand):
                 surplus, solar_to_battery = self._charge_walk(
                     cand, surplus, dt, der,
                     mode, op_current, op_gassing, op_float,
                     op_stored_ah, op_absorbed_w,
                 )
-        feedback = max(0.0, surplus)
-        if feedback > 0.0:
-            per_node = feedback / fs.n
-            fs.feedback_wh += per_node * dt / SECONDS_PER_HOUR
+        feedback = [max(0.0, x) for x in surplus]
+        for (lo, hi), fed in zip(cells, feedback):
+            if fed > 0.0:
+                per_node = fed / (hi - lo)
+                fs.feedback_wh[lo:hi] += per_node * dt / SECONDS_PER_HOUR
         if timing:
             stamps.append(perf_counter())
 
@@ -972,23 +1160,20 @@ class FleetPowerPath(PowerPath):
             stamps.append(perf_counter())
 
         self._observe_all(dt)
-        fs._dirty = True
+        fs._synced.clear()
         fs._state_version += 1
         if timing:
             stamps.append(perf_counter())
             self._observe_kernels(stamps)
 
-        return PowerFlows(
-            demand_w=total_demand,
-            solar_available_w=solar_w,
-            solar_to_load_w=solar_to_load,
-            solar_to_battery_w=solar_to_battery,
-            battery_to_load_w=battery_to_load,
-            utility_to_load_w=utility_used,
-            grid_feedback_w=feedback,
-            unserved_w=unserved,
-            browned_out_nodes=browned_out,
+        columns = (
+            total_demand, solar, solar_to_load, solar_to_battery,
+            battery_to_load, utility_used, feedback, unserved, browned_out,
         )
+        self.cell_flows = [PowerFlows(*cell) for cell in zip(*columns)]
+        if fs.n_cells == 1:
+            return self.cell_flows[0]
+        return PowerFlows(*(sum(column) for column in columns))
 
     def _observe_kernels(self, stamps) -> None:
         if self._timers is None:
@@ -999,22 +1184,30 @@ class FleetPowerPath(PowerPath):
     # ------------------------------------------------------------------
     # Server kernels
     # ------------------------------------------------------------------
-    def _restart(self, solar_w: float, der: Dict[str, np.ndarray]) -> None:
+    def _restart(self, solar_w: Sequence[float], der: Dict[str, np.ndarray]) -> None:
         """Power on every down node that now has a power prospect.
 
-        The solar estimate is shared across the nodes that would draw
-        if the candidate restarted (see :meth:`PowerPath.step`); the
-        battery prospect needs the restart SoC and enough sustainable
-        discharge power, both evaluated for the down candidates only.
+        The solar estimate (one per cell) is shared across the cell's
+        nodes that would draw if the candidate restarted (see
+        :meth:`PowerPath.step`); the battery prospect needs the restart
+        SoC and enough sustainable discharge power, both evaluated for
+        the down candidates only.
         """
         fs = self.fleet
         state = fs.server_state
         on = ~fs.admin_off
-        drawing = int(np.count_nonzero(on & (state != _DOWN)))
-        per_node_solar_guess = solar_w / float(drawing + 1)
         cand = (on & (state == _DOWN)).nonzero()[0]
         if not len(cand):
             return
+        drawing = on & (state != _DOWN)
+        if fs.n_cells == 1:
+            per_node_solar_guess = solar_w[0] / float(
+                int(np.count_nonzero(drawing)) + 1
+            )
+        else:
+            counts = np.add.reduceat(drawing, fs._bounds[:-1]).tolist()
+            guess = [s / float(c + 1) for s, c in zip(solar_w, counts)]
+            per_node_solar_guess = np.array(guess)[fs.cell_index[cand]]
         idle = fs.idle_w[cand]
         battery_w = np.minimum(
             fs.max_discharge_power(cand, der), fs.discharge_cap_w[cand]
@@ -1078,37 +1271,59 @@ class FleetPowerPath(PowerPath):
     # Routing kernels
     # ------------------------------------------------------------------
     def _allocate(
-        self, demand: np.ndarray, total_demand: float, solar_to_load: float
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        self,
+        demand: np.ndarray,
+        total_demand: Sequence[float],
+        solar_to_load: Sequence[float],
+    ) -> Tuple[np.ndarray, np.ndarray, List[float]]:
         """Solar share, utility budget and battery-side deficit per node.
 
         Returns the nodes left with a deficit (node order), their
-        deficits, and the utility power used. The reference hands the
-        budget out in node order (``left -= min(deficit, left)``), a
-        prefix allocation: the strict left fold
-        ``subtract.accumulate([budget, deficits...])`` is the budget left
-        after each node until the first node it cannot cover, which takes
-        the remainder, and every later node gets 0.
+        deficits, and each cell's utility power used. Each cell's solar
+        share is proportional to its nodes' demand, and its budget goes
+        out in node order (``left -= min(deficit, left)``), a prefix
+        allocation: the strict left fold ``subtract.accumulate([budget,
+        deficits...])`` is the budget left after each node until the
+        first node it cannot cover, which takes the remainder, and every
+        later node gets 0. A zero budget leaves every deficit as it is.
         """
-        share = solar_to_load * demand / total_demand if total_demand > 0 else 0.0
+        fs = self.fleet
+        if fs.n_cells == 1:
+            total, to_load = total_demand[0], solar_to_load[0]
+            share = to_load * demand / total if total > 0 else 0.0
+        else:
+            total = np.array(total_demand)[fs.cell_index]
+            share = np.divide(
+                np.array(solar_to_load)[fs.cell_index] * demand,
+                total,
+                out=np.zeros(fs.n),
+                where=total > 0,
+            )
         deficit = demand - share
         idx = (deficit > 1e-9).nonzero()[0]
-        if not len(idx):
-            return idx, deficit[idx], 0.0
         deficit = deficit[idx]
-        left = np.subtract.accumulate(
-            np.concatenate(([self.utility_budget_w], deficit))
+        utility_used = [0.0] * fs.n_cells
+        if not len(idx) or not any(self._budgets):
+            return idx, deficit, utility_used
+        cuts = (
+            [0, len(idx)]
+            if fs.n_cells == 1
+            else np.searchsorted(idx, fs._bounds).tolist()
         )
-        from_utility = deficit.copy()
-        short = (left[1:] < 0.0).nonzero()[0]
-        if len(short):
-            k = short[0]
-            from_utility[k] = left[k]
-            from_utility[k + 1:] = 0.0
-        utility_used = float(
-            np.add.accumulate(np.concatenate(([0.0], from_utility)))[-1]
-        )
-        deficit = deficit - from_utility
+        for c, (budget, a, b) in enumerate(zip(self._budgets, cuts, cuts[1:])):
+            if b == a:
+                continue
+            left = np.subtract.accumulate(np.concatenate(([budget], deficit[a:b])))
+            from_utility = deficit[a:b].copy()
+            short = (left[1:] < 0.0).nonzero()[0]
+            if len(short):
+                k = short[0]
+                from_utility[k] = left[k]
+                from_utility[k + 1:] = 0.0
+            utility_used[c] = float(
+                np.add.accumulate(np.concatenate(([0.0], from_utility)))[-1]
+            )
+            deficit[a:b] = deficit[a:b] - from_utility
         keep = deficit > 1e-9
         return idx[keep], deficit[keep], utility_used
 
@@ -1123,44 +1338,57 @@ class FleetPowerPath(PowerPath):
         op_current: np.ndarray,
         op_drain_ah: np.ndarray,
         op_delivered_w: np.ndarray,
-    ) -> Tuple[float, float, int]:
+    ) -> Tuple[List[float], List[float], List[int]]:
         """Batteries bridge the deficits under each node's discharge cap;
         a node left materially short browns out.
 
-        Returns battery-to-load power, unserved power and the brownout
-        count. Only the browned-out nodes take object calls and events.
+        Returns, per cell, battery-to-load power, unserved power and the
+        brownout count. Only the browned-out nodes take object calls and
+        events.
         """
         fs = self.fleet
+        n_cells = fs.n_cells
         allowed = np.minimum(deficit, fs.discharge_cap_w[idx])
         live = allowed > 0.0
         delivered = np.zeros(len(idx))
-        battery_to_load = 0.0
+        battery_to_load = [0.0] * n_cells
         if live.any():
+            at = idx[live]
             out = self._discharge_kernel(
-                idx[live], allowed[live], dt, der,
+                at, allowed[live], dt, der,
                 mode, op_current, op_drain_ah, op_delivered_w,
             )
             delivered[live] = out
-            battery_to_load = float(
-                np.add.accumulate(np.concatenate(([0.0], out)))[-1]
+            cuts = (
+                [0, len(out)]
+                if n_cells == 1
+                else np.searchsorted(at, fs._bounds).tolist()
             )
+            # A strict left fold per cell, in node order.
+            battery_to_load = [
+                float(np.add.accumulate(np.concatenate(([0.0], out[a:b])))[-1])
+                for a, b in zip(cuts, cuts[1:])
+            ]
         # Tolerate solver rounding and small sags: a server browns out
         # only on a materially unmet deficit (>2 % or >2 W).
         shortfall = deficit - delivered
         failed = (shortfall > np.maximum(2.0, 0.02 * deficit)).nonzero()[0]
-        unserved = 0.0
+        unserved = [0.0] * n_cells
+        browned_out = [0] * n_cells
         for k in failed.tolist():
             i = int(idx[k])
             node = fs.nodes[i]
             short = float(shortfall[k])
-            unserved += short
+            c = int(fs.cell_index[i])
+            unserved[c] += short
+            browned_out[c] += 1
             node.unserved_wh += short * dt / SECONDS_PER_HOUR
             fs.brownout(i)
             if BUS.enabled:
                 BUS.emit(BrownoutEvent(t=t, node=node.name, shortfall_w=short))
             if REGISTRY.enabled:
                 REGISTRY.counter("power/brownouts").inc()
-        return battery_to_load, unserved, len(failed)
+        return battery_to_load, unserved, browned_out
 
     # ------------------------------------------------------------------
     # Battery kernels
@@ -1244,7 +1472,7 @@ class FleetPowerPath(PowerPath):
     def _charge_walk(
         self,
         cand: np.ndarray,
-        surplus: float,
+        surplus: List[float],
         dt: float,
         der: Dict[str, np.ndarray],
         mode: np.ndarray,
@@ -1253,8 +1481,9 @@ class FleetPowerPath(PowerPath):
         op_float: np.ndarray,
         op_stored_ah: np.ndarray,
         op_absorbed_w: np.ndarray,
-    ) -> Tuple[float, float]:
-        """Emptiest-first charge walk as accumulate passes.
+    ) -> Tuple[List[float], List[float]]:
+        """Emptiest-first charge walk as accumulate passes, one walk per
+        cell over its candidates in ``cand`` with its ``surplus``.
 
         The acceptance-limited outcome of :meth:`BatteryUnit.charge` does
         not depend on the offered power, so it is precomputed for every
@@ -1262,6 +1491,8 @@ class FleetPowerPath(PowerPath):
         candidate is acceptance-limited and free of the overshoot clamp,
         falling back to a literal scalar transcription otherwise (the
         marginal last-charged node of a step).
+
+        Returns each cell's surplus left and power absorbed.
         """
         fs = self.fleet
         soc = fs.soc[cand]
@@ -1314,14 +1545,39 @@ class FleetPowerPath(PowerPath):
         absorbed0 = cur0 * v2
         float0 = (soc >= 0.99) & (cur0 <= flt * 2.0)
 
-        # The walk, emptiest first. While candidates take their
-        # acceptance-limited charge, the surplus before each one is the
-        # strict left fold subtract.accumulate([surplus, absorbed0...]),
-        # equal to the reference's running `surplus -= absorbed`; the
-        # first candidate that fails the fast test (usually the last one
-        # charged) goes through the scalar transcription and the fold
-        # restarts after it.
-        order = np.argsort(soc, kind="stable")
+        # The walks, emptiest first within each cell.
+        surplus = list(surplus)
+        absorbed_w = [0.0] * fs.n_cells
+        cuts = (
+            [0, len(cand)]
+            if fs.n_cells == 1
+            else np.searchsorted(cand, fs._bounds).tolist()
+        )
+        for c, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            if b > a:
+                surplus[c], absorbed_w[c] = self._walk(
+                    cand, a + np.argsort(soc[a:b], kind="stable"), surplus[c],
+                    dt, der, v1, i_accept, cur0, gas0, float0, st_ah0, absorbed0,
+                    mode, op_current, op_gassing, op_float,
+                    op_stored_ah, op_absorbed_w,
+                )
+        return surplus, absorbed_w
+
+    def _walk(
+        self, cand, order, surplus, dt, der,
+        v1, i_accept, cur0, gas0, float0, st_ah0, absorbed0,
+        mode, op_current, op_gassing, op_float, op_stored_ah, op_absorbed_w,
+    ) -> Tuple[float, float]:
+        """One cell's walk over its candidates ``cand[order]``, emptiest
+        first.
+
+        While candidates take their acceptance-limited charge, the
+        surplus before each one is the strict left fold
+        subtract.accumulate([surplus, absorbed0...]), equal to the
+        reference's running `surplus -= absorbed`; the first candidate
+        that fails the fast test (usually the last one charged) goes
+        through the scalar transcription and the fold restarts after it.
+        """
         v1_o, ia_o, abs_o = v1[order], i_accept[order], absorbed0[order]
         solar_to_battery = 0.0
         k, m = 0, len(order)

@@ -13,7 +13,8 @@ fraction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import mul
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -90,18 +91,28 @@ class SolarTraceGenerator:
         """A multi-day trace following an explicit day-class sequence."""
         if not day_classes:
             raise ConfigurationError("need at least one day")
-        steps_per_day = int(round(SECONDS_PER_DAY / self.dt_s))
-        values = np.zeros(steps_per_day * len(day_classes))
+        dt = self.dt_s
+        steps_per_day = int(round(SECONDS_PER_DAY / dt))
+        rated_w = self.panel.rated_w
+        fraction = self.panel.clear_sky.fraction
+        steps = np.arange(steps_per_day)
+        times_of_day: Optional[np.ndarray] = None
+        clear_w: List[float] = []
+        values: List[float] = []
         for d, day_class in enumerate(day_classes):
             rng = spawn(self.seed, f"solar/day{first_day_index + d}")
-            clouds = CloudProcess(day_class, rng)
-            base = d * steps_per_day
-            for i in range(steps_per_day):
-                t = (base + i) * self.dt_s
-                att = clouds.attenuation(self.dt_s)
-                values[base + i] = self.panel.power(t, att)
+            attenuations = CloudProcess(day_class, rng).attenuations(dt, steps_per_day)
+            # The clear-sky fraction depends on t only through t % 1 day,
+            # so a day whose times of day repeat the previous day's (any
+            # dt dividing the day) reuses its clear-sky watts.
+            tod = ((d * steps_per_day + steps) * dt) % SECONDS_PER_DAY
+            if times_of_day is None or not np.array_equal(tod, times_of_day):
+                times_of_day = tod
+                clear_w = [rated_w * fraction(x) for x in tod.tolist()]
+            # PVPanel.power's (rated * fraction) * attenuation, per step.
+            values.extend(map(mul, clear_w, attenuations))
         return SolarTrace(
-            dt_s=self.dt_s, power_w=values, day_classes=tuple(day_classes)
+            dt_s=dt, power_w=np.array(values), day_classes=tuple(day_classes)
         )
 
     def season(

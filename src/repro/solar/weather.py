@@ -16,9 +16,10 @@ Two levels of stochasticity:
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -94,27 +95,56 @@ class CloudProcess:
         self.day_class = day_class
         self.rng = rng
         self._probs = np.array(_STATE_PROBS[day_class])
+        # The draw Generator.choice(3, p=probs) makes: one uniform against
+        # the normalised cumulative distribution.
+        cdf = self._probs.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
         self._atten = _STATE_ATTENUATION[day_class]
         self._sojourn_s = _STATE_SOJOURN_S[day_class]
-        self._state = int(rng.choice(3, p=self._probs))
+        self._state = self._draw_state()
         self._remaining_s = self._draw_sojourn()
         # Normalise so the expected attenuation equals the class clearness.
         expected = float(np.dot(self._probs, self._atten))
         self._scale = DAY_CLEARNESS[day_class] / expected if expected > 0 else 1.0
 
+    def _draw_state(self) -> int:
+        return bisect.bisect_right(self._cdf, self.rng.random())
+
     def _draw_sojourn(self) -> float:
         return float(self.rng.exponential(self._sojourn_s))
+
+    def _level(self) -> float:
+        return clamp(self._atten[self._state] * self._scale, 0.0, 1.05)
 
     def attenuation(self, dt: float) -> float:
         """Attenuation factor for the next ``dt`` seconds, advancing the
         chain. Values are clipped to [0, 1.05] (brief cloud-edge
         over-irradiance is real but small)."""
-        self._remaining_s -= dt
-        if self._remaining_s <= 0.0:
-            self._state = int(self.rng.choice(3, p=self._probs))
-            self._remaining_s = self._draw_sojourn()
-        raw = self._atten[self._state] * self._scale
-        return clamp(raw, 0.0, 1.05)
+        return self.attenuations(dt, 1)[0]
+
+    def attenuations(self, dt: float, n_steps: int) -> List[float]:
+        """:meth:`attenuation` for ``n_steps`` consecutive steps, one
+        constant run per cloud-state segment."""
+        out: List[float] = []
+        remaining = self._remaining_s
+        while len(out) < n_steps:
+            # Steps left in this segment: the chain redraws on the step
+            # whose decrement takes the sojourn to <= 0, and that step
+            # already sees the new state.
+            run = 0
+            while run < n_steps - len(out):
+                remaining -= dt
+                if remaining <= 0.0:
+                    break
+                run += 1
+            out.extend([self._level()] * run)
+            if len(out) < n_steps:
+                self._state = self._draw_state()
+                remaining = self._draw_sojourn()
+                out.append(self._level())
+        self._remaining_s = remaining
+        return out
 
 
 @dataclass

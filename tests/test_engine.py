@@ -182,7 +182,7 @@ class TestBeginOnce:
         )
         sim.step_once()
         sim.step_once()
-        assert sim._fade_start == {}  # the old, falsy sentinel
+        assert sim.cells[0].fade_start == {}  # the old, falsy sentinel
         assert calls == [None]
         assert sim.steps_done == 2
 
@@ -199,7 +199,7 @@ class TestBeginOnce:
         for _ in range(20):
             sim.step_once()
         for node in sim.cluster:
-            assert sim._last_draws[node.name] == node.battery.last_current_a
+            assert sim.cells[0].last_draws[node.name] == node.battery.last_current_a
 
 
 class TestDrawSignal:

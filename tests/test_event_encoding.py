@@ -102,3 +102,25 @@ def test_subclass_of_a_subclass_gets_its_own_plan():
     assert '"extra":5' in ordered[1].to_json()
     assert "extra" not in ordered[0].to_json()
 
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_TYPES))
+def test_shared_encoder_matches_json_dumps(kind):
+    # to_json reuses one module-level encoder; its lines must be the
+    # ones json.dumps builds a fresh encoder for, including non-ASCII
+    # text and non-finite floats.
+    cls = EVENT_TYPES[kind]
+    events = variants(cls)
+    defaults = {f.name: getattr(cls(), f.name) for f in dataclasses.fields(cls)}
+    events.append(
+        cls(
+            **{
+                name: "nœud-µ\n\"q\"" if isinstance(v, str) else v
+                for name, v in defaults.items()
+            }
+        )
+    )
+    events.append(cls(t=float("inf")))
+    events.append(cls(t=float("nan")))
+    for event in events:
+        assert event.to_json() == json.dumps(event.to_dict(), separators=(",", ":"))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TraceError
+from repro.rng import spawn
 from repro.solar.panel import PVPanel
 from repro.solar.trace import SolarTrace, SolarTraceGenerator
-from repro.solar.weather import DayClass
+from repro.solar.weather import CloudProcess, DayClass
 from repro.units import SECONDS_PER_DAY, hours
 
 
@@ -92,3 +93,54 @@ class TestSolarTrace:
     def test_rejects_empty(self):
         with pytest.raises(TraceError):
             SolarTrace(dt_s=60.0, power_w=np.array([]), day_classes=())
+
+
+def per_step_days(generator, day_classes, first_day_index=0):
+    """The per-step generator loop `SolarTraceGenerator.days` replaced:
+    one `Generator.choice` chain advance and one `PVPanel.power` call
+    per step."""
+    steps_per_day = int(round(SECONDS_PER_DAY / generator.dt_s))
+    values = np.zeros(steps_per_day * len(day_classes))
+    for d, day_class in enumerate(day_classes):
+        clouds = CloudProcess(
+            day_class, spawn(generator.seed, f"solar/day{first_day_index + d}")
+        )
+        for i in range(steps_per_day):
+            t = (d * steps_per_day + i) * generator.dt_s
+            clouds._remaining_s -= generator.dt_s
+            if clouds._remaining_s <= 0.0:
+                clouds._state = int(clouds.rng.choice(3, p=clouds._probs))
+                clouds._remaining_s = float(clouds.rng.exponential(clouds._sojourn_s))
+            att = min(1.05, max(0.0, clouds._atten[clouds._state] * clouds._scale))
+            values[d * steps_per_day + i] = generator.panel.power(t, att)
+    return values
+
+
+class TestTraceOracle:
+    """`days` advances the cloud chain per segment and evaluates the
+    clear-sky curve once per time of day; every byte must match the
+    per-step loop."""
+
+    DAYS = [DayClass.SUNNY, DayClass.CLOUDY, DayClass.RAINY, DayClass.CLOUDY]
+
+    @pytest.mark.parametrize("dt_s", [60.0, 120.0, 300.0, 97.0])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("first_day_index", [0, 3])
+    def test_bytes_equal_the_per_step_loop(self, dt_s, seed, first_day_index):
+        generator = SolarTraceGenerator(
+            PVPanel.sized_for_daily_energy(8.0), seed=seed, dt_s=dt_s
+        )
+        expected = per_step_days(generator, self.DAYS, first_day_index)
+        trace = generator.days(self.DAYS, first_day_index=first_day_index)
+        assert trace.power_w.tobytes() == expected.tobytes()
+
+    def test_attenuation_steps_like_the_chain(self):
+        # attenuation() (one step) and attenuations() (a run) advance the
+        # same chain: interleaving them yields the per-step sequence.
+        a = CloudProcess(DayClass.CLOUDY, spawn(3, "solar/day0"))
+        b = CloudProcess(DayClass.CLOUDY, spawn(3, "solar/day0"))
+        stepped = [a.attenuation(120.0) for _ in range(500)]
+        mixed = b.attenuations(120.0, 200) + [b.attenuation(120.0) for _ in range(7)]
+        mixed += b.attenuations(120.0, 293)
+        assert mixed == stepped
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
