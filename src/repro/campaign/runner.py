@@ -9,10 +9,10 @@ Execution pipeline for a list of :class:`~repro.campaign.spec.RunSpec`:
    :class:`concurrent.futures.ProcessPoolExecutor` (``n_workers`` > 1) or
    inline in this process (``n_workers=1``, the deterministic serial
    fallback). Specs that cannot be pickled into a worker (closure-built
-   policies) transparently run inline. With tracing and alerting off, every
-   group of two or more cells with one :attr:`~repro.campaign.spec.
-   RunSpec.batch_key` steps as one batched fleet (a pool sends each
-   worker one sub-batch); each cell's result equals its run alone.
+   policies) transparently run inline. Inline, with tracing and alerting
+   off, every group of two or more cells with one :attr:`~repro.campaign.
+   spec.RunSpec.batch_key` steps as one batched fleet; each cell's result
+   equals its run alone. Pooled cells run one by one.
 3. **Retry** — a failed cell is retried once (configurable); every
    attempt's error is recorded on the outcome so flaky infrastructure is
    visible even when the retry succeeds.
@@ -291,70 +291,16 @@ def _run_inline(
     return None, 1 + retries, tuple(errors)
 
 
-def _execute_batch(
-    specs: List[RunSpec],
-) -> List[Tuple[Optional[SimResult], Optional[str]]]:
-    """Worker entry point: step a sub-batch, then each cell's (result,
-    error) as its execute() hands it back."""
-    out: List[Tuple[Optional[SimResult], Optional[str]]] = []
-    with batched(specs):
-        for spec in specs:
-            try:
-                out.append((_execute_spec(spec), None))
-            except Exception as exc:  # noqa: BLE001 - retried by the caller
-                out.append((None, _error_string(exc)))
-    return out
-
-
-def _batches(jobs: Sequence[Tuple], n_parts: int = 1) -> List[List[Tuple]]:
-    """The jobs (tuples whose second item is the spec) that step as
-    batches: per batch key, in first-seen order, the key's jobs split
-    into up to ``n_parts`` contiguous parts of two or more; a key with
-    one job is left out."""
+def _batches(jobs: Sequence[Tuple]) -> List[List[Tuple]]:
+    """The inline jobs (tuples whose second item is the spec) that step
+    as batches: per batch key with two or more jobs, those jobs in
+    order, keys in first-seen order."""
     groups: Dict[Tuple, List[Tuple]] = {}
     for job in jobs:
         key = job[1].batch_key
         if key is not None:
             groups.setdefault(key, []).append(job)
-    parts = []
-    for group in groups.values():
-        n = min(n_parts, len(group) // 2)
-        for k in range(n):
-            parts.append(group[k * len(group) // n:(k + 1) * len(group) // n])
-    return parts
-
-
-def _run_sub_batches(
-    sub_batches: List[List[Tuple]], workers: int
-) -> List[Tuple[Tuple, Optional[SimResult], Optional[str], bool]]:
-    """Step each sub-batch of pool jobs in a worker; per job, (job,
-    result, error, whether the pool died)."""
-    out = []
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(sub_batches)),
-        initializer=sanitize_forked_worker,
-    ) as pool:
-        submitted = []
-        for sub in sub_batches:
-            try:
-                fut = pool.submit(_execute_batch, [job[1] for job in sub])
-            except BrokenProcessPool as exc:
-                fut = exc
-            submitted.append((sub, fut))
-        for sub, fut in submitted:
-            pool_died = isinstance(fut, BrokenProcessPool)
-            error = _error_string(fut) if pool_died else None
-            if not pool_died:
-                try:
-                    outcomes = fut.result()
-                except BrokenProcessPool as exc:
-                    pool_died, error = True, _error_string(exc)
-                except Exception as exc:  # noqa: BLE001 - retried by the caller
-                    error = _error_string(exc)
-            if error is not None:
-                outcomes = [(None, error)] * len(sub)
-            out += [(job, *outcome, pool_died) for job, outcome in zip(sub, outcomes)]
-    return out
+    return [group for group in groups.values() if len(group) > 1]
 
 
 def _is_picklable(spec: RunSpec) -> bool:
@@ -557,22 +503,6 @@ def run_campaign(
                 )
             return job
 
-        # Batching: each worker first steps one sub-batch; a cell its
-        # sub-batch failed joins the per-cell rounds below as a retry.
-        sub_batches = _batches(queue, workers) if batching else []
-        if sub_batches:
-            in_sub = {job[0] for sub in sub_batches for job in sub}
-            queue = [job for job in queue if job[0] not in in_sub]
-            for job, result, error, pool_died in _run_sub_batches(
-                sub_batches, workers
-            ):
-                if error is None:
-                    _finish_pooled(job, result)
-                    continue
-                retry_job = _record_failure(job, error, pool_died)
-                if retry_job is not None:
-                    queue.append(retry_job)
-
         while queue:
             jobs, queue = queue, []
             broken = False
@@ -688,7 +618,7 @@ def run_campaign(
 
     # Batching: each batch steps first; its cells then collect their
     # results through execute() inside the batched() block. A batched
-    # cell's wall time is its batch's, as for a pooled sub-batch.
+    # cell's wall time is its batch's.
     inline_batches = _batches(inline_jobs) if batching else []
     in_batch = {job[0] for batch in inline_batches for job in batch}
     for batch in inline_batches:

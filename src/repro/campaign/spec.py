@@ -128,7 +128,8 @@ class RunSpec:
     def batch_key(self) -> Optional[Tuple]:
         """Cells with one key can step as one batch (see
         :func:`~repro.sim.engine.batch_key`); ``None`` for a cell that
-        always runs alone, such as one with a ``setup`` hook."""
+        always runs alone: one on the reference stepper or with a
+        ``setup`` hook."""
         if self.setup is not None:
             return None
         return batch_key(self.scenario, self.trace)
@@ -165,9 +166,10 @@ def batched(specs: Sequence[RunSpec]) -> Iterator[None]:
     its first :meth:`RunSpec.execute` inside the block.
 
     Each cell's result equals its run alone, bit for bit. A cell whose
-    policy fails to build, or whose policy hooks raise, ends alone; an
-    error of the batch as a whole ends every cell. Either way the error
-    is what that cell's execute() raises, so retries run the cell alone.
+    policy or cell fails to build, or whose policy hooks raise, ends
+    alone; an error of the batch as a whole ends every cell. Either way
+    the error is what that cell's execute() raises, so retries run the
+    cell alone.
     """
     outcomes = _step_batch(specs)
     token = _SERVING.set({id(s): o for s, o in zip(specs, outcomes)})

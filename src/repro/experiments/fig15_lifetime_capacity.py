@@ -37,10 +37,12 @@ def run(
         ratios = QUICK_RATIOS if quick else FULL_RATIOS
     n_days = 4 if quick else 8
 
+    # Fleet-stepper cells with one batch key step as one batched run.
+    scenario = sweep_scenario(seed=seed, stepper="fleet")
     sweep = lifetime_sweep(
         [
             SweepPoint(
-                sweep_scenario(seed=seed).with_server_to_battery_ratio(ratio),
+                scenario.with_server_to_battery_ratio(ratio),
                 SUNSHINE,
                 ("e-buff", "baat"),
             )

@@ -42,7 +42,7 @@ from repro.obs.telemetry import SCHEMA_VERSION, TELEMETRY
 from repro.obs.timers import StepPhaseTimers
 from repro.rng import spawn
 from repro.sim.fleet import FleetCell, FleetPowerPath, FleetState
-from repro.sim.recorder import LOW_SOC_THRESHOLD, BatchRecorder, TraceRecorder
+from repro.sim.recorder import LOW_SOC_THRESHOLD, TraceRecorder
 from repro.sim.results import NodeResult, SimResult
 from repro.sim.scenario import Scenario
 from repro.solar.trace import SolarTrace
@@ -119,21 +119,38 @@ class Simulation:
     ) -> "Simulation":
         """One simulation of several independent runs as a batched fleet.
 
-        The runs must share every scenario field the engine reads per
-        step rather than per node (:func:`batch_key`), and use the
-        per-server architecture. Tracing and alerting, which key on node
+        The runs must name the fleet stepper and share every scenario
+        field the engine reads per step rather than per node
+        (:func:`batch_key`). Tracing and alerting, which key on node
         names, are not supported inside a batch. :meth:`run_cells`
-        returns one result (or the exception that ended it) per run.
+        returns one result (or the exception that ended it) per run; a
+        run whose cell fails to build (a trace whose step differs from
+        its scenario's, a policy that cannot bind, a cluster the fleet
+        kernels refuse) ends alone with that error.
         """
         keys = {batch_key(scenario, trace) for scenario, _, trace in runs}
         if len(keys) != 1 or None in keys:
             raise ConfigurationError(
-                "a batch needs per-server runs with one batch key"
+                "a batch needs fleet-stepper runs with one batch key"
             )
         if BUS.enabled or ALERTS.enabled:
             raise ConfigurationError("a batch cannot run with tracing or alerting on")
+        cells, errors = [], []
+        for run in runs:
+            try:
+                cell = _Cell(*run, record_series=False)
+                FleetState.validate(cell.cluster)
+                FleetPowerPath.validate_budget(cell.scenario.utility_budget_w)
+            except Exception as exc:  # noqa: BLE001 - this run's error alone
+                errors.append(exc)
+            else:
+                errors.append(None)
+                cells.append(cell)
         sim = cls.__new__(cls)
-        sim._build([_Cell(*run, record_series=False) for run in runs], batched=True)
+        sim.cells = []
+        if cells:
+            sim._build(cells, batched=True)
+        sim._build_errors = errors
         return sim
 
     def _build(self, cells: List[_Cell], batched: bool) -> None:
@@ -154,7 +171,12 @@ class Simulation:
             fleet = self.power_path.fleet
             for k, cell in enumerate(cells):
                 cell.attach(FleetCell(fleet, k), k)
-            self._batch_recorder = BatchRecorder([c.recorder for c in cells])
+            # One recorder folds every cell's nodes per step; run_cells
+            # hands each cell its rows.
+            self._batch_recorder = TraceRecorder(
+                [f"{k}/{n}" for k, c in enumerate(cells) for n in c.recorder.node_names],
+                record_series=False,
+            )
         else:
             if scenario.architecture == "rack-pool":
                 from repro.datacenter.rack import RackPowerPath
@@ -177,6 +199,7 @@ class Simulation:
             fleet = getattr(self.power_path, "fleet", None)
             first.attach(fleet, 0)
         self._fleet = fleet
+        self._build_errors = [None] * len(cells)
         self.recorder = first.recorder
         self._rng = first.rng
         #: The demand noise generator(s) the fleet kernels draw from.
@@ -379,10 +402,9 @@ class Simulation:
 
         # --- power-path phase ----------------------------------------
         if self._batched:
-            self.power_path.step(t, dt, solar, rng=self._rngs)
-            flows = self.power_path.cell_flows
+            flows = self.power_path.step(t, dt, solar, rng=self._rngs)
         else:
-            flows = (self.power_path.step(t, dt, solar[0], rng=self._rng),)
+            flows = self.power_path.step(t, dt, solar[0], rng=self._rng)
         if timing:
             t1 = perf_counter()
             self._phase_timers.power.observe(t1 - t0)
@@ -429,15 +451,14 @@ class Simulation:
             t0 = t1
 
         # --- record phase --------------------------------------------
-        if self._batched:
-            self._batch_recorder.record(dt, fleet.soc)
-        elif fleet is not None:
-            self.recorder.record_arrays(t, dt, flows[0], fleet.soc, fleet.last_current)
+        if fleet is not None:
+            recorder = self._batch_recorder if self._batched else self.recorder
+            recorder.record_arrays(t, dt, flows, fleet.soc, fleet.last_current)
         else:
             self.recorder.record(
                 t,
                 dt,
-                flows[0],
+                flows,
                 {n.name: n.battery.soc for n in self.cluster},
                 {n.name: n.battery.last_current_a for n in self.cluster},
             )
@@ -533,17 +554,37 @@ class Simulation:
         return self._collect()
 
     def run_cells(self) -> List[Union[SimResult, Exception]]:
-        """Execute the whole (remaining) trace; per cell, its result or
-        the exception that ended it."""
+        """Execute the whole (remaining) trace; per run, its result or
+        the exception that ended it (or kept its cell from building)."""
+        outcomes = iter(self._run_built_cells() if self.cells else ())
+        return [
+            next(outcomes) if error is None else error
+            for error in self._build_errors
+        ]
+
+    def _run_built_cells(self) -> List[Union[SimResult, Exception]]:
         self._begin()
         while self._step < self.steps_total:
             self.step_once()
         if self._fleet is not None:
             self._fleet.materialize()
+        if self._batched:
+            self._split_recorder()
         return [
             cell.error if cell.error is not None else self._collect_cell(cell)
             for cell in self.cells
         ]
+
+    def _split_recorder(self) -> None:
+        """Give each cell's recorder its rows of the batch recorder: the
+        same per-node sums its own record_arrays would have made."""
+        batch = self._batch_recorder
+        for cell, (lo, hi) in zip(self.cells, self._fleet.cells):
+            recorder = cell.recorder
+            recorder._soc_time[:] = batch._soc_time[lo:hi]
+            recorder.total_time_s = batch.total_time_s
+            for name, batch_name in zip(recorder.node_names, batch.node_names[lo:hi]):
+                recorder.low_soc_time_s[name] = batch.low_soc_time_s[batch_name]
 
     # ------------------------------------------------------------------
     def _collect(self) -> SimResult:
@@ -591,7 +632,9 @@ class Simulation:
 
 def batch_key(scenario: Scenario, trace: SolarTrace) -> Optional[Tuple]:
     """What runs must share to step as one batch, or ``None`` for a run
-    that never batches (the rack-pool architecture).
+    that never batches: one on the reference stepper (the default, and
+    the only one for the rack-pool architecture). A batch runs the fleet
+    kernels, so only runs that name the fleet stepper join one.
 
     Every scenario field the engine reads per step rather than per node:
     the step and trace length, the control interval, the operating
@@ -599,7 +642,7 @@ def batch_key(scenario: Scenario, trace: SolarTrace) -> Optional[Tuple]:
     count, battery and server parameters, seed, utility budget, solar)
     may differ between cells.
     """
-    if scenario.architecture != "per-server":
+    if scenario.stepper != "fleet":
         return None
     return (
         scenario.dt_s,

@@ -53,7 +53,9 @@ silently diverging from the reference stepper.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -557,10 +559,7 @@ class FleetState:
         if rng is not None:
             draw = on & self.vm_draws[rows]
             if draw.any():
-                if self.n_cells == 1:
-                    u[draw] += rng.normal(0.0, self.vm_noise_sd[rows[draw]])
-                else:
-                    self._draw_by_cell(u, draw, rows, rng)
+                self._draw_by_cell(u, draw, rows, rng)
         u = _clamp01(u)
         util[rows] = u
         if rng is not None:
@@ -573,10 +572,12 @@ class FleetState:
         u: np.ndarray,
         draw: np.ndarray,
         rows: np.ndarray,
-        rngs: Sequence[np.random.Generator],
+        rngs: Rngs,
     ) -> None:
-        """The demand noise of a batch: each cell's rows draw from that
-        cell's generator, in table order, exactly as the cell alone."""
+        """The demand noise: each cell's rows draw from that cell's
+        generator, in table order, exactly as the cell alone."""
+        if isinstance(rngs, np.random.Generator):
+            rngs = (rngs,)
         at = draw.nonzero()[0]
         drawn = rows[at]
         cuts = np.searchsorted(drawn, self._vm_bounds).tolist()
@@ -1054,12 +1055,8 @@ class FleetPowerPath(PowerPath):
         )
         if len(self._budgets) != self.fleet.n_cells:
             raise ConfigurationError("need one utility budget per cluster")
-        if any(b < 0.0 for b in self._budgets):
-            # The prefix allocation in _allocate assumes a budget that
-            # only shrinks.
-            raise ConfigurationError("the fleet stepper needs utility_budget_w >= 0")
-        #: Each cell's flows of the last step (one entry per cell).
-        self.cell_flows: List[PowerFlows] = []
+        for budget in self._budgets:
+            self.validate_budget(budget)
         # Reusable per-step op buffers, zeroed at each step: mode, signed
         # current (+ discharge, - charge), gassing current, float flag,
         # drained Ah, stored Ah, delivered W, absorbed W.
@@ -1074,6 +1071,13 @@ class FleetPowerPath(PowerPath):
         self._timers: StepPhaseTimers | None = None
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def validate_budget(utility_budget_w: float) -> None:
+        """Refuse a negative utility budget: the prefix allocation in
+        :meth:`_allocate` assumes a budget that only shrinks."""
+        if utility_budget_w < 0.0:
+            raise ConfigurationError("the fleet stepper needs utility_budget_w >= 0")
+
     def step(
         self,
         t: float,
@@ -1084,10 +1088,10 @@ class FleetPowerPath(PowerPath):
     ) -> PowerFlows:
         """One routing step. On a batch, ``solar_w`` and ``rng`` hold one
         entry per cell; the returned flows are then the sums of the
-        cells' flows, which :attr:`cell_flows` holds one by one."""
+        cells' flows."""
         fs = self.fleet
         cells = fs.cells
-        solar = (solar_w,) if fs.n_cells == 1 else tuple(solar_w)
+        solar = (solar_w,) if isinstance(solar_w, (int, float)) else tuple(solar_w)
         der = fs.derived(dt)
         # One registry check per step: kernel boundaries are stamped and
         # observed together at the end.
@@ -1131,8 +1135,9 @@ class FleetPowerPath(PowerPath):
         solar_to_battery = [0.0] * fs.n_cells
         if charging_enabled and any(x > 0.0 for x in surplus):
             chargeable = (fs.soc < 1.0) & (mode == _OP_REST)
-            if fs.n_cells > 1:
-                chargeable &= (np.array(surplus) > 0.0)[fs.cell_index]
+            for (lo, hi), left in zip(cells, surplus):
+                if left <= 0.0:
+                    chargeable[lo:hi] = False
             cand = chargeable.nonzero()[0]
             if len(cand):
                 surplus, solar_to_battery = self._charge_walk(
@@ -1170,10 +1175,8 @@ class FleetPowerPath(PowerPath):
             total_demand, solar, solar_to_load, solar_to_battery,
             battery_to_load, utility_used, feedback, unserved, browned_out,
         )
-        self.cell_flows = [PowerFlows(*cell) for cell in zip(*columns)]
-        if fs.n_cells == 1:
-            return self.cell_flows[0]
-        return PowerFlows(*(sum(column) for column in columns))
+        # Left folds with no 0 start: one cell's flows come back as they are.
+        return PowerFlows(*(functools.reduce(operator.add, c) for c in columns))
 
     def _observe_kernels(self, stamps) -> None:
         if self._timers is None:
@@ -1200,14 +1203,9 @@ class FleetPowerPath(PowerPath):
         if not len(cand):
             return
         drawing = on & (state != _DOWN)
-        if fs.n_cells == 1:
-            per_node_solar_guess = solar_w[0] / float(
-                int(np.count_nonzero(drawing)) + 1
-            )
-        else:
-            counts = np.add.reduceat(drawing, fs._bounds[:-1]).tolist()
-            guess = [s / float(c + 1) for s, c in zip(solar_w, counts)]
-            per_node_solar_guess = np.array(guess)[fs.cell_index[cand]]
+        counts = np.add.reduceat(drawing, fs._bounds[:-1]).tolist()
+        guess = [s / float(c + 1) for s, c in zip(solar_w, counts)]
+        per_node_solar_guess = np.array(guess)[fs.cell_index[cand]]
         idle = fs.idle_w[cand]
         battery_w = np.minimum(
             fs.max_discharge_power(cand, der), fs.discharge_cap_w[cand]
@@ -1219,9 +1217,7 @@ class FleetPowerPath(PowerPath):
         for i in cand[ok].tolist():
             fs.power_on(i)
 
-    def demand(
-        self, t: float, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
+    def demand(self, t: float, rng: Optional[Rngs] = None) -> np.ndarray:
         """Per-node ``Server.power(Server.utilization(t, rng))`` (W).
 
         Only up, not-off servers hosting VMs sample utilisation (and so
@@ -1288,28 +1284,16 @@ class FleetPowerPath(PowerPath):
         later node gets 0. A zero budget leaves every deficit as it is.
         """
         fs = self.fleet
-        if fs.n_cells == 1:
-            total, to_load = total_demand[0], solar_to_load[0]
-            share = to_load * demand / total if total > 0 else 0.0
-        else:
-            total = np.array(total_demand)[fs.cell_index]
-            share = np.divide(
-                np.array(solar_to_load)[fs.cell_index] * demand,
-                total,
-                out=np.zeros(fs.n),
-                where=total > 0,
-            )
-        deficit = demand - share
+        deficit = demand.copy()
+        for (lo, hi), total, to_load in zip(fs.cells, total_demand, solar_to_load):
+            if total > 0:
+                deficit[lo:hi] -= to_load * demand[lo:hi] / total
         idx = (deficit > 1e-9).nonzero()[0]
         deficit = deficit[idx]
         utility_used = [0.0] * fs.n_cells
         if not len(idx) or not any(self._budgets):
             return idx, deficit, utility_used
-        cuts = (
-            [0, len(idx)]
-            if fs.n_cells == 1
-            else np.searchsorted(idx, fs._bounds).tolist()
-        )
+        cuts = np.searchsorted(idx, fs._bounds).tolist()
         for c, (budget, a, b) in enumerate(zip(self._budgets, cuts, cuts[1:])):
             if b == a:
                 continue
@@ -1359,11 +1343,7 @@ class FleetPowerPath(PowerPath):
                 mode, op_current, op_drain_ah, op_delivered_w,
             )
             delivered[live] = out
-            cuts = (
-                [0, len(out)]
-                if n_cells == 1
-                else np.searchsorted(at, fs._bounds).tolist()
-            )
+            cuts = np.searchsorted(at, fs._bounds).tolist()
             # A strict left fold per cell, in node order.
             battery_to_load = [
                 float(np.add.accumulate(np.concatenate(([0.0], out[a:b])))[-1])
@@ -1548,11 +1528,7 @@ class FleetPowerPath(PowerPath):
         # The walks, emptiest first within each cell.
         surplus = list(surplus)
         absorbed_w = [0.0] * fs.n_cells
-        cuts = (
-            [0, len(cand)]
-            if fs.n_cells == 1
-            else np.searchsorted(cand, fs._bounds).tolist()
-        )
+        cuts = np.searchsorted(cand, fs._bounds).tolist()
         for c, (a, b) in enumerate(zip(cuts, cuts[1:])):
             if b > a:
                 surplus[c], absorbed_w[c] = self._walk(

@@ -8,7 +8,7 @@ accounting (Fig. 18).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -174,43 +174,3 @@ class TraceRecorder:
         for name, series in self.current_series.items():
             out[f"current/{name}"] = np.asarray(series)
         return out
-
-
-class BatchRecorder:
-    """Records every cell of a batch in one pass.
-
-    Each cell keeps its own :class:`TraceRecorder` (its result carries
-    it), but their SoC-time rows are views into one shared matrix, so a
-    step bins and accumulates all cells' nodes at once. The per-node adds
-    are the ones each recorder's :meth:`TraceRecorder.record_arrays`
-    makes; the recorders must not record series.
-    """
-
-    def __init__(self, recorders: Sequence[TraceRecorder]):
-        self.recorders = list(recorders)
-        self._soc_time = np.concatenate([r._soc_time for r in self.recorders])
-        self._node_index = np.arange(len(self._soc_time))
-        #: Per node, its recorder's low-SoC dict and its name there.
-        self._low_soc = []
-        row = 0
-        for r in self.recorders:
-            r._soc_time = self._soc_time[row:row + len(r.node_names)]
-            r.soc_time_s = {n: r._soc_time[i] for i, n in enumerate(r.node_names)}
-            self._low_soc += [(r.low_soc_time_s, n) for n in r.node_names]
-            row += len(r.node_names)
-
-    def record(self, dt: float, socs: np.ndarray) -> None:
-        """Fold one step of every cell's node SoCs (batch node order)."""
-        for r in self.recorders:
-            r.total_time_s += dt
-        clipped = np.minimum(np.maximum(socs, 0.0), 1.0)
-        bins = _clip_bins(_BIN_EDGES.searchsorted(clipped, side="right") - 1)
-        self._soc_time[self._node_index, bins] += dt
-        low_soc = self._low_soc
-        for i in (clipped < LOW_SOC_THRESHOLD).nonzero()[0].tolist():
-            times, name = low_soc[i]
-            times[name] += dt
-        if REGISTRY.enabled:
-            REGISTRY.counter("recorder/steps").inc(len(self.recorders))
-            REGISTRY.gauge("recorder/min_soc").set(float(clipped.min()))
-            REGISTRY.gauge("recorder/mean_soc").set(float(clipped.mean()))

@@ -117,15 +117,11 @@ class CloudProcess:
     def _level(self) -> float:
         return clamp(self._atten[self._state] * self._scale, 0.0, 1.05)
 
-    def attenuation(self, dt: float) -> float:
-        """Attenuation factor for the next ``dt`` seconds, advancing the
-        chain. Values are clipped to [0, 1.05] (brief cloud-edge
-        over-irradiance is real but small)."""
-        return self.attenuations(dt, 1)[0]
-
     def attenuations(self, dt: float, n_steps: int) -> List[float]:
-        """:meth:`attenuation` for ``n_steps`` consecutive steps, one
-        constant run per cloud-state segment."""
+        """Attenuation factors for the next ``n_steps`` steps of ``dt``
+        seconds, advancing the chain one constant run per cloud-state
+        segment. Values are clipped to [0, 1.05] (brief cloud-edge
+        over-irradiance is real but small)."""
         out: List[float] = []
         remaining = self._remaining_s
         while len(out) < n_steps:

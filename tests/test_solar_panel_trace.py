@@ -134,13 +134,15 @@ class TestTraceOracle:
         trace = generator.days(self.DAYS, first_day_index=first_day_index)
         assert trace.power_w.tobytes() == expected.tobytes()
 
-    def test_attenuation_steps_like_the_chain(self):
-        # attenuation() (one step) and attenuations() (a run) advance the
-        # same chain: interleaving them yields the per-step sequence.
+    def test_attenuations_in_chunks_continue_the_chain(self):
+        # attenuations() resumes mid-segment: runs of any length, single
+        # steps included, yield the one-run sequence.
         a = CloudProcess(DayClass.CLOUDY, spawn(3, "solar/day0"))
         b = CloudProcess(DayClass.CLOUDY, spawn(3, "solar/day0"))
-        stepped = [a.attenuation(120.0) for _ in range(500)]
-        mixed = b.attenuations(120.0, 200) + [b.attenuation(120.0) for _ in range(7)]
-        mixed += b.attenuations(120.0, 293)
-        assert mixed == stepped
+        whole = a.attenuations(120.0, 500)
+        chunks = b.attenuations(120.0, 200)
+        for _ in range(7):
+            chunks += b.attenuations(120.0, 1)
+        chunks += b.attenuations(120.0, 293)
+        assert chunks == whole
         assert a.rng.bit_generator.state == b.rng.bit_generator.state

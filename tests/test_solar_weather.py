@@ -41,20 +41,20 @@ class TestCloudProcess:
     @pytest.mark.parametrize("day_class", list(DayClass))
     def test_attenuation_bounded(self, day_class):
         clouds = CloudProcess(day_class, spawn(1, "t"))
-        for _ in range(500):
-            assert 0.0 <= clouds.attenuation(60.0) <= 1.05
+        for value in clouds.attenuations(60.0, 500):
+            assert 0.0 <= value <= 1.05
 
     @pytest.mark.parametrize("day_class", list(DayClass))
     def test_mean_attenuation_matches_clearness(self, day_class):
         clouds = CloudProcess(day_class, spawn(2, "t"))
-        values = [clouds.attenuation(60.0) for _ in range(20_000)]
+        values = clouds.attenuations(60.0, 20_000)
         assert np.mean(values) == pytest.approx(DAY_CLEARNESS[day_class], rel=0.12)
 
     def test_sunny_steadier_than_cloudy(self):
         sunny = CloudProcess(DayClass.SUNNY, spawn(3, "s"))
         cloudy = CloudProcess(DayClass.CLOUDY, spawn(3, "c"))
-        s = np.std([sunny.attenuation(60.0) for _ in range(5000)])
-        c = np.std([cloudy.attenuation(60.0) for _ in range(5000)])
+        s = np.std(sunny.attenuations(60.0, 5000))
+        c = np.std(cloudy.attenuations(60.0, 5000))
         assert c > s
 
 

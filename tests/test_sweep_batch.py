@@ -1,17 +1,15 @@
 """Batched sweeps: independent cells stepped as one fleet.
 
 `Simulation.batch` concatenates cells on the node axis of one
-`FleetState`; the campaign runner hands it every group of two or more
-uncached cells with one batch key. Each cell's result must equal the
-same run alone on the reference stepper, bit for bit, and a cell that
-fails must fail alone.
+`FleetState`; the campaign runner hands it every inline group of two or
+more uncached fleet-stepper cells with one batch key. Each cell's result
+must equal the same run alone on the reference stepper, bit for bit, and
+a cell that fails must fail alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import os
 
 import numpy as np
 import pytest
@@ -53,7 +51,7 @@ def run_digest(result: SimResult) -> list:
 def mixed_cells():
     """All four policies over two sunshine fractions' traces, plus BAAT
     at both fig17 fit ratios: (label, scenario, policy name, trace)."""
-    base = sweep_scenario()
+    base = sweep_scenario(stepper="fleet")
     cells = []
     for fraction in (0.3, 0.8):
         classes = season_day_classes(fraction, DAYS, base.seed)
@@ -72,6 +70,7 @@ def standalone():
     final RNG state) by label."""
     out = {}
     for label, scenario, name, trace in mixed_cells():
+        scenario = dataclasses.replace(scenario, stepper="reference")
         sim = Simulation(scenario, make_policy(name, seed=scenario.seed), trace)
         out[label] = (sim.run(), sim._rng.bit_generator.state)
     return out
@@ -130,7 +129,7 @@ def test_cell_views_cover_every_node_array():
 # Failures, exclusions and pools (short cells)
 # ----------------------------------------------------------------------
 def short_scenario(**overrides) -> Scenario:
-    return Scenario(dt_s=300.0, **overrides)
+    return Scenario(**{"dt_s": 300.0, "stepper": "fleet", **overrides})
 
 
 def short_trace(scenario: Scenario, day: DayClass = DayClass.CLOUDY):
@@ -154,16 +153,6 @@ def baat() -> BAATPolicy:
     return make_policy("baat")
 
 
-def kill_worker_once_baat(marker: str) -> BAATPolicy:
-    """BAAT, but the first build hard-kills its process (a worker death
-    inside a sub-batch)."""
-    try:
-        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError:
-        return make_policy("baat")
-    os._exit(42)
-
-
 def mark_setup(sim) -> None:
     """A no-op setup hook (cells with one never batch)."""
 
@@ -182,6 +171,19 @@ def digests(report) -> dict:
     return {
         label: run_digest(r) for label, r in report.results(strict=False).items()
     }
+
+
+@pytest.fixture
+def batches_seen(monkeypatch):
+    """The labels of every batch the runner steps, batch by batch."""
+    seen = []
+    batched = runner_module.batched
+    monkeypatch.setattr(
+        runner_module,
+        "batched",
+        lambda specs: (seen.append([s.label for s in specs]), batched(specs))[1],
+    )
+    return seen
 
 
 class TestFailureAndExclusions:
@@ -205,17 +207,31 @@ class TestFailureAndExclusions:
                 spec.execute()
             )
 
-    def test_unbatchable_cells_run_alone(self, monkeypatch):
-        seen = []
-        batched = runner_module.batched
-        monkeypatch.setattr(
-            runner_module,
-            "batched",
-            lambda specs: (seen.append([s.label for s in specs]), batched(specs))[1],
-        )
+    def test_cell_that_fails_to_build_fails_alone(self):
+        # A trace whose step differs from its scenario's (but whose length
+        # matches, so the cell joins the batch) cannot build its cell; with
+        # no retry, it alone fails and its batch-mates are untouched.
+        specs = short_specs()
+        scenario = specs[0].scenario
+        half_step = Scenario(dt_s=150.0).trace_generator().days([DayClass.CLOUDY])
+        assert len(half_step.power_w) == len(specs[0].trace.power_w)
+        bad = RunSpec(scenario=scenario, trace=half_step, policy="baat", label="bad")
+        assert bad.batch_key == specs[0].batch_key
+        report = run_campaign([bad] + specs, n_workers=1, cache=None, retries=0)
+        [failure] = report.failures
+        assert failure.label == "bad"
+        assert failure.attempts == 1
+        assert "must match scenario dt" in failure.errors[0]
+        for spec in specs:
+            assert run_digest(report.outcome(spec.label).result) == run_digest(
+                spec.execute()
+            ), spec.label
+
+    def test_unbatchable_cells_run_alone(self, monkeypatch, batches_seen):
         scenario = short_scenario()
         trace = short_trace(scenario)
-        rack = short_scenario(architecture="rack-pool")
+        reference = short_scenario(stepper="reference")
+        rack = short_scenario(stepper="reference", architecture="rack-pool")
         lone = short_scenario(control_interval_s=600.0)
         specs = [
             RunSpec(scenario=scenario, trace=trace, policy="baat", label="a"),
@@ -227,39 +243,25 @@ class TestFailureAndExclusions:
             RunSpec(scenario=scenario, trace=trace, policy="baat-s",
                     setup=mark_setup, label="hook2"),
             RunSpec(scenario=lone, trace=trace, policy="baat", label="lone"),
+            # A run that names the reference stepper keeps it.
+            RunSpec(scenario=reference, trace=trace, policy="baat", label="ref1"),
+            RunSpec(scenario=reference, trace=trace, policy="e-buff", label="ref2"),
         ]
         report = run_campaign(specs, n_workers=1, cache=None)
-        assert seen == [["a", "b"]]
+        assert batches_seen == [["a", "b"]]
         assert not report.failures
         for spec in specs:
             assert run_digest(report.outcome(spec.label).result) == run_digest(
                 spec.execute()
             ), spec.label
 
-    def test_two_workers_equal_inline(self):
+    def test_two_workers_equal_inline(self, batches_seen):
+        # Pooled cells run one by one; their results equal the inline
+        # batch's.
         specs = short_specs()
         inline = digests(run_campaign(specs, n_workers=1, cache=None))
+        assert batches_seen == [[spec.label for spec in specs]]
         pooled = run_campaign(specs, n_workers=2, cache=None)
         assert pooled.n_executed == len(specs)
+        assert len(batches_seen) == 1
         assert digests(pooled) == inline
-
-    def test_worker_death_in_a_sub_batch(self, tmp_path):
-        # The sub-batch's pool dies: each of its cells takes a strike and
-        # reruns alone, and every result still equals the inline run.
-        specs = short_specs()
-        killer = RunSpec(
-            scenario=specs[0].scenario,
-            trace=specs[0].trace,
-            policy_factory=functools.partial(
-                kill_worker_once_baat, str(tmp_path / "killed")
-            ),
-            label="killer",
-        )
-        inline = digests(run_campaign(specs, n_workers=1, cache=None))
-        report = run_campaign([killer] + specs, n_workers=2, cache=None)
-        assert not report.failures
-        assert report.outcome("killer").attempts == 2
-        assert "BrokenProcessPool" in report.outcome("killer").errors[0]
-        pooled = digests(report)
-        assert pooled.pop("killer") == pooled["baat"]
-        assert pooled == inline
