@@ -299,12 +299,11 @@ def payload(results: dict) -> dict:
     }
 
 
-def test_engine_speedup(record_property):
+def test_engine_speedup():
     results = measure(quick=True)
     print()
     print(report(results))
     data = payload(results)
-    record_property("engine_bench", data)
     for row in results["sizes"]:
         if row["n_nodes"] >= SCALE_THRESHOLD_NODES:
             assert row["speedup"] >= MIN_SPEEDUP_AT_SCALE, (
@@ -336,26 +335,16 @@ def main(argv=None) -> int:
         help="CI matrix: single rounds, no fleet-only sizes, curve capped "
         f"at {LARGE_THRESHOLD_NODES} nodes",
     )
-    parser.add_argument(
-        "--perf-history", default=None, metavar="PATH",
-        help="also append the measurements to a perf-history JSONL "
-        "(see 'repro perf')",
-    )
     args = parser.parse_args(argv)
     results = measure(quick=args.quick)
     print(report(results))
     data = payload(results)
-    from repro.perf import PerfHistory, collect_meta
+    from repro.perf import collect_meta
 
     document = {"engine_bench": data, "meta": collect_meta()}
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=2, sort_keys=True)
-    if args.perf_history:
-        record = PerfHistory(args.perf_history).record_payload(document)
-        print(
-            f"recorded {len(record.metrics)} metric(s) to {args.perf_history}"
-        )
     if not data["ok"]:
         failed = [
             gate

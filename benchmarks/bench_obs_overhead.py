@@ -29,9 +29,7 @@ Run standalone (``python benchmarks/bench_obs_overhead.py``) or through
 pytest (``pytest benchmarks/bench_obs_overhead.py -s``; the pytest path
 skips the minutes-long fleet mode). Standalone, ``--json PATH``
 additionally writes the measurements machine-readably (the shape CI's
-``BENCH_obs.json`` gate consumes); under pytest the same payload reaches
-the suite conftest via ``record_property`` and lands in the
-``--bench-json`` report.
+``BENCH_obs.json`` gate consumes).
 """
 
 from __future__ import annotations
@@ -302,11 +300,10 @@ def payload(results: dict, fleet: dict | None = None) -> dict:
     return data
 
 
-def test_obs_overhead_null_sink(record_property):
+def test_obs_overhead_null_sink():
     results = measure()
     print()
     print(report(results))
-    record_property("obs_overhead", payload(results))
     assert results["null_overhead_pct"] < MAX_NULL_OVERHEAD_PCT, (
         f"null-sink overhead {results['null_overhead_pct']:.2f} % exceeds "
         f"{MAX_NULL_OVERHEAD_PCT} %"
@@ -331,11 +328,6 @@ def main(argv=None) -> int:
         "--skip-fleet", action="store_true",
         help="skip the enabled-path fleet measurement",
     )
-    parser.add_argument(
-        "--perf-history", default=None, metavar="PATH",
-        help="also append the measurements to a perf-history JSONL "
-        "(see 'repro perf')",
-    )
     args = parser.parse_args(argv)
     results = measure()
     print(report(results))
@@ -344,7 +336,7 @@ def main(argv=None) -> int:
         fleet = measure_fleet(args.fleet_nodes)
         print(fleet_report(fleet))
     data = payload(results, fleet)
-    from repro.perf import PerfHistory, collect_meta
+    from repro.perf import collect_meta
 
     document = {"obs_overhead": data, "meta": collect_meta()}
     if args.json:
@@ -352,11 +344,6 @@ def main(argv=None) -> int:
             json.dump(document, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.json}")
-    if args.perf_history:
-        record = PerfHistory(args.perf_history).record_payload(document)
-        print(
-            f"recorded {len(record.metrics)} metric(s) to {args.perf_history}"
-        )
     print(
         f"null-sink overhead {'within' if data['ok_null'] else 'EXCEEDS'} "
         f"{MAX_NULL_OVERHEAD_PCT} % budget"

@@ -9,24 +9,11 @@ Experiments route their simulations through the campaign runner, so the
 suite accepts ``--campaign-workers N`` to fan each bench's sweep out
 over N worker processes. The on-disk result cache is disabled for the
 whole suite — benches must measure simulation, not pickle loads.
-
-``--bench-json PATH`` additionally writes a machine-readable report
-(``BENCH_obs.json`` in CI): a provenance ``meta`` block (git sha,
-branch, UTC timestamp, host/python/numpy fingerprint), per-bench wall
-seconds, plus — when ``bench_obs_overhead`` ran — its full measurement
-(mode timings, steps/s, overhead percentages, budgets and pass flags),
-which CI gates on. ``--perf-history PATH`` appends the same report to a
-perf-history JSONL (see ``repro perf``) so bench wall times accumulate a
-longitudinal trajectory.
 """
-
-import json
-import time
 
 import pytest
 
 from repro.campaign import configure_cache, reset_cache_config, set_default_workers
-from repro.perf import PerfHistory, collect_meta
 
 
 def pytest_addoption(parser):
@@ -35,20 +22,6 @@ def pytest_addoption(parser):
         type=int,
         default=1,
         help="worker processes for campaign-routed benches (default 1)",
-    )
-    parser.addoption(
-        "--bench-json",
-        default=None,
-        metavar="PATH",
-        help="write per-bench wall times (and the obs-overhead measurement) "
-        "as JSON to PATH",
-    )
-    parser.addoption(
-        "--perf-history",
-        default=None,
-        metavar="PATH",
-        help="append the bench report to a perf-history JSONL "
-        "(see 'repro perf')",
     )
 
 
@@ -59,41 +32,3 @@ def _bench_execution_defaults(request):
     yield
     reset_cache_config()
     set_default_workers(1)
-
-
-#: ``nodeid -> {wall_s, outcome}`` plus the ``_obs_overhead`` payload;
-#: module-level because ``pytest_runtest_logreport`` has no config handle.
-_REPORTS: dict = {}
-
-
-def pytest_runtest_logreport(report):
-    """Collect each bench's call-phase wall time and recorded payloads."""
-    if report.when != "call":
-        return
-    entry = _REPORTS.setdefault(report.nodeid, {})
-    entry["wall_s"] = report.duration
-    entry["outcome"] = report.outcome
-    for name, value in report.user_properties:
-        if name == "obs_overhead":
-            _REPORTS["_obs_overhead"] = value
-
-
-def pytest_sessionfinish(session):
-    path = session.config.getoption("--bench-json")
-    history_path = session.config.getoption("--perf-history")
-    if not path and not history_path:
-        return
-    overhead = _REPORTS.pop("_obs_overhead", None)
-    data = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "meta": collect_meta(),
-        "benches": {k: v for k, v in sorted(_REPORTS.items())},
-    }
-    if overhead is not None:
-        data["obs_overhead"] = overhead
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if history_path and data["benches"]:
-        PerfHistory(history_path).record_payload(data)

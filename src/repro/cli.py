@@ -25,17 +25,17 @@ The subcommands mirror how the prototype was operated:
   projections from a trace file or a live instrumented run;
 - ``repro export`` — run one instrumented simulation and export the
   metric registry (OpenMetrics/Prometheus text format);
-- ``repro perf record <payload>...`` — append BENCH_engine.json /
-  BENCH_obs.json / bench-suite payloads to the append-only perf
+- ``repro perf record <e2e.json>...`` — append full-scale, untraced
+  ``benchmarks/e2e/run.py --json`` documents to the append-only perf
   history (JSONL, provenance-stamped);
 - ``repro perf history [METRIC]`` — ASCII sparkline + table of one
   metric's recorded trajectory (omit METRIC to list the series);
 - ``repro perf diff SHA_A SHA_B`` — metric-by-metric comparison of two
   recorded commits;
-- ``repro perf check`` — judge the newest record (or explicit payload
-  files) against each metric's rolling same-host baseline; exits
-  non-zero on a regression, naming the metric, the deviation, and the
-  trend (CI gate).
+- ``repro perf check`` — judge the newest record (or an e2e document)
+  against each metric's rolling same-host baseline; exits non-zero on
+  a regression, naming the metric, the deviation, and the trend (CI
+  gate).
 
 Every simulation-running subcommand accepts ``--workers N`` (process
 fan-out), ``--no-cache`` (force fresh runs), ``--cache-dir``,
@@ -62,8 +62,9 @@ Usage::
     python -m repro health out.jsonl
     python -m repro health --policy baat --day rainy --days 2
     python -m repro export --out metrics.prom
-    python -m repro perf record BENCH_engine.json BENCH_obs.json
-    python -m repro perf history engine/n48/fleet_steps_per_s
+    python benchmarks/e2e/run.py --json e2e-run.json
+    python -m repro perf record e2e-run.json
+    python -m repro perf history sweep-paper/cells_per_s
     python -m repro perf check --trace perf.jsonl --export perf.prom
     python -m repro cache info
 """
@@ -710,28 +711,30 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_payload(path: str) -> dict:
+def _read_record(path: str):
+    """The perf record of one end-to-end benchmark document."""
     import json
+
+    from repro import perf
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
-        raise SystemExit(f"no such payload file: {path}") from None
+        raise SystemExit(f"no such document: {path}") from None
     except ValueError as exc:
         raise SystemExit(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return perf.e2e_record(data)
+    except ConfigurationError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
 
 
 def _perf_record(args: argparse.Namespace, history) -> int:
     for path in args.files:
-        data = _load_payload(path)
-        try:
-            record = history.record_payload(data)
-        except ConfigurationError as exc:
-            raise SystemExit(f"{path}: {exc}") from None
+        record = history.append(_read_record(path))
         print(
-            f"recorded {record.source} from {path}: "
-            f"{len(record.metrics)} metric(s) at "
+            f"recorded {len(record.metrics)} metric(s) from {path} at "
             f"{record.sha[:9] or 'unknown sha'}"
         )
     print(f"history: {len(history)} record(s) in {history.path}")
@@ -853,29 +856,9 @@ def _export_perf_metrics(result, path: str) -> None:
 def _perf_check(args: argparse.Namespace, history) -> int:
     from repro import perf
 
-    candidate = None
-    if args.files:
-        # Judge the given payloads against the whole history without
-        # appending them — the "would this regress?" pre-commit shape.
-        metrics: dict = {}
-        sources: List[str] = []
-        meta = None
-        for path in args.files:
-            data = _load_payload(path)
-            try:
-                source, flat = perf.extract_metrics(data)
-            except ConfigurationError as exc:
-                raise SystemExit(f"{path}: {exc}") from None
-            sources.append(source)
-            metrics.update(flat)
-            payload_meta = data.get("meta")
-            if meta is None and isinstance(payload_meta, dict) and payload_meta:
-                meta = {str(k): str(v) for k, v in payload_meta.items()}
-        candidate = perf.PerfRecord(
-            source="+".join(sources),
-            meta=meta or perf.collect_meta(),
-            metrics=metrics,
-        )
+    # A given document is judged against the whole history without
+    # being appended: the "would this regress?" pre-commit shape.
+    candidate = _read_record(args.document) if args.document else None
     result = perf.check_history(
         history,
         candidate=candidate,
@@ -1056,7 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_p = sub.add_parser(
         "perf",
-        help="benchmark history: record payloads, plot series, diff shas, "
+        help="benchmark history: record e2e runs, plot series, diff shas, "
         "gate on regressions",
     )
     perf_sub = perf_p.add_subparsers(dest="perf_cmd", required=True)
@@ -1070,12 +1053,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_record = perf_sub.add_parser(
         "record",
-        help="append BENCH_engine.json / BENCH_obs.json / bench-suite "
-        "payloads to the history",
+        help="append full-scale, untraced 'benchmarks/e2e/run.py --json' "
+        "documents to the history",
     )
     perf_record.add_argument(
-        "files", nargs="+", metavar="PAYLOAD",
-        help="JSON payload file(s) to ingest",
+        "files", nargs="+", metavar="E2E_JSON",
+        help="end-to-end benchmark document(s) to record",
     )
     _add_history_flag(perf_record)
 
@@ -1085,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_hist.add_argument(
         "metric", nargs="?", default=None,
-        help="metric name (e.g. engine/n48/fleet_steps_per_s); omit to "
+        help="metric name (e.g. sweep-paper/cells_per_s); omit to "
         "list every recorded metric",
     )
     perf_hist.add_argument(
@@ -1103,13 +1086,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_check = perf_sub.add_parser(
         "check",
-        help="exit non-zero when the newest record (or given payloads) "
-        "falls outside its rolling same-host baseline",
+        help="exit non-zero when the newest record (or a given e2e "
+        "document) falls outside its rolling same-host baseline",
     )
     perf_check.add_argument(
-        "files", nargs="*", metavar="PAYLOAD",
-        help="judge these payload files against the history instead of "
-        "the newest recorded entry (nothing is appended)",
+        "document", nargs="?", default=None, metavar="E2E_JSON",
+        help="judge this end-to-end benchmark document against the "
+        "history instead of the newest recorded entry (nothing is "
+        "appended)",
     )
     perf_check.add_argument(
         "--window", type=int, default=20, metavar="K",

@@ -3,11 +3,6 @@
 from repro.cost.depreciation import annual_depreciation_usd, DepreciationModel
 from repro.cost.tco import TCOModel, CostBreakdown
 from repro.cost.expansion import ExpansionModel, expansion_at_constant_tco
-from repro.cost.replacement import (
-    FleetSchedule,
-    ReplacementEvent,
-    ReplacementSimulator,
-)
 
 __all__ = [
     "annual_depreciation_usd",
@@ -16,7 +11,4 @@ __all__ = [
     "CostBreakdown",
     "ExpansionModel",
     "expansion_at_constant_tco",
-    "FleetSchedule",
-    "ReplacementEvent",
-    "ReplacementSimulator",
 ]

@@ -475,7 +475,7 @@ class PerfRegressionEvent(TraceEvent):
 
     Emitted by ``repro perf check`` (:mod:`repro.perf.regression`) for
     each confirmed regression: ``metric`` is the flattened series name
-    (``engine/n48/fleet_steps_per_s``), ``baseline``/``sigma`` the
+    (``sweep-paper/cells_per_s``), ``baseline``/``sigma`` the
     robust median ± MAD window it was judged against, ``deviation`` how
     many sigmas *worse* the new ``value`` is, ``direction`` which way is
     better for this metric, and ``sha`` the commit that measured it.

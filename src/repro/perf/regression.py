@@ -9,7 +9,7 @@ a perfectly-stable series (MAD 0) does not turn measurement jitter into
 an alert. A value regresses when it is both statistically far outside
 the baseline (``deviation >= DEVIATION_THRESHOLD`` sigmas) *and*
 practically worse (``>= MIN_REL_WORSENING`` relative), in the metric's
-bad direction as inferred from its name.
+bad direction (:func:`metric_direction`).
 
 Independently, :func:`change_point` scans the whole series for the split
 that maximises the shift between segment medians — the "when did this
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.perf.ingest import E2E_METRICS
 from repro.perf.store import PerfHistory, PerfRecord
 
 #: Fewest same-host prior values a metric needs before it can be gated.
@@ -44,44 +45,16 @@ REL_FLOOR = 0.05
 #: A regression must also be at least this much worse in relative terms.
 MIN_REL_WORSENING = 0.10
 
-#: Metric-name suffixes where bigger numbers are better. Checked before
-#: the lower-is-better suffixes so ``*_steps_per_s`` is not caught by
-#: the ``_s`` time rule.
-_HIGHER_BETTER = ("_per_s", "speedup", "hit_rate")
-
-#: Metric-name suffixes where smaller numbers are better.
-_LOWER_BETTER = (
-    "_s",
-    "_pct",
-    "_bytes",
-    "us_per_step",
-    "_ratio",
-    "control_over_power",
-    "/p50",
-    "/p95",
-    "/p99",
-    # aging/latency rollups: score_max, nat_max, ddt_max, cell_wall_s/mean
-    "_max",
-    "_mean",
-    "/mean",
-    "/max",
-)
-
 
 def metric_direction(name: str) -> Optional[str]:
     """``"higher"``/``"lower"`` = which way is *better*; ``None`` = ungated.
 
-    Inferred from the naming convention of :mod:`repro.perf.ingest`;
-    metrics with no recognisable unit suffix (counts, health scores) are
-    recorded and plotted but never gate a check.
+    A ``<workload>/<metric>`` series of :mod:`repro.perf.ingest` takes its
+    metric's direction; any other name (series an older history recorded
+    from other benches) is plotted but never gates a check.
     """
-    for suffix in _HIGHER_BETTER:
-        if name.endswith(suffix):
-            return "higher"
-    for suffix in _LOWER_BETTER:
-        if name.endswith(suffix):
-            return "lower"
-    return None
+    parts = name.split("/")
+    return E2E_METRICS.get(parts[1]) if len(parts) == 2 else None
 
 
 # ----------------------------------------------------------------------

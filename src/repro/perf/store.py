@@ -1,9 +1,8 @@
 """Append-only, schema-versioned store of benchmark measurements.
 
-One :class:`PerfRecord` per ingested payload — a ``BENCH_engine.json``,
-a ``BENCH_obs.json``, or a pytest bench-suite report — holding the
-payload's provenance ``meta`` block and its metrics flattened to
-``name -> float`` (:mod:`repro.perf.ingest`). Records serialise
+One :class:`PerfRecord` per recorded end-to-end benchmark document,
+holding the document's provenance ``meta`` block and its metrics
+flattened to ``name -> float`` (:mod:`repro.perf.ingest`). Records serialise
 one-per-line to JSONL, so the history file is an append-only log: CI
 restores it, appends the fresh run, and re-caches it — nothing is ever
 rewritten, and two processes appending interleave safely at line
@@ -13,7 +12,8 @@ Forward compatibility mirrors the trace-event contract: every line
 carries ``schema``; lines from a *newer* schema than this code are
 skipped on read (counted in :attr:`PerfHistory.n_skipped`) instead of
 poisoning the whole history, and unknown fields of the current schema
-are dropped.
+are dropped (lines written before the end-to-end benchmark became the
+only input also carry a ``source`` key, which is ignored).
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.perf.ingest import extract_metrics
-from repro.perf.meta import collect_meta, host_fingerprint
+from repro.perf.meta import host_fingerprint
 
 #: Wire-schema version of one history line.
 STORE_SCHEMA = 1
@@ -35,7 +34,6 @@ STORE_SCHEMA = 1
 class PerfRecord:
     """One measurement: provenance meta plus flat ``metric -> value``."""
 
-    source: str = ""
     meta: Dict[str, str] = field(default_factory=dict)
     metrics: Dict[str, float] = field(default_factory=dict)
     schema: int = STORE_SCHEMA
@@ -61,7 +59,6 @@ class PerfRecord:
     def to_dict(self) -> Dict[str, object]:
         return {
             "schema": self.schema,
-            "source": self.source,
             "meta": dict(self.meta),
             "metrics": dict(self.metrics),
         }
@@ -71,6 +68,8 @@ class PerfRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PerfRecord":
+        if not isinstance(data, dict):
+            raise ConfigurationError("perf record must be a JSON object")
         schema = int(data.get("schema", 0))
         if schema > STORE_SCHEMA:
             raise ConfigurationError(
@@ -82,7 +81,6 @@ class PerfRecord:
         if not isinstance(meta, dict) or not isinstance(metrics, dict):
             raise ConfigurationError("perf record meta/metrics must be objects")
         return cls(
-            source=str(data.get("source", "")),
             meta={str(k): str(v) for k, v in meta.items()},
             metrics={
                 str(k): float(v)
@@ -117,35 +115,10 @@ class PerfHistory:
             fh.write(record.to_json() + "\n")
         return record
 
-    def record_payload(
-        self,
-        data: Dict[str, object],
-        meta: Optional[Dict[str, str]] = None,
-    ) -> PerfRecord:
-        """Flatten one bench/summary payload and append it.
-
-        Provenance comes from the payload's own ``meta`` block when
-        present (the truth stamped at measurement time), then the
-        explicit ``meta`` argument, then a fresh :func:`collect_meta`.
-        """
-        source, metrics = extract_metrics(data)
-        payload_meta = data.get("meta")
-        if isinstance(payload_meta, dict) and payload_meta:
-            meta = {str(k): str(v) for k, v in payload_meta.items()}
-        elif meta is None:
-            meta = collect_meta()
-        return self.append(
-            PerfRecord(source=source, meta=meta, metrics=metrics)
-        )
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def records(
-        self,
-        source: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-    ) -> List[PerfRecord]:
+    def records(self, fingerprint: Optional[str] = None) -> List[PerfRecord]:
         """All records in append order, optionally filtered."""
         self.n_skipped = 0
         out: List[PerfRecord] = []
@@ -160,8 +133,6 @@ class PerfHistory:
                     record = PerfRecord.from_dict(json.loads(line))
                 except (ValueError, ConfigurationError, TypeError):
                     self.n_skipped += 1
-                    continue
-                if source is not None and record.source != source:
                     continue
                 if fingerprint is not None and record.fingerprint != fingerprint:
                     continue

@@ -1,4 +1,4 @@
-"""Perf observatory: history store, payload ingest, regression math,
+"""Perf observatory: history store, e2e document ingest, regression math,
 and the ``repro perf`` CLI family (record / history / diff / check)."""
 
 import json
@@ -20,16 +20,25 @@ from repro.perf import (
     check_history,
     collect_meta,
     default_history_path,
-    detect_source,
-    extract_metrics,
+    e2e_record,
     host_fingerprint,
     metric_direction,
     sparkline,
 )
+from repro.perf.ingest import E2E_METRICS
 
-#: A trimmed ``bench_engine.py --quick --json`` payload. Its name must not
-#: match the ``BENCH_*.json`` ignore pattern, which applies at any depth.
-BENCH_ENGINE = Path(__file__).resolve().parent / "data" / "engine_bench_quick.json"
+ROOT = Path(__file__).resolve().parents[1]
+
+WORKLOADS = ("fleet-idle-1024", "fleet-dense-256", "sweep-paper", "traced-64")
+
+#: One workload's end-to-end metrics in a healthy run.
+_E2E_VALUES = {
+    "setup_s": 0.05,
+    "wall_s": 2.0,
+    "node_steps_per_s": 1.0e5,
+    "cells_per_s": 4.0,
+    "peak_rss_mb": 50.0,
+}
 
 
 def _meta(sha="a" * 40, host="benchhost"):
@@ -46,12 +55,41 @@ def _meta(sha="a" * 40, host="benchhost"):
     return meta
 
 
-def _seed(history, values, metric="engine/n48/fleet_s", host="benchhost"):
+def _e2e_doc(overrides=None, scale="full", trace=0, meta=None):
+    """A minimal ``benchmarks/e2e/run.py --json`` document: every workload
+    holds the end-to-end metrics (plus ``failed_frac``, which is not one);
+    ``overrides`` maps ``<workload>/<metric>`` to a value."""
+    overrides = overrides or {}
+    workloads = {}
+    for name in WORKLOADS:
+        metrics = {
+            m: {"value": overrides.get(f"{name}/{m}", v), "unit": "-"}
+            for m, v in _E2E_VALUES.items()
+        }
+        metrics["failed_frac"] = {"value": 0.0, "unit": "ratio"}
+        workloads[name] = {
+            "workload": name, "scale": scale, "trace": trace, "metrics": metrics,
+        }
+    return {
+        "benchmark": "e2e",
+        "started_at": 0.0,
+        "meta": meta or _meta(),
+        "args": {"scale": scale, "trace": trace},
+        "workloads": workloads,
+    }
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _seed(history, values, metric="sweep-paper/wall_s", host="benchhost"):
     """Append one single-metric record per value, distinct shas."""
     for i, value in enumerate(values):
         history.append(
             PerfRecord(
-                source="engine_bench",
                 meta=_meta(sha=f"{i:03d}" + "e" * 37, host=host),
                 metrics={metric: value},
             )
@@ -87,65 +125,35 @@ class TestMeta:
 
 
 class TestIngest:
-    def test_detects_the_three_sources(self):
-        assert detect_source({"engine_bench": {}}) == "engine_bench"
-        assert detect_source({"benches": {}}) == "bench_suite"
-        assert detect_source({"obs_overhead": {}}) == "obs_overhead"
-        with pytest.raises(ConfigurationError):
-            detect_source({"something": 1})
+    def test_flattens_an_e2e_document(self):
+        record = e2e_record(_e2e_doc({"sweep-paper/cells_per_s": 3.5}))
+        assert len(record.metrics) == len(WORKLOADS) * len(E2E_METRICS)
+        assert record.metrics["sweep-paper/cells_per_s"] == 3.5
+        assert record.metrics["fleet-idle-1024/peak_rss_mb"] == 50.0
+        # failed_frac is a correctness figure, not an end-to-end metric
+        assert not any(name.endswith("failed_frac") for name in record.metrics)
+        assert record.sha == "a" * 40
+        assert record.fingerprint == host_fingerprint(_meta())
 
-    def test_flattens_the_committed_engine_bench(self):
-        data = json.loads(BENCH_ENGINE.read_text(encoding="utf-8"))
-        source, metrics = extract_metrics(data)
-        assert source == "engine_bench"
-        assert metrics["engine/n48/speedup"] > 0
-        assert "engine/n48/fleet_steps_per_s" in metrics
-        assert "engine/curve/n1024/control_us_per_step" in metrics
-        assert "engine/phase/fleet/control_total_s" in metrics
-        # gate booleans must not become series
-        assert not any("ok" in name for name in metrics)
-
-    def test_bench_suite_skips_failures_and_folds_obs(self):
-        data = {
-            "benches": {
-                "benchmarks/bench_x.py::test_a": {
-                    "wall_s": 1.5, "outcome": "passed"},
-                "benchmarks/bench_x.py::test_b": {
-                    "wall_s": 9.9, "outcome": "failed"},
-            },
-            "obs_overhead": {"disabled_s": 0.2, "null_overhead_pct": 1.0},
-        }
-        source, metrics = extract_metrics(data)
-        assert source == "bench_suite"
-        assert metrics["bench/bench_x:test_a/wall_s"] == 1.5
-        assert not any("test_b" in name for name in metrics)
-        assert metrics["obs/disabled_s"] == 0.2
-
-    def test_obs_fleet_block_records_the_frame_trace_only(self):
-        """Payloads from before per-node sample events were retired also
-        carry events_* and size_win_x keys; those are not series."""
-        data = {
-            "obs_overhead": {
-                "fleet": {
-                    "untraced_s": 2.0,
-                    "frame_traced_s": 2.6,
-                    "traced_ratio": 1.3,
-                    "frame_trace_bytes": 2.9e6,
-                    "frame_bytes_per_node_step": 9.8,
-                    "events_traced_s": 12.2,
-                    "events_ratio": 6.1,
-                    "event_trace_bytes": 3.6e7,
-                    "size_win_x": 12.4,
-                },
-            }
-        }
-        _, metrics = extract_metrics(data)
-        assert metrics == {
-            "obs/fleet/untraced_s": 2.0,
-            "obs/fleet/frame_traced_s": 2.6,
-            "obs/fleet/traced_ratio": 1.3,
-            "obs/fleet/frame_trace_bytes": 2.9e6,
-        }
+    def test_refuses_smoke_traced_and_bench_payloads(self):
+        one_smoke = _e2e_doc()
+        one_smoke["workloads"]["traced-64"]["scale"] = "smoke"
+        no_rss = _e2e_doc()
+        del no_rss["workloads"]["sweep-paper"]["metrics"]["peak_rss_mb"]
+        refused = [
+            _e2e_doc(scale="smoke"),
+            _e2e_doc(trace=1),
+            one_smoke,
+            no_rss,
+            {**_e2e_doc(), "meta": {}},
+            {"engine_bench": {"sizes": []}, "meta": _meta()},
+            {"obs_overhead": {"disabled_s": 0.2}, "meta": _meta()},
+            {"benches": {"benchmarks/bench_x.py::test_a": {
+                "wall_s": 1.5, "outcome": "passed"}}, "meta": _meta()},
+        ]
+        for data in refused:
+            with pytest.raises(ConfigurationError, match="benchmarks/e2e/run.py"):
+                e2e_record(data)
 
     def test_campaign_rollup_is_not_a_payload(self):
         """The retired campaign rollup shape is rejected, not recorded."""
@@ -155,22 +163,25 @@ class TestIngest:
             "throughput": {"cells_per_s": 0.33},
         }
         with pytest.raises(ConfigurationError):
-            extract_metrics(data)
+            e2e_record(data)
 
     def test_empty_payload_raises(self):
         with pytest.raises(ConfigurationError):
-            extract_metrics({"engine_bench": {}})
+            e2e_record({**_e2e_doc(), "workloads": {}})
+
+    def test_metric_table_matches_the_benchmark(self):
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+        assert {m["name"]: m["better"] for m in bench["end_to_end"]} == E2E_METRICS
+        assert tuple(w["name"] for w in bench["workloads"]) == WORKLOADS
 
 
 class TestStore:
     def test_round_trip(self, tmp_path):
         history = PerfHistory(str(tmp_path / "h.jsonl"))
-        record = history.record_payload(
-            {"obs_overhead": {"disabled_s": 0.25}, "meta": _meta()}
-        )
+        record = history.append(e2e_record(_e2e_doc()))
         assert record.schema == STORE_SCHEMA
         (read,) = history.records()
-        assert read.metrics == {"obs/disabled_s": 0.25}
+        assert read.metrics == record.metrics
         assert read.sha == "a" * 40
         assert read.fingerprint == record.fingerprint
 
@@ -181,14 +192,16 @@ class TestStore:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"schema": STORE_SCHEMA + 1}) + "\n")
             fh.write("{not json\n")
+            fh.write("[1, 2]\n")
         assert len(history.records()) == 1
-        assert history.n_skipped == 2
+        assert history.n_skipped == 3
 
     def test_payload_meta_wins_over_fresh_collection(self, tmp_path):
+        """A record's provenance is the document's own meta block, never
+        one collected when the document is recorded."""
         history = PerfHistory(str(tmp_path / "h.jsonl"))
-        record = history.record_payload(
-            {"obs_overhead": {"disabled_s": 0.1},
-             "meta": _meta(sha="f" * 40, host="elsewhere")}
+        record = history.append(
+            e2e_record(_e2e_doc(meta=_meta(sha="f" * 40, host="elsewhere")))
         )
         assert record.sha == "f" * 40
         assert record.meta["host"] == "elsewhere"
@@ -198,10 +211,10 @@ class TestStore:
         _seed(history, [1.0, 2.0], host="hostA")
         _seed(history, [9.0], host="hostB")
         fp = host_fingerprint(_meta(host="hostA"))
-        pairs = history.series("engine/n48/fleet_s", fingerprint=fp)
+        pairs = history.series("sweep-paper/wall_s", fingerprint=fp)
         assert [v for _, v in pairs] == [1.0, 2.0]
-        assert history.metric_names() == ["engine/n48/fleet_s"]
-        assert history.latest(fingerprint=fp).metrics["engine/n48/fleet_s"] == 2.0
+        assert history.metric_names() == ["sweep-paper/wall_s"]
+        assert history.latest(fingerprint=fp).metrics["sweep-paper/wall_s"] == 2.0
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert PerfHistory(str(tmp_path / "absent.jsonl")).records() == []
@@ -209,14 +222,18 @@ class TestStore:
 
 class TestRegressionMath:
     def test_direction_inference(self):
-        assert metric_direction("engine/n48/fleet_s") == "lower"
-        assert metric_direction("engine/n48/fleet_steps_per_s") == "higher"
-        assert metric_direction("obs/null_overhead_pct") == "lower"
-        assert metric_direction("obs/fleet/frame_trace_bytes") == "lower"
-        assert metric_direction("campaign/hit_rate") == "higher"
-        assert metric_direction("campaign/cell_wall_s/p95") == "lower"
-        assert metric_direction("campaign/n_cells") is None
-        assert metric_direction("campaign/health/score_max") == "lower"
+        """Only the end-to-end metrics have a direction."""
+        assert metric_direction("sweep-paper/peak_rss_mb") == "lower"
+        assert metric_direction("sweep-paper/cells_per_s") == "higher"
+        assert metric_direction("fleet-idle-1024/node_steps_per_s") == "higher"
+        assert metric_direction("traced-64/setup_s") == "lower"
+        assert metric_direction("traced-64/wall_s") == "lower"
+        assert metric_direction("sweep-paper/failed_frac") is None
+        # series that older histories recorded from other benches
+        assert metric_direction("engine/n48/fleet_s") is None
+        assert metric_direction("engine/n48/fleet_steps_per_s") is None
+        assert metric_direction("bench/bench_x:test_a/wall_s") is None
+        assert metric_direction("wall_s") is None
 
     def test_sigma_floor_protects_flat_series(self):
         stats = baseline_stats([1.0, 1.0, 1.0, 1.0])
@@ -227,7 +244,7 @@ class TestRegressionMath:
         _seed(history, [1.0, 1.01, 0.99, 1.0, 2.0])
         result = check_history(history)
         (check,) = result.regressions
-        assert check.metric == "engine/n48/fleet_s"
+        assert check.metric == "sweep-paper/wall_s"
         assert check.deviation > 4.0
         assert not result.ok
 
@@ -240,11 +257,25 @@ class TestRegressionMath:
     def test_throughput_drop_regresses_higher_better(self, tmp_path):
         history = PerfHistory(str(tmp_path / "h.jsonl"))
         _seed(history, [1000.0, 990.0, 1010.0, 480.0],
-              metric="engine/n48/fleet_steps_per_s")
+              metric="fleet-idle-1024/node_steps_per_s")
         result = check_history(history)
         assert [c.metric for c in result.regressions] == [
-            "engine/n48/fleet_steps_per_s"
+            "fleet-idle-1024/node_steps_per_s"
         ]
+
+    def test_rss_growth_regresses_lower_better(self, tmp_path):
+        history = PerfHistory(str(tmp_path / "h.jsonl"))
+        _seed(history, [50.0, 50.4, 49.8, 70.0], metric="sweep-paper/peak_rss_mb")
+        result = check_history(history)
+        (check,) = result.regressions
+        assert check.metric == "sweep-paper/peak_rss_mb"
+        assert check.direction == "lower"
+
+    def test_retired_series_never_gate(self, tmp_path):
+        history = PerfHistory(str(tmp_path / "h.jsonl"))
+        _seed(history, [1.0, 1.01, 0.99, 1.0, 2.0], metric="engine/n48/fleet_s")
+        result = check_history(history)
+        assert result.ok and [c.metric for c in result.checks] == ["engine/n48/fleet_s"]
 
     def test_improvement_never_regresses(self, tmp_path):
         history = PerfHistory(str(tmp_path / "h.jsonl"))
@@ -258,7 +289,7 @@ class TestRegressionMath:
         _seed(history, [1.0, 1.0])  # 1 prior < MIN_BASELINE
         result = check_history(history)
         assert result.ok and result.cold
-        assert result.no_baseline == ["engine/n48/fleet_s"]
+        assert result.no_baseline == ["sweep-paper/wall_s"]
         assert MIN_BASELINE == 3
 
     def test_new_fingerprint_is_cold(self, tmp_path):
@@ -273,8 +304,7 @@ class TestRegressionMath:
         history = PerfHistory(str(tmp_path / "h.jsonl"))
         _seed(history, [1.0, 1.0, 1.0, 1.0])
         candidate = PerfRecord(
-            source="engine_bench", meta=_meta(sha="c" * 40),
-            metrics={"engine/n48/fleet_s": 2.2},
+            meta=_meta(sha="c" * 40), metrics={"sweep-paper/wall_s": 2.2},
         )
         result = check_history(history, candidate=candidate)
         assert not result.ok
@@ -303,12 +333,11 @@ def history_path(tmp_path):
 
 
 class TestPerfCLI:
-    def test_record_and_cold_check_round_trip(self, history_path, capsys):
-        assert main(
-            ["perf", "record", str(BENCH_ENGINE), "--history", history_path]
-        ) == 0
+    def test_record_and_cold_check_round_trip(self, history_path, tmp_path, capsys):
+        doc = _write(tmp_path, "e2e-run.json", _e2e_doc())
+        assert main(["perf", "record", doc, "--history", history_path]) == 0
         out = capsys.readouterr().out
-        assert "recorded engine_bench" in out
+        assert f"recorded {len(WORKLOADS) * len(E2E_METRICS)} metric(s)" in out
         assert main(["perf", "check", "--history", history_path]) == 0
         assert COLD_START_MESSAGE in capsys.readouterr().out
 
@@ -324,12 +353,29 @@ class TestPerfCLI:
         _seed(history, [2.08])
         assert main(["perf", "check", "--history", history_path]) == 1
         out = capsys.readouterr().out
-        assert "REGRESSION engine/n48/fleet_s" in out
+        assert "REGRESSION sweep-paper/wall_s" in out
         assert "sigma" in out
         # an unmodified re-run of the same history still fails the same
-        # way (the check is pure), while trimming the bad record passes
+        # way (the check is pure)
         assert main(["perf", "check", "--history", history_path]) == 1
         capsys.readouterr()
+
+    def test_injected_cells_per_s_drop_fails_naming_the_metric(
+        self, history_path, tmp_path, capsys
+    ):
+        for i, rate in enumerate((4.0, 4.1, 3.9, 4.05)):
+            meta = _meta(sha=f"{i:03d}" + "d" * 37)
+            doc = _write(tmp_path, f"e2e-{i}.json",
+                         _e2e_doc({"sweep-paper/cells_per_s": rate}, meta=meta))
+            assert main(["perf", "record", doc, "--history", history_path]) == 0
+        dropped = _write(tmp_path, "e2e-drop.json",
+                         _e2e_doc({"sweep-paper/cells_per_s": 2.0}))
+        capsys.readouterr()
+        assert main(["perf", "check", dropped, "--history", history_path]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION sweep-paper/cells_per_s" in out
+        assert out.count("REGRESSION") == 1
+        assert "better=higher" in out
 
     def test_check_trace_validates_and_exports(self, history_path, tmp_path, capsys):
         from repro.obs.export import parse_openmetrics
@@ -353,54 +399,55 @@ class TestPerfCLI:
         assert "repro_perf_metrics_checked" in parsed["gauge"]
 
     def test_check_judges_payload_files_without_recording(
-        self, history_path, capsys
+        self, history_path, tmp_path, capsys
     ):
         history = PerfHistory(history_path)
-        data = json.loads(BENCH_ENGINE.read_text(encoding="utf-8"))
         for _ in range(4):
-            history.record_payload(dict(data))
-        assert main(
-            ["perf", "check", str(BENCH_ENGINE), "--history", history_path]
-        ) == 0
+            history.append(e2e_record(_e2e_doc()))
+        doc = _write(tmp_path, "e2e-run.json", _e2e_doc())
+        assert main(["perf", "check", doc, "--history", history_path]) == 0
         out = capsys.readouterr().out
         assert "no regressions outside baseline" in out
         assert len(history.records()) == 4
 
     def test_check_ignores_retired_service_bench_records(
-        self, history_path, capsys
+        self, history_path, tmp_path, capsys
     ):
-        """Histories written before the service bench was retired still
-        hold ``service_bench`` records: they load, and a check judges
-        only the candidate's own metrics."""
+        """Histories written before the end-to-end benchmark became the
+        only input hold ``service_bench`` and ``engine_bench`` records
+        with a ``source`` key: they load, and a check judges only the
+        candidate's own metrics."""
+        retired = [
+            {"schema": 1, "source": "engine_bench", "meta": _meta(sha="4" * 40),
+             "metrics": {"engine/n48/fleet_s": 1.0, "engine/n48/speedup": 3.5}},
+            {"schema": 1, "source": "service_bench", "meta": _meta(sha="5" * 40),
+             "metrics": {"service/cells_per_s": 3.0, "service/submit_p99_s": 0.4}},
+        ]
+        with open(history_path, "w", encoding="utf-8") as fh:
+            for line in retired * 4:
+                fh.write(json.dumps(line) + "\n")
         history = PerfHistory(history_path)
-        _seed(history, [1.0, 1.01, 0.99, 1.0])
-        history.append(
-            PerfRecord(
-                source="service_bench",
-                meta=_meta(sha="5" * 40),
-                metrics={"service/cells_per_s": 3.0, "service/submit_p99_s": 0.4},
-            )
-        )
-        history.append(
-            PerfRecord(
-                source="engine_bench",
-                meta=_meta(sha="c" * 40),
-                metrics={"engine/n48/fleet_s": 1.02},
-            )
-        )
-        assert [r.source for r in history.records()].count("service_bench") == 1
+        for _ in range(3):
+            history.append(e2e_record(_e2e_doc()))
+        history.append(e2e_record(_e2e_doc({"sweep-paper/cells_per_s": 4.1})))
+        records = history.records()
+        assert len(records) == 12 and history.n_skipped == 0
+        assert records[0].metrics["engine/n48/fleet_s"] == 1.0
         assert main(["perf", "check", "--history", history_path]) == 0
         out = capsys.readouterr().out
-        assert "1 metric(s) checked against baseline" in out
-        assert "service/" not in out
+        n = len(WORKLOADS) * len(E2E_METRICS)
+        assert f"{n} metric(s) checked against baseline" in out
+        assert "service/" not in out and "engine/" not in out
+        assert main(["perf", "history", "--history", history_path]) == 0
+        assert "engine/n48/fleet_s" in capsys.readouterr().out
 
     def test_history_lists_and_plots(self, history_path, capsys):
         history = PerfHistory(history_path)
         _seed(history, [1.0, 1.2, 1.4, 1.6])
         assert main(["perf", "history", "--history", history_path]) == 0
-        assert "engine/n48/fleet_s" in capsys.readouterr().out
+        assert "sweep-paper/wall_s" in capsys.readouterr().out
         assert main(
-            ["perf", "history", "engine/n48/fleet_s",
+            ["perf", "history", "sweep-paper/wall_s",
              "--history", history_path]
         ) == 0
         out = capsys.readouterr().out
@@ -411,7 +458,7 @@ class TestPerfCLI:
     def test_history_suggests_close_matches(self, history_path, capsys):
         _seed(PerfHistory(history_path), [1.0])
         assert main(
-            ["perf", "history", "fleet_s", "--history", history_path]
+            ["perf", "history", "wall", "--history", history_path]
         ) == 1
         assert "close matches" in capsys.readouterr().out
 
@@ -426,10 +473,22 @@ class TestPerfCLI:
         assert "B worse" in out
 
     def test_record_rejects_unknown_payloads(self, history_path, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"mystery": 1}', encoding="utf-8")
-        with pytest.raises(SystemExit):
-            main(["perf", "record", str(bad), "--history", history_path])
+        refused = {
+            "bad.json": {"mystery": 1},
+            "bench-engine.json": {"engine_bench": {"sizes": []}, "meta": _meta()},
+            "bench-obs.json": {"obs_overhead": {"disabled_s": 0.2}, "meta": _meta()},
+            "suite.json": {"benches": {}, "meta": _meta()},
+            "e2e-smoke.json": _e2e_doc(scale="smoke"),
+            "e2e-traced.json": _e2e_doc(trace=1),
+        }
+        for name, data in refused.items():
+            path = _write(tmp_path, name, data)
+            with pytest.raises(SystemExit) as exc:
+                main(["perf", "record", path, "--history", history_path])
+            assert "benchmarks/e2e/run.py" in str(exc.value.code), name
+            with pytest.raises(SystemExit):
+                main(["perf", "check", path, "--history", history_path])
+        assert not os.path.exists(history_path)
 
 
 class TestObsWiring:
@@ -439,11 +498,11 @@ class TestObsWiring:
 
         assert EVENT_TYPES["perf_regression"] is PerfRegressionEvent
         event = PerfRegressionEvent(
-            t=0.0, metric="engine/n48/fleet_s", value=2.0, baseline=1.0,
+            t=0.0, metric="sweep-paper/wall_s", value=2.0, baseline=1.0,
             sigma=0.05, deviation=20.0, direction="lower", sha="abc",
         )
         back = event_from_dict(event.to_dict())
-        assert back.metric == "engine/n48/fleet_s"
+        assert back.metric == "sweep-paper/wall_s"
         assert back.deviation == 20.0
 
     def test_default_rules_include_perf_regression(self):
