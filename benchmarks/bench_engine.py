@@ -26,8 +26,14 @@ Acceptance (gated in CI like ``BENCH_obs.json``):
 - the curve is sublinear: from the first to the last curve point the
   per-step control time must grow strictly slower than the node count.
 
-The 6-node prototype size is reported for context only — at that scale
-python overhead dominates and parity is acceptable.
+The 6-node prototype size is reported for context only. So is a lone
+sweep cell — fig14's BAAT cell (``sweep_scenario``, dt 120 s, a 4-day
+season at sunshine 0.55) at 6, 24 and 96 nodes, in µs/step on both
+steppers with the fleet/reference ratio: at 6 nodes the fleet stepper's
+fixed per-step numpy-call cost decides the ratio, and the goal is a
+fleet stepper no slower than the reference there (ratio <= 1.05). These
+rows carry no gate: on a shared host a small-margin timing gate flips on
+noise.
 
 Run standalone (``python benchmarks/bench_engine.py --json
 BENCH_engine.json``), with ``--quick`` for the reduced CI matrix, or
@@ -41,7 +47,9 @@ import json
 import sys
 from time import perf_counter
 
+from repro.analysis.lifetime import season_day_classes
 from repro.core.policies.factory import make_policy
+from repro.experiments.common import sweep_scenario
 from repro.obs import REGISTRY
 from repro.obs.timers import STEP_PHASES
 from repro.sim.engine import Simulation
@@ -83,6 +91,13 @@ CURVE_POLICY = "baat"
 #: reference run already dominates the bench's wall time.
 REPEATS = {6: 3, 48: 3, 192: 2, 1024: 2}
 
+#: The lone sweep cell (report only): sizes, season length, sunshine
+#: fraction and best-of rounds.
+SWEEP_CELL_SIZES = (6, 24, 96)
+SWEEP_CELL_DAYS = 4
+SWEEP_CELL_SUNSHINE = 0.55
+SWEEP_CELL_REPEATS = 3
+
 DT_S = 60.0
 
 #: Per-node solar sizing matching the 6-node default of 8 kWh/day, so
@@ -114,6 +129,42 @@ def _run_seconds(scenario: Scenario, policy: str = "e-buff") -> tuple[float, int
     t0 = perf_counter()
     sim.run()
     return perf_counter() - t0, len(trace.power_w)
+
+
+def _sweep_cell_seconds(n_nodes: int, stepper: str) -> tuple[float, int]:
+    """Wall-clock seconds and step count of one lone BAAT sweep cell."""
+    scenario = sweep_scenario(
+        stepper=stepper, n_nodes=n_nodes, sunny_day_kwh=KWH_PER_NODE * n_nodes
+    )
+    classes = season_day_classes(SWEEP_CELL_SUNSHINE, SWEEP_CELL_DAYS, scenario.seed)
+    trace = scenario.trace_generator().days(classes)
+    sim = Simulation(scenario, make_policy("baat"), trace)
+    t0 = perf_counter()
+    sim.run()
+    return perf_counter() - t0, len(trace.power_w)
+
+
+def _sweep_cell_rows(quick: bool) -> list[dict]:
+    """µs/step of a lone sweep cell on both steppers (best of the rounds,
+    interleaved) and the fleet/reference ratio."""
+    rows = []
+    for n_nodes in SWEEP_CELL_SIZES:
+        best = {"reference": float("inf"), "fleet": float("inf")}
+        steps = 0
+        for _ in range(1 if quick else SWEEP_CELL_REPEATS):
+            for stepper in ("reference", "fleet"):
+                seconds, steps = _sweep_cell_seconds(n_nodes, stepper)
+                best[stepper] = min(best[stepper], seconds)
+        rows.append(
+            {
+                "n_nodes": n_nodes,
+                "steps": steps,
+                "reference_us_per_step": best["reference"] / steps * 1e6,
+                "fleet_us_per_step": best["fleet"] / steps * 1e6,
+                "fleet_over_reference": best["fleet"] / best["reference"],
+            }
+        )
+    return rows
 
 
 def _phase_breakdown(n_nodes: int, stepper: str, policy: str = "e-buff") -> dict:
@@ -202,6 +253,7 @@ def measure(quick: bool = False) -> dict:
         "fleet_only": fleet_only,
         "phase_breakdown": breakdown,
         "phase_curve": curve,
+        "sweep_cell": _sweep_cell_rows(quick),
     }
 
 
@@ -239,6 +291,17 @@ def report(results: dict) -> str:
             f"({row['control_us_per_step']:.0f} us/step), "
             f"power {row['power_s']:.3f} s, "
             f"control/power {row['control_over_power']:.2f}"
+        )
+    lines.append(
+        f"lone sweep cell (baat, {SWEEP_CELL_DAYS}-day season at sunshine "
+        f"{SWEEP_CELL_SUNSHINE}; report only):"
+    )
+    for row in results["sweep_cell"]:
+        lines.append(
+            f"  {row['n_nodes']:>6} nodes: reference "
+            f"{row['reference_us_per_step']:.0f} us/step, fleet "
+            f"{row['fleet_us_per_step']:.0f} us/step, fleet/reference "
+            f"{row['fleet_over_reference']:.2f}x"
         )
     return "\n".join(lines)
 

@@ -23,8 +23,10 @@ from repro.obs.metrics import Histogram, MetricRegistry
 #: Engine step phases, in execution order.
 STEP_PHASES = ("control", "power", "advance", "record")
 
-#: The fleet stepper's power-phase kernels, in execution order.
+#: The fleet stepper's power-phase kernels, in execution order; ``derived``
+#: is the step's shared aging-derived electrical pass.
 POWER_KERNELS = (
+    "derived",
     "restart",
     "demand",
     "allocate",

@@ -10,7 +10,9 @@ and stamps the record with the document's own ``meta`` block, the
 provenance collected when the benchmark ran.
 
 A ``--scale smoke`` or ``--trace 1`` document is refused: its numbers
-would land in the full-scale series under the same names.
+would land in the full-scale series under the same names. So is a
+document in which any workload failed a cell or did not match its
+golden digest: the timing of a wrong run is not a measurement.
 """
 
 from __future__ import annotations
@@ -59,6 +61,17 @@ def e2e_record(data: Any) -> PerfRecord:
         scale, trace = result.get("scale"), result.get("trace")
         if scale != "full" or trace:
             raise _refuse(f"workload {name!r} ran at scale {scale!r}, trace {trace!r}")
+        failed, golden = result.get("failed"), result.get("golden")
+        if not isinstance(failed, int) or isinstance(failed, bool) or failed != 0:
+            raise ConfigurationError(
+                f"workload {name!r} is a failed run ({failed!r} failed cell(s)); "
+                "a run with failures is not recorded"
+            )
+        if golden != "match":
+            raise ConfigurationError(
+                f"workload {name!r} is a wrong run (golden {golden!r}, not 'match'); "
+                "a run that misses its golden digest is not recorded"
+            )
         for metric in E2E_METRICS:
             entry = (result.get("metrics") or {}).get(metric)
             value = entry.get("value") if isinstance(entry, dict) else None

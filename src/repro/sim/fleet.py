@@ -27,10 +27,10 @@ make that possible:
   loops ``+=``/``-=``, and builtin ``sum()`` where it calls ``sum()``
   (never the pairwise ``np.sum``).
 
-RNG draws keep the reference order: one masked vector
-``rng.normal(0.0, sd[mask])`` over the VM table (node order, then
-``server.vms`` order) yields the same values and generator state as the
-per-VM scalar draws.
+RNG draws keep the reference order: one vector of standard normals per
+cell, scaled by ``sd[mask]`` over the VM table (node order, then
+``server.vms`` order), yields the same values and generator state as the
+per-VM scalar ``rng.normal(0.0, sd)`` draws.
 
 Batches
 -------
@@ -40,8 +40,11 @@ runs once for the whole batch; what the reference folds across a
 cluster (the solar share and restart guess, the utility budget, the
 charge walk's surplus, the flow sums and grid feedback) and the demand
 noise stay per cell, each in the order the cell alone would use, so
-every cell is bit-identical to its run alone. Policies read their cell
-through a :class:`FleetCell` view.
+every cell is bit-identical to its run alone. The per-cell folds and the
+charge walk run as one pass over a grid with a row per cell (padded to
+the widest cell), so a step issues about as many numpy calls for a batch
+as for one cell. Policies read their cell through a :class:`FleetCell`
+view.
 
 The fast path intentionally supports only the configuration the scalar
 models ship with: per-server architecture, plain :class:`BatteryUnit`,
@@ -127,8 +130,12 @@ _STATE_CODE = {
 #: Tracker region rows (paper Eq. 3): A (>=0.8), B, C, D.
 _REGION_LABELS = ("A", "B", "C", "D")
 
-#: Active-mass SoC stress weights indexed by region (A..D).
-_SOC_WEIGHTS = np.array([1.0, 1.5, 2.1, 3.0])
+#: Region boundaries: ``searchsorted(_REGION_EDGES, soc, "right")`` counts
+#: the boundaries at or below ``soc``, 3 minus its region row (A..D).
+_REGION_EDGES = np.array([0.40, 0.60, 0.80])
+
+#: Active-mass SoC stress weights of regions D..A, indexed by that count.
+_SOC_WEIGHTS_BY_RANK = np.array([3.0, 2.1, 1.5, 1.0])
 
 
 #: The demand noise generator(s): one for a single cell, one per cell for
@@ -139,6 +146,37 @@ Rngs = Union[np.random.Generator, Sequence[np.random.Generator]]
 def _clamp01(values: np.ndarray) -> np.ndarray:
     """Vector twin of ``clamp(v, 0.0, 1.0)`` (= max(0, min(1, v)))."""
     return np.maximum(0.0, np.minimum(1.0, values))
+
+
+def _low_soc_sag(
+    soc: np.ndarray, soc_c: np.ndarray
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Which SoCs are below the low-SoC knee, and the voltage model's
+    ``LOW_SOC_SAG_V * depth`` there (``None`` when none is)."""
+    knee = soc < LOW_SOC_KNEE
+    if not np.count_nonzero(knee):
+        return knee, None
+    return knee, LOW_SOC_SAG_V * ((LOW_SOC_KNEE - soc_c) / LOW_SOC_KNEE)
+
+
+def _terminal_voltage(
+    v0: np.ndarray,
+    current: np.ndarray,
+    res: np.ndarray,
+    i_ref: np.ndarray,
+    knee: np.ndarray,
+    sag: Optional[np.ndarray],
+) -> np.ndarray:
+    """Vector :meth:`VoltageModel.terminal_voltage` from the open-circuit
+    voltage ``v0`` and :func:`_low_soc_sag`: the IR drop, and the sag of
+    a discharge below the knee."""
+    v = v0 - current * res
+    if sag is not None:
+        sagging = knee & (current > 0.0)
+        if np.count_nonzero(sagging):
+            rate = np.minimum(current / i_ref, 4.0) / 4.0
+            v = np.where(sagging, v - sag * rate, v)
+    return v
 
 
 def _idle_power_w(server: Server) -> float:
@@ -204,6 +242,17 @@ class FleetState:
         self.cell_index = np.repeat(
             np.arange(self.n_cells), np.diff(self._bounds)
         )
+        # The cells as the rows of an (n_cells, widest cell + 1) grid, so
+        # a per-cell fold or walk is one pass for the whole batch: grid
+        # slot (c, j) holds cell c's j-th node. Slots past a cell's end
+        # (``~_grid_valid``, at least one per row) repeat its first node;
+        # every reader masks them.
+        sizes = np.diff(self._bounds)
+        self._grid_col = np.arange(int(sizes.max()) + 1)
+        self._grid_valid = self._grid_col < sizes[:, None]
+        first = self._bounds[:-1, None]
+        self._grid = np.where(self._grid_valid, first + self._grid_col, first)
+        self._grid_rows = np.arange(self.n_cells)
         self._alloc_constants()
         # Cached per-dt exponential factors (thermal decay, self-discharge).
         self._decay_dt: float | None = None
@@ -348,6 +397,16 @@ class FleetState:
         self.span_w = arr(lambda nd: nd.server.params.peak_w - nd.server.params.idle_w)
         self.node_names = [nd.name for nd in self.nodes]
         assert len(self.node_names) == n
+        # Per-node factors of the advance kernel that never change.
+        self._cor_float_factor = 1.0 + self.cor_float_mult
+        self._self_discharging = self.sd_rate > 0.0
+        self._i_ref_pos = self.i_ref > 0.0
+        self._i_ref_safe = np.where(self._i_ref_pos, self.i_ref, 1.0)
+        # ... and of the charge walk's acceptance and efficiency curves.
+        self._taper_span = 1.0 - self.taper_start
+        self._coul_span = 0.60 - self.coul_base
+        self._gassing_span = np.maximum(1e-9, 1.0 - self.gassing_soc)
+        self._float_limit = self.charge_float * 2.0
 
     def capture(self) -> None:
         """Load all mutable per-node state from the objects into arrays."""
@@ -469,7 +528,7 @@ class FleetState:
         #: Table offsets: node i's VMs are ``vms[_vm_start[i]:_vm_start[i+1]]``.
         self._vm_start = np.searchsorted(self.vm_node, np.arange(self.n + 1))
         #: Per cell, its first VM row; the last entry is the table length.
-        self._vm_bounds = self._vm_start[self._bounds].tolist()
+        self._vm_bounds = self._vm_start[self._bounds]
         slot_arr = np.array(slot, dtype=np.intp)
         #: Per in-server position k < 2: (table rows, their nodes). For a
         #: server with one or two VMs, folding the positions in order is
@@ -477,6 +536,7 @@ class FleetState:
         self._vm_slots = [
             (rows, self.vm_node[rows])
             for rows in ((slot_arr == k).nonzero()[0] for k in range(2))
+            if len(rows)
         ]
         #: (node, first row, end row) of servers with three or more VMs,
         #: which :meth:`sum_by_node` sums with builtin ``sum()`` itself
@@ -547,7 +607,7 @@ class FleetState:
         rows = (on_node[self.vm_node] & ~(self.vm_stall_s > 0.0)).nonzero()[0]
         if rng is not None and len(rows):
             hit = self.vm_cache_t[rows] == t
-            if hit.any():
+            if np.count_nonzero(hit):
                 util[rows[hit]] = self.vm_cache_util[rows[hit]]
                 rows = rows[~hit]
         if not len(rows):
@@ -558,7 +618,7 @@ class FleetState:
         u = np.where(on, self.vm_mean[rows] + self.vm_burst[rows] * wave[group], 0.0)
         if rng is not None:
             draw = on & self.vm_draws[rows]
-            if draw.any():
+            if np.count_nonzero(draw):
                 self._draw_by_cell(u, draw, rows, rng)
         u = _clamp01(u)
         util[rows] = u
@@ -581,9 +641,23 @@ class FleetState:
         at = draw.nonzero()[0]
         drawn = rows[at]
         cuts = np.searchsorted(drawn, self._vm_bounds).tolist()
-        for rng, lo, hi in zip(rngs, cuts, cuts[1:]):
-            if hi > lo:
-                u[at[lo:hi]] += rng.normal(0.0, self.vm_noise_sd[drawn[lo:hi]])
+        # ``normal(0, sd)`` is ``0.0 + sd * z`` over the same standard
+        # normals ``z``; the ``0.0 +`` only turns a -0.0 into +0.0, which
+        # the addition into ``u >= 0`` (and the clamp after it) absorbs.
+        z = [
+            rng.standard_normal(hi - lo)
+            for rng, lo, hi in zip(rngs, cuts, cuts[1:])
+            if hi > lo
+        ]
+        u[at] += np.concatenate(z) * self.vm_noise_sd[drawn]
+
+    def fold_by_cell(self, values: np.ndarray) -> List[float]:
+        """Per cell, the strict left fold ``0.0 + v0 + v1 + ...`` of its
+        nodes' ``values`` in node order, as one pass over the cell grid
+        (a padding slot adds ``0.0``, which leaves a fold that starts at
+        ``+0.0`` unchanged; the final ``+ 0.0`` is that start)."""
+        rows = np.where(self._grid_valid, values[self._grid], 0.0)
+        return (np.add.accumulate(rows, axis=1)[:, -1] + 0.0).tolist()
 
     def sum_by_node(self, values: np.ndarray) -> np.ndarray:
         """Per node, builtin ``sum()`` of its VMs' ``values`` in
@@ -617,7 +691,7 @@ class FleetState:
         demand = self.sum_by_node(util)
         contention = np.ones(self.n)
         over = demand > 1.0
-        if over.any():
+        if np.count_nonzero(over):
             contention[over] = np.minimum(1.0, 1.0 / demand[over])
         factor = (speed * contention)[self.vm_node]
         consumed = np.minimum(self.vm_stall_s, dt)
@@ -754,26 +828,30 @@ class FleetState:
         if cached is not None and cached[0] == self._state_version:
             return cached[1]
         d = self.damage
-        total_raw = d[0] + d[1] + d[2] + d[3] + d[4]
+        # Reducing the (5, n) rows along axis 0 is the strict left fold
+        # d[0] + d[1] + ... + d[4] per node (no pairwise summation across
+        # rows).
+        total_raw = np.add.reduce(d, axis=0)
         fade = np.maximum(0.0, np.minimum(0.95, total_raw))
-        sh = self.resistance_shares
-        resistive = d[0] * sh[0] + d[1] * sh[1] + d[2] * sh[2] + d[3] * sh[3] + d[4] * sh[4]
+        resistive = np.add.reduce(d * self.resistance_shares, axis=0)
         growth = RESISTANCE_GROWTH_GAIN * resistive
         res = self.r0 * (1.0 + np.maximum(0.0, growth))
         eff_cap = self.cap_scaled * (1.0 - fade)
-        fade_c = _clamp01(fade)
         # Scalar pow per element: numpy's array ** is not bit-identical to
         # Python's float ** for every operand, and the reference models go
-        # through the scalar operator.
-        fade_pow = np.array([f ** OCV_FADE_EXPONENT for f in fade_c.tolist()])
-        full = self.ocv_full * (1.0 - OCV_FADE_COEFF * fade_pow)
-        full = np.where(full < self.ocv_empty, self.ocv_empty, full)
+        # through the scalar operator. The fade is in [0, 0.95], so it is
+        # its own clamp to [0, 1], the voltage model's pow operand.
+        fade_pow = np.array([f ** OCV_FADE_EXPONENT for f in fade.tolist()])
+        # max(full, empty): the OCV floor of the voltage model.
+        full = np.maximum(self.ocv_full * (1.0 - OCV_FADE_COEFF * fade_pow), self.ocv_empty)
         feedback = 1.0 + self.feedback_gain * total_raw
         ceff = np.maximum(
             0.3, np.minimum(1.0, 1.0 - COULOMBIC_DEGRADATION * fade)
         )
+        # Arrhenius: the exponent's arithmetic is exact elementwise; only
+        # the pow goes through Python floats.
         arr = np.array(
-            [2.0 ** ((tc - 20.0) / 10.0) for tc in self.temp_c.tolist()]
+            [2.0 ** x for x in ((self.temp_c - 20.0) / 10.0).tolist()]
         )
         if self._decay_dt != dt:
             self._decay = np.array(
@@ -834,13 +912,8 @@ class FleetState:
                 der["res"][idx], self.i_ref[idx],
             )
         soc_c = _clamp01(soc)
-        v = (empty + (ocv_hi - empty) * soc_c) - current * res
-        knee = (current > 0.0) & (soc < LOW_SOC_KNEE)
-        if knee.any():
-            depth = (LOW_SOC_KNEE - soc_c) / LOW_SOC_KNEE
-            rate = np.minimum(current / i_ref, 4.0) / 4.0
-            v = np.where(knee, v - LOW_SOC_SAG_V * depth * rate, v)
-        return v
+        v0 = empty + (ocv_hi - empty) * soc_c
+        return _terminal_voltage(v0, current, res, i_ref, *_low_soc_sag(soc, soc_c))
 
     def _ocv_scalar(self, i: int, soc: float, der: Dict[str, np.ndarray]) -> float:
         soc_c = max(0.0, min(1.0, soc))
@@ -1028,8 +1101,8 @@ class FleetPowerPath(PowerPath):
 
     With the metric registry enabled, each kernel's wall time goes to a
     ``phase/power/<kernel>`` histogram (:data:`~repro.obs.timers.
-    POWER_KERNELS`); ``derived()`` runs before the first kernel and is not
-    counted in any of them.
+    POWER_KERNELS`), the step's :meth:`FleetState.derived` pass first, so
+    the kernels cover the whole power step.
 
     Given a sequence of clusters (and a utility budget per cluster, or
     one for all), the path routes a *batch*: independent runs concatenated on the node
@@ -1037,7 +1110,9 @@ class FleetPowerPath(PowerPath):
     noise generator, the utility allocation, the charge walk and the
     grid feedback stay per cell, each in the order the cell alone would
     use; every other kernel is elementwise per node and runs once for
-    the whole batch. A one-cell path is the single-run case.
+    the whole batch. The per-cell folds and the charge walk run as one
+    pass over the cell grid (a row per cell), not a loop over cells. A
+    one-cell path is the single-run case.
     """
 
     def __init__(
@@ -1057,15 +1132,15 @@ class FleetPowerPath(PowerPath):
             raise ConfigurationError("need one utility budget per cluster")
         for budget in self._budgets:
             self.validate_budget(budget)
-        # Reusable per-step op buffers, zeroed at each step: mode, signed
-        # current (+ discharge, - charge), gassing current, float flag,
-        # drained Ah, stored Ah, delivered W, absorbed W.
+        # Reusable per-step op buffers, zeroed at each step: the op mode,
+        # the float flag, and six float rows: signed current (+ discharge,
+        # - charge), gassing current, drained Ah, stored Ah, delivered W,
+        # absorbed W.
         n = self.fleet.n
-        self._op_buffers = (
-            np.zeros(n, dtype=np.int8), np.zeros(n), np.zeros(n),
-            np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n), np.zeros(n),
-            np.zeros(n),
-        )
+        self._op_mode = np.zeros(n, dtype=np.int8)
+        self._op_float = np.zeros(n, dtype=bool)
+        self._op_values = np.zeros((6, n))
+        self._op_rows = tuple(self._op_values)
         # Kernel histograms, built on the first timed step so a disabled
         # registry never holds them.
         self._timers: StepPhaseTimers | None = None
@@ -1092,12 +1167,15 @@ class FleetPowerPath(PowerPath):
         fs = self.fleet
         cells = fs.cells
         solar = (solar_w,) if isinstance(solar_w, (int, float)) else tuple(solar_w)
-        der = fs.derived(dt)
         # One registry check per step: kernel boundaries are stamped and
         # observed together at the end.
         timing = REGISTRY.enabled
         if timing:
             stamps = [perf_counter()]
+
+        der = fs.derived(dt)
+        if timing:
+            stamps.append(perf_counter())
 
         self._restart(solar, der)
         if timing:
@@ -1105,7 +1183,8 @@ class FleetPowerPath(PowerPath):
 
         demand = self.demand(t, rng)
         # Builtin sum per cell, as the reference sums its demand dict.
-        total_demand = [sum(demand[lo:hi].tolist()) for lo, hi in cells]
+        listed = demand.tolist()
+        total_demand = [sum(listed[lo:hi]) for lo, hi in cells]
         if timing:
             stamps.append(perf_counter())
 
@@ -1117,12 +1196,14 @@ class FleetPowerPath(PowerPath):
             stamps.append(perf_counter())
 
         # Per-node op buffers: every battery resolves to exactly one op.
-        for buf in self._op_buffers:
-            buf.fill(0)
+        mode, op_float = self._op_mode, self._op_float
+        mode.fill(0)
+        op_float.fill(False)
+        self._op_values.fill(0.0)
         (
-            mode, op_current, op_gassing, op_float,
-            op_drain_ah, op_stored_ah, op_delivered_w, op_absorbed_w,
-        ) = self._op_buffers
+            op_current, op_gassing, op_drain_ah, op_stored_ah,
+            op_delivered_w, op_absorbed_w,
+        ) = self._op_rows
         battery_to_load, unserved, browned_out = self._discharge(
             t, dt, der, def_idx, deficit,
             mode, op_current, op_drain_ah, op_delivered_w,
@@ -1135,21 +1216,21 @@ class FleetPowerPath(PowerPath):
         solar_to_battery = [0.0] * fs.n_cells
         if charging_enabled and any(x > 0.0 for x in surplus):
             chargeable = (fs.soc < 1.0) & (mode == _OP_REST)
-            for (lo, hi), left in zip(cells, surplus):
-                if left <= 0.0:
-                    chargeable[lo:hi] = False
-            cand = chargeable.nonzero()[0]
-            if len(cand):
+            if np.count_nonzero(chargeable):
                 surplus, solar_to_battery = self._charge_walk(
-                    cand, surplus, dt, der,
+                    chargeable, surplus, dt, der,
                     mode, op_current, op_gassing, op_float,
                     op_stored_ah, op_absorbed_w,
                 )
         feedback = [max(0.0, x) for x in surplus]
-        for (lo, hi), fed in zip(cells, feedback):
-            if fed > 0.0:
-                per_node = fed / (hi - lo)
-                fs.feedback_wh[lo:hi] += per_node * dt / SECONDS_PER_HOUR
+        if any(fed > 0.0 for fed in feedback):
+            # Each cell's feedback shared evenly over its nodes; a cell
+            # that feeds nothing back adds 0.0.
+            per_node = [
+                fed / (hi - lo) * dt / SECONDS_PER_HOUR if fed > 0.0 else 0.0
+                for (lo, hi), fed in zip(cells, feedback)
+            ]
+            fs.feedback_wh += np.array(per_node)[fs.cell_index]
         if timing:
             stamps.append(perf_counter())
 
@@ -1176,7 +1257,7 @@ class FleetPowerPath(PowerPath):
             battery_to_load, utility_used, feedback, unserved, browned_out,
         )
         # Left folds with no 0 start: one cell's flows come back as they are.
-        return PowerFlows(*(functools.reduce(operator.add, c) for c in columns))
+        return PowerFlows(*[functools.reduce(operator.add, c) for c in columns])
 
     def _observe_kernels(self, stamps) -> None:
         if self._timers is None:
@@ -1235,14 +1316,14 @@ class FleetPowerPath(PowerPath):
         b = busy.nonzero()[0]
         if len(b):
             u = _clamp01(fs.sum_by_node(fs.vm_utilization(busy, t, rng))[b])
-            migrating = np.bincount(
-                fs.vm_node[fs.vm_stall_s > 0.0], minlength=fs.n
-            )[b]
-            demand[b] = (
-                fs.idle_now_w[b]
-                + fs.span_w[b] * u * fs.f_pow[b]
-                + migrating * MIGRATION_POWER_W
-            )
+            power = fs.idle_now_w[b] + fs.span_w[b] * u * fs.f_pow[b]
+            stalled = fs.vm_stall_s > 0.0
+            # Without a migrating (stalled) VM the 15 W term adds 0.0,
+            # which leaves every draw as it is.
+            if np.count_nonzero(stalled):
+                migrating = np.bincount(fs.vm_node[stalled], minlength=fs.n)[b]
+                power += migrating * MIGRATION_POWER_W
+            demand[b] = power
         return demand
 
     def _advance_servers(self, dt: float) -> None:
@@ -1251,6 +1332,10 @@ class FleetPowerPath(PowerPath):
         fs = self.fleet
         active = ~(fs.admin_off | fs.policy_off_mask)
         state = fs.server_state
+        # Usually every active server is up (and off-window none is
+        # active): then no timer moves.
+        if not np.count_nonzero(active & (state != _UP)):
+            return
         fs.downtime_s[active & (state == _DOWN)] += dt
         boot = (active & (state == _BOOTING)).nonzero()[0]
         if len(boot):
@@ -1276,18 +1361,25 @@ class FleetPowerPath(PowerPath):
 
         Returns the nodes left with a deficit (node order), their
         deficits, and each cell's utility power used. Each cell's solar
-        share is proportional to its nodes' demand, and its budget goes
-        out in node order (``left -= min(deficit, left)``), a prefix
-        allocation: the strict left fold ``subtract.accumulate([budget,
-        deficits...])`` is the budget left after each node until the
-        first node it cannot cover, which takes the remainder, and every
-        later node gets 0. A zero budget leaves every deficit as it is.
+        share is proportional to its nodes' demand (``demand - to_load *
+        demand / total``, one pass for every cell; a cell with no demand
+        keeps its zero deficits), and its budget goes out in node order
+        (``left -= min(deficit, left)``), a prefix allocation: the strict
+        left fold ``subtract.accumulate([budget, deficits...])`` is the
+        budget left after each node until the first node it cannot cover,
+        which takes the remainder, and every later node gets 0. A zero
+        budget leaves every deficit as it is.
         """
         fs = self.fleet
-        deficit = demand.copy()
-        for (lo, hi), total, to_load in zip(fs.cells, total_demand, solar_to_load):
-            if total > 0:
-                deficit[lo:hi] -= to_load * demand[lo:hi] / total
+        deficit = demand
+        if any(total > 0 for total in total_demand):
+            share = np.array(
+                [
+                    (to_load, total) if total > 0 else (0.0, 1.0)
+                    for total, to_load in zip(total_demand, solar_to_load)
+                ]
+            )[fs.cell_index]
+            deficit = demand - share[:, 0] * demand / share[:, 1]
         idx = (deficit > 1e-9).nonzero()[0]
         deficit = deficit[idx]
         utility_used = [0.0] * fs.n_cells
@@ -1326,32 +1418,27 @@ class FleetPowerPath(PowerPath):
         """Batteries bridge the deficits under each node's discharge cap;
         a node left materially short browns out.
 
-        Returns, per cell, battery-to-load power, unserved power and the
-        brownout count. Only the browned-out nodes take object calls and
-        events.
+        Returns, per cell, battery-to-load power (a strict left fold in
+        node order of the delivered power, which is 0 on every other
+        node), unserved power and the brownout count. Only the
+        browned-out nodes take object calls and events.
         """
         fs = self.fleet
         n_cells = fs.n_cells
+        if not len(idx):
+            return [0.0] * n_cells, [0.0] * n_cells, [0] * n_cells
         allowed = np.minimum(deficit, fs.discharge_cap_w[idx])
         live = allowed > 0.0
-        delivered = np.zeros(len(idx))
         battery_to_load = [0.0] * n_cells
-        if live.any():
-            at = idx[live]
-            out = self._discharge_kernel(
-                at, allowed[live], dt, der,
+        if np.count_nonzero(live):
+            self._discharge_kernel(
+                idx[live], allowed[live], dt, der,
                 mode, op_current, op_drain_ah, op_delivered_w,
             )
-            delivered[live] = out
-            cuts = np.searchsorted(at, fs._bounds).tolist()
-            # A strict left fold per cell, in node order.
-            battery_to_load = [
-                float(np.add.accumulate(np.concatenate(([0.0], out[a:b])))[-1])
-                for a, b in zip(cuts, cuts[1:])
-            ]
+            battery_to_load = fs.fold_by_cell(op_delivered_w)
         # Tolerate solver rounding and small sags: a server browns out
         # only on a materially unmet deficit (>2 % or >2 W).
-        shortfall = deficit - delivered
+        shortfall = deficit - op_delivered_w[idx]
         failed = (shortfall > np.maximum(2.0, 0.02 * deficit)).nonzero()[0]
         unserved = [0.0] * n_cells
         browned_out = [0] * n_cells
@@ -1389,69 +1476,68 @@ class FleetPowerPath(PowerPath):
         op_current: np.ndarray,
         op_drain_ah: np.ndarray,
         op_delivered_w: np.ndarray,
-    ) -> np.ndarray:
+    ) -> None:
         """Vectorised :meth:`BatteryUnit.discharge` over the deficit set.
 
-        Returns per-element delivered power (0 for the cut-off / zero-
-        current branches, which rest-age while keeping their stale
-        ``last_current`` exactly like the scalar path).
+        Writes each element's op and delivered power (0 for the cut-off /
+        zero-current branches, which rest-age while keeping their stale
+        ``last_current`` exactly like the scalar path). Every input is
+        gathered once; the terminal voltage at each trial current reuses
+        the open-circuit voltage ``v0`` and the low-SoC sag depth.
         """
         fs = self.fleet
         soc = fs.soc[idx]
         cutoff = fs.cutoff_soc[idx]
         res = der["res"][idx]
-        cap = der["eff_cap"][idx]
         i_ref = fs.i_ref[idx]
         km1 = fs.k_minus_1[idx]
-        m = len(idx)
+        empty = fs.ocv_empty[idx]
+        soc_c = _clamp01(soc)
+        v0 = empty + (der["ocv_hi"][idx] - empty) * soc_c
+        knee, sag = _low_soc_sag(soc, soc_c)
 
-        m_cut = soc <= cutoff
-        live = ~m_cut
+        def terminal_voltage(current: np.ndarray) -> np.ndarray:
+            return _terminal_voltage(v0, current, res, i_ref, knee, sag)
+
+        live = ~(soc <= cutoff)
 
         # Fixed-point solve for current at the requested power (2 rounds).
-        v0 = fs.ocv_empty[idx] + (der["ocv_hi"][idx] - fs.ocv_empty[idx]) * _clamp01(soc)
         current = np.where(live, power / np.maximum(v0, 1e-6), 0.0)
-        running = live.copy()
+        running = live
         for _ in range(2):
-            v = self.fleet.terminal_voltage(soc, current, der, idx)
-            cont = running & (v > 0.0)
-            current = np.divide(
-                power, v, out=current.copy(), where=cont
-            )
-            running = cont
+            v = terminal_voltage(current)
+            running = running & (v > 0.0)
+            np.divide(power, v, out=current, where=running)
 
         # Voltage cut-off limit.
         headroom = v0 - fs.cutoff_v[idx]
         i_max = np.where(headroom <= 0.0, 0.0, headroom / res)
         current = np.where(live & (current > i_max), i_max, current)
-        m_dead = live & (current <= 0.0)
-        m_live = live & ~m_dead
+        m_live = live & ~(current <= 0.0)
 
         # Charge-availability limit.
         pf = self._peukert(current, i_ref, km1)
         drain_ah = current * pf * dt / SECONDS_PER_HOUR
-        avail_ah = np.maximum(0.0, (soc - cutoff) * cap)
+        avail_ah = np.maximum(0.0, (soc - cutoff) * der["eff_cap"][idx])
         m_scale = m_live & (drain_ah > avail_ah)
-        if m_scale.any():
+        if np.count_nonzero(m_scale):
             scale = np.divide(
-                avail_ah, drain_ah, out=np.zeros(m), where=m_scale & (drain_ah > 0.0)
+                avail_ah, drain_ah, out=np.zeros(len(idx)),
+                where=m_scale & (drain_ah > 0.0),
             )
             current = np.where(m_scale, current * scale, current)
             pf = np.where(m_scale, self._peukert(current, i_ref, km1), pf)
             drain_ah = np.where(m_scale, current * pf * dt / SECONDS_PER_HOUR, drain_ah)
 
-        v = self.fleet.terminal_voltage(soc, current, der, idx)
-        delivered = np.where(m_live, current * np.maximum(v, 0.0), 0.0)
-
+        v = terminal_voltage(current)
         mode[idx] = np.where(m_live, _OP_DISCHARGE, _OP_REST_KEEP)
         op_current[idx] = np.where(m_live, current, 0.0)
         op_drain_ah[idx] = np.where(m_live, drain_ah, 0.0)
-        op_delivered_w[idx] = delivered
-        return delivered
+        op_delivered_w[idx] = np.where(m_live, current * np.maximum(v, 0.0), 0.0)
 
     def _charge_walk(
         self,
-        cand: np.ndarray,
+        chargeable: np.ndarray,
         surplus: List[float],
         dt: float,
         der: Dict[str, np.ndarray],
@@ -1462,185 +1548,171 @@ class FleetPowerPath(PowerPath):
         op_stored_ah: np.ndarray,
         op_absorbed_w: np.ndarray,
     ) -> Tuple[List[float], List[float]]:
-        """Emptiest-first charge walk as accumulate passes, one walk per
-        cell over its candidates in ``cand`` with its ``surplus``.
+        """Emptiest-first charge walk of every cell at once, each cell
+        over its ``chargeable`` nodes with its ``surplus``.
 
         The acceptance-limited outcome of :meth:`BatteryUnit.charge` does
         not depend on the offered power, so it is precomputed for every
-        candidate in one vector pass; the walk applies it whenever the
-        candidate is acceptance-limited and free of the overshoot clamp,
-        falling back to a literal scalar transcription otherwise (the
-        marginal last-charged node of a step).
+        node in one vector pass. Each cell is a row of the cell grid,
+        its candidates sorted emptiest first (a stable sort on SoC, with
+        +inf keys after the candidates). A round runs every row's walk
+        as accumulate passes: while candidates take their
+        acceptance-limited charge free of the overshoot clamp, the
+        surplus before each one is the strict left fold
+        ``subtract.accumulate([surplus, absorbed...])``, equal to the
+        reference's running ``surplus -= absorbed``. The first candidate
+        of a row that fails that test (its marginal node, usually the
+        last one charged) goes through the literal scalar transcription
+        :meth:`_charge_scalar`, and a row with surplus and candidates
+        left after it walks on in the next round. A finished row's fold
+        reads back unchanged, so rounds need no row bookkeeping.
 
         Returns each cell's surplus left and power absorbed.
         """
         fs = self.fleet
-        soc = fs.soc[cand]
-        res = der["res"][cand]
-        cap = der["eff_cap"][cand]
-        ceff = der["ceff"][cand]
-        empty = fs.ocv_empty[cand]
-        ocv_hi = der["ocv_hi"][cand]
-        soc_c = _clamp01(soc)
-
-        ocv = empty + (ocv_hi - empty) * soc_c
-        v1 = ocv - (-1.0) * res
-        bulk = fs.charge_max[cand] * (1.0 - _clamp01(der["fade"][cand]))
-        start = fs.taper_start[cand]
-        flt = fs.charge_float[cand]
+        soc = fs.soc
+        res = der["res"]
+        # Only candidates (soc < 1) are read below, so their SoC clamped
+        # to [0, 1] is max(0, soc), and the charger's acceptance is the
+        # bulk current or the taper (its float branch needs soc >= 1).
+        soc_c = np.maximum(0.0, soc)
+        ocv = fs.ocv_empty + (der["ocv_hi"] - fs.ocv_empty) * soc_c
+        # Terminal voltage at 1 A of charge, ocv - (-1.0) * res.
+        v1 = ocv + res
+        # The derived fade is in [0, 0.95]: its own clamp to [0, 1].
+        bulk = fs.charge_max * (1.0 - der["fade"])
+        start = fs.taper_start
+        flt = fs.charge_float
         i_accept = np.where(
             soc_c < start,
             bulk,
-            np.where(
-                soc_c >= 1.0,
-                flt,
-                bulk + (flt - bulk) * ((soc_c - start) / (1.0 - start)),
-            ),
+            bulk + (flt - bulk) * ((soc_c - start) / fs._taper_span),
         )
-        gas_soc = fs.gassing_soc[cand]
-        base = fs.coul_base[cand]
+        gas_soc = fs.gassing_soc
+        base = fs.coul_base
         coul = np.where(
             soc_c <= gas_soc,
             base,
-            base + (0.60 - base) * ((soc_c - gas_soc) / np.maximum(1e-9, 1.0 - gas_soc)),
+            base + fs._coul_span * ((soc_c - gas_soc) / fs._gassing_span),
         )
-        eta = coul * ceff
+        eta = coul * der["ceff"]
 
         # Acceptance-limited hypothesis: current = i_accept.
-        cur0 = i_accept.copy()
+        cur0 = i_accept
         stored0 = cur0 * eta
         gas0 = cur0 - stored0
         st_ah0 = stored0 * dt / SECONDS_PER_HOUR
-        room = np.maximum(0.0, (1.0 - soc) * cap)
-        m_room = st_ah0 > room
-        if m_room.any():
+        room = np.maximum(0.0, (1.0 - soc) * der["eff_cap"])
+        m_room = chargeable & (st_ah0 > room)
+        if np.count_nonzero(m_room):
             scale = np.divide(
-                room, st_ah0, out=np.zeros(len(cand)), where=m_room & (st_ah0 > 0.0)
+                room, st_ah0, out=np.zeros(fs.n), where=m_room & (st_ah0 > 0.0)
             )
             cur0 = np.where(m_room, cur0 * scale, cur0)
             stored0 = np.where(m_room, stored0 * scale, stored0)
             gas0 = np.where(m_room, gas0 * scale, gas0)
             st_ah0 = np.where(m_room, room, st_ah0)
-        v2 = ocv - (-cur0) * res
-        absorbed0 = cur0 * v2
-        float0 = (soc >= 0.99) & (cur0 <= flt * 2.0)
+        # At the terminal voltage ocv - (-cur0) * res.
+        absorbed0 = cur0 * (ocv + cur0 * res)
+        float0 = (soc >= 0.99) & (cur0 <= fs._float_limit)
 
-        # The walks, emptiest first within each cell.
-        surplus = list(surplus)
-        absorbed_w = [0.0] * fs.n_cells
-        cuts = np.searchsorted(cand, fs._bounds).tolist()
-        for c, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            if b > a:
-                surplus[c], absorbed_w[c] = self._walk(
-                    cand, a + np.argsort(soc[a:b], kind="stable"), surplus[c],
-                    dt, der, v1, i_accept, cur0, gas0, float0, st_ah0, absorbed0,
-                    mode, op_current, op_gassing, op_float,
-                    op_stored_ah, op_absorbed_w,
-                )
-        return surplus, absorbed_w
+        # The cell grid, each row's candidates first, emptiest first; a
+        # row always ends in a non-candidate slot.
+        grid, col, rows = fs._grid, fs._grid_col, fs._grid_rows
+        cand = fs._grid_valid & chargeable[grid]
+        order = np.argsort(np.where(cand, soc[grid], np.inf), axis=1, kind="stable")
+        sorted_at = (rows[:, None], order)
+        nodes = grid[sorted_at]
+        in_cand = cand[sorted_at]
+        abs_g = absorbed0[nodes]
+        ia_g = i_accept[nodes]
+        v1_g = np.maximum(v1, 1e-6)[nodes]
 
-    def _walk(
-        self, cand, order, surplus, dt, der,
-        v1, i_accept, cur0, gas0, float0, st_ah0, absorbed0,
-        mode, op_current, op_gassing, op_float, op_stored_ah, op_absorbed_w,
-    ) -> Tuple[float, float]:
-        """One cell's walk over its candidates ``cand[order]``, emptiest
-        first.
-
-        While candidates take their acceptance-limited charge, the
-        surplus before each one is the strict left fold
-        subtract.accumulate([surplus, absorbed0...]), equal to the
-        reference's running `surplus -= absorbed`; the first candidate
-        that fails the fast test (usually the last one charged) goes
-        through the scalar transcription and the fold restarts after it.
-        """
-        v1_o, ia_o, abs_o = v1[order], i_accept[order], absorbed0[order]
-        solar_to_battery = 0.0
-        k, m = 0, len(order)
-        while k < m and surplus > 1e-9:
-            acc = np.subtract.accumulate(np.concatenate(([surplus], abs_o[k:])))
-            before = acc[:-1]
-            fast = (
+        # Per row: next candidate, surplus left, power absorbed so far.
+        k = np.zeros(fs.n_cells, dtype=np.intp)
+        left = np.array(surplus, dtype=float)
+        absorbed = np.zeros(fs.n_cells)
+        marginal = []
+        while True:
+            ahead = col >= k[:, None]
+            offered = np.where(ahead, abs_g, 0.0)
+            acc = np.subtract.accumulate(
+                np.concatenate((left[:, None], offered), axis=1), axis=1
+            )
+            before = acc[:, :-1]
+            ok = (
                 (before > 1e-9)
-                & (ia_o[k:] <= before / np.maximum(v1_o[k:], 1e-6))
-                & (abs_o[k:] <= before)
-            )
-            n_fast = len(fast) if fast.all() else int(np.argmin(fast))
-            if n_fast:
-                js = order[k:k + n_fast]
-                idx = cand[js]
-                mode[idx] = _OP_CHARGE
-                op_current[idx] = -cur0[js]
-                op_gassing[idx] = gas0[js]
-                op_float[idx] = float0[js]
-                op_stored_ah[idx] = st_ah0[js]
-                op_absorbed_w[idx] = absorbed0[js]
-                solar_to_battery = float(np.add.accumulate(
-                    np.concatenate(([solar_to_battery], abs_o[k:k + n_fast]))
-                )[-1])
-                surplus = float(acc[n_fast])
-                k += n_fast
-            if k == m or surplus <= 1e-9:
+                & (ia_g <= before / v1_g)
+                & (abs_g <= before)
+                & in_cand
+            ) | ~ahead
+            # The first failing slot; a row's padding slot always fails.
+            k = ok.argmin(axis=1)
+            left = acc[rows, k]
+            absorbed = np.add.accumulate(
+                np.concatenate((absorbed[:, None], offered), axis=1), axis=1
+            )[rows, k]
+            # Each row's marginal node: the scalar transcription.
+            walking = False
+            for c in (in_cand[rows, k] & (left > 1e-9)).nonzero()[0].tolist():
+                at = k.item(c)
+                i = nodes.item(c, at)
+                out = self._charge_scalar(
+                    left.item(c), dt, soc.item(i), v1.item(i),
+                    i_accept.item(i), eta.item(i), room.item(i),
+                    ocv.item(i), res.item(i), flt.item(i),
+                )
+                marginal.append((i, out))
+                power = out[3]
+                absorbed[c] = absorbed.item(c) + power
+                left[c] = left.item(c) - power
+                k[c] = at + 1
+                walking = walking or (in_cand.item(c, at + 1) and left.item(c) > 1e-9)
+            if not walking:
                 break
-            i = int(cand[order[k]])
-            cur, gas, st_ah, absorbed, is_float = self._charge_scalar(
-                i, surplus, dt, der
-            )
-            mode[i] = _OP_CHARGE
+        # Every walked node took its acceptance-limited charge but the
+        # marginal ones.
+        fast = np.zeros(fs.n, dtype=bool)
+        fast[nodes[col < k[:, None]]] = True
+        mode[fast] = _OP_CHARGE
+        for i, (cur, gas, st_ah, power, is_float) in marginal:
+            fast[i] = False
             op_current[i] = -cur
             op_gassing[i] = gas
             op_float[i] = is_float
             op_stored_ah[i] = st_ah
-            op_absorbed_w[i] = absorbed
-            solar_to_battery += absorbed
-            surplus -= absorbed
-            k += 1
-        return surplus, solar_to_battery
+            op_absorbed_w[i] = power
+        np.negative(cur0, out=op_current, where=fast)
+        np.copyto(op_gassing, gas0, where=fast)
+        np.copyto(op_float, float0, where=fast)
+        np.copyto(op_stored_ah, st_ah0, where=fast)
+        np.copyto(op_absorbed_w, absorbed0, where=fast)
+        return left.tolist(), absorbed.tolist()
 
+    @staticmethod
     def _charge_scalar(
-        self, i: int, power_w: float, dt: float, der: Dict[str, np.ndarray]
+        power_w: float, dt: float, soc: float, v1: float, i_accept: float,
+        eta: float, room_ah: float, ocv: float, res: float, flt: float,
     ) -> Tuple[float, float, float, float, bool]:
         """Literal scalar transcription of :meth:`BatteryUnit.charge`
-        (state updates deferred to the batched advance)."""
-        fs = self.fleet
-        soc = float(fs.soc[i])
-        v = self.fleet._tv_scalar(i, soc, -1.0, der)
-        i_request = power_w / max(v, 1e-6)
-        # Charger.acceptance_current
-        soc_c = max(0.0, min(1.0, soc))
-        fade = float(der["fade"][i])
-        bulk = float(fs.charge_max[i]) * (1.0 - max(0.0, min(1.0, fade)))
-        start = float(fs.taper_start[i])
-        flt = float(fs.charge_float[i])
-        if soc_c < start:
-            i_accept = bulk
-        elif soc_c >= 1.0:
-            i_accept = flt
-        else:
-            frac = (soc_c - start) / (1.0 - start)
-            i_accept = bulk + (flt - bulk) * frac
+        (state updates deferred to the batched advance) for one node,
+        given its acceptance current, charge efficiency, room, open-
+        circuit voltage and terminal voltage at 1 A of charge from the
+        walk's vector pass (the same IEEE operations the scalar models
+        run)."""
+        i_request = power_w / max(v1, 1e-6)
         current = min(i_request, i_accept)
-        # Charger.coulombic_efficiency
-        gas_soc = float(fs.gassing_soc[i])
-        base = float(fs.coul_base[i])
-        if soc_c <= gas_soc:
-            coul = base
-        else:
-            frac = (soc_c - gas_soc) / max(1e-9, 1.0 - gas_soc)
-            coul = base + (0.60 - base) * frac
-        eta = coul * float(der["ceff"][i])
         stored_current = current * eta
         gassing_current = current - stored_current
-        cap = float(der["eff_cap"][i])
         stored_ah = stored_current * dt / SECONDS_PER_HOUR
-        room_ah = max(0.0, (1.0 - soc) * cap)
         if stored_ah > room_ah:
             scale = room_ah / stored_ah if stored_ah > 0 else 0.0
             current *= scale
             stored_current *= scale
             gassing_current *= scale
             stored_ah = room_ah
-        v = self.fleet._tv_scalar(i, soc, -current, der)
+        # Terminal voltage while charging: no low-SoC sag.
+        v = ocv - (-current) * res
         absorbed_w = current * v
         if absorbed_w > power_w > 0.0:
             scale = power_w / absorbed_w
@@ -1670,47 +1742,32 @@ class FleetPowerPath(PowerPath):
 
         Valid because every node's op is independent: aging, thermal, and
         SoC updates read only that node's pre-step state, which no other
-        node's op can touch.
+        node's op can touch. On a step where every battery rests (mode 0
+        everywhere: no current, gassing or float charge), the terms that
+        need a current are skipped whole.
         """
         fs = self.fleet
         current = op_current  # signed
         pre_soc = fs.soc
         fbk = der["feedback"]
         arr = der["arr"]
+        acting = np.count_nonzero(mode) > 0
 
         # --- aging mechanisms (pre-step soc/temp/hours, exact formulas) --
         # Each mechanism touches only its active subset: the adds below
-        # are bit-equal to full-fleet adds of masked zeros (x + 0.0 == x).
+        # are bit-equal to full-fleet adds of masked zeros (x + 0.0 == x),
+        # and a ufunc with ``where=`` leaves every other node as it is.
         # Grid corrosion (always active).
         rate = fs.cor_base * arr
-        fi = op_float.nonzero()[0]
-        if len(fi):
-            rate[fi] *= 1.0 + fs.cor_float_mult[fi]
-        hsi = (pre_soc > 0.9).nonzero()[0]
-        if len(hsi):
-            rate[hsi] *= 1.0 + fs.cor_high_mult[hsi] * (pre_soc[hsi] - 0.9) / 0.1
+        if acting:
+            np.multiply(rate, fs._cor_float_factor, out=rate, where=op_float)
+        high = pre_soc > 0.9
+        if np.count_nonzero(high):
+            np.multiply(
+                rate, 1.0 + fs.cor_high_mult * (pre_soc - 0.9) / 0.1,
+                out=rate, where=high,
+            )
         fs.damage[0] += (rate * dt) * fbk
-        # Active-mass degradation (discharge only; op currents are
-        # strictly positive exactly on the discharge ops).
-        di = (current > 0.0).nonzero()[0]
-        rn_d: np.ndarray | None = None
-        if len(di):
-            cd = current[di]
-            ird = fs.i_ref[di]
-            rn_d = np.where(ird > 0.0, cd / np.where(ird > 0.0, ird, 1.0), 0.0)
-            ah = cd * dt / SECONDS_PER_HOUR
-            nat = ah / fs.cap_scaled[di]
-            s = _clamp01(pre_soc[di])
-            socw = _SOC_WEIGHTS[
-                (s < 0.80).astype(np.intp) + (s < 0.60) + (s < 0.40)
-            ]
-            ratew = np.ones(len(di))
-            hot = (rn_d > 1.0).nonzero()[0]
-            if len(hot):
-                ratew[hot] = [min(2.0, r ** 0.25) for r in rn_d[hot].tolist()]
-            arr_sqrt = np.array([a ** 0.5 for a in arr[di].tolist()])
-            weight = socw * ratew * arr_sqrt
-            fs.damage[1][di] += (fs.am_pcf[di] * nat * weight) * fbk[di]
         # Sulphation (low SoC only; uses pre-step hours-since-full).
         si = (pre_soc < fs.sul_thresh).nonzero()[0]
         if len(si):
@@ -1719,32 +1776,38 @@ class FleetPowerPath(PowerPath):
             fs.damage[2][si] += (
                 (fs.sul_base[si] * depth * stale_s * arr[si]) * dt
             ) * fbk[si]
-        # Water loss (gassing only; damage already integrates dt via Ah).
-        wli = (op_gassing > 0.0).nonzero()[0]
-        if len(wli):
-            gah = op_gassing[wli] * dt / SECONDS_PER_HOUR
-            fs.damage[3][wli] += (
-                fs.wl_fpc[wli] * (gah / fs.cap_scaled[wli]) * arr[wli]
-            ) * fbk[wli]
-        # Stratification (any current, stale full charge).
-        stale_t = np.maximum(0.0, np.minimum(1.0, fs.h_full / fs.st_sat))
-        ti = ((current != 0.0) & (stale_t != 0.0)).nonzero()[0]
-        if len(ti):
-            rate_t = fs.st_base * stale_t
-            if len(di):
-                # The 1.5x worst-case factor is harmless on stale==0 rows
-                # (their rate is already zero and they are outside `ti`).
-                worst = di[(pre_soc[di] < 0.4) & (rn_d < 1.0)]
-                rate_t[worst] *= 1.5
-            d_str = (rate_t[ti] * dt) * fbk[ti]
-            fs.damage[_STRAT_ROW][ti] += d_str
-            fs.recoverable_strat[ti] += d_str
-
-        if len(di):
-            fs.aging_discharged_ah[di] += current[di] * dt / 3600.0
-        ci = (current < 0.0).nonzero()[0]
-        if len(ci):
-            fs.aging_charged_ah[ci] += -current[ci] * dt / 3600.0
+        if acting:
+            discharging = mode == _OP_DISCHARGE
+            charging = mode == _OP_CHARGE
+            # Op currents are strictly positive exactly on the discharge
+            # ops, and a charge op's is <= 0 (adding 0.0 for a zero one).
+            di = discharging.nonzero()[0]
+            # Signed Ah through each battery this step.
+            ah = current * dt / SECONDS_PER_HOUR
+            rn_d = self._active_mass(di, current, ah, pre_soc, arr, fbk)
+            # Water loss (gassing only; damage already integrates dt via Ah).
+            wli = (op_gassing > 0.0).nonzero()[0]
+            if len(wli):
+                gah = op_gassing[wli] * dt / SECONDS_PER_HOUR
+                fs.damage[3][wli] += (
+                    fs.wl_fpc[wli] * (gah / fs.cap_scaled[wli]) * arr[wli]
+                ) * fbk[wli]
+            # Stratification (any current, stale full charge).
+            stale_t = np.maximum(0.0, np.minimum(1.0, fs.h_full / fs.st_sat))
+            ti = ((current != 0.0) & (stale_t != 0.0)).nonzero()[0]
+            if len(ti):
+                rate_t = fs.st_base * stale_t
+                if len(di):
+                    # The 1.5x worst-case factor is harmless on stale==0 rows
+                    # (their rate is already zero and they are outside `ti`).
+                    worst = di[(pre_soc[di] < 0.4) & (rn_d < 1.0)]
+                    rate_t[worst] *= 1.5
+                d_str = (rate_t[ti] * dt) * fbk[ti]
+                fs.damage[_STRAT_ROW][ti] += d_str
+                fs.recoverable_strat[ti] += d_str
+            # Charged Ah: x + (-current * dt / 3600) is x - ah exactly.
+            np.add(fs.aging_discharged_ah, ah, out=fs.aging_discharged_ah, where=discharging)
+            np.subtract(fs.aging_charged_ah, ah, out=fs.aging_charged_ah, where=charging)
 
         # --- thermal (uses start-of-step resistance; aging already read
         # the pre-step temperature through `arr`) -------------------------
@@ -1754,26 +1817,28 @@ class FleetPowerPath(PowerPath):
 
         # --- time and hours-since-full (pre-update SoC, like _apply_step)
         fs.time_s += dt
-        fs.h_full[pre_soc < 0.99] += dt / SECONDS_PER_HOUR
+        np.add(fs.h_full, dt / SECONDS_PER_HOUR, out=fs.h_full, where=pre_soc < 0.99)
 
         # --- SoC updates per op ------------------------------------------
-        soc = pre_soc.copy()
-        if len(di):
-            cap_d = np.maximum(der["eff_cap"][di], 1e-9)
-            soc[di] = _clamp01(pre_soc[di] - op_drain_ah[di] / cap_d)
-        chg_i = (mode == _OP_CHARGE).nonzero()[0]
-        if len(chg_i):
-            cap_c = np.maximum(der["eff_cap"][chg_i], 1e-9)
-            soc[chg_i] = _clamp01(pre_soc[chg_i] + op_stored_ah[chg_i] / cap_c)
-        sd_i = (
-            (mode <= _OP_REST_KEEP) & (fs.sd_rate > 0.0) & (pre_soc > 0.0)
-        ).nonzero()[0]
-        if len(sd_i):
-            soc[sd_i] *= der["sd_factor"][sd_i]
+        # Discharge: soc - drain / cap; charge: soc + stored / cap (the
+        # other buffer is 0.0 on each, so one signed expression serves
+        # both); a rest op self-discharges.
+        if acting:
+            moved = pre_soc + (op_stored_ah - op_drain_ah) / np.maximum(
+                der["eff_cap"], 1e-9
+            )
+            soc = np.where(discharging | charging, _clamp01(moved), pre_soc)
+        else:
+            soc = pre_soc.copy()
+        np.multiply(
+            soc, der["sd_factor"], out=soc,
+            where=(mode <= _OP_REST_KEEP) & fs._self_discharging & (pre_soc > 0.0),
+        )
         fs.soc = soc
 
-        # --- full-charge bookkeeping (charge op only) ---------------------
-        if len(chg_i):
+        if acting:
+            # --- full-charge bookkeeping (charge op only) -----------------
+            chg_i = charging.nonzero()[0]
             full_i = chg_i[soc[chg_i] >= 0.99]
             if len(full_i):
                 rec_i = full_i[pre_soc[full_i] < 0.99]
@@ -1785,17 +1850,42 @@ class FleetPowerPath(PowerPath):
                         d4[rec_i[pos]] -= rec[pos]
                     fs.recoverable_strat[rec_i] = 0.0
                 fs.h_full[full_i] = 0.0
+            # --- terminal energy (the op's power is 0.0 elsewhere) --------
+            fs.energy_out_wh += op_delivered_w * dt / SECONDS_PER_HOUR
+            fs.energy_in_wh += op_absorbed_w * dt / SECONDS_PER_HOUR
+        # --- last current: the op's (0.0 on a rest op), kept on a cut-off
+        np.copyto(fs.last_current, current, where=mode != _OP_REST_KEEP)
 
-        # --- terminal energy and last current -----------------------------
-        if len(di):
-            fs.energy_out_wh[di] += op_delivered_w[di] * dt / SECONDS_PER_HOUR
-        if len(chg_i):
-            fs.energy_in_wh[chg_i] += op_absorbed_w[chg_i] * dt / SECONDS_PER_HOUR
-        last = fs.last_current
-        last[mode == _OP_REST] = 0.0
-        act = (mode >= _OP_DISCHARGE).nonzero()[0]
-        if len(act):
-            last[act] = current[act]
+    def _active_mass(
+        self,
+        di: np.ndarray,
+        current: np.ndarray,
+        ah: np.ndarray,
+        pre_soc: np.ndarray,
+        arr: np.ndarray,
+        fbk: np.ndarray,
+    ) -> np.ndarray | None:
+        """Active-mass degradation of the discharging nodes ``di``;
+        returns their rate relative to the reference current (``None``
+        when nothing discharges)."""
+        if not len(di):
+            return None
+        fs = self.fleet
+        cd = current[di]
+        rn_d = np.where(fs._i_ref_pos[di], cd / fs._i_ref_safe[di], 0.0)
+        nat = ah[di] / fs.cap_scaled[di]
+        # The region of clamp01(soc) is that of soc: the edges lie in (0, 1).
+        socw = _SOC_WEIGHTS_BY_RANK[
+            np.searchsorted(_REGION_EDGES, pre_soc[di], side="right")
+        ]
+        ratew = np.ones(len(di))
+        hot = (rn_d > 1.0).nonzero()[0]
+        if len(hot):
+            ratew[hot] = [min(2.0, r ** 0.25) for r in rn_d[hot].tolist()]
+        arr_sqrt = np.array([a ** 0.5 for a in arr[di].tolist()])
+        weight = socw * ratew * arr_sqrt
+        fs.damage[1][di] += (fs.am_pcf[di] * nat * weight) * fbk[di]
+        return rn_d
 
     def _observe_all(self, dt: float) -> None:
         """Vectorised :meth:`Node.observe_battery` for the whole fleet."""
@@ -1812,8 +1902,8 @@ class FleetPowerPath(PowerPath):
             cd = current[di]
             ah = cd * dt / SECONDS_PER_HOUR
             fs.tr_discharged_ah[di] += ah
-            sd = soc[di]
-            region = (sd < 0.80).astype(np.intp) + (sd < 0.60) + (sd < 0.40)
+            # Region row: A (>= 0.8) is 0, ..., D (< 0.4) is 3.
+            region = 3 - np.searchsorted(_REGION_EDGES, soc[di], side="right")
             fs.tr_region[region, di] += ah
             fs.tr_discharge_time_s[di] += dt
             fs.tr_current_time_as[di] += cd * dt

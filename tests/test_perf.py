@@ -69,6 +69,7 @@ def _e2e_doc(overrides=None, scale="full", trace=0, meta=None):
         metrics["failed_frac"] = {"value": 0.0, "unit": "ratio"}
         workloads[name] = {
             "workload": name, "scale": scale, "trace": trace, "metrics": metrics,
+            "attempted": 4, "failed": 0, "golden": "match",
         }
     return {
         "benchmark": "e2e",
@@ -153,6 +154,25 @@ class TestIngest:
         ]
         for data in refused:
             with pytest.raises(ConfigurationError, match="benchmarks/e2e/run.py"):
+                e2e_record(data)
+
+    def test_refuses_a_golden_mismatch(self):
+        data = _e2e_doc()
+        data["workloads"]["fleet-dense-256"]["golden"] = "mismatch"
+        with pytest.raises(ConfigurationError, match="'fleet-dense-256'.*golden 'mismatch'"):
+            e2e_record(data)
+
+    def test_refuses_a_run_with_a_failed_cell(self):
+        data = _e2e_doc()
+        data["workloads"]["sweep-paper"]["failed"] = 1
+        with pytest.raises(ConfigurationError, match="'sweep-paper'.*1 failed cell"):
+            e2e_record(data)
+
+    def test_refuses_a_run_without_correctness_fields(self):
+        for key in ("failed", "golden"):
+            data = _e2e_doc()
+            del data["workloads"]["traced-64"][key]
+            with pytest.raises(ConfigurationError, match="'traced-64'"):
                 e2e_record(data)
 
     def test_campaign_rollup_is_not_a_payload(self):
@@ -488,6 +508,19 @@ class TestPerfCLI:
             assert "benchmarks/e2e/run.py" in str(exc.value.code), name
             with pytest.raises(SystemExit):
                 main(["perf", "check", path, "--history", history_path])
+        assert not os.path.exists(history_path)
+
+
+    def test_record_refuses_a_wrong_run(self, history_path, tmp_path):
+        mismatch = _e2e_doc()
+        mismatch["workloads"]["fleet-dense-256"]["golden"] = "mismatch"
+        failed = _e2e_doc()
+        failed["workloads"]["sweep-paper"]["failed"] = 2
+        for name, data in {"e2e-mismatch.json": mismatch, "e2e-failed.json": failed}.items():
+            path = _write(tmp_path, name, data)
+            with pytest.raises(SystemExit) as exc:
+                main(["perf", "record", path, "--history", history_path])
+            assert "is not recorded" in str(exc.value.code), name
         assert not os.path.exists(history_path)
 
 

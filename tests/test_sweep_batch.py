@@ -49,8 +49,10 @@ def run_digest(result: SimResult) -> list:
 
 
 def mixed_cells():
-    """All four policies over two sunshine fractions' traces, plus BAAT
-    at both fig17 fit ratios: (label, scenario, policy name, trace)."""
+    """All four policies over two sunshine fractions' traces, BAAT at
+    both fig17 fit ratios, and two cells of other sizes (a 1-node cell
+    hosting one VM, a 12-node cell with VM-less nodes), so the batch is
+    ragged: (label, scenario, policy name, trace)."""
     base = sweep_scenario(stepper="fleet")
     cells = []
     for fraction in (0.3, 0.8):
@@ -61,6 +63,12 @@ def mixed_cells():
     for ratio in (4.3, 8.0):
         scenario = base.with_server_to_battery_ratio(ratio)
         cells.append((f"{ratio} W/Ah/baat", scenario, "baat", trace))
+    one_vm = base.effective_workloads()[:1]
+    cells.append(
+        ("1 node/baat-s", dataclasses.replace(base, n_nodes=1, workloads=one_vm),
+         "baat-s", trace)
+    )
+    cells.append(("12 nodes/baat", dataclasses.replace(base, n_nodes=12), "baat", trace))
     return cells
 
 
@@ -82,7 +90,7 @@ class TestBatchEqualsStandalone:
         sim = Simulation.batch(
             [(sc, make_policy(name, seed=sc.seed), tr) for _, sc, name, tr in cells]
         )
-        assert sim._fleet.n_cells == len(cells) == 10
+        assert sim._fleet.n_cells == len(cells) == 12
         results = sim.run_cells()
         assert any(r.migrations for r in results)
         assert any(r.dvfs_transitions for r in results)
