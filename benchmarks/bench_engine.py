@@ -13,7 +13,10 @@ point for both steppers and — the scaling curve — for the fleet stepper
 under the BAAT policy at every :data:`CURVE_SIZES` point, because BAAT's
 control pass exercises the vectorized decision kernels (slowdown
 thresholds, Eq.-6 scores, consolidation planning) rather than e-Buff's
-trivial buffering rule.
+trivial buffering rule. Each curve point also splits the power phase
+into its ``phase/power/<kernel>`` timers (:data:`~repro.obs.timers.
+POWER_KERNELS`, µs/step), which answers where the time goes at fleet
+scale; that breakdown carries no gate.
 
 Acceptance (gated in CI like ``BENCH_obs.json``):
 
@@ -51,7 +54,7 @@ from repro.analysis.lifetime import season_day_classes
 from repro.core.policies.factory import make_policy
 from repro.experiments.common import sweep_scenario
 from repro.obs import REGISTRY
-from repro.obs.timers import STEP_PHASES
+from repro.obs.timers import POWER_KERNELS, STEP_PHASES
 from repro.sim.engine import Simulation
 from repro.sim.scenario import Scenario
 from repro.solar.weather import DayClass
@@ -168,13 +171,16 @@ def _sweep_cell_rows(quick: bool) -> list[dict]:
 
 
 def _phase_breakdown(n_nodes: int, stepper: str, policy: str = "e-buff") -> dict:
-    """Per-phase wall totals (s) from one registry-enabled run."""
+    """Per-phase wall totals (s) from one registry-enabled run; on the
+    fleet stepper also each power kernel's (``power/<kernel>``)."""
     REGISTRY.enabled = True
     try:
         _, steps = _run_seconds(_scenario(n_nodes, stepper), policy)
+        names = list(STEP_PHASES)
+        if stepper == "fleet":
+            names += [f"power/{kernel}" for kernel in POWER_KERNELS]
         phases = {
-            name: REGISTRY.histogram(f"phase/{name}").to_dict()
-            for name in STEP_PHASES
+            name: REGISTRY.histogram(f"phase/{name}").to_dict() for name in names
         }
         phases["steps"] = steps
         return phases
@@ -197,6 +203,10 @@ def _curve_row(n_nodes: int) -> dict:
         "power_s": power_s,
         "control_us_per_step": control_s / steps * 1e6,
         "control_over_power": control_s / power_s if power_s > 0 else float("inf"),
+        "power_kernels_us_per_step": {
+            kernel: phases[f"power/{kernel}"]["total"] / steps * 1e6
+            for kernel in POWER_KERNELS
+        },
     }
 
 
@@ -292,6 +302,11 @@ def report(results: dict) -> str:
             f"power {row['power_s']:.3f} s, "
             f"control/power {row['control_over_power']:.2f}"
         )
+        kernels = ", ".join(
+            f"{kernel} {us:.0f}"
+            for kernel, us in row["power_kernels_us_per_step"].items()
+        )
+        lines.append(f"  {'':>6}  power kernels (us/step): {kernels}")
     lines.append(
         f"lone sweep cell (baat, {SWEEP_CELL_DAYS}-day season at sunshine "
         f"{SWEEP_CELL_SUNSHINE}; report only):"

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.battery.params import BatteryParams
 from repro.errors import ConfigurationError
+from repro.numerics import scalar_pow
 
 
 def peukert_factor(current: float, params: BatteryParams) -> float:
@@ -43,22 +44,16 @@ def peukert_factor(current: float, params: BatteryParams) -> float:
 def peukert_factor_array(current, i_ref, k_minus_1):
     """Vector :func:`peukert_factor` over numpy arrays.
 
-    ``**`` goes through per-element Python-float pow (not numpy's array
-    kernel) so each element is bit-identical to the scalar function —
-    the contract the fleet fast path's equivalence tests rely on.
-    Currents at or below the (positive) reference rate map to 1.0.
+    The ratio is one array division (IEEE-exact, like the scalar's) and
+    the pow is :func:`~repro.numerics.scalar_pow`, Python's scalar float
+    pow, so each element is bit-identical to the scalar function — the
+    contract the fleet fast path's equivalence tests rely on. Currents at
+    or below the (positive) reference rate map to 1.0.
     """
     out = np.ones(len(current))
     hot = np.nonzero((current > i_ref) & (i_ref > 0.0))[0]
     if len(hot):
-        out[hot] = [
-            (c / ir) ** km1
-            for c, ir, km1 in zip(
-                current[hot].tolist(),
-                i_ref[hot].tolist(),
-                k_minus_1[hot].tolist(),
-            )
-        ]
+        out[hot] = scalar_pow(current[hot] / i_ref[hot], k_minus_1[hot])
     return out
 
 

@@ -582,9 +582,8 @@ class Simulation:
         for cell, (lo, hi) in zip(self.cells, self._fleet.cells):
             recorder = cell.recorder
             recorder._soc_time[:] = batch._soc_time[lo:hi]
+            recorder._low_soc_time[:] = batch._low_soc_time[lo:hi]
             recorder.total_time_s = batch.total_time_s
-            for name, batch_name in zip(recorder.node_names, batch.node_names[lo:hi]):
-                recorder.low_soc_time_s[name] = batch.low_soc_time_s[batch_name]
 
     # ------------------------------------------------------------------
     def _collect(self) -> SimResult:
@@ -597,6 +596,7 @@ class Simulation:
 
     def _collect_cell(self, cell: _Cell) -> SimResult:
         cluster, recorder = cell.cluster, cell.recorder
+        low_soc_time_s = recorder.low_soc_time_s
         nodes = []
         for node in cluster:
             metrics = node.tracker.since(RUN_MARK)
@@ -609,7 +609,7 @@ class Simulation:
                     charged_ah=metrics.charged_ah,
                     metrics=metrics,
                     downtime_s=node.server.downtime_s,
-                    low_soc_time_s=recorder.low_soc_time_s[node.name],
+                    low_soc_time_s=low_soc_time_s[node.name],
                     soc_distribution=recorder.soc_distribution(node.name),
                     final_soc=node.battery.soc,
                 )

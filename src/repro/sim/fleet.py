@@ -20,7 +20,11 @@ make that possible:
   kernels and Python's libm-backed scalar operators, so every
   transcendental (Arrhenius, OCV fade, Peukert, rate/mass stress,
   thermal decay, self-discharge) is computed per element with Python
-  floats, exactly as the scalar models do;
+  floats, exactly as the scalar models do. Every pow goes through
+  :func:`~repro.numerics.scalar_pow`, which maps builtin ``pow`` over
+  the ``tolist()`` floats into ``np.fromiter``: builtin ``pow`` on two
+  floats is the C ``float_pow`` that ``b ** e`` calls, so it is exact
+  by construction, with no bytecode run per element;
 - sequential folds (the utility budget, the charge walk's surplus, flow
   sums) stay strict left folds in the reference iteration order:
   ``np.add.accumulate``/``np.subtract.accumulate`` where the reference
@@ -97,6 +101,7 @@ from repro.datacenter.server import (
 from repro.datacenter.vm import MIGRATION_POWER_W, VM
 from repro.datacenter.workloads import WorkloadProfile
 from repro.errors import ConfigurationError
+from repro.numerics import scalar_pow
 from repro.obs import BUS, REGISTRY
 from repro.obs.events import BrownoutEvent
 from repro.obs.telemetry import TELEMETRY
@@ -177,6 +182,21 @@ def _terminal_voltage(
             rate = np.minimum(current / i_ref, 4.0) / 4.0
             v = np.where(sagging, v - sag * rate, v)
     return v
+
+
+class _Derived(dict):
+    """:meth:`FleetState.derived`'s memoized result: a dict whose
+    ``"ocv_hi"`` entry ``make_ocv_hi()`` computes on its first read."""
+
+    def __init__(self, values: Dict[str, np.ndarray], make_ocv_hi):
+        super().__init__(values)
+        self._make_ocv_hi = make_ocv_hi
+
+    def __missing__(self, key: str) -> np.ndarray:
+        if key != "ocv_hi":
+            raise KeyError(key)
+        value = self[key] = self._make_ocv_hi()
+        return value
 
 
 def _idle_power_w(server: Server) -> float:
@@ -487,7 +507,7 @@ class FleetState:
         freq = [nd.server.frequency for nd in nodes]
         self.frequency[lo:hi] = freq
         # Scalar pow, as Server.power takes it.
-        self.f_pow[lo:hi] = [f ** DVFS_POWER_EXPONENT for f in freq]
+        self.f_pow[lo:hi] = scalar_pow(freq, DVFS_POWER_EXPONENT)
         self.idle_now_w[lo:hi] = [_idle_power_w(nd.server) for nd in nodes]
         self.discharge_cap_w[lo:hi] = [float(nd.discharge_cap_w) for nd in nodes]
         self.hosting[lo:hi] = [bool(nd.server.vms) for nd in nodes]
@@ -822,7 +842,12 @@ class FleetState:
 
         Memoized on (dt, battery-state generation): control-plane passes
         between power steps reuse the step's arrays instead of re-running
-        the scalar-pow loops.
+        the scalar pows. One entry is lazy: ``"ocv_hi"``, the faded
+        full-charge OCV endpoint, is computed by its first reader in a
+        state generation (restart, discharge, the charge walk, the
+        voltage helpers, :meth:`last_draw_powers`), so a step on which
+        every battery rests never pays for its pow. ``"ocv_hi" in der``
+        tells whether it has been read.
         """
         cached = self._derived_cache.get(dt)
         if cached is not None and cached[0] == self._state_version:
@@ -837,22 +862,13 @@ class FleetState:
         growth = RESISTANCE_GROWTH_GAIN * resistive
         res = self.r0 * (1.0 + np.maximum(0.0, growth))
         eff_cap = self.cap_scaled * (1.0 - fade)
-        # Scalar pow per element: numpy's array ** is not bit-identical to
-        # Python's float ** for every operand, and the reference models go
-        # through the scalar operator. The fade is in [0, 0.95], so it is
-        # its own clamp to [0, 1], the voltage model's pow operand.
-        fade_pow = np.array([f ** OCV_FADE_EXPONENT for f in fade.tolist()])
-        # max(full, empty): the OCV floor of the voltage model.
-        full = np.maximum(self.ocv_full * (1.0 - OCV_FADE_COEFF * fade_pow), self.ocv_empty)
         feedback = 1.0 + self.feedback_gain * total_raw
         ceff = np.maximum(
             0.3, np.minimum(1.0, 1.0 - COULOMBIC_DEGRADATION * fade)
         )
-        # Arrhenius: the exponent's arithmetic is exact elementwise; only
-        # the pow goes through Python floats.
-        arr = np.array(
-            [2.0 ** x for x in ((self.temp_c - 20.0) / 10.0).tolist()]
-        )
+        # Arrhenius: the exponent's arithmetic is exact elementwise; the
+        # pow is the scalar one (bit-compatibility rule 2).
+        arr = scalar_pow(2.0, (self.temp_c - 20.0) / 10.0)
         if self._decay_dt != dt:
             self._decay = np.array(
                 [math.exp(-dt / t) if t > 0 else 0.0 for t in self.tau.tolist()]
@@ -864,21 +880,33 @@ class FleetState:
                 ]
             )
             self._decay_dt = dt
-        out = {
-            "total_raw": total_raw,
-            "fade": fade,
-            "growth": growth,
-            "res": res,
-            "eff_cap": eff_cap,
-            "ocv_hi": full,
-            "feedback": feedback,
-            "ceff": ceff,
-            "arr": arr,
-            "decay": self._decay,
-            "sd_factor": self._sd_factor,
-        }
+        out = _Derived(
+            {
+                "total_raw": total_raw,
+                "fade": fade,
+                "growth": growth,
+                "res": res,
+                "eff_cap": eff_cap,
+                "feedback": feedback,
+                "ceff": ceff,
+                "arr": arr,
+                "decay": self._decay,
+                "sd_factor": self._sd_factor,
+            },
+            functools.partial(self._ocv_hi, fade),
+        )
         self._derived_cache[dt] = (self._state_version, out)
         return out
+
+    def _ocv_hi(self, fade: np.ndarray) -> np.ndarray:
+        """The full-charge OCV endpoint at ``fade``: the voltage model's
+        faded ``ocv_full``, floored at ``ocv_empty``. The fade is in
+        [0, 0.95], so it is its own clamp to [0, 1], the pow's operand."""
+        fade_pow = scalar_pow(fade, OCV_FADE_EXPONENT)
+        # max(full, empty): the OCV floor of the voltage model.
+        return np.maximum(
+            self.ocv_full * (1.0 - OCV_FADE_COEFF * fade_pow), self.ocv_empty
+        )
 
     def derived_now(self) -> Dict[str, np.ndarray]:
         """Derived quantities at the step dt the run is using (60 s until
@@ -1063,11 +1091,18 @@ class FleetCell:
         return self.fleet._state_version
 
     def derived_now(self) -> Dict[str, np.ndarray]:
-        """The batch's derived quantities, sliced to this cell."""
+        """The batch's derived quantities, sliced to this cell; the
+        lazy ``"ocv_hi"`` is sliced on its first read here."""
         der = self.fleet.derived_now()
         if self._derived[0] is not der:
             lo, hi = self._lo, self._hi
-            self._derived = (der, {k: v[lo:hi] for k, v in der.items()})
+            self._derived = (
+                der,
+                _Derived(
+                    {k: v[lo:hi] for k, v in der.items()},
+                    lambda: der["ocv_hi"][lo:hi],
+                ),
+            )
         return self._derived[1]
 
     def materialize(self) -> None:
@@ -1102,7 +1137,10 @@ class FleetPowerPath(PowerPath):
     With the metric registry enabled, each kernel's wall time goes to a
     ``phase/power/<kernel>`` histogram (:data:`~repro.obs.timers.
     POWER_KERNELS`), the step's :meth:`FleetState.derived` pass first, so
-    the kernels cover the whole power step.
+    the kernels cover the whole power step. The derived OCV endpoint
+    (``"ocv_hi"``) is lazy, so its cost lands in the histogram of its
+    first reader: restart, discharge or the charge walk (or in the
+    control phase, when a policy read it first).
 
     Given a sequence of clusters (and a utility budget per cluster, or
     one for all), the path routes a *batch*: independent runs concatenated on the node
@@ -1881,8 +1919,8 @@ class FleetPowerPath(PowerPath):
         ratew = np.ones(len(di))
         hot = (rn_d > 1.0).nonzero()[0]
         if len(hot):
-            ratew[hot] = [min(2.0, r ** 0.25) for r in rn_d[hot].tolist()]
-        arr_sqrt = np.array([a ** 0.5 for a in arr[di].tolist()])
+            ratew[hot] = np.minimum(2.0, scalar_pow(rn_d[hot], 0.25))
+        arr_sqrt = scalar_pow(arr[di], 0.5)
         weight = socw * ratew * arr_sqrt
         fs.damage[1][di] += (fs.am_pcf[di] * nat * weight) * fbk[di]
         return rn_d

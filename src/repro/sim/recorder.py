@@ -51,12 +51,20 @@ class TraceRecorder:
         # One (nodes, bins) matrix backs the per-node dict as row views so
         # the array-native path can fold all nodes in a single indexed add.
         self._soc_time = np.zeros((len(self.node_names), len(SOC_BIN_LABELS)))
+        #: Per node, the time spent below LOW_SOC_THRESHOLD: one ``+= dt``
+        #: per low step, in step order.
+        self._low_soc_time = np.zeros(len(self.node_names))
         self._node_index = np.arange(len(self.node_names))
+        self._row = {n: i for i, n in enumerate(self.node_names)}
         self.soc_time_s: Dict[str, np.ndarray] = {
             n: self._soc_time[i] for i, n in enumerate(self.node_names)
         }
-        self.low_soc_time_s: Dict[str, float] = {n: 0.0 for n in self.node_names}
         self.total_time_s: float = 0.0
+
+    @property
+    def low_soc_time_s(self) -> Dict[str, float]:
+        """Seconds each node spent below the low-SoC line (Fig. 18)."""
+        return dict(zip(self.node_names, self._low_soc_time.tolist()))
 
     def record(
         self,
@@ -86,10 +94,11 @@ class TraceRecorder:
         # All nodes binned in one vectorised pass (no per-node edge scan).
         bins = _clip_bins(_BIN_EDGES.searchsorted(socs, side="right") - 1)
         soc_values = socs.tolist()
+        low_soc_time, row = self._low_soc_time, self._row
         for name, soc, soc_idx in zip(names, soc_values, bins.tolist()):
             self.soc_time_s[name][soc_idx] += dt
             if soc < LOW_SOC_THRESHOLD:
-                self.low_soc_time_s[name] += dt
+                low_soc_time[row[name]] += dt
         if REGISTRY.enabled:
             REGISTRY.counter("recorder/steps").inc()
             if len(socs):
@@ -128,8 +137,10 @@ class TraceRecorder:
         # add is safe (no duplicate targets) and bit-equal to the scalar
         # per-node adds.
         self._soc_time[self._node_index, bins] += dt
-        for i in (clipped < LOW_SOC_THRESHOLD).nonzero()[0].tolist():
-            self.low_soc_time_s[self.node_names[i]] += dt
+        np.add(
+            self._low_soc_time, dt, out=self._low_soc_time,
+            where=clipped < LOW_SOC_THRESHOLD,
+        )
         if REGISTRY.enabled:
             REGISTRY.counter("recorder/steps").inc()
             if len(clipped):
