@@ -1,25 +1,94 @@
-"""Shape tests for the simulation-backed experiments.
+"""Shape and golden tests for the simulation-backed experiments.
 
-Runs the cheaper quick-mode experiments end-to-end and asserts the
-directional claims of the corresponding paper figures. The expensive
-sweeps (figs 14-17) are exercised by the benchmark suite instead.
+Runs the cheaper quick-mode experiments end-to-end (default seed) and
+asserts the directional claims of the corresponding paper figures. Each
+figure's every row number and headline is also pinned to
+``tests/data/figure_golden.json`` at a relative tolerance of 1e-9:
+fig13, fig16 and fig21 on trimmed arguments (:data:`RUNS`), the others
+as ``repro run`` prints them. fig14 and fig17 are pinned by
+``tests/test_sweep_golden.py``.
 """
+
+import json
+import math
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import (
     fig12_profiling,
+    fig13_aging_comparison,
+    fig16_cost,
     fig18_low_soc,
     fig19_soc_distribution,
     fig20_throughput,
+    fig21_dod_performance,
     fig22_planned_aging,
 )
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "figure_golden.json"
+
+#: Relative tolerance of a golden float.
+REL_TOL = 1e-9
+
+
+def _fig13_trimmed():
+    """fig13 on the three cells its headline reads (no sunny/old)."""
+    cells = tuple(c for c in fig13_aging_comparison.CELLS if c[0] != "sunny/old")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fig13_aging_comparison, "CELLS", cells)
+        return fig13_aging_comparison.run(quick=True)
+
+
+#: How each pinned figure runs (quick mode, default seed).
+RUNS = {
+    "fig12": lambda: fig12_profiling.run(quick=True),
+    "fig13": _fig13_trimmed,
+    "fig16": lambda: fig16_cost.run(quick=True, thresholds=(0.40,)),
+    "fig18": lambda: fig18_low_soc.run(quick=True),
+    "fig19": lambda: fig19_soc_distribution.run(quick=True),
+    "fig20": lambda: fig20_throughput.run(quick=True),
+    "fig21": lambda: fig21_dod_performance.run(quick=True, dods=(0.4, 0.8)),
+    "fig22": lambda: fig22_planned_aging.run(quick=True),
+}
+
+
+def figure_digest(result):
+    """Every row value and headline of a figure, JSON-ready."""
+    return {
+        "rows": [list(row) for row in result.rows],
+        "headline": dict(result.headline),
+    }
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, float):
+        if math.isnan(want):
+            return isinstance(got, float) and math.isnan(got)
+        return math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0)
+    return type(got) is type(want) and got == want
+
+
+def assert_matches_golden(exp_id, result):
+    golden = json.loads(GOLDEN_PATH.read_text())[exp_id]
+    digest = json.loads(json.dumps(figure_digest(result)))
+    assert len(digest["rows"]) == len(golden["rows"])
+    for k, (got, want) in enumerate(zip(digest["rows"], golden["rows"])):
+        assert len(got) == len(want), (exp_id, k)
+        for j, (g, w) in enumerate(zip(got, want)):
+            assert _same(g, w), (exp_id, k, j, g, w)
+    assert sorted(digest["headline"]) == sorted(golden["headline"])
+    for key, want in golden["headline"].items():
+        assert _same(digest["headline"][key], want), (exp_id, key)
 
 
 class TestFig12:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig12_profiling.run(quick=True)
+        return RUNS["fig12"]()
+
+    def test_matches_golden(self, result):
+        assert_matches_golden("fig12", result)
 
     def test_three_weather_rows(self, result):
         assert [row[0] for row in result.rows] == ["sunny", "cloudy", "rainy"]
@@ -48,7 +117,10 @@ class TestFig12:
 class TestFig18:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig18_low_soc.run(quick=True)
+        return RUNS["fig18"]()
+
+    def test_matches_golden(self, result):
+        assert_matches_golden("fig18", result)
 
     def test_baat_improves_availability(self, result):
         assert result.headline["BAAT availability improvement %"] > 0.0
@@ -61,7 +133,10 @@ class TestFig18:
 class TestFig19:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig19_soc_distribution.run(quick=True)
+        return RUNS["fig19"]()
+
+    def test_matches_golden(self, result):
+        assert_matches_golden("fig19", result)
 
     def test_rows_are_distributions(self, result):
         for row in result.rows:
@@ -82,7 +157,10 @@ class TestFig19:
 class TestFig20:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig20_throughput.run(quick=True)
+        return RUNS["fig20"]()
+
+    def test_matches_golden(self, result):
+        assert_matches_golden("fig20", result)
 
     def test_baat_wins_the_worst_case(self, result):
         assert result.headline["BAAT best gain over e-Buff %"] > 0.0
@@ -113,7 +191,10 @@ class TestFig20:
 class TestFig22:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig22_planned_aging.run(quick=True)
+        return RUNS["fig22"]()
+
+    def test_matches_golden(self, result):
+        assert_matches_golden("fig22", result)
 
     def test_dod_goal_shrinks_with_horizon(self, result):
         goals = [row[1] for row in result.rows]
@@ -126,3 +207,8 @@ class TestFig22:
     def test_aggressive_plan_buys_productivity(self, result):
         gains = [row[3] for row in result.rows]
         assert gains[0] > gains[-1]
+
+
+@pytest.mark.parametrize("exp_id", ["fig13", "fig16", "fig21"])
+def test_trimmed_figure_matches_golden(exp_id):
+    assert_matches_golden(exp_id, RUNS[exp_id]())
