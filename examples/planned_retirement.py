@@ -14,7 +14,7 @@ paper's planned-aging scheme (section IV-D, Eq. 7):
 Run:  python examples/planned_retirement.py
 """
 
-from repro import Scenario, make_policy, run_policy_on_trace
+from repro import Scenario, Simulation, make_policy
 from repro.analysis.reporting import format_table, percent_change
 from repro.battery.unit import BatteryUnit
 from repro.core.planner import PlannedAgingManager
@@ -62,7 +62,7 @@ def compare_policies() -> None:
         ("baat-planned (1y left)", PlannedAgingPolicy(service_life_days=365.0)),
         ("baat-planned (6y left)", PlannedAgingPolicy(service_life_days=2190.0)),
     ):
-        results[label] = run_policy_on_trace(scenario, policy, trace)
+        results[label] = Simulation(scenario, policy, trace).run()
 
     base = results["e-buff"].throughput
     rows = [

@@ -11,7 +11,7 @@ discharge exposure, and downtime.
 Run:  python examples/quickstart.py
 """
 
-from repro import Scenario, make_policy, run_policy_on_trace
+from repro import Scenario, Simulation, make_policy
 from repro.analysis.reporting import format_table, percent_change
 from repro.solar import DayClass
 
@@ -29,7 +29,7 @@ def main() -> None:
     rows = []
     results = {}
     for name in ("e-buff", "baat"):
-        result = run_policy_on_trace(scenario, make_policy(name), trace)
+        result = Simulation(scenario, make_policy(name), trace).run()
         results[name] = result
         worst = result.worst_node_by_throughput_ah()
         rows.append(

@@ -11,13 +11,17 @@ aggressive e-Buff baseline.
 
 Quick start::
 
-    from repro import Scenario, make_policy, run_policy_on_trace
+    from repro import Scenario, Simulation, make_policy
     from repro.solar import DayClass
 
     scenario = Scenario()                       # the paper's 6-node prototype
     trace = scenario.trace_generator().day(DayClass.CLOUDY)
-    result = run_policy_on_trace(scenario, make_policy("baat"), trace)
+    result = Simulation(scenario, make_policy("baat"), trace).run()
     print(result.throughput_per_day(), result.worst_damage_per_day())
+
+Several runs (a figure's cells) go through the campaign runner instead:
+:class:`RunSpec` cells handed to :func:`run_campaign` are cached on disk
+and, on the fleet stepper, step as one batched fleet.
 """
 
 from repro.battery import BatteryParams, BatteryUnit, BatteryPool
@@ -39,7 +43,7 @@ from repro.core import (
     make_policy,
 )
 from repro.metrics import AgingMetrics, MetricsTracker
-from repro.sim import Scenario, SimResult, Simulation, run_policy_on_trace
+from repro.sim import Scenario, SimResult, Simulation
 from repro.solar import DayClass, PVPanel, SolarTrace, SolarTraceGenerator
 
 __version__ = "1.0.0"
@@ -66,7 +70,6 @@ __all__ = [
     "Scenario",
     "SimResult",
     "Simulation",
-    "run_policy_on_trace",
     "DayClass",
     "PVPanel",
     "SolarTrace",

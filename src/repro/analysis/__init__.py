@@ -2,7 +2,6 @@
 
 from repro.analysis.lifetime import (
     LifetimeEstimate,
-    estimate_lifetime_days,
     lifetime_for_policies,
     season_day_classes,
 )
@@ -16,7 +15,6 @@ from repro.analysis.reporting import format_table, percent_change, ratio
 
 __all__ = [
     "LifetimeEstimate",
-    "estimate_lifetime_days",
     "lifetime_for_policies",
     "season_day_classes",
     "LifetimePredictor",

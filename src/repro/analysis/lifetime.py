@@ -73,30 +73,6 @@ def _estimate_from_result(
     )
 
 
-def estimate_lifetime_days(
-    policy_name: str,
-    scenario: Scenario,
-    sunshine_fraction: float = 0.5,
-    n_days: int = 6,
-    day_classes: Optional[Sequence[DayClass]] = None,
-) -> LifetimeEstimate:
-    """Run one policy over a representative season and extrapolate.
-
-    Parameters
-    ----------
-    day_classes:
-        Explicit day sequence; overrides the sunshine-fraction sampler
-        (useful for single-condition what-ifs).
-    """
-    return lifetime_for_policies(
-        scenario,
-        sunshine_fraction,
-        n_days,
-        policies=(policy_name,),
-        day_classes=day_classes,
-    )[policy_name]
-
-
 def lifetime_for_policies(
     scenario: Scenario,
     sunshine_fraction: float = 0.5,

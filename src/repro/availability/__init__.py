@@ -1,16 +1,13 @@
-"""Availability analysis: low-SoC exposure and SoC distributions
-(paper Figs. 18-19)."""
+"""Availability analysis: low-SoC exposure (paper Fig. 18)."""
 
 from repro.availability.soc_stats import (
     AvailabilityStats,
     availability_improvement,
     low_soc_stats,
-    soc_distribution_table,
 )
 
 __all__ = [
     "AvailabilityStats",
     "availability_improvement",
     "low_soc_stats",
-    "soc_distribution_table",
 ]

@@ -1,23 +1,21 @@
-"""Low-SoC exposure and SoC-distribution statistics (Figs. 18-19).
+"""Low-SoC exposure statistics (Fig. 18).
 
 "The key aging factor that directly correlates with server availability
 is deep discharge time (DDT) ... datacenter[s] must leave 2 minutes of
 reserve capacity in UPS battery for high availability. A low SoC means
 less reserved energy." The availability comparison therefore reduces to
 the statistics of low-SoC residence: how long, per scheme, the worst
-battery sits below the 40 % line (single-point-of-failure exposure), and
-how each scheme's overall SoC mass is distributed across the paper's
-seven 15-%-wide bins.
+battery sits below the 40 % line (single-point-of-failure exposure).
+Fig. 19's SoC distribution is read off each node's result
+(:attr:`~repro.sim.results.NodeResult.soc_distribution`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
 
-from repro.analysis.reporting import format_table, reduction_percent
+from repro.analysis.reporting import reduction_percent
 from repro.errors import ConfigurationError
-from repro.sim.recorder import SOC_BIN_LABELS
 from repro.sim.results import SimResult
 
 
@@ -55,25 +53,3 @@ def availability_improvement(baseline: SimResult, improved: SimResult) -> float:
     b = low_soc_stats(baseline).worst_low_soc_fraction
     i = low_soc_stats(improved).worst_low_soc_fraction
     return reduction_percent(i, b)
-
-
-def soc_distribution_table(results: Sequence[SimResult], node: str = "") -> str:
-    """Render the Fig.-19 distribution (time share per SoC bin, per
-    scheme) as a text table.
-
-    With ``node`` empty, bins are averaged across all nodes.
-    """
-    headers = ["scheme"] + list(SOC_BIN_LABELS)
-    rows: List[List[object]] = []
-    for result in results:
-        if node:
-            dists = [n.soc_distribution for n in result.nodes if n.name == node]
-            if not dists:
-                raise ConfigurationError(f"no node named {node!r} in result")
-        else:
-            dists = [n.soc_distribution for n in result.nodes]
-        merged: Dict[str, float] = {
-            label: sum(d[label] for d in dists) / len(dists) for label in SOC_BIN_LABELS
-        }
-        rows.append([result.policy_name] + [merged[label] for label in SOC_BIN_LABELS])
-    return format_table(headers, rows, title="SoC distribution (fraction of time)")

@@ -22,7 +22,6 @@ from repro.battery.charger import Charger, ChargerParams
 from repro.battery.cycle_life import (
     CycleLifeCurve,
     MANUFACTURER_CURVES,
-    cycle_life_at_dod,
 )
 from repro.battery.aging import AgingModel, AgingState, OperatingConditions
 from repro.battery.unit import BatteryUnit, StepResult
@@ -38,7 +37,6 @@ __all__ = [
     "ChargerParams",
     "CycleLifeCurve",
     "MANUFACTURER_CURVES",
-    "cycle_life_at_dod",
     "AgingModel",
     "AgingState",
     "OperatingConditions",

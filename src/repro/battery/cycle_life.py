@@ -95,18 +95,6 @@ MANUFACTURER_CURVES: Dict[str, CycleLifeCurve] = {
 }
 
 
-def cycle_life_at_dod(dod: float, manufacturer: str = "trojan") -> float:
-    """Convenience lookup of cycle life for one manufacturer's curve."""
-    try:
-        curve = MANUFACTURER_CURVES[manufacturer]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown manufacturer {manufacturer!r}; "
-            f"choose from {sorted(MANUFACTURER_CURVES)}"
-        ) from exc
-    return curve.cycles(dod)
-
-
 def mean_curve() -> CycleLifeCurve:
     """Fit a single curve through all three manufacturers' points.
 

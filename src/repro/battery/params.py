@@ -9,7 +9,7 @@ collected here so a single object fully specifies a battery model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -114,11 +114,6 @@ class BatteryParams:
         return self.capacity_ah / self.reference_hours
 
     @property
-    def nominal_energy_wh(self) -> float:
-        """Nameplate stored energy in watt-hours."""
-        return self.nominal_voltage * self.capacity_ah
-
-    @property
     def lifetime_ah_throughput(self) -> float:
         """Total *weighted* dischargeable charge over the battery's life (Ah).
 
@@ -127,23 +122,3 @@ class BatteryParams:
         constant (paper refs [31, 32]). Used as ``CAP_nom`` in Eq. 1.
         """
         return self.lifetime_full_cycles * self.capacity_ah
-
-    def with_capacity(self, capacity_ah: float) -> "BatteryParams":
-        """Return a copy of these parameters with a different capacity.
-
-        Resistance is scaled inversely with capacity (bigger blocks have
-        proportionally lower resistance), keeping the C-rate behaviour
-        identical — used by the Fig. 15 server-to-battery-ratio sweep.
-        """
-        scale = self.capacity_ah / capacity_ah
-        return replace(
-            self,
-            capacity_ah=capacity_ah,
-            internal_resistance_ohm=self.internal_resistance_ohm * scale,
-            thermal_capacity_j_per_k=self.thermal_capacity_j_per_k / scale,
-            price_usd=self.price_usd / scale,
-        )
-
-
-#: The paper's battery array: twelve 12 V 35 Ah sealed lead-acid blocks.
-PAPER_BATTERY = BatteryParams()

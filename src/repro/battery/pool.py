@@ -5,15 +5,9 @@ per-server batteries (Google style) and a pool of batteries shared by
 several racks (Facebook Open Rack style). :class:`BatteryPool` provides
 the second: a group of :class:`~repro.battery.unit.BatteryUnit` objects
 behind a single charge/discharge interface that spreads current across
-members.
-
-Two dispatch strategies are provided:
-
-- ``"proportional"`` — split power across live members in proportion to
-  their present deliverable power (the electrical reality of paralleled
-  strings: stronger/fuller blocks naturally source more current);
-- ``"round_robin"`` — rotate the duty so usage evens out, a simple
-  management baseline.
+members: discharge splits power across live members in proportion to
+their present deliverable power (the electrical reality of paralleled
+strings: stronger/fuller blocks naturally source more current).
 """
 
 from __future__ import annotations
@@ -23,22 +17,14 @@ from typing import Iterable, List, Sequence
 from repro.battery.unit import BatteryUnit, StepResult
 from repro.errors import ConfigurationError
 
-_STRATEGIES = ("proportional", "round_robin")
-
 
 class BatteryPool:
     """Several battery units behind one power interface."""
 
-    def __init__(self, units: Sequence[BatteryUnit], strategy: str = "proportional"):
+    def __init__(self, units: Sequence[BatteryUnit]):
         if not units:
             raise ConfigurationError("a battery pool needs at least one unit")
-        if strategy not in _STRATEGIES:
-            raise ConfigurationError(
-                f"unknown dispatch strategy {strategy!r}; choose from {_STRATEGIES}"
-            )
         self.units: List[BatteryUnit] = list(units)
-        self.strategy = strategy
-        self._rr_cursor = 0
 
     # ------------------------------------------------------------------
     # Aggregate state
@@ -67,7 +53,7 @@ class BatteryPool:
         """Source up to ``power_w`` for ``dt`` seconds across members."""
         if power_w < 0:
             raise ConfigurationError("discharge power must be >= 0")
-        shares = self._shares(power_w, for_discharge=True)
+        shares = self._shares(power_w)
         delivered = 0.0
         current = 0.0
         curtailed = False
@@ -120,35 +106,14 @@ class BatteryPool:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _shares(self, power_w: float, for_discharge: bool) -> List[float]:
-        if self.strategy == "round_robin":
-            return self._round_robin_shares(power_w)
-        return self._proportional_shares(power_w)
-
-    def _proportional_shares(self, power_w: float) -> List[float]:
+    def _shares(self, power_w: float) -> List[float]:
+        """Each member's share of ``power_w``, proportional to its
+        present deliverable power."""
         caps = [u.max_discharge_power() for u in self.units]
         total = sum(caps)
         if total <= 0.0:
             return [0.0] * len(self.units)
         return [power_w * c / total for c in caps]
-
-    def _round_robin_shares(self, power_w: float) -> List[float]:
-        """Assign the whole load to the next live unit in rotation,
-        spilling over to subsequent units if it cannot carry it alone."""
-        n = len(self.units)
-        shares = [0.0] * n
-        remaining = power_w
-        for offset in range(n):
-            idx = (self._rr_cursor + offset) % n
-            unit = self.units[idx]
-            can = unit.max_discharge_power()
-            take = min(remaining, can)
-            shares[idx] = take
-            remaining -= take
-            if remaining <= 1e-12:
-                break
-        self._rr_cursor = (self._rr_cursor + 1) % n
-        return shares
 
     def __iter__(self) -> Iterable[BatteryUnit]:
         return iter(self.units)

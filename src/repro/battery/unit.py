@@ -130,11 +130,6 @@ class BatteryUnit:
         return self._soc * self.effective_capacity_ah
 
     @property
-    def depth_of_discharge(self) -> float:
-        """1 - SoC."""
-        return 1.0 - self._soc
-
-    @property
     def is_end_of_life(self) -> bool:
         """True once aging has crossed the 80 %-capacity floor."""
         return self.aging.is_end_of_life
@@ -155,10 +150,6 @@ class BatteryUnit:
         """Terminal voltage at a hypothetical signed current (A)."""
         _, fade, growth = self.aging.derived()
         return self.voltage_model.terminal_voltage(self._soc, current, fade, growth)
-
-    def open_circuit_voltage(self) -> float:
-        """Rested voltage at the present SoC and age."""
-        return self.voltage_model.ocv(self._soc, self.capacity_fade)
 
     # ------------------------------------------------------------------
     # Power API

@@ -6,7 +6,8 @@ it must survive pickling into a worker process, so it names the policy
 factory) instead of carrying a constructed :class:`~repro.core.policies.
 base.Policy`, and its optional ``setup`` hook is a picklable callable
 applied to the freshly built :class:`~repro.sim.engine.Simulation` before
-stepping (sensitivity analysis swaps perturbed aging models in there).
+stepping (sensitivity analysis swaps perturbed aging models in there; a
+hook needs a reference-stepper scenario).
 
 :func:`batched` steps several cells as one batched simulation; inside
 its block each cell's :meth:`RunSpec.execute` hands back the cell's
@@ -49,7 +50,9 @@ class RunSpec:
         in-process and uncached).
     setup:
         Optional hook ``setup(sim)`` run after the simulation is built
-        and before any stepping.
+        and before any stepping. Reference-stepper cells only: the fleet
+        stepper copies the battery state into its arrays as the
+        simulation is built, so a hook's edits would never reach it.
     label:
         Key for this cell in campaign reports (defaults to ``policy``).
     """
@@ -68,8 +71,14 @@ class RunSpec:
             )
         if self.policy_factory is not None and not callable(self.policy_factory):
             raise ConfigurationError("policy_factory must be callable")
-        if self.setup is not None and not callable(self.setup):
-            raise ConfigurationError("setup must be callable")
+        if self.setup is not None:
+            if not callable(self.setup):
+                raise ConfigurationError("setup must be callable")
+            if self.scenario.stepper == "fleet":
+                raise ConfigurationError(
+                    f"cell {self.effective_label!r}: a setup hook needs the "
+                    "reference stepper (the fleet stepper never sees its edits)"
+                )
 
     # ------------------------------------------------------------------
     @property
@@ -128,10 +137,7 @@ class RunSpec:
     def batch_key(self) -> Optional[Tuple]:
         """Cells with one key can step as one batch (see
         :func:`~repro.sim.engine.batch_key`); ``None`` for a cell that
-        always runs alone: one on the reference stepper or with a
-        ``setup`` hook."""
-        if self.setup is not None:
-            return None
+        always runs alone: one on the reference stepper."""
         return batch_key(self.scenario, self.trace)
 
     def execute(self) -> SimResult:
@@ -161,7 +167,7 @@ _SERVING: ContextVar[Optional[Dict[int, Outcome]]] = ContextVar(
 
 @contextmanager
 def batched(specs: Sequence[RunSpec]) -> Iterator[None]:
-    """Step ``specs`` (one batch key, no ``setup`` hooks) as one batched
+    """Step ``specs`` (one batch key) as one batched
     simulation on the fleet stepper, then serve each cell's outcome to
     its first :meth:`RunSpec.execute` inside the block.
 

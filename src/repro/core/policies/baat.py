@@ -66,7 +66,6 @@ class BAATPolicy(Policy):
             # costs more throughput than the power it saves.
             max_throttle_index=1,
         )
-        self.monitor: Optional[SlowdownMonitor] = None
         self.consolidations = 0
         self._last_consolidation_s = -float("inf")
 

@@ -39,7 +39,6 @@ class BAATSlowdownPolicy(Policy):
             prefer_migration=False,
             allow_parking=False,
         )
-        self.monitor: Optional[SlowdownMonitor] = None
 
     def _after_bind(self) -> None:
         assert self.cluster is not None and self.controller is not None

@@ -25,6 +25,7 @@ from repro.datacenter.vm import VM
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.slowdown import SlowdownMonitor
     from repro.sim.fleet import FleetState
     from repro.sim.scenario import Scenario
 
@@ -40,6 +41,8 @@ class Policy(abc.ABC):
         self.controller: Optional[BAATController] = None
         self.scheduler: Optional[AgingHidingScheduler] = None
         self.scenario: Optional["Scenario"] = None
+        #: The Fig.-9 slowdown monitor, for policies that run one.
+        self.monitor: Optional["SlowdownMonitor"] = None
 
     def bind(self, cluster: Cluster, scenario: Optional["Scenario"] = None) -> None:
         """Attach the policy to a cluster, building its controller and
@@ -114,6 +117,10 @@ class Policy(abc.ABC):
         """Day-boundary hook: reset assessment windows by default."""
         if self.controller is not None:
             self.controller.reset_window()
+
+    def current_goals(self) -> Dict[str, float]:
+        """Present DoD goal per node; empty for a policy that plans none."""
+        return {}
 
     def describe(self) -> str:
         """One-line human description (Table 4 wording)."""

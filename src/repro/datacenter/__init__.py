@@ -13,7 +13,6 @@ from repro.datacenter.vm import VM, MIGRATION_SECONDS
 from repro.datacenter.workloads import (
     WorkloadProfile,
     PAPER_WORKLOADS,
-    workload_by_name,
 )
 from repro.datacenter.node import Node
 from repro.datacenter.cluster import Cluster
@@ -27,7 +26,6 @@ __all__ = [
     "MIGRATION_SECONDS",
     "WorkloadProfile",
     "PAPER_WORKLOADS",
-    "workload_by_name",
     "Node",
     "Cluster",
     "PowerPath",

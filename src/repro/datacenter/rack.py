@@ -40,11 +40,10 @@ class RackPowerPath:
         self,
         cluster: Cluster,
         utility_budget_w: float = 0.0,
-        strategy: str = "proportional",
     ):
         self.cluster = cluster
         self.utility_budget_w = utility_budget_w
-        self.pool = BatteryPool([n.battery for n in cluster.nodes], strategy=strategy)
+        self.pool = BatteryPool([n.battery for n in cluster.nodes])
 
     def step(
         self,

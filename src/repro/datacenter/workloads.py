@@ -153,16 +153,6 @@ PAPER_WORKLOADS: Dict[str, WorkloadProfile] = {
 }
 
 
-def workload_by_name(name: str) -> WorkloadProfile:
-    """Look up one of the six paper workloads by name."""
-    try:
-        return PAPER_WORKLOADS[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; choose from {sorted(PAPER_WORKLOADS)}"
-        ) from exc
-
-
 def standard_mix() -> Tuple[WorkloadProfile, ...]:
     """The full six-application mix, one VM each, in a stable order."""
     return tuple(PAPER_WORKLOADS[name] for name in sorted(PAPER_WORKLOADS))

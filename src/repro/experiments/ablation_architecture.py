@@ -34,7 +34,10 @@ def run(
 ) -> ExperimentResult:
     """Run the architecture x policy matrix on a stressed trace."""
     n_days = 2 if quick else 4
-    base = sweep_scenario(seed=seed, initial_fade=OLD_BATTERY_FADE)
+    # The fleet stepper has no rack-pool power path.
+    base = sweep_scenario(
+        seed=seed, initial_fade=OLD_BATTERY_FADE, stepper="reference"
+    )
     mix = ([DayClass.CLOUDY, DayClass.RAINY] * ((n_days + 1) // 2))[:n_days]
     trace = base.trace_generator().days(mix)
 

@@ -128,8 +128,8 @@ def _snapshot(
 
 
 @functools.lru_cache(maxsize=4)
-def run_campaign(seed: int = DEFAULT_SEED, months: int = CAMPAIGN_MONTHS) -> CampaignResult:
-    """Run the six-month campaign (memoized in memory and on disk).
+def run_aging_log(seed: int = DEFAULT_SEED, months: int = CAMPAIGN_MONTHS) -> CampaignResult:
+    """Run the six-month aging campaign (memoized in memory and on disk).
 
     The campaign is deterministic in (seed, months), so the result is
     stored in the shared campaign result cache; figures 3/4/5 and their

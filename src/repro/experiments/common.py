@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import functools
-from typing import Dict, Optional, Sequence
+from typing import List, Sequence
 
-from repro.campaign import DEFAULT_CACHE, RunSpec, run_campaign
+from repro.campaign import RunSpec
 from repro.rng import DEFAULT_SEED
-from repro.sim.results import SimResult
 from repro.sim.scenario import Scenario
 from repro.solar.trace import SolarTrace
 from repro.solar.weather import DayClass
@@ -26,41 +24,33 @@ OLD_BATTERY_FADE = 0.10
 def sweep_scenario(
     seed: int = DEFAULT_SEED,
     initial_fade: float = 0.0,
+    stepper: str = "fleet",
     **overrides,
 ) -> Scenario:
-    """A scenario tuned for sweeps: coarse step, otherwise the prototype."""
-    return Scenario(dt_s=SWEEP_DT_S, seed=seed, initial_fade=initial_fade, **overrides)
+    """A scenario tuned for sweeps: coarse step, otherwise the prototype.
+
+    Sweep cells run on the fleet stepper, so a figure's cells with one
+    batch key step as one batched fleet; rack-pool and ``setup``-hook
+    cells name ``stepper="reference"``.
+    """
+    return Scenario(
+        dt_s=SWEEP_DT_S, seed=seed, initial_fade=initial_fade, stepper=stepper,
+        **overrides,
+    )
 
 
-def run_policies(
+def policy_specs(
     scenario: Scenario,
     trace: SolarTrace,
     policies: Sequence[str] = POLICIES,
-    policy_builder=None,
-    n_workers: Optional[int] = None,
-    cache=DEFAULT_CACHE,
-) -> Dict[str, SimResult]:
-    """Run several schemes over identical weather; keyed by policy name.
-
-    ``policy_builder(name) -> Policy`` overrides the default factory (used
-    by threshold sweeps). Runs go through the campaign runner: fanned out
-    over ``n_workers`` processes (default: the campaign process default)
-    and memoized in the on-disk result cache unless ``cache=None``.
-    """
-    specs = [
-        RunSpec(
-            scenario=scenario,
-            trace=trace,
-            policy=None if policy_builder else name,
-            policy_factory=(
-                functools.partial(policy_builder, name) if policy_builder else None
-            ),
-            label=name,
-        )
+    prefix: str = "",
+) -> List[RunSpec]:
+    """One campaign cell per named scheme over identical weather,
+    labelled ``prefix + name``."""
+    return [
+        RunSpec(scenario=scenario, trace=trace, policy=name, label=prefix + name)
         for name in policies
     ]
-    report = run_campaign(specs, n_workers=n_workers, cache=cache)
-    return report.results()
 
 
 def day_trace(

@@ -7,14 +7,14 @@ battery drops ~9 % over six months, and the droop rate *accelerates*
 
 from __future__ import annotations
 
-from repro.experiments.aging_campaign import run_campaign
+from repro.experiments.aging_campaign import run_aging_log
 from repro.experiments.base import ExperimentResult
 from repro.rng import DEFAULT_SEED
 
 
 def run(quick: bool = True, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Regenerate Fig. 3 from the shared six-month campaign."""
-    campaign = run_campaign(seed)
+    campaign = run_aging_log(seed)
     rows = [
         (f"month {s.month}", s.full_charge_voltage_v, s.capacity_fade)
         for s in campaign.snapshots

@@ -8,14 +8,14 @@ loss).
 
 from __future__ import annotations
 
-from repro.experiments.aging_campaign import run_campaign
+from repro.experiments.aging_campaign import run_aging_log
 from repro.experiments.base import ExperimentResult
 from repro.rng import DEFAULT_SEED
 
 
 def run(quick: bool = True, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Regenerate Fig. 5 from the shared six-month campaign."""
-    campaign = run_campaign(seed)
+    campaign = run_aging_log(seed)
     rows = [
         (f"month {s.month}", s.month_round_trip_efficiency, s.capacity_fade)
         for s in campaign.snapshots[1:]  # month 0 has no flow history

@@ -13,10 +13,10 @@ Paper observations for the e-Buff-style baseline on the prototype:
 from __future__ import annotations
 
 import math
-from typing import Dict
 
+from repro.campaign import run_campaign
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import day_trace, run_policies, sweep_scenario
+from repro.experiments.common import day_trace, policy_specs, sweep_scenario
 from repro.rng import DEFAULT_SEED
 from repro.solar.weather import DayClass
 
@@ -26,34 +26,35 @@ def run(quick: bool = True, seed: int = DEFAULT_SEED) -> ExperimentResult:
 
     Metrics come from an unmanaged (e-Buff) run; the slowdown-trigger
     time comes from a matched BAAT run ("the slowdown time varies in
-    different weathers", section VI-A).
+    different weathers", section VI-A). All six cells run as one
+    campaign.
     """
-    from repro.core.policies.factory import make_policy
-    from repro.sim.engine import run_policy_on_trace
-
     scenario = sweep_scenario(seed=seed)
+    days = (DayClass.SUNNY, DayClass.CLOUDY, DayClass.RAINY)
+    traces = {day: day_trace(scenario, day, n_days=1) for day in days}
+    specs = []
+    for day in days:
+        specs += policy_specs(
+            scenario, traces[day], ("e-buff", "baat"), prefix=f"{day.value}|"
+        )
+    results = run_campaign(specs).results()
     rows = []
-    usage_spread: Dict[str, float] = {}
-    for day_class in (DayClass.SUNNY, DayClass.CLOUDY, DayClass.RAINY):
-        trace = day_trace(scenario, day_class, n_days=1)
-        result = run_policies(scenario, trace, policies=("e-buff",))["e-buff"]
+    for day_class in days:
+        result = results[f"{day_class.value}|e-buff"]
         node = result.worst_node_by_throughput_ah()
         m = node.metrics
         ah_per_node = [n.discharged_ah for n in result.nodes]
         mean_ah = sum(ah_per_node) / len(ah_per_node)
         spread = (max(ah_per_node) - min(ah_per_node)) / mean_ah if mean_ah > 0 else 0.0
-        usage_spread[day_class.value] = spread
         cf = m.cf if not math.isinf(m.cf) else float("nan")
 
-        baat = make_policy("baat", seed=scenario.seed)
-        run_policy_on_trace(scenario, baat, trace)
-        trigger = baat.monitor.first_action_t
+        trigger = results[f"{day_class.value}|baat"].slowdown_onset_s
         trigger_h = trigger / 3600.0 if trigger is not None else float("nan")
 
         rows.append(
             (
                 day_class.value,
-                trace.energy_wh() / 1000.0,
+                traces[day_class].energy_wh() / 1000.0,
                 m.discharged_ah,
                 m.nat * 1000.0,
                 cf,

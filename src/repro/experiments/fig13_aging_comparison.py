@@ -12,14 +12,15 @@ battery node (most Ah throughput). Headline paper numbers:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
+from repro.campaign import run_campaign
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import (
     OLD_BATTERY_FADE,
     POLICIES,
     day_trace,
-    run_policies,
+    policy_specs,
     sweep_scenario,
 )
 from repro.rng import DEFAULT_SEED
@@ -39,17 +40,23 @@ N_DAYS = 2
 
 
 def run(quick: bool = True, seed: int = DEFAULT_SEED) -> ExperimentResult:
-    """Run the 4-scheme x 4-cell matrix and tabulate worst-node metrics."""
-    rows = []
-    cell_results: Dict[str, Dict[str, SimResult]] = {}
+    """Run the 4-scheme x 4-cell matrix (one campaign) and tabulate
+    worst-node metrics."""
     n_days = N_DAYS if quick else 2 * N_DAYS
+    specs = []
     for label, day_class, fade in CELLS:
         scenario = sweep_scenario(seed=seed, initial_fade=fade)
         trace = day_trace(scenario, day_class, n_days=n_days)
-        results = run_policies(scenario, trace)
-        cell_results[label] = results
+        specs += policy_specs(scenario, trace, POLICIES, prefix=f"{label}|")
+    results = run_campaign(specs).results()
+
+    def cell(label: str, policy: str) -> SimResult:
+        return results[f"{label}|{policy}"]
+
+    rows = []
+    for label, *_ in CELLS:
         for name in POLICIES:
-            result = results[name]
+            result = cell(label, name)
             worst = result.worst_node_by_throughput_ah()
             m = worst.metrics
             rows.append(
@@ -64,9 +71,8 @@ def run(quick: bool = True, seed: int = DEFAULT_SEED) -> ExperimentResult:
                 )
             )
 
-    def worst_ah(cell: str, policy: str) -> float:
-        r = cell_results[cell][policy]
-        return r.worst_node_by_throughput_ah().metrics.discharged_ah
+    def worst_ah(label: str, policy: str) -> float:
+        return cell(label, policy).worst_node_by_throughput_ah().metrics.discharged_ah
 
     ebuff_cloudy_vs_sunny = (
         worst_ah("cloudy/young", "e-buff") / max(worst_ah("sunny/young", "e-buff"), 1e-9)
@@ -77,8 +83,8 @@ def run(quick: bool = True, seed: int = DEFAULT_SEED) -> ExperimentResult:
     )
     aging_speed_cut = (
         1.0
-        - cell_results["cloudy/old"]["baat"].worst_damage_per_day()
-        / max(cell_results["cloudy/old"]["e-buff"].worst_damage_per_day(), 1e-12)
+        - cell("cloudy/old", "baat").worst_damage_per_day()
+        / max(cell("cloudy/old", "e-buff").worst_damage_per_day(), 1e-12)
     ) * 100.0
 
     return ExperimentResult(

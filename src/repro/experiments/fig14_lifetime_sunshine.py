@@ -33,8 +33,7 @@ def run(
     if n_days <= 0:
         n_days = 4 if quick else 8
 
-    # Fleet-stepper cells with one batch key step as one batched run.
-    scenario = sweep_scenario(seed=seed, stepper="fleet")
+    scenario = sweep_scenario(seed=seed)
     sweep = lifetime_sweep(
         [SweepPoint(scenario, fraction, POLICIES) for fraction in fractions],
         n_days,

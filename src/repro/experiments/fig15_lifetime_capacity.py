@@ -37,8 +37,7 @@ def run(
         ratios = QUICK_RATIOS if quick else FULL_RATIOS
     n_days = 4 if quick else 8
 
-    # Fleet-stepper cells with one batch key step as one batched run.
-    scenario = sweep_scenario(seed=seed, stepper="fleet")
+    scenario = sweep_scenario(seed=seed)
     sweep = lifetime_sweep(
         [
             SweepPoint(

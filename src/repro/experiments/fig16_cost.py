@@ -9,18 +9,19 @@ reports the throughput cost of each threshold.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence
 
 from repro.analysis.lifetime import season_day_classes
 from repro.analysis.reporting import reduction_percent
 from repro.battery.aging.mechanisms import EOL_FADE
+from repro.campaign import RunSpec, run_campaign
 from repro.core.policies.factory import make_policy
 from repro.core.slowdown import SlowdownConfig
 from repro.cost.depreciation import DepreciationModel
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import sweep_scenario
 from repro.rng import DEFAULT_SEED
-from repro.sim.engine import run_policy_on_trace
 
 QUICK_THRESHOLDS = (0.30, 0.40, 0.50)
 FULL_THRESHOLDS = (0.25, 0.30, 0.35, 0.40, 0.45, 0.50)
@@ -32,7 +33,8 @@ def run(
     seed: int = DEFAULT_SEED,
     thresholds: Sequence[float] = (),
 ) -> ExperimentResult:
-    """Sweep the slowdown low-SoC threshold and compare annual cost."""
+    """Sweep the slowdown low-SoC threshold and compare annual cost (one
+    campaign: the e-Buff baseline and a BAAT cell per threshold)."""
     if not thresholds:
         thresholds = QUICK_THRESHOLDS if quick else FULL_THRESHOLDS
     n_days = 4 if quick else 8
@@ -46,7 +48,28 @@ def run(
         rate = result.worst_damage_per_day()
         return EOL_FADE / rate if rate > 0 else float("inf")
 
-    baseline = run_policy_on_trace(scenario, make_policy("e-buff"), trace)
+    def baat_at(threshold: float):
+        config = SlowdownConfig(
+            low_soc_threshold=threshold,
+            recovery_soc=min(0.95, threshold + 0.2),
+            protected_soc=max(0.05, threshold - 0.08),
+        )
+        return functools.partial(
+            make_policy, "baat", slowdown_config=config, seed=scenario.seed
+        )
+
+    specs = [RunSpec(scenario=scenario, trace=trace, policy="e-buff")] + [
+        RunSpec(
+            scenario=scenario,
+            trace=trace,
+            policy_factory=baat_at(threshold),
+            label=f"baat@{threshold!r}",
+        )
+        for threshold in thresholds
+    ]
+    results = run_campaign(specs).results()
+
+    baseline = results["e-buff"]
     base_life = lifetime_days(baseline)
     base_cost = depreciation.annual_cost_usd(base_life)
     base_thr = baseline.throughput
@@ -56,13 +79,7 @@ def run(
     ]
     best_cut = 0.0
     for threshold in thresholds:
-        config = SlowdownConfig(
-            low_soc_threshold=threshold,
-            recovery_soc=min(0.95, threshold + 0.2),
-            protected_soc=max(0.05, threshold - 0.08),
-        )
-        policy = make_policy("baat", slowdown_config=config, seed=scenario.seed)
-        result = run_policy_on_trace(scenario, policy, trace)
+        result = results[f"baat@{threshold!r}"]
         life = lifetime_days(result)
         cost = depreciation.annual_cost_usd(life)
         cut = reduction_percent(cost, base_cost)

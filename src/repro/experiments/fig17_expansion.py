@@ -52,7 +52,7 @@ def run(
 
     # One campaign for the whole sweep: per fraction, the base pair and
     # the BAAT cells at each fit ratio.
-    scenario = sweep_scenario(seed=seed, stepper="fleet")
+    scenario = sweep_scenario(seed=seed)
     points = []
     for sunshine in fractions:
         points.append(SweepPoint(scenario, sunshine, ("e-buff", "baat")))

@@ -11,12 +11,13 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.availability.soc_stats import availability_improvement, low_soc_stats
+from repro.campaign import run_campaign
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import (
     OLD_BATTERY_FADE,
     POLICIES,
     day_trace,
-    run_policies,
+    policy_specs,
     sweep_scenario,
 )
 from repro.rng import DEFAULT_SEED
@@ -28,7 +29,7 @@ def run(quick: bool = True, seed: int = DEFAULT_SEED) -> ExperimentResult:
     n_days = 2 if quick else 4
     scenario = sweep_scenario(seed=seed, initial_fade=OLD_BATTERY_FADE)
     trace = day_trace(scenario, DayClass.CLOUDY, n_days=n_days)
-    results = run_policies(scenario, trace)
+    results = run_campaign(policy_specs(scenario, trace)).results()
 
     rows: List[Sequence[object]] = []
     for name in POLICIES:

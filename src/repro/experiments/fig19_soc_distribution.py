@@ -11,8 +11,9 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.analysis.lifetime import season_day_classes
+from repro.campaign import run_campaign
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import POLICIES, run_policies, sweep_scenario
+from repro.experiments.common import POLICIES, policy_specs, sweep_scenario
 from repro.rng import DEFAULT_SEED
 from repro.sim.recorder import SOC_BIN_LABELS
 
@@ -25,7 +26,7 @@ def run(quick: bool = True, seed: int = DEFAULT_SEED) -> ExperimentResult:
     scenario = sweep_scenario(seed=seed)
     day_classes = season_day_classes(SUNSHINE, n_days, scenario.seed)
     trace = scenario.trace_generator().days(day_classes)
-    results = run_policies(scenario, trace)
+    results = run_campaign(policy_specs(scenario, trace)).results()
 
     rows: List[Sequence[object]] = []
     modes = {}

@@ -9,19 +9,19 @@ coordinates and delivers up to +28 % over e-Buff in the worst case
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.analysis.reporting import percent_change
+from repro.campaign import run_campaign
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import (
     OLD_BATTERY_FADE,
     POLICIES,
     day_trace,
-    run_policies,
+    policy_specs,
     sweep_scenario,
 )
 from repro.rng import DEFAULT_SEED
-from repro.sim.results import SimResult
 from repro.solar.weather import DayClass
 
 CELLS = (
@@ -31,17 +31,21 @@ CELLS = (
 
 
 def run(quick: bool = True, seed: int = DEFAULT_SEED) -> ExperimentResult:
-    """Per-scheme daily throughput on stressed days."""
+    """Per-scheme daily throughput on stressed days (one campaign)."""
     n_days = 2 if quick else 4
-    rows: List[Sequence[object]] = []
-    worst_gain = 0.0
+    specs = []
     for label, day_class, fade in CELLS:
         scenario = sweep_scenario(seed=seed, initial_fade=fade)
         trace = day_trace(scenario, day_class, n_days=n_days)
-        results: Dict[str, SimResult] = run_policies(scenario, trace)
-        base = results["e-buff"].throughput
+        specs += policy_specs(scenario, trace, POLICIES, prefix=f"{label}|")
+    results = run_campaign(specs).results()
+
+    rows: List[Sequence[object]] = []
+    worst_gain = 0.0
+    for label, *_ in CELLS:
+        base = results[f"{label}|e-buff"].throughput
         for name in POLICIES:
-            r = results[name]
+            r = results[f"{label}|{name}"]
             gain = percent_change(r.throughput, base)
             if name == "baat":
                 worst_gain = max(worst_gain, gain)

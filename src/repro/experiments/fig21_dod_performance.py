@@ -8,18 +8,15 @@ and more cut-off risk eat the gains).
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence
 
 from repro.analysis.reporting import percent_change
+from repro.campaign import RunSpec, run_campaign
 from repro.core.policies.planned import PlannedAgingPolicy
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import (
-    OLD_BATTERY_FADE,
-    day_trace,
-    sweep_scenario,
-)
+from repro.experiments.common import OLD_BATTERY_FADE, sweep_scenario
 from repro.rng import DEFAULT_SEED
-from repro.sim.engine import run_policy_on_trace
 from repro.solar.weather import DayClass
 
 QUICK_DODS = (0.4, 0.6, 0.8, 0.9)
@@ -31,7 +28,7 @@ def run(
     seed: int = DEFAULT_SEED,
     dods: Sequence[float] = (),
 ) -> ExperimentResult:
-    """Sweep a pinned DoD goal on stressed days."""
+    """Sweep a pinned DoD goal on stressed days (one campaign)."""
     if not dods:
         dods = QUICK_DODS if quick else FULL_DODS
     # A cloudy/rainy mix makes battery depth the binding resource without
@@ -43,16 +40,24 @@ def run(
     n_days = len(mix)
     trace = scenario.trace_generator().days(mix)
 
+    specs = [
+        RunSpec(
+            scenario=scenario,
+            trace=trace,
+            policy_factory=functools.partial(
+                PlannedAgingPolicy, service_life_days=365.0, fixed_dod_goal=dod
+            ),
+            label=f"dod={dod!r}",
+        )
+        for dod in dods
+    ]
+    results = run_campaign(specs).results()
+
     rows: List[Sequence[object]] = []
     throughputs = {}
-    fades = {}
     for dod in dods:
-        policy = PlannedAgingPolicy(
-            service_life_days=365.0, fixed_dod_goal=dod
-        )
-        result = run_policy_on_trace(scenario, policy, trace)
+        result = results[f"dod={dod!r}"]
         throughputs[dod] = result.throughput
-        fades[dod] = result.worst_damage_per_day()
         rows.append(
             (
                 f"{dod:.0%}",

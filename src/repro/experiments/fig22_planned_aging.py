@@ -10,16 +10,16 @@ installed far in advance has little unused life to shift.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence
 
 from repro.analysis.lifetime import season_day_classes
 from repro.analysis.reporting import percent_change
-from repro.core.policies.factory import make_policy
+from repro.campaign import RunSpec, run_campaign
 from repro.core.policies.planned import PlannedAgingPolicy
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import sweep_scenario
 from repro.rng import DEFAULT_SEED
-from repro.sim.engine import run_policy_on_trace
 
 QUICK_LIVES = (180.0, 730.0, 2190.0)
 FULL_LIVES = (180.0, 365.0, 730.0, 1095.0, 1825.0, 2920.0)
@@ -31,7 +31,8 @@ def run(
     seed: int = DEFAULT_SEED,
     service_lives_days: Sequence[float] = (),
 ) -> ExperimentResult:
-    """Sweep the expected service life; compare productivity vs e-Buff."""
+    """Sweep the expected service life; compare productivity vs e-Buff
+    (one campaign)."""
     if not service_lives_days:
         service_lives_days = QUICK_LIVES if quick else FULL_LIVES
     n_days = 4 if quick else 8
@@ -40,14 +41,25 @@ def run(
     day_classes = season_day_classes(SUNSHINE, n_days, scenario.seed)
     trace = scenario.trace_generator().days(day_classes)
 
-    baseline = run_policy_on_trace(scenario, make_policy("e-buff"), trace)
+    specs = [RunSpec(scenario=scenario, trace=trace, policy="e-buff")] + [
+        RunSpec(
+            scenario=scenario,
+            trace=trace,
+            policy_factory=functools.partial(
+                PlannedAgingPolicy, service_life_days=life
+            ),
+            label=f"life={life!r}",
+        )
+        for life in service_lives_days
+    ]
+    results = run_campaign(specs).results()
+    baseline = results["e-buff"]
 
     rows: List[Sequence[object]] = []
     gains = {}
     for life in service_lives_days:
-        policy = PlannedAgingPolicy(service_life_days=life)
-        result = run_policy_on_trace(scenario, policy, trace)
-        goals = policy.current_goals()
+        result = results[f"life={life!r}"]
+        goals = result.dod_goals
         mean_goal = sum(goals.values()) / len(goals)
         gain = percent_change(result.throughput, baseline.throughput)
         gains[life] = gain

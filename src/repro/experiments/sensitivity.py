@@ -19,7 +19,7 @@ Perturbations:
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.battery.aging.mechanisms import (
     ActiveMassDegradation,
@@ -33,8 +33,10 @@ from repro.campaign import RunSpec, run_campaign
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import OLD_BATTERY_FADE, sweep_scenario
 from repro.rng import DEFAULT_SEED
-from repro.sim.engine import Simulation
 from repro.solar.weather import DayClass
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim import Simulation
 
 
 class _ScaledSulphation(Sulphation):
@@ -100,7 +102,7 @@ VARIANTS = (
 )
 
 
-def _apply_variant(variant: str, sim: Simulation) -> None:
+def _apply_variant(variant: str, sim: "Simulation") -> None:
     """Swap the perturbed aging model into every battery before stepping.
 
     Module-level (and bound with :func:`functools.partial`) so the hook
@@ -124,7 +126,11 @@ def run(
 ) -> ExperimentResult:
     """Perturb the aging calibration and re-measure the BAAT advantage."""
     n_days = 2 if quick else 4
-    scenario = sweep_scenario(seed=seed, initial_fade=OLD_BATTERY_FADE)
+    # The setup hook edits battery objects, which only the reference
+    # stepper steps.
+    scenario = sweep_scenario(
+        seed=seed, initial_fade=OLD_BATTERY_FADE, stepper="reference"
+    )
     mix = ([DayClass.CLOUDY, DayClass.RAINY] * ((n_days + 1) // 2))[:n_days]
     trace = scenario.trace_generator().days(mix)
     specs = [

@@ -34,7 +34,7 @@ Typical use::
     from repro.obs import BUS, REGISTRY, enable_observability
 
     with BUS.trace_to("out.jsonl"):
-        run_policy_on_trace(scenario, policy, trace)
+        Simulation(scenario, policy, trace).run()
 
 or, for the CLI's ``--trace`` flag, :func:`enable_observability` /
 :func:`disable_observability` manage a JSONL sink plus the registry and

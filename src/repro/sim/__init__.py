@@ -9,14 +9,13 @@ statistics, downtime, and damage accrual.
 """
 
 from repro.sim.scenario import Scenario
-from repro.sim.engine import Simulation, run_policy_on_trace
+from repro.sim.engine import Simulation
 from repro.sim.results import SimResult, NodeResult
 from repro.sim.recorder import TraceRecorder
 
 __all__ = [
     "Scenario",
     "Simulation",
-    "run_policy_on_trace",
     "SimResult",
     "NodeResult",
     "TraceRecorder",

@@ -616,8 +616,9 @@ class Simulation:
             )
         migrations = sum(vm.migrations for vm in cluster.vms.values())
         dvfs = sum(n.server.dvfs_transitions for n in cluster)
+        policy = cell.policy
         return SimResult(
-            policy_name=cell.policy.name,
+            policy_name=policy.name,
             duration_s=cell.trace.duration_s,
             throughput=cluster.total_progress(),
             nodes=nodes,
@@ -627,6 +628,10 @@ class Simulation:
             unserved_wh=sum(n.unserved_wh for n in cluster),
             feedback_wh=sum(n.feedback_wh for n in cluster),
             recorder=recorder,
+            slowdown_onset_s=(
+                policy.monitor.first_action_t if policy.monitor is not None else None
+            ),
+            dod_goals=policy.current_goals(),
         )
 
 
@@ -652,12 +657,3 @@ def batch_key(scenario: Scenario, trace: SolarTrace) -> Optional[Tuple]:
         scenario.ambient_mean_c,
         scenario.ambient_swing_c,
     )
-
-
-def run_policy_on_trace(
-    scenario: Scenario,
-    policy: Policy,
-    trace: SolarTrace,
-) -> SimResult:
-    """Convenience one-shot: build, run, and return the result."""
-    return Simulation(scenario, policy, trace).run()

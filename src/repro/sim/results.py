@@ -59,6 +59,11 @@ class SimResult:
     unserved_wh: float
     feedback_wh: float
     recorder: Optional[TraceRecorder] = field(default=None, compare=False)
+    #: Simulation time (s) of the policy's first Fig.-9 slowdown action,
+    #: or None: no slowdown monitor, or it never acted (Fig. 12's onset).
+    slowdown_onset_s: Optional[float] = None
+    #: Per-node DoD goal at run end (planned aging; empty otherwise).
+    dod_goals: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Worst-node views (the paper reports the worst battery node)

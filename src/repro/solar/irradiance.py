@@ -44,11 +44,6 @@ class ClearSkyModel:
         if self.exponent <= 0:
             raise ConfigurationError("exponent must be positive")
 
-    @property
-    def daylight_seconds(self) -> float:
-        """Length of the daylight window in seconds."""
-        return (self.sunset_h - self.sunrise_h) * SECONDS_PER_HOUR
-
     def fraction(self, t: float) -> float:
         """Clear-sky output fraction at simulation time ``t`` (seconds,
         where ``t % 86400`` is local time-of-day)."""

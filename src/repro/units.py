@@ -27,7 +27,6 @@ from __future__ import annotations
 SECONDS_PER_MINUTE = 60.0
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
-HOURS_PER_DAY = 24.0
 DAYS_PER_YEAR = 365.0
 DAYS_PER_MONTH = 30.4375  # mean Gregorian month, used for "6 months" spans
 

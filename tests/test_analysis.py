@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.lifetime import (
-    estimate_lifetime_days,
-    lifetime_for_policies,
-    season_day_classes,
-)
+from repro.analysis.lifetime import lifetime_for_policies, season_day_classes
 from repro.analysis.reporting import (
     format_table,
     improvement_percent,
@@ -44,14 +40,16 @@ class TestLifetimeEstimation:
         return tiny_scenario
 
     def test_estimate_positive_and_finite(self, scenario):
-        est = estimate_lifetime_days("e-buff", scenario, 0.5, n_days=2)
+        est = lifetime_for_policies(scenario, 0.5, n_days=2, policies=("e-buff",))[
+            "e-buff"
+        ]
         assert 0.0 < est.lifetime_days < float("inf")
         assert est.worst_fade_per_day >= est.mean_fade_per_day > 0.0
 
     def test_explicit_day_classes(self, scenario):
-        est = estimate_lifetime_days(
-            "e-buff", scenario, day_classes=[DayClass.SUNNY, DayClass.SUNNY]
-        )
+        est = lifetime_for_policies(
+            scenario, policies=("e-buff",), day_classes=[DayClass.SUNNY, DayClass.SUNNY]
+        )["e-buff"]
         assert est.season_result.duration_s == pytest.approx(2 * 86400.0)
 
     def test_initial_fade_shortens_remaining_life(self, tiny_scenario):
@@ -60,8 +58,10 @@ class TestLifetimeEstimation:
         fresh = tiny_scenario
         old = replace(tiny_scenario, initial_fade=0.15)
         days = [DayClass.CLOUDY, DayClass.CLOUDY]
-        e_fresh = estimate_lifetime_days("e-buff", fresh, day_classes=days)
-        e_old = estimate_lifetime_days("e-buff", old, day_classes=days)
+        e_fresh, e_old = (
+            lifetime_for_policies(s, policies=("e-buff",), day_classes=days)["e-buff"]
+            for s in (fresh, old)
+        )
         assert e_old.lifetime_days < e_fresh.lifetime_days
 
     def test_policies_share_identical_weather(self, scenario):

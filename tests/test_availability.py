@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.availability.soc_stats import (
-    availability_improvement,
-    low_soc_stats,
-    soc_distribution_table,
-)
+from repro.availability.soc_stats import availability_improvement, low_soc_stats
 from repro.core.policies.factory import make_policy
-from repro.errors import ConfigurationError
-from repro.sim.engine import run_policy_on_trace
+from repro.sim.engine import Simulation
 from repro.sim.scenario import Scenario
 from repro.solar.weather import DayClass
 
@@ -31,7 +26,7 @@ def stressed_results():
     )
     trace = scenario.trace_generator().day(DayClass.RAINY)
     return {
-        name: run_policy_on_trace(scenario, make_policy(name), trace)
+        name: Simulation(scenario, make_policy(name), trace).run()
         for name in ("e-buff", "baat")
     }
 
@@ -52,19 +47,3 @@ class TestLowSocStats:
             stressed_results["e-buff"], stressed_results["baat"]
         )
         assert gain >= 0.0
-
-
-class TestDistributionTable:
-    def test_renders_all_schemes_and_bins(self, stressed_results):
-        table = soc_distribution_table(list(stressed_results.values()))
-        assert "e-buff" in table
-        assert "baat" in table
-        assert "SoC7" in table
-
-    def test_unknown_node_rejected(self, stressed_results):
-        with pytest.raises(ConfigurationError):
-            soc_distribution_table([stressed_results["e-buff"]], node="ghost")
-
-    def test_specific_node(self, stressed_results):
-        table = soc_distribution_table([stressed_results["e-buff"]], node="node0")
-        assert "e-buff" in table

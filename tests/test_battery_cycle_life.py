@@ -5,7 +5,6 @@ import pytest
 from repro.battery.cycle_life import (
     MANUFACTURER_CURVES,
     CycleLifeCurve,
-    cycle_life_at_dod,
     fit_curve,
     mean_curve,
 )
@@ -54,15 +53,6 @@ class TestManufacturerCurves:
         assert curve.lifetime_ah_throughput(35.0, 0.2) > curve.lifetime_ah_throughput(
             35.0, 0.8
         )
-
-    def test_lookup_by_manufacturer(self):
-        assert cycle_life_at_dod(0.5, "trojan") == pytest.approx(
-            MANUFACTURER_CURVES["trojan"].cycles(0.5)
-        )
-
-    def test_lookup_unknown_manufacturer(self):
-        with pytest.raises(ConfigurationError):
-            cycle_life_at_dod(0.5, "acme")
 
     def test_cycles_rejects_zero_dod(self):
         curve = MANUFACTURER_CURVES["trojan"]

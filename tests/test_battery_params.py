@@ -2,21 +2,18 @@
 
 import pytest
 
-from repro.battery.params import PAPER_BATTERY, BatteryParams
+from repro.battery.params import BatteryParams
 from repro.errors import ConfigurationError
 
 
 class TestDefaults:
-    def test_paper_battery_is_12v_35ah(self):
-        assert PAPER_BATTERY.nominal_voltage == 12.0
-        assert PAPER_BATTERY.capacity_ah == 35.0
-        assert PAPER_BATTERY.cells == 6
+    def test_paper_battery_is_12v_35ah(self, params):
+        assert params.nominal_voltage == 12.0
+        assert params.capacity_ah == 35.0
+        assert params.cells == 6
 
     def test_reference_current_is_20_hour_rate(self, params):
         assert params.reference_current == pytest.approx(35.0 / 20.0)
-
-    def test_nominal_energy(self, params):
-        assert params.nominal_energy_wh == pytest.approx(420.0)
 
     def test_lifetime_throughput_is_cycles_times_capacity(self, params):
         assert params.lifetime_ah_throughput == pytest.approx(
@@ -57,19 +54,3 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             BatteryParams(eol_capacity_fraction=1.0)
 
-
-class TestScaling:
-    def test_with_capacity_scales_resistance_inversely(self, params):
-        bigger = params.with_capacity(70.0)
-        assert bigger.capacity_ah == 70.0
-        assert bigger.internal_resistance_ohm == pytest.approx(
-            params.internal_resistance_ohm / 2.0
-        )
-
-    def test_with_capacity_preserves_c_rate_reference(self, params):
-        bigger = params.with_capacity(70.0)
-        assert bigger.reference_current == pytest.approx(2.0 * params.reference_current)
-
-    def test_with_capacity_scales_price(self, params):
-        bigger = params.with_capacity(70.0)
-        assert bigger.price_usd == pytest.approx(2.0 * params.price_usd)

@@ -23,10 +23,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             BatteryPool([])
 
-    def test_rejects_unknown_strategy(self):
-        with pytest.raises(ConfigurationError):
-            BatteryPool(make_units(), strategy="magic")
-
     def test_len_and_iter(self):
         pool = BatteryPool(make_units(4))
         assert len(pool) == 4
@@ -74,22 +70,6 @@ class TestProportionalDischarge:
         result = pool.discharge(100.0, 60.0)
         assert result.curtailed
         assert result.delivered_power_w == 0.0
-
-
-class TestRoundRobin:
-    def test_rotation_spreads_duty_over_calls(self):
-        units = make_units(3)
-        pool = BatteryPool(units, strategy="round_robin")
-        for _ in range(3):
-            pool.discharge(50.0, hours(1))
-        discharged = [u.aging.state.discharged_ah for u in units]
-        assert all(d > 0 for d in discharged)
-
-    def test_spills_over_when_one_unit_cannot_carry(self, params):
-        units = make_units(2, socs=[0.14, 1.0])
-        pool = BatteryPool(units, strategy="round_robin")
-        result = pool.discharge(150.0, 60.0)
-        assert result.delivered_power_w > 100.0
 
 
 class TestCharge:

@@ -16,7 +16,7 @@ from repro.campaign import (
 from repro.campaign.cache import callable_token, canonical, object_key
 from repro.core.policies.factory import make_policy
 from repro.errors import ConfigurationError
-from repro.sim.engine import run_policy_on_trace
+from repro.sim.engine import Simulation
 from repro.sim.results import SimResult
 
 POLICIES = ("e-buff", "baat")
@@ -190,11 +190,11 @@ class TestRunCampaign:
         assert not report.failures
         results = report.results()
         for name in POLICIES:
-            direct = run_policy_on_trace(
+            direct = Simulation(
                 tiny_scenario,
                 make_policy(name, seed=tiny_scenario.seed),
                 one_sunny_day,
-            )
+            ).run()
             assert results[name] == direct
 
     def test_parallel_matches_serial(self, specs):
@@ -506,12 +506,12 @@ class TestAgingCampaignCaching:
         saved = (cache_mod._override_enabled, cache_mod._override_dir)
         cache_mod.configure_cache(directory=tmp_path / "empty")
         try:
-            aging_campaign.run_campaign.cache_clear()
-            first = aging_campaign.run_campaign(months=1)
+            aging_campaign.run_aging_log.cache_clear()
+            first = aging_campaign.run_aging_log(months=1)
             assert first.snapshots
             # Second process-equivalent lookup replays from disk.
-            aging_campaign.run_campaign.cache_clear()
-            assert aging_campaign.run_campaign(months=1) == first
+            aging_campaign.run_aging_log.cache_clear()
+            assert aging_campaign.run_aging_log(months=1) == first
         finally:
-            aging_campaign.run_campaign.cache_clear()
+            aging_campaign.run_aging_log.cache_clear()
             cache_mod._override_enabled, cache_mod._override_dir = saved

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies.factory import make_policy
 from repro.errors import ConfigurationError
-from repro.sim.engine import Simulation, run_policy_on_trace
+from repro.sim.engine import Simulation
 from repro.sim.scenario import Scenario
 from repro.solar.weather import DayClass
 from repro.units import SECONDS_PER_DAY
@@ -32,7 +32,7 @@ class TestWiring:
 
 class TestRun:
     def test_result_shape(self, tiny_scenario, one_sunny_day):
-        result = run_policy_on_trace(tiny_scenario, make_policy("e-buff"), one_sunny_day)
+        result = Simulation(tiny_scenario, make_policy("e-buff"), one_sunny_day).run()
         assert result.policy_name == "e-buff"
         assert result.duration_s == pytest.approx(SECONDS_PER_DAY)
         assert result.throughput > 0.0
@@ -70,44 +70,44 @@ class TestRun:
 
         scenario = replace(tiny_scenario, initial_soc=0.5)
         trace = scenario.trace_generator().day(DayClass.SUNNY)
-        result = run_policy_on_trace(scenario, make_policy("e-buff"), trace)
+        result = Simulation(scenario, make_policy("e-buff"), trace).run()
         for node in result.nodes:
             assert node.final_soc > 0.5
 
     def test_determinism(self, tiny_scenario, one_cloudy_day):
-        a = run_policy_on_trace(tiny_scenario, make_policy("baat"), one_cloudy_day)
-        b = run_policy_on_trace(tiny_scenario, make_policy("baat"), one_cloudy_day)
+        a = Simulation(tiny_scenario, make_policy("baat"), one_cloudy_day).run()
+        b = Simulation(tiny_scenario, make_policy("baat"), one_cloudy_day).run()
         assert a.throughput == b.throughput
         assert a.worst_damage_per_day() == b.worst_damage_per_day()
         assert [n.final_soc for n in a.nodes] == [n.final_soc for n in b.nodes]
 
     def test_aging_accrues(self, tiny_scenario, one_cloudy_day):
-        result = run_policy_on_trace(
+        result = Simulation(
             tiny_scenario, make_policy("e-buff"), one_cloudy_day
-        )
+        ).run()
         assert all(n.fade_added > 0.0 for n in result.nodes)
 
 
 class TestResultViews:
     def test_worst_node_selection(self, tiny_scenario, one_cloudy_day):
-        result = run_policy_on_trace(
+        result = Simulation(
             tiny_scenario, make_policy("e-buff"), one_cloudy_day
-        )
+        ).run()
         worst = result.worst_node()
         assert worst.fade_added == max(n.fade_added for n in result.nodes)
         worst_ah = result.worst_node_by_throughput_ah()
         assert worst_ah.discharged_ah == max(n.discharged_ah for n in result.nodes)
 
     def test_damage_rates(self, tiny_scenario, one_cloudy_day):
-        result = run_policy_on_trace(
+        result = Simulation(
             tiny_scenario, make_policy("e-buff"), one_cloudy_day
-        )
+        ).run()
         assert result.worst_damage_per_day() >= result.mean_damage_per_day() > 0.0
 
     def test_throughput_per_day(self, tiny_scenario, one_sunny_day):
-        result = run_policy_on_trace(
+        result = Simulation(
             tiny_scenario, make_policy("e-buff"), one_sunny_day
-        )
+        ).run()
         assert result.throughput_per_day() == pytest.approx(result.throughput)
 
 

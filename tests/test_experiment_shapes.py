@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import RunSpec
+from repro.campaign import cache as cache_module
 from repro.experiments import (
     fig12_profiling,
     fig13_aging_comparison,
@@ -209,6 +211,23 @@ class TestFig22:
         assert gains[0] > gains[-1]
 
 
-@pytest.mark.parametrize("exp_id", ["fig13", "fig16", "fig21"])
+@pytest.mark.parametrize("exp_id", ["fig13", "fig21"])
 def test_trimmed_figure_matches_golden(exp_id):
     assert_matches_golden(exp_id, RUNS[exp_id]())
+
+
+def test_fig16_matches_golden_then_replays_from_cache(tmp_path, monkeypatch):
+    """fig16's cells (named and ``functools.partial`` policies) are
+    cached: a second run on the same cache executes none of them."""
+    monkeypatch.setattr(cache_module, "_override_enabled", True)
+    monkeypatch.setattr(cache_module, "_override_dir", tmp_path)
+    first = RUNS["fig16"]()
+    assert_matches_golden("fig16", first)
+    executed = []
+    execute = RunSpec.execute
+    monkeypatch.setattr(
+        RunSpec, "execute", lambda spec: executed.append(spec.label) or execute(spec)
+    )
+    second = RUNS["fig16"]()
+    assert executed == []
+    assert second.to_text() == first.to_text()

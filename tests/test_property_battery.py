@@ -104,7 +104,7 @@ class TestBatteryUnitInvariants:
         """Thermodynamics: cycling cannot create energy. Starting full,
         total output is bounded by input plus one full charge."""
         battery = BatteryUnit(PARAMS)
-        initial_wh = PARAMS.nominal_energy_wh
+        initial_wh = PARAMS.nominal_voltage * PARAMS.capacity_ah
         for _ in range(cycles):
             battery.discharge(power, 3600.0 * 4)
             battery.charge(power, 3600.0 * 4)

@@ -11,7 +11,7 @@ from repro.datacenter.node import Node
 from repro.datacenter.vm import VM
 from repro.datacenter.workloads import WorkloadProfile
 from repro.errors import ConfigurationError
-from repro.sim.engine import run_policy_on_trace
+from repro.sim.engine import Simulation
 from repro.sim.scenario import Scenario
 from repro.solar.weather import DayClass
 
@@ -93,7 +93,7 @@ class TestScenarioIntegration:
     def test_rack_scenario_runs_end_to_end(self, tiny_scenario):
         scenario = replace(tiny_scenario, architecture="rack-pool")
         trace = scenario.trace_generator().day(DayClass.CLOUDY)
-        result = run_policy_on_trace(scenario, make_policy("e-buff"), trace)
+        result = Simulation(scenario, make_policy("e-buff"), trace).run()
         assert result.throughput > 0.0
         assert all(n.fade_added > 0.0 for n in result.nodes)
 
@@ -101,14 +101,14 @@ class TestScenarioIntegration:
         """Table-1 trade-off: sharing a pool evens battery wear compared
         to per-server integration under identical weather."""
         trace = tiny_scenario.trace_generator().day(DayClass.CLOUDY)
-        per_server = run_policy_on_trace(
+        per_server = Simulation(
             tiny_scenario, make_policy("e-buff"), trace
-        )
-        rack = run_policy_on_trace(
+        ).run()
+        rack = Simulation(
             replace(tiny_scenario, architecture="rack-pool"),
             make_policy("e-buff"),
             trace,
-        )
+        ).run()
 
         def spread(result):
             fades = [n.fade_added for n in result.nodes]

@@ -28,3 +28,12 @@ def test_flat_soc_weights_shrink_but_keep_the_advantage(result):
     by_variant = {row[0]: row[3] for row in result.rows}
     assert by_variant["soc-weights flat"] < by_variant["sulphation x2"]
     assert by_variant["soc-weights flat"] > 10.0
+
+
+def test_perturbed_calibration_reaches_the_batteries(result):
+    """The setup hook's aging model is what the reference stepper steps:
+    a perturbed variant's worst-node fade differs from the baseline's."""
+    by_variant = {row[0]: row for row in result.rows}
+    for variant in sensitivity.VARIANTS[1:]:
+        assert by_variant[variant][1] != by_variant["baseline"][1], variant
+        assert by_variant[variant][2] != by_variant["baseline"][2], variant

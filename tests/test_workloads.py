@@ -7,7 +7,6 @@ from repro.datacenter.workloads import (
     PAPER_WORKLOADS,
     WorkloadProfile,
     standard_mix,
-    workload_by_name,
 )
 from repro.errors import ConfigurationError
 from repro.rng import spawn
@@ -26,11 +25,8 @@ class TestCatalogue:
         }
 
     def test_lookup(self):
-        assert workload_by_name("web_serving").name == "web_serving"
-
-    def test_unknown_lookup(self):
-        with pytest.raises(ConfigurationError):
-            workload_by_name("bitcoin_mining")
+        """Each catalogue key names its own profile."""
+        assert all(PAPER_WORKLOADS[name].name == name for name in PAPER_WORKLOADS)
 
     def test_standard_mix_is_stable(self):
         assert [w.name for w in standard_mix()] == sorted(PAPER_WORKLOADS)
