@@ -167,9 +167,9 @@ _SERVING: ContextVar[Optional[Dict[int, Outcome]]] = ContextVar(
 
 @contextmanager
 def batched(specs: Sequence[RunSpec]) -> Iterator[None]:
-    """Step ``specs`` (one batch key) as one batched
-    simulation on the fleet stepper, then serve each cell's outcome to
-    its first :meth:`RunSpec.execute` inside the block.
+    """Step ``specs`` (one batch key) as one batched simulation on the
+    fleet stepper, then serve each cell's outcome to its first
+    :meth:`RunSpec.execute` inside the block.
 
     Each cell's result equals its run alone, bit for bit. A cell whose
     policy or cell fails to build, or whose policy hooks raise, ends

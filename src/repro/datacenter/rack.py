@@ -36,11 +36,7 @@ from repro.units import SECONDS_PER_HOUR
 class RackPowerPath:
     """Routes power for a cluster whose nodes share one battery pool."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        utility_budget_w: float = 0.0,
-    ):
+    def __init__(self, cluster: Cluster, utility_budget_w: float = 0.0):
         self.cluster = cluster
         self.utility_budget_w = utility_budget_w
         self.pool = BatteryPool([n.battery for n in cluster.nodes])

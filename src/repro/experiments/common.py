@@ -24,19 +24,16 @@ OLD_BATTERY_FADE = 0.10
 def sweep_scenario(
     seed: int = DEFAULT_SEED,
     initial_fade: float = 0.0,
-    stepper: str = "fleet",
     **overrides,
 ) -> Scenario:
     """A scenario tuned for sweeps: coarse step, otherwise the prototype.
 
     Sweep cells run on the fleet stepper, so a figure's cells with one
     batch key step as one batched fleet; rack-pool and ``setup``-hook
-    cells name ``stepper="reference"``.
+    cells override ``stepper="reference"``.
     """
-    return Scenario(
-        dt_s=SWEEP_DT_S, seed=seed, initial_fade=initial_fade, stepper=stepper,
-        **overrides,
-    )
+    overrides.setdefault("stepper", "fleet")
+    return Scenario(dt_s=SWEEP_DT_S, seed=seed, initial_fade=initial_fade, **overrides)
 
 
 def policy_specs(
