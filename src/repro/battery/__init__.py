@@ -17,7 +17,7 @@ This package is the physical substrate the paper measures: sealed 12 V /
 from repro.battery.params import BatteryParams
 from repro.battery.voltage import VoltageModel
 from repro.battery.thermal import ThermalModel
-from repro.battery.peukert import peukert_factor, peukert_capacity
+from repro.battery.peukert import peukert_factor
 from repro.battery.charger import Charger, ChargerParams
 from repro.battery.cycle_life import (
     CycleLifeCurve,
@@ -32,7 +32,6 @@ __all__ = [
     "VoltageModel",
     "ThermalModel",
     "peukert_factor",
-    "peukert_capacity",
     "Charger",
     "ChargerParams",
     "CycleLifeCurve",

@@ -56,13 +56,3 @@ def peukert_factor_array(current, i_ref, k_minus_1):
         out[hot] = scalar_pow(current[hot] / i_ref[hot], k_minus_1[hot])
     return out
 
-
-def peukert_capacity(current: float, params: BatteryParams) -> float:
-    """Deliverable capacity (Ah) when discharging steadily at ``current``.
-
-    Equal to nominal capacity divided by the drain factor; e.g. with
-    ``k = 1.15`` a 35 Ah block discharged at 10x its reference rate only
-    delivers ~25 Ah.
-    """
-    factor = peukert_factor(current, params)
-    return params.capacity_ah / factor

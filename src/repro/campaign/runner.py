@@ -9,8 +9,10 @@ Execution pipeline for a list of :class:`~repro.campaign.spec.RunSpec`:
    :class:`concurrent.futures.ProcessPoolExecutor` (``n_workers`` > 1) or
    inline in this process (``n_workers=1``, the deterministic serial
    fallback). Specs that cannot be pickled into a worker (closure-built
-   policies) transparently run inline. Inline, with tracing and alerting
-   off, every group of two or more cells with one :attr:`~repro.campaign.
+   policies) transparently run inline. A campaign that starts with the
+   trace bus enabled runs every cell inline, so its events reach the
+   trace directly and in order. Inline, with tracing and alerting off,
+   every group of two or more cells with one :attr:`~repro.campaign.
    spec.RunSpec.batch_key` steps as one batched fleet; each cell's result
    equals its run alone. Pooled cells run one by one.
 3. **Retry** — a failed cell is retried once (configurable); every
@@ -40,12 +42,6 @@ from repro.campaign.cache import ResultCache, default_cache
 from repro.campaign.spec import RunSpec, batched
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import ALERTS, BUS, REGISTRY
-from repro.obs.capture import (
-    CellCapture,
-    replay_capture,
-    run_captured,
-    sanitize_forked_worker,
-)
 from repro.obs.events import (
     CampaignFinishEvent,
     CampaignStartEvent,
@@ -55,7 +51,6 @@ from repro.obs.events import (
     CellStartEvent,
 )
 from repro.obs.spans import SPANS, in_span
-from repro.obs.telemetry import TELEMETRY
 from repro.sim.results import SimResult
 
 _ENV_WORKERS = "REPRO_CAMPAIGN_WORKERS"
@@ -213,25 +208,43 @@ class CampaignReport:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
+def sanitize_forked_worker() -> None:
+    """Drop observability state inherited across a ``fork``.
+
+    POSIX process pools fork workers from the parent mid-campaign, so a
+    worker starts with the parent's attached sinks — including a JSONL
+    sink whose file descriptor is *shared* with the parent and whose
+    buffered, not-yet-flushed lines were copied into the child. Left
+    alone, the worker would interleave its events directly into the
+    parent's trace file and re-flush the copied buffer (duplicating
+    lines). Point the inherited descriptor at ``/dev/null`` (fork copies
+    the fd table, so the parent's own descriptor is untouched), detach
+    every sink, and reset the singletons; the worker then runs
+    observability-silent. Used as the pool's worker ``initializer``.
+    """
+    for sink in BUS.sinks:
+        fh = getattr(sink, "_fh", None)
+        if fh is None:
+            continue
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, fh.fileno())
+            finally:
+                os.close(devnull)
+        except (OSError, ValueError):
+            pass
+    BUS.clear_sinks()
+    REGISTRY.reset()
+    REGISTRY.enabled = False
+    ALERTS.reset()
+    ALERTS.enabled = False
+    SPANS.reset()
+
+
 def _execute_spec(spec: RunSpec) -> SimResult:
     """Worker entry point: run one cell to completion."""
     return spec.execute()
-
-
-def _execute_spec_captured(
-    spec: RunSpec, telemetry: str
-) -> Tuple[Optional[SimResult], Optional[str], CellCapture]:
-    """Worker entry point for traced campaigns: run one cell with capture.
-
-    Wraps the cell in :func:`~repro.obs.capture.run_captured` at the
-    parent's telemetry tier, so the worker-local trace events and
-    metrics snapshot ship back to the parent with the result for fan-in
-    onto the parent bus.
-    Cell exceptions come back as the ``error`` string (with the partial
-    capture) instead of raising, so the parent can replay what the
-    failed attempt did before retrying.
-    """
-    return run_captured(spec.execute, telemetry)
 
 
 def _finish_cell(
@@ -322,10 +335,13 @@ def run_campaign(
     Parameters
     ----------
     specs:
-        The campaign cells; report order follows spec order.
+        The campaign cells; report order follows spec order. Their
+        labels (:attr:`~repro.campaign.spec.RunSpec.effective_label`)
+        key the report, so they must be unique.
     n_workers:
         Process pool size. ``None`` uses the process default
-        (:func:`get_default_workers`); ``1`` runs serially inline.
+        (:func:`get_default_workers`); ``1`` runs serially inline, and
+        so does a campaign that starts with the trace bus enabled.
     cache:
         A :class:`ResultCache`, ``None`` to disable memoization, or the
         default sentinel to use the process default cache.
@@ -338,17 +354,27 @@ def run_campaign(
     workers = n_workers if n_workers is not None else get_default_workers()
     if workers < 1:
         raise ConfigurationError("n_workers must be >= 1")
+    seen = set()
+    for spec in specs:
+        label = spec.effective_label
+        if label in seen:
+            raise ConfigurationError(
+                f"two campaign cells are labelled {label!r}; the report "
+                "keys results by label, so labels must be unique"
+            )
+        seen.add(label)
     resolved_cache: Optional[ResultCache]
     if cache is DEFAULT_CACHE:
         resolved_cache = default_cache()
     else:
         resolved_cache = cache  # type: ignore[assignment]
 
-    # Captured once: whether this campaign is traced decides the pooled
-    # execution protocol (capture-and-ship vs bare results) for its
-    # whole lifetime, even if sinks change mid-run. Batches run only
+    # A traced campaign runs every cell in this process, so the trace
+    # gets each cell's events straight from the bus. Batches run only
     # with tracing and alerting off (both key on node names).
     traced = BUS.enabled
+    if traced:
+        workers = 1
     batching = not (traced or ALERTS.enabled)
     t0 = time.perf_counter()
     if traced:
@@ -417,57 +443,22 @@ def run_campaign(
     inline_jobs = [(i, s, k) for i, s, k in pending if i not in pool_indices]
 
     if pool_jobs:
-        # Traced campaigns ship the parent's telemetry tier: the worker
-        # runs with full capture and returns (result, error, capture)
-        # for fan-in; untraced campaigns keep the bare-result protocol.
-        telemetry = TELEMETRY.policy.spec()
-
-        def _submit(pool, spec):
-            if traced:
-                return pool.submit(_execute_spec_captured, spec, telemetry)
-            return pool.submit(_execute_spec, spec)
-
         # Each queued job carries the full retry state of one cell —
-        # (i, spec, key, genuine, strikes, errors, started, span_id) —
-        # so a pool rebuild after a hard worker death resumes exactly
-        # where the broken round stopped. ``genuine`` counts real cell
-        # failures, ``strikes`` counts broken-pool incidents; each has
-        # its own ``retries`` budget, so infrastructure deaths neither
-        # abort the campaign nor consume a cell's genuine retries (and
-        # a persistently pool-killing cell still terminates).
-        queue: List[Tuple] = []
-        for i, spec, key in pool_jobs:
-            span_id = 0
-            if traced:
-                # The cell span opens at submission and closes at final
-                # completion, bracketing every attempt (and any pool
-                # rebuild in between); the replayed worker events
-                # re-anchor under it.
-                span_id = SPANS.start(
-                    "campaign_cell",
-                    node=spec.effective_label,
-                    t=time.perf_counter() - t0,
-                    scope="campaign",
-                )
-            if BUS.enabled:
-                BUS.emit(
-                    CellStartEvent(
-                        t=time.perf_counter() - t0,
-                        label=spec.effective_label,
-                        span_id=span_id,
-                    )
-                )
-            queue.append((i, spec, key, 0, 0, (), time.perf_counter(), span_id))
+        # (i, spec, key, genuine, strikes, errors, started) — so a pool
+        # rebuild after a hard worker death resumes exactly where the
+        # broken round stopped. ``genuine`` counts real cell failures,
+        # ``strikes`` counts broken-pool incidents; each has its own
+        # ``retries`` budget, so infrastructure deaths neither abort the
+        # campaign nor consume a cell's genuine retries (and a
+        # persistently pool-killing cell still terminates).
+        queue: List[Tuple] = [
+            (i, spec, key, 0, 0, (), time.perf_counter())
+            for i, spec, key in pool_jobs
+        ]
 
         def _finish_pooled(job, result) -> None:
             """Final completion of a pooled cell (success or exhausted)."""
-            i, spec, key, genuine, strikes, errors, started, span_id = job
-            if traced:
-                SPANS.end(
-                    "campaign_cell",
-                    node=spec.effective_label,
-                    t=time.perf_counter() - t0,
-                )
+            i, spec, key, genuine, strikes, errors, started = job
             attempts = genuine + strikes + (1 if result is not None else 0)
             duration = time.perf_counter() - started
             _finish_cell(spec, result, attempts, duration, t0)
@@ -479,7 +470,7 @@ def run_campaign(
             Returns the updated job when budget remains, else finalizes
             the cell as failed and returns ``None``.
             """
-            i, spec, key, genuine, strikes, errors, started, span_id = job
+            i, spec, key, genuine, strikes, errors, started = job
             errors = errors + (error,)
             if pool_died:
                 strikes += 1
@@ -487,20 +478,10 @@ def run_campaign(
             else:
                 genuine += 1
                 retryable = genuine <= retries
-            job = (i, spec, key, genuine, strikes, errors, started, span_id)
+            job = (i, spec, key, genuine, strikes, errors, started)
             if not retryable:
                 _finish_pooled(job, None)
                 return None
-            if BUS.enabled:
-                BUS.emit(
-                    CellRetryEvent(
-                        t=time.perf_counter() - t0,
-                        label=spec.effective_label,
-                        attempt=genuine + strikes,
-                        error=error,
-                        span_id=span_id,
-                    )
-                )
             return job
 
         while queue:
@@ -515,7 +496,7 @@ def run_campaign(
                 for job in jobs:
                     if not broken:
                         try:
-                            fut = _submit(pool, job[1])
+                            fut = pool.submit(_execute_spec, job[1])
                         except BrokenProcessPool as exc:
                             broken = True
                             error = _error_string(exc)
@@ -533,16 +514,11 @@ def run_campaign(
                     for fut in done:
                         job = states.pop(fut)
                         spec = job[1]
-                        span_id = job[7]
                         result: Optional[SimResult] = None
                         error: Optional[str] = None
-                        cell_capture: Optional[CellCapture] = None
                         pool_died = False
                         try:
-                            if traced:
-                                result, error, cell_capture = fut.result()
-                            else:
-                                result = fut.result()
+                            result = fut.result()
                         except BrokenProcessPool as exc:
                             # A hard worker death (OOM-kill, segfault)
                             # poisons the whole pool: every in-flight
@@ -554,14 +530,6 @@ def run_campaign(
                             error = _error_string(exc)
                         except Exception as exc:  # noqa: BLE001 - retried below
                             error = _error_string(exc)
-                        if cell_capture is not None:
-                            # Fan-in: re-emit the worker's events
-                            # (partial captures from failed attempts
-                            # included) inside the cell span, and fold
-                            # its metrics.
-                            replay_capture(cell_capture, cell_span_id=span_id)
-                            if REGISTRY.enabled:
-                                REGISTRY.merge_snapshot(cell_capture.metrics)
                         if error is None:
                             _finish_pooled(job, result)
                             continue
@@ -574,7 +542,7 @@ def run_campaign(
                             queue.append(retry_job)
                             continue
                         try:
-                            retry = _submit(pool, spec)
+                            retry = pool.submit(_execute_spec, spec)
                         except BrokenProcessPool:
                             broken = True
                             queue.append(retry_job)

@@ -9,7 +9,7 @@ The subcommands mirror how the prototype was operated:
   day/battery-age cell and print the comparison;
 - ``repro campaign`` — run an arbitrary policy x weather sweep through
   the parallel, cached campaign runner; with ``--trace FILE`` every
-  cell's events, pooled workers' included, fan in to that one trace;
+  cell runs in this process and writes its events to that one trace;
 - ``repro cache`` — inspect or clear the on-disk result cache;
 - ``repro trace <file>`` — inspect a trace JSONL written by ``--trace``;
 - ``repro trace diff <a> <b>`` — event-count and per-battery aging
@@ -40,9 +40,8 @@ The subcommands mirror how the prototype was operated:
 Every simulation-running subcommand accepts ``--workers N`` (process
 fan-out), ``--no-cache`` (force fresh runs), ``--cache-dir``,
 ``--trace FILE`` (stream structured telemetry events to a JSONL file;
-pooled workers capture each cell's engine events and the parent replays
-them into the same trace, keeping the first 65,536 events per cell),
-and ``--profile [FILE]`` (cProfile the command; hot functions print
+a traced command runs its cells in this process, whatever ``--workers``
+says), and ``--profile [FILE]`` (cProfile the command; hot functions print
 next to the step-phase timers, or dump to FILE for snakeviz-style
 tooling).
 
@@ -53,7 +52,7 @@ Usage::
     python -m repro run fig18 --trace out.jsonl
     python -m repro compare --day rainy --fade 0.1 --days 2
     python -m repro campaign --policies e-buff,baat --days 3 --workers 4
-    python -m repro campaign --days 3 --workers 4 --trace campaign.jsonl
+    python -m repro campaign --days 3 --trace campaign.jsonl
     python -m repro trace out.jsonl --kind vm_migrated
     python -m repro trace diff baseline.jsonl candidate.jsonl
     python -m repro trace validate out.jsonl
@@ -313,7 +312,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         RunSpec(scenario=scenario, trace=trace, policy=name) for name in policies
     ]
 
-    report = run_campaign(specs, n_workers=args.workers)
+    try:
+        report = run_campaign(specs, n_workers=args.workers)
+    except ConfigurationError as exc:
+        raise SystemExit(str(exc)) from None
     failures = report.failures
     ok_labels = [o.label for o in report.outcomes if o.ok]
     if ok_labels:

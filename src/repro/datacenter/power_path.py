@@ -65,7 +65,6 @@ class PowerPath:
         dt: float,
         solar_w: float,
         rng: Optional[np.random.Generator] = None,
-        charging_enabled: bool = True,
     ) -> PowerFlows:
         """Route one step of power and advance all batteries/servers.
 
@@ -75,9 +74,6 @@ class PowerPath:
             Step start time and duration (seconds).
         solar_w:
             Solar farm output during the step.
-        charging_enabled:
-            Policies may temporarily disable charging (not used by the
-            paper's schemes, but part of the power-switch capability).
         """
         nodes = self.cluster.nodes
 
@@ -173,7 +169,7 @@ class PowerPath:
         # --- surplus solar charges batteries, emptiest first --------------
         surplus = max(0.0, solar_w - solar_to_load)
         solar_to_battery = 0.0
-        if charging_enabled and surplus > 0.0:
+        if surplus > 0.0:
             # Nodes whose battery discharged this step cannot also charge.
             candidates = sorted(
                 (n for n in nodes if n.battery.soc < 1.0 and n.name not in touched),

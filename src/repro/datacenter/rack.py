@@ -47,7 +47,6 @@ class RackPowerPath:
         dt: float,
         solar_w: float,
         rng: Optional[np.random.Generator] = None,
-        charging_enabled: bool = True,
     ) -> PowerFlows:
         """Route one step of power and advance all batteries/servers."""
         nodes = self.cluster.nodes
@@ -124,7 +123,7 @@ class RackPowerPath:
         # --- surplus charges the pool ----------------------------------------
         surplus = max(0.0, solar_w - solar_to_load)
         solar_to_battery = 0.0
-        if charging_enabled and surplus > 0.0 and not pool_touched:
+        if surplus > 0.0 and not pool_touched:
             result = self.pool.charge(surplus, dt)
             solar_to_battery = result.delivered_power_w
             surplus -= solar_to_battery

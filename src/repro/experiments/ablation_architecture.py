@@ -34,16 +34,19 @@ def run(
 ) -> ExperimentResult:
     """Run the architecture x policy matrix on a stressed trace."""
     n_days = 2 if quick else 4
-    # The fleet stepper has no rack-pool power path.
-    base = sweep_scenario(
-        seed=seed, initial_fade=OLD_BATTERY_FADE, stepper="reference"
-    )
+    base = sweep_scenario(seed=seed, initial_fade=OLD_BATTERY_FADE)
     mix = ([DayClass.CLOUDY, DayClass.RAINY] * ((n_days + 1) // 2))[:n_days]
     trace = base.trace_generator().days(mix)
+    # The fleet stepper has no rack-pool power path, so only the
+    # rack-pool cells leave it; the per-server pair steps as one batch.
+    scenarios = {
+        "per-server": base,
+        "rack-pool": replace(base, architecture="rack-pool", stepper="reference"),
+    }
 
     specs = [
         RunSpec(
-            scenario=replace(base, architecture=architecture),
+            scenario=scenarios[architecture],
             trace=trace,
             policy=policy_name,
             label=f"{architecture}|{policy_name}",

@@ -27,7 +27,10 @@ The observability substrate every control decision reports through:
 All three process-local singletons are *disabled* by default, and every
 instrumented call site guards on a single ``enabled`` attribute, so the
 layer is near-free when off (verified by
-``benchmarks/bench_obs_overhead.py``).
+``benchmarks/bench_obs_overhead.py``). Because they are process-local,
+a campaign that starts with :data:`BUS` enabled runs every cell in this
+process (:func:`~repro.campaign.run_campaign`): its trace holds each
+cell's events as they were emitted, with no worker process in between.
 
 Typical use::
 
@@ -53,13 +56,6 @@ from repro.obs.alerts import (
     severity_rank,
 )
 from repro.obs.bus import BUS, TraceBus
-from repro.obs.capture import (
-    DEFAULT_CAPTURE_MAXLEN,
-    CaptureSink,
-    CellCapture,
-    replay_capture,
-    run_captured,
-)
 from repro.obs.events import (
     EVENT_TYPES,
     AlertEvent,
@@ -216,12 +212,7 @@ __all__ = [
     "CampaignFinishEvent",
     "SpanStartEvent",
     "SpanEndEvent",
-    "CaptureSink",
-    "CellCapture",
-    "DEFAULT_CAPTURE_MAXLEN",
     "DEFAULT_SAMPLE_LIMIT",
-    "run_captured",
-    "replay_capture",
 ]
 
 _active_jsonl: Optional[JsonlSink] = None

@@ -357,7 +357,7 @@ class AlertEngine:
 # The standard rule set
 # ----------------------------------------------------------------------
 def default_rules() -> List[AlertRule]:
-    """The fleet-health rule set the CLI and campaign workers install.
+    """The fleet-health rule set :func:`~repro.obs.enable_observability` installs.
 
     Thresholds mirror the control defaults they watch
     (:class:`~repro.core.slowdown.SlowdownConfig`): the rules alert on

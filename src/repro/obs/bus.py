@@ -19,8 +19,8 @@ every step, so deep call sites (cluster placement, power routing) can
 timestamp events without threading ``t`` through every signature.
 
 Worker processes of a parallel campaign start with their own fresh,
-disabled bus — engine events are only captured from cells that run in
-this process (``--workers 1``, the default).
+disabled bus, so a campaign that starts with the bus enabled runs every
+cell in this process (:func:`~repro.campaign.run_campaign`).
 """
 
 from __future__ import annotations

@@ -19,9 +19,8 @@ grow it without limit; the newest samples win.
 
 Histograms count observations in fixed log-spaced buckets (16 per
 octave, see :class:`Histogram`) and read p50/p95/p99 from the counts to
-within ~4.4% — constant memory, one ``bisect`` per observation, and an
-exact merge by adding counts, which is what lets a campaign fold its
-workers' phase and cell wall-time tails without ever holding samples.
+within ~4.4% — constant memory and one ``bisect`` per observation,
+without ever holding samples.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ _BOUNDS = [2.0 ** (k / 16) for k in range(-24 * 16, 27 * 16 + 1)] + [float("inf"
 #: Each bucket's key in ``to_dict`` and its OpenMetrics ``le`` label:
 #: the ``repr`` of its upper bound, ``"+Inf"`` for the overflow bucket.
 _KEYS = tuple(repr(b) for b in _BOUNDS[:-1]) + ("+Inf",)
-_KEY_INDEX = {key: i for i, key in enumerate(_KEYS)}
 
 #: The percentiles every histogram reads out (keys in ``to_dict``).
 _PERCENTILES = (("p50", 50), ("p95", 95), ("p99", 99))
@@ -81,7 +79,7 @@ class Histogram:
 
     Keeps count/sum/min/max plus one count per bucket, never the
     samples, so week-long campaigns hold constant memory. The layout is
-    fixed, with no knob, so any two histograms merge exactly.
+    fixed, with no knob.
 
     - *Range.* 16 buckets per octave with upper bounds ``2**(k/16)``,
       from 2**-24 s (~6e-8 s, below the engine's sub-microsecond phase
@@ -128,27 +126,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: Dict[str, Any]) -> None:
-        """Fold another histogram's ``to_dict`` form into this one.
-
-        Used to aggregate worker-process registries into the parent's.
-        Bucket counts add, so the result is exactly the histogram of
-        both sample streams: the same buckets and quantile read-outs
-        (``total`` up to float summation order).
-        """
-        incoming = int(other.get("count", 0))
-        if incoming <= 0:
-            return
-        self.count += incoming
-        self.total += other.get("total", 0.0)
-        if other["min"] < self.min:
-            self.min = other["min"]
-        if other["max"] > self.max:
-            self.max = other["max"]
-        counts = self.counts
-        for key, n in other["buckets"].items():
-            counts[_KEY_INDEX[key]] += n
 
     def to_dict(self) -> Dict[str, Any]:
         """count/total/mean/min/max, p50/p95/p99 and the nonzero buckets.
@@ -246,21 +223,6 @@ class MetricRegistry:
         snap = {"t": t, **self.snapshot()}
         self._samples.append(snap)
         return snap
-
-    def merge_snapshot(self, snap: Dict[str, Any]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The campaign runner uses this to aggregate worker-process
-        registries into the parent's: counters add, gauges take the
-        incoming value (last writer wins), histograms merge via
-        :meth:`Histogram.merge`.
-        """
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snap.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, hist in snap.get("histograms", {}).items():
-            self.histogram(name).merge(hist)
 
     def reset(self) -> None:
         """Drop every metric and sample (the ``enabled`` flag persists)."""

@@ -1197,7 +1197,6 @@ class FleetPowerPath(PowerPath):
         dt: float,
         solar_w: Union[float, Sequence[float]],
         rng: Optional[Rngs] = None,
-        charging_enabled: bool = True,
     ) -> PowerFlows:
         """One routing step. On a batch, ``solar_w`` and ``rng`` hold one
         entry per cell; the returned flows are then the sums of the
@@ -1252,7 +1251,7 @@ class FleetPowerPath(PowerPath):
         # --- surplus solar charges batteries, emptiest first --------------
         surplus = [max(0.0, s - used) for s, used in zip(solar, solar_to_load)]
         solar_to_battery = [0.0] * fs.n_cells
-        if charging_enabled and any(x > 0.0 for x in surplus):
+        if any(x > 0.0 for x in surplus):
             chargeable = (fs.soc < 1.0) & (mode == _OP_REST)
             if np.count_nonzero(chargeable):
                 surplus, solar_to_battery = self._charge_walk(
@@ -1498,12 +1497,6 @@ class FleetPowerPath(PowerPath):
     # ------------------------------------------------------------------
     # Battery kernels
     # ------------------------------------------------------------------
-    def _peukert(
-        self, current: np.ndarray, i_ref: np.ndarray, k_minus_1: np.ndarray
-    ) -> np.ndarray:
-        """Vector :func:`peukert_factor`, pow via scalar Python floats."""
-        return peukert_factor_array(current, i_ref, k_minus_1)
-
     def _discharge_kernel(
         self,
         idx: np.ndarray,
@@ -1554,7 +1547,7 @@ class FleetPowerPath(PowerPath):
         m_live = live & ~(current <= 0.0)
 
         # Charge-availability limit.
-        pf = self._peukert(current, i_ref, km1)
+        pf = peukert_factor_array(current, i_ref, km1)
         drain_ah = current * pf * dt / SECONDS_PER_HOUR
         avail_ah = np.maximum(0.0, (soc - cutoff) * der["eff_cap"][idx])
         m_scale = m_live & (drain_ah > avail_ah)
@@ -1564,7 +1557,7 @@ class FleetPowerPath(PowerPath):
                 where=m_scale & (drain_ah > 0.0),
             )
             current = np.where(m_scale, current * scale, current)
-            pf = np.where(m_scale, self._peukert(current, i_ref, km1), pf)
+            pf = np.where(m_scale, peukert_factor_array(current, i_ref, km1), pf)
             drain_ah = np.where(m_scale, current * pf * dt / SECONDS_PER_HOUR, drain_ah)
 
         v = terminal_voltage(current)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.battery.params import BatteryParams
-from repro.battery.peukert import peukert_capacity, peukert_factor
+from repro.battery.peukert import peukert_factor
 from repro.errors import ConfigurationError
 
 
@@ -34,20 +34,3 @@ class TestPeukertFactor:
         ideal = BatteryParams(peukert_exponent=1.0)
         assert peukert_factor(35.0, ideal) == pytest.approx(1.0)
 
-
-class TestPeukertCapacity:
-    def test_nominal_at_reference_rate(self, params):
-        assert peukert_capacity(params.reference_current, params) == pytest.approx(
-            params.capacity_ah
-        )
-
-    def test_high_rate_shrinks_capacity(self, params):
-        """A 1C discharge of a typical VRLA yields well under nominal."""
-        c = peukert_capacity(35.0, params)
-        assert 0.5 * params.capacity_ah < c < 0.75 * params.capacity_ah
-
-    def test_capacity_times_factor_is_nominal(self, params):
-        i = 12.0
-        assert peukert_capacity(i, params) * peukert_factor(i, params) == pytest.approx(
-            params.capacity_ah
-        )

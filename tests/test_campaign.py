@@ -294,6 +294,21 @@ class TestRunCampaign:
         with pytest.raises(ConfigurationError):
             report.outcome("no-such-cell")
 
+    def test_duplicate_labels_are_refused(
+        self, tmp_path, tiny_scenario, one_sunny_day
+    ):
+        # Keyed by label, the report would hold only one of the two.
+        cache = ResultCache(tmp_path / "campaign")
+        twins = [
+            RunSpec(
+                scenario=tiny_scenario, trace=one_sunny_day, policy=name, label="x"
+            )
+            for name in ("e-buff", "baat")
+        ]
+        with pytest.raises(ConfigurationError, match="'x'"):
+            run_campaign(twins, n_workers=1, cache=cache)
+        assert len(cache) == 0
+
     def test_default_workers_hook(self, specs):
         set_default_workers(2)
         try:
@@ -425,6 +440,7 @@ class TestUncacheableAccounting:
                 scenario=replace(tiny_scenario, seed=100 + i),
                 trace=one_sunny_day,
                 policy="e-buff",
+                label=f"seed{100 + i}",
             )
             for i in seeds
         ]

@@ -1,16 +1,14 @@
 """Tests for campaign-scale observability.
 
-Covers bucketed histogram quantiles and merging (`repro.obs.metrics`,
-which the runner uses to fold worker registries),
-worker capture / parent replay (`repro.obs.capture`), and the
-end-to-end agreement between a pooled traced campaign's fan-in trace
-and its returned `CampaignReport`.
+Covers bucketed histogram quantiles (`repro.obs.metrics`), the
+registry's bounded sample list, and the end-to-end agreement between a
+traced campaign's trace and its returned `CampaignReport`: a campaign
+that starts traced runs every cell in this process, whatever worker
+count it asks for.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from collections import Counter
 
 import numpy as np
@@ -23,22 +21,12 @@ from repro.obs import (
     ALERTS,
     BUS,
     REGISTRY,
-    CaptureSink,
-    CellCapture,
     Histogram,
-    MemorySink,
     MetricRegistry,
     disable_observability,
     enable_observability,
     iter_events,
-    replay_capture,
     validate_trace,
-)
-from repro.obs.events import (
-    CellFinishEvent,
-    CellStartEvent,
-    SpanEndEvent,
-    SpanStartEvent,
 )
 from repro.obs.spans import SPANS
 
@@ -135,71 +123,8 @@ class TestHistogramBuckets:
             # One-sided: the read-out is its bucket's upper bound.
             assert exact <= d[key] <= exact * (1 + BUCKET_REL_ERROR), key
 
-    @pytest.mark.parametrize("make", [_lognormal, _bimodal], ids=["lognormal", "bimodal"])
-    def test_merge_equals_concatenated_samples(self, make):
-        left, right = make(seed=1), make(seed=2)
-        whole = _fed(np.concatenate([left, right])).to_dict()
-        for via_json in (False, True):
-            snap = _fed(right).to_dict()
-            if via_json:
-                snap = json.loads(json.dumps(snap))
-            merged = _fed(left)
-            merged.merge(snap)
-            d = merged.to_dict()
-            assert d["buckets"] == whole["buckets"]
-            for key in ("count", "min", "max", "p50", "p95", "p99"):
-                assert d[key] == whole[key], key
-            # Only the float sum depends on summation order.
-            assert math.isclose(d["total"], whole["total"], rel_tol=1e-12)
 
-
-class TestHistogramMerge:
-    def test_merge_into_empty_is_exact(self):
-        src = Histogram("x")
-        for v in (1.0, 2.0, 6.0):
-            src.observe(v)
-        dst = Histogram("x")
-        dst.merge(src.to_dict())
-        assert dst.to_dict() == src.to_dict()
-
-    def test_merge_empty_snapshot_is_a_noop(self):
-        for via_json in (False, True):
-            empty = Histogram("y").to_dict()
-            if via_json:
-                empty = json.loads(json.dumps(empty))
-            dst = _fed([1.0, 2.5, 4e-3])
-            before = dst.to_dict()
-            dst.merge(empty)
-            assert dst.to_dict() == before
-            blank = Histogram("z")
-            blank.merge(empty)
-            assert blank.to_dict() == Histogram("z").to_dict()
-
-    def test_merge_accumulates_counts_and_extremes(self):
-        a = Histogram("x")
-        a.observe(1.0)
-        b = Histogram("x")
-        b.observe(10.0)
-        a.merge(b.to_dict())
-        d = a.to_dict()
-        assert d["count"] == 2
-        assert d["min"] == 1.0
-        assert d["max"] == 10.0
-        assert d["total"] == 11.0
-
-    def test_registry_merge_snapshot(self):
-        src = MetricRegistry()
-        src.counter("c").inc(3.0)
-        src.gauge("g").set(0.5)
-        src.histogram("h").observe(2.0)
-        dst = MetricRegistry()
-        dst.counter("c").inc(1.0)
-        dst.merge_snapshot(src.snapshot())
-        snap = dst.snapshot()
-        assert snap["counters"]["c"] == 4.0
-        assert snap["gauges"]["g"] == 0.5
-        assert snap["histograms"]["h"]["count"] == 1
-
+class TestMetricRegistry:
     def test_samples_are_bounded(self):
         reg = MetricRegistry(sample_limit=3)
         for t in range(5):
@@ -208,88 +133,7 @@ class TestHistogramMerge:
 
 
 # ----------------------------------------------------------------------
-# Worker capture and replay
-# ----------------------------------------------------------------------
-class TestCaptureReplay:
-    def test_capture_sink_keeps_the_head(self):
-        sink = CaptureSink(maxlen=3)
-        for i in range(5):
-            sink.emit(CellStartEvent(t=float(i), label=f"c{i}"))
-        assert [e.label for e in sink.events] == ["c0", "c1", "c2"]
-        assert sink.n_seen == 5
-        assert sink.n_dropped == 2
-
-    def _capture(self, events):
-        return CellCapture(
-            events=[
-                {
-                    **e.to_dict(),
-                    "eid": e.eid,
-                    "span_id": e.span_id,
-                    "cause_id": e.cause_id,
-                }
-                for e in events
-            ]
-        )
-
-    def test_replay_remaps_provenance_onto_parent_ids(self, tmp_path):
-        capture = self._capture(
-            [
-                CellStartEvent(t=1.0, eid=7, label="w"),
-                CellFinishEvent(t=2.0, eid=8, cause_id=7, span_id=0, label="w"),
-            ]
-        )
-        mem = BUS.add_sink(MemorySink())
-        try:
-            n = replay_capture(capture, cell_span_id=99)
-        finally:
-            BUS.remove_sink(mem)
-        assert n == 2
-        first, second = mem.events
-        assert first.eid != 7 and second.eid == first.eid + 1
-        assert second.cause_id == first.eid
-        # Span-less worker events anchor on the parent's cell span.
-        assert first.span_id == 99
-        assert second.span_id == 99
-
-    def test_replay_skips_span_end_without_its_start(self):
-        capture = self._capture(
-            [SpanEndEvent(t=5.0, eid=42, span_id=41, span="deep_discharge")]
-        )
-        mem = BUS.add_sink(MemorySink())
-        try:
-            n = replay_capture(capture, cell_span_id=7)
-        finally:
-            BUS.remove_sink(mem)
-        assert n == 0
-        assert mem.events == []
-
-    def test_replay_reparents_worker_spans_under_the_cell(self):
-        capture = self._capture(
-            [
-                SpanStartEvent(
-                    t=1.0, eid=10, span_id=10, span="deep_discharge",
-                    node="node0",
-                ),
-                SpanEndEvent(
-                    t=2.0, eid=11, span_id=10, span="deep_discharge",
-                    node="node0",
-                ),
-            ]
-        )
-        mem = BUS.add_sink(MemorySink())
-        try:
-            replay_capture(capture, cell_span_id=77)
-        finally:
-            BUS.remove_sink(mem)
-        start, end = mem.events
-        assert start.parent_id == 77
-        assert start.span_id == start.eid
-        assert end.span_id == start.eid
-
-
-# ----------------------------------------------------------------------
-# End-to-end: pooled traced campaign vs its report
+# End-to-end: traced campaign vs its report
 # ----------------------------------------------------------------------
 class TestCampaignTraceAgreement:
     def _run(self, specs, tmp_path, cache, workers=2):
@@ -303,13 +147,17 @@ class TestCampaignTraceAgreement:
             disable_observability()
         return report, path
 
-    def test_pooled_campaign_trace_matches_report(self, specs, tmp_path):
+    def test_in_process_trace_matches_report(self, specs, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         report, path = self._run(specs, tmp_path, cache)
         assert validate_trace(path).ok
         events = list(iter_events(path))
         finishes = [e for e in events if e.kind == "cell_finish"]
+        (start,) = [e for e in events if e.kind == "campaign_start"]
         (done,) = [e for e in events if e.kind == "campaign_finish"]
+        # Asked for two workers, the traced campaign ran in-process.
+        assert start.n_workers == 1
+        assert report.n_workers == 1
         assert sum(e.ok for e in finishes) == report.n_executed
         assert sum(not e.ok for e in finishes) == len(report.failures)
         assert done.n_cells == len(report.outcomes)
@@ -317,7 +165,7 @@ class TestCampaignTraceAgreement:
         assert done.failed == len(report.failures)
         assert done.cached == report.n_cache_hits
         assert done.executed == len(finishes)
-        # Each executed cell's worker run fanned in to the parent trace.
+        # Each executed cell's run wrote its own run_start to the trace.
         runs = Counter(e.kind for e in events)["run_start"]
         assert runs == done.executed == len(specs)
 

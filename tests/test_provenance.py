@@ -246,7 +246,7 @@ def test_every_event_kind_round_trips_losslessly(data):
 
 
 # ----------------------------------------------------------------------
-# Span context under campaign fan-out
+# Span context in a traced campaign
 # ----------------------------------------------------------------------
 class TestCampaignSpanPropagation:
     def _specs(self, tiny_scenario, one_sunny_day, inline_only=True):
@@ -264,7 +264,7 @@ class TestCampaignSpanPropagation:
                     scenario=tiny_scenario,
                     trace=one_sunny_day,
                     policy="baat",
-                    label="pool-cell",
+                    label="picklable-cell",
                 )
             )
         return specs
@@ -298,10 +298,10 @@ class TestCampaignSpanPropagation:
         assert all(e.span_id == cell.span_id for e in run_starts)
         assert validate_trace(path).ok
 
-    def test_process_fanout_keeps_the_trace_coherent(
+    def test_in_process_campaign_trace_is_coherent(
         self, tiny_scenario, one_sunny_day, tmp_path
     ):
-        path = str(tmp_path / "fanout.jsonl")
+        path = str(tmp_path / "campaign.jsonl")
         enable_observability(path)
         try:
             report = run_campaign(
@@ -315,16 +315,20 @@ class TestCampaignSpanPropagation:
         result = validate_trace(path)
         assert result.ok, [str(v) for v in result.violations]
         index = ProvenanceIndex.from_trace(path)
-        # Worker fan-in: the pool cell's events are captured in the
-        # worker, shipped back, and replayed inside its campaign_cell
-        # span — both cells now appear as first-class spans with their
+        # Asked for two workers, the traced campaign ran both cells in
+        # this process, each inside its campaign_cell span with its
         # engine events attributed.
+        assert report.n_workers == 1
+        (start,) = [
+            e for e in index.events.values() if e.kind == "campaign_start"
+        ]
+        assert start.n_workers == 1
         cell_spans = {
             r.node: r
             for r in index.spans.values()
             if r.name == "campaign_cell"
         }
-        assert set(cell_spans) == {"inline-cell", "pool-cell"}
+        assert set(cell_spans) == {"inline-cell", "picklable-cell"}
         assert all(not r.open for r in cell_spans.values())
         run_starts = [
             e for e in index.events.values() if e.kind == "run_start"
