@@ -75,11 +75,13 @@ REPEATS = 8
 STEPS_PER_RUN = 720
 
 #: Enabled-path fleet mode: cluster size, step, repeats, and budgets.
-#: One cloudy day at dt = 300 s -> 288 steps per run.
+#: One cloudy day at dt = 300 s -> 288 steps per run. Each repeat is one
+#: untraced and one traced run; an even count lets each side go first
+#: equally often.
 FLEET_NODES = 1024
 FLEET_DT_S = 300.0
 FLEET_STEPS = 288
-FLEET_REPEATS = 3
+FLEET_REPEATS = 4
 
 #: A traced fleet run must stay within this factor of the untraced
 #: fleet run (the retired per-node sample events cost ~6x).
@@ -219,17 +221,24 @@ def _fleet_run_seconds(n_nodes: int, trace_path: str | None = None) -> float:
 
 
 def measure_fleet(n_nodes: int = FLEET_NODES) -> dict:
-    """Enabled-path overhead and trace size of tracing the fleet stepper."""
+    """Enabled-path overhead and trace size of tracing the fleet stepper.
+
+    Untraced and traced runs alternate, and each round swaps which goes
+    first, so host drift over the measurement lands on both sides of
+    the ratio instead of on one block of runs.
+    """
     _fleet_run_seconds(n_nodes)  # warm-up at this size
-    untraced_s = min(_fleet_run_seconds(n_nodes) for _ in range(FLEET_REPEATS))
+    untraced_s = frame_s = float("inf")
     with tempfile.TemporaryDirectory() as tmp:
-        frame_s = float("inf")
-        frame_bytes = 0
+        first_trace = os.path.join(tmp, "frames0.jsonl")
         for i in range(FLEET_REPEATS):
             path = os.path.join(tmp, f"frames{i}.jsonl")
-            frame_s = min(frame_s, _fleet_run_seconds(n_nodes, path))
-            if i == 0:
-                frame_bytes = os.path.getsize(path)
+            for traced in ((False, True) if i % 2 == 0 else (True, False)):
+                if traced:
+                    frame_s = min(frame_s, _fleet_run_seconds(n_nodes, path))
+                else:
+                    untraced_s = min(untraced_s, _fleet_run_seconds(n_nodes))
+        frame_bytes = os.path.getsize(first_trace)
     return {
         "n_nodes": n_nodes,
         "dt_s": FLEET_DT_S,

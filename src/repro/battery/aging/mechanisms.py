@@ -124,25 +124,29 @@ class ActiveMassDegradation(AgingMechanism):
     weights at 1 the battery delivers exactly
     ``BatteryParams.lifetime_full_cycles`` full-cycle equivalents of charge
     before this mechanism alone reaches end of life — the constant-Ah-
-    throughput lifetime model.
+    throughput lifetime model. With ``stress_weights`` off, that is the
+    damage of every Ah.
     """
 
     name = "active_mass"
     resistance_share = 0.15
 
-    def __init__(self, lifetime_full_cycles: float = 380.0):
+    def __init__(self, lifetime_full_cycles: float = 380.0, stress_weights: bool = True):
         self.lifetime_full_cycles = lifetime_full_cycles
+        self.stress_weights = stress_weights
 
     def damage(self, cond: OperatingConditions, dt: float) -> float:
         if not cond.is_discharging or cond.capacity_ah <= 0:
             return 0.0
         ah = cond.current * dt / SECONDS_PER_HOUR
         nat_increment = ah / cond.capacity_ah  # fraction of one full cycle
-        weight = (
-            soc_stress_weight(cond.soc)
-            * rate_stress_weight(cond.discharge_rate_normalized)
-            * arrhenius_factor(cond.temperature_c) ** 0.5
-        )
+        weight = 1.0
+        if self.stress_weights:
+            weight = (
+                soc_stress_weight(cond.soc)
+                * rate_stress_weight(cond.discharge_rate_normalized)
+                * arrhenius_factor(cond.temperature_c) ** 0.5
+            )
         per_cycle_fade = EOL_FADE / self.lifetime_full_cycles
         return per_cycle_fade * nat_increment * weight
 
@@ -163,6 +167,9 @@ class Sulphation(AgingMechanism):
     low_soc_threshold = 0.40
     #: Fade per second at SoC = 0, 20 deg C, crystals fully developed.
     base_rate = EOL_FADE / (55.0 * 86400.0)
+
+    def __init__(self, rate_scale: float = 1.0):
+        self.base_rate = Sulphation.base_rate * rate_scale
 
     def damage(self, cond: OperatingConditions, dt: float) -> float:
         if cond.soc >= self.low_soc_threshold:
@@ -231,12 +238,17 @@ class Stratification(AgingMechanism):
         return rate * dt
 
 
-def default_mechanisms(lifetime_full_cycles: float = 380.0) -> List[AgingMechanism]:
-    """The paper's five mechanisms with default calibration."""
+def default_mechanisms(
+    lifetime_full_cycles: float = 380.0,
+    sulphation_rate_scale: float = 1.0,
+    stress_weights: bool = True,
+) -> List[AgingMechanism]:
+    """The paper's five mechanisms, calibrated as
+    :class:`~repro.battery.params.BatteryParams` describes."""
     return [
         GridCorrosion(),
-        ActiveMassDegradation(lifetime_full_cycles=lifetime_full_cycles),
-        Sulphation(),
+        ActiveMassDegradation(lifetime_full_cycles, stress_weights),
+        Sulphation(sulphation_rate_scale),
         WaterLoss(),
         Stratification(),
     ]

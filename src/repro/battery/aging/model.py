@@ -31,12 +31,10 @@ from repro.battery.aging.mechanisms import (
     AgingMechanism,
     default_mechanisms,
 )
+from repro.battery.params import FEEDBACK_GAIN
 
 #: Multiplier translating resistive damage into fractional resistance growth.
 RESISTANCE_GROWTH_GAIN = 3.0
-
-#: Strength of the aging positive feedback (rate multiplier per unit fade).
-FEEDBACK_GAIN = 1.5
 
 #: Coulombic efficiency multiplier lost per unit fade (aged plates gas more).
 COULOMBIC_DEGRADATION = 0.5
@@ -76,14 +74,11 @@ class AgingModel:
     def __init__(
         self,
         mechanisms: Optional[List[AgingMechanism]] = None,
-        lifetime_full_cycles: float = 380.0,
         eol_fade: float = EOL_FADE,
         feedback_gain: float = FEEDBACK_GAIN,
     ):
         self.mechanisms = (
-            mechanisms
-            if mechanisms is not None
-            else default_mechanisms(lifetime_full_cycles)
+            mechanisms if mechanisms is not None else default_mechanisms()
         )
         self.eol_fade = eol_fade
         self.feedback_gain = feedback_gain

@@ -9,9 +9,13 @@ collected here so a single object fully specifies a battery model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+
+#: Strength of the aging positive feedback (rate multiplier per unit fade).
+FEEDBACK_GAIN = 1.5
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,13 @@ class BatteryParams:
     manufacturing_capacity_sigma:
         Relative standard deviation of initial capacity across units, the
         manufacturing variation behind the paper's "aging variation".
+    aging_feedback_gain / sulphation_rate_scale / active_mass_stress_weights:
+        Aging calibration the paper does not pin down (the ``sensitivity``
+        experiment varies it): every mechanism's rate is multiplied by
+        ``1 + aging_feedback_gain * fade``, sulphation's base rate by
+        ``sulphation_rate_scale``, and with ``active_mass_stress_weights``
+        off every discharged Ah wears the active mass equally (no SoC,
+        rate or temperature weight).
     """
 
     nominal_voltage: float = 12.0
@@ -87,6 +98,9 @@ class BatteryParams:
     #: ~3 %/month is typical for VRLA at room temperature; it is why a
     #: float stage exists at all.
     self_discharge_per_day: float = 0.001
+    aging_feedback_gain: float = FEEDBACK_GAIN
+    sulphation_rate_scale: float = 1.0
+    active_mass_stress_weights: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity_ah <= 0:
@@ -107,6 +121,10 @@ class BatteryParams:
             raise ConfigurationError("eol_capacity_fraction must be in (0, 1)")
         if not 0.0 < self.gassing_soc <= 1.0:
             raise ConfigurationError("gassing_soc must be in (0, 1]")
+        for name in ("aging_feedback_gain", "sulphation_rate_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigurationError(f"{name} must be finite and >= 0")
 
     @property
     def reference_current(self) -> float:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.battery.aging import AgingModel, OperatingConditions
+from repro.battery.aging import AgingModel, OperatingConditions, default_mechanisms
 from repro.battery.charger import Charger, ChargerParams
 from repro.battery.params import BatteryParams
 from repro.battery.peukert import peukert_factor
@@ -90,8 +90,14 @@ class BatteryUnit:
         self.voltage_model = VoltageModel(self.params)
         self.thermal = ThermalModel(self.params, ambient_c=ambient_c)
         self.charger = Charger(self.params, charger_params)
+        p = self.params
         self.aging = aging_model or AgingModel(
-            lifetime_full_cycles=self.params.lifetime_full_cycles
+            default_mechanisms(
+                p.lifetime_full_cycles,
+                p.sulphation_rate_scale,
+                p.active_mass_stress_weights,
+            ),
+            feedback_gain=p.aging_feedback_gain,
         )
         self._soc = initial_soc
         self._time_s = 0.0

@@ -4,10 +4,7 @@ A :class:`RunSpec` is a *description* of a run, not a live simulation —
 it must survive pickling into a worker process, so it names the policy
 (either by its Table-4 factory name or by a picklable zero-argument
 factory) instead of carrying a constructed :class:`~repro.core.policies.
-base.Policy`, and its optional ``setup`` hook is a picklable callable
-applied to the freshly built :class:`~repro.sim.engine.Simulation` before
-stepping (sensitivity analysis swaps perturbed aging models in there; a
-hook needs a reference-stepper scenario).
+base.Policy`.
 
 :func:`batched` steps several cells as one batched simulation; inside
 its block each cell's :meth:`RunSpec.execute` hands back the cell's
@@ -19,7 +16,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import callable_token, canonical, object_key
 from repro.core.policies.base import Policy
@@ -48,11 +45,6 @@ class RunSpec:
         functions, classes, and :func:`functools.partial` of those are
         picklable *and* hashable; lambdas/closures force the spec to run
         in-process and uncached).
-    setup:
-        Optional hook ``setup(sim)`` run after the simulation is built
-        and before any stepping. Reference-stepper cells only: the fleet
-        stepper copies the battery state into its arrays as the
-        simulation is built, so a hook's edits would never reach it.
     label:
         Key for this cell in campaign reports (defaults to ``policy``).
     """
@@ -61,7 +53,6 @@ class RunSpec:
     trace: SolarTrace
     policy: Optional[str] = None
     policy_factory: Optional[Callable[[], Policy]] = None
-    setup: Optional[Callable[[Simulation], None]] = None
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -71,14 +62,6 @@ class RunSpec:
             )
         if self.policy_factory is not None and not callable(self.policy_factory):
             raise ConfigurationError("policy_factory must be callable")
-        if self.setup is not None:
-            if not callable(self.setup):
-                raise ConfigurationError("setup must be callable")
-            if self.scenario.stepper == "fleet":
-                raise ConfigurationError(
-                    f"cell {self.effective_label!r}: a setup hook needs the "
-                    "reference stepper (the fleet stepper never sees its edits)"
-                )
 
     # ------------------------------------------------------------------
     @property
@@ -95,27 +78,20 @@ class RunSpec:
             return ("named-policy", self.policy, self.scenario.seed)
         return callable_token(self.policy_factory)
 
-    def _setup_token(self) -> Optional[Any]:
-        if self.setup is None:
-            return ("no-setup",)
-        return callable_token(self.setup)
-
     @property
     def cacheable(self) -> bool:
         """Whether this spec has a deterministic content identity."""
-        return self._policy_token() is not None and self._setup_token() is not None
+        return self._policy_token() is not None
 
     def cache_key(self) -> Optional[str]:
         """Content-hash key for the run, or ``None`` when uncacheable."""
         policy_token = self._policy_token()
-        setup_token = self._setup_token()
-        if policy_token is None or setup_token is None:
+        if policy_token is None:
             return None
         return object_key(
             "run-spec",
             canonical(self.scenario),
             policy_token,
-            setup_token,
             canonical(self.trace),
         )
 
@@ -127,11 +103,8 @@ class RunSpec:
         return self.policy_factory()
 
     def build_simulation(self) -> Simulation:
-        """Construct the simulation (setup hook applied, not yet run)."""
-        sim = Simulation(self.scenario, self.build_policy(), self.trace)
-        if self.setup is not None:
-            self.setup(sim)
-        return sim
+        """Construct the simulation (not yet run)."""
+        return Simulation(self.scenario, self.build_policy(), self.trace)
 
     @property
     def batch_key(self) -> Optional[Tuple]:

@@ -395,6 +395,9 @@ class FleetState:
                 for nd in self.nodes
             ]
         )
+        #: Nodes whose active mass wears the same for every Ah.
+        self.am_flat = np.array([not mech(nd, 1).stress_weights for nd in self.nodes])
+        self._any_am_flat = bool(self.am_flat.any())
         self.sul_thresh = arr(lambda nd: mech(nd, 2).low_soc_threshold)
         self.sul_base = arr(lambda nd: mech(nd, 2).base_rate)
         self.wl_fpc = arr(lambda nd: mech(nd, 3).fade_per_gassing_cycle)
@@ -1043,7 +1046,7 @@ class FleetState:
 #: :class:`FleetCell` shows sliced to its cell.
 NODE_ARRAYS = frozenset(
     """
-    admin_off aging_charged_ah aging_discharged_ah am_pcf ambient_c
+    admin_off aging_charged_ah aging_discharged_ah am_flat am_pcf ambient_c
     boot_left_s cap_scaled charge_float charge_max cor_base cor_float_mult
     cor_high_mult coul_base cutoff_soc cutoff_v damage discharge_cap_w
     downtime_s energy_in_wh energy_out_wh f_pow feedback_gain feedback_wh
@@ -1915,6 +1918,8 @@ class FleetPowerPath(PowerPath):
             ratew[hot] = np.minimum(2.0, scalar_pow(rn_d[hot], 0.25))
         arr_sqrt = scalar_pow(arr[di], 0.5)
         weight = socw * ratew * arr_sqrt
+        if fs._any_am_flat:
+            weight[fs.am_flat[di]] = 1.0
         fs.damage[1][di] += (fs.am_pcf[di] * nat * weight) * fbk[di]
         return rn_d
 

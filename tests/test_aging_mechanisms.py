@@ -105,8 +105,22 @@ class TestActiveMass:
         )
         assert d == pytest.approx(0.20 / 380.0, rel=1e-6)
 
+    def test_flat_wear_ignores_stress(self):
+        """Without stress weights every Ah costs the benign-cycle rate."""
+        mech = ActiveMassDegradation(stress_weights=False)
+        d = mech.damage(
+            conditions(current=17.5, soc=0.1, temperature_c=45.0), hours(1)
+        )
+        assert d == pytest.approx(0.20 / 380.0 * 0.5, rel=1e-12)
+
 
 class TestSulphation:
+    def test_rate_scale_scales_damage(self):
+        cond = conditions(soc=0.1, hours_since_full_charge=72)
+        base = Sulphation().damage(cond, days(1))
+        assert Sulphation(rate_scale=2.0).damage(cond, days(1)) == 2.0 * base
+        assert Sulphation(rate_scale=0.0).damage(cond, days(1)) == 0.0
+
     def test_zero_above_threshold(self):
         mech = Sulphation()
         assert mech.damage(conditions(soc=0.5), days(1)) == 0.0

@@ -54,3 +54,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             BatteryParams(eol_capacity_fraction=1.0)
 
+    def test_rejects_negative_feedback_gain(self):
+        with pytest.raises(ConfigurationError, match="aging_feedback_gain"):
+            BatteryParams(aging_feedback_gain=-0.5)
+
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_sulphation_scale(self, scale):
+        with pytest.raises(ConfigurationError, match="sulphation_rate_scale"):
+            BatteryParams(sulphation_rate_scale=scale)
+
+    def test_accepts_calibration_edges(self):
+        params = BatteryParams(aging_feedback_gain=0.0, sulphation_rate_scale=0.0)
+        assert params.aging_feedback_gain == 0.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.battery.aging.mechanisms import Sulphation
 from repro.battery.params import BatteryParams
 from repro.battery.unit import BatteryUnit
 from repro.errors import BatteryCutoffError, ConfigurationError
@@ -25,6 +26,18 @@ class TestConstruction:
     def test_rejects_nonpositive_capacity_factor(self, params):
         with pytest.raises(ConfigurationError):
             BatteryUnit(params, capacity_factor=0.0)
+
+    def test_aging_calibration_comes_from_params(self):
+        params = BatteryParams(
+            aging_feedback_gain=3.0,
+            sulphation_rate_scale=0.5,
+            active_mass_stress_weights=False,
+        )
+        aging = BatteryUnit(params).aging
+        by_name = {m.name: m for m in aging.mechanisms}
+        assert aging.feedback_gain == 3.0
+        assert by_name["sulphation"].base_rate == 0.5 * Sulphation.base_rate
+        assert not by_name["active_mass"].stress_weights
 
 
 class TestDischarge:

@@ -21,7 +21,7 @@ from repro.sim.results import SimResult
 
 POLICIES = ("e-buff", "baat")
 
-#: Module-level call counter so the flaky hook survives spec re-execution.
+#: Module-level call counter so the flaky factory survives spec re-execution.
 _FLAKY_CALLS = {"n": 0}
 
 
@@ -29,18 +29,19 @@ def _reset_flaky():
     _FLAKY_CALLS["n"] = 0
 
 
-def flaky_setup(sim):
-    """Fails on its first invocation, succeeds afterwards."""
+def flaky_policy():
+    """Fails on its first invocation, builds e-Buff afterwards."""
     _FLAKY_CALLS["n"] += 1
     if _FLAKY_CALLS["n"] == 1:
         raise RuntimeError("transient worker failure")
+    return make_policy("e-buff")
 
 
-def broken_setup(sim):
+def broken_policy():
     raise RuntimeError("this cell always breaks")
 
 
-def kill_worker_setup(sim):
+def kill_worker_policy():
     """Hard-kills the worker process (OOM-killer / segfault stand-in)."""
     os._exit(42)
 
@@ -55,18 +56,20 @@ def _claim(marker):
     return True
 
 
-def kill_worker_once_setup(sim, marker):
+def kill_worker_once_policy(marker):
     """Kills the worker the first time only; the marker file remembers."""
     if _claim(marker):
         os._exit(42)
+    return make_policy("baat")
 
 
-def kill_then_raise_setup(sim, kill_marker, raise_marker):
-    """First call kills the worker, second raises, third succeeds."""
+def kill_then_raise_policy(kill_marker, raise_marker):
+    """First call kills the worker, second raises, third builds e-Buff."""
     if _claim(kill_marker):
         os._exit(42)
     if _claim(raise_marker):
         raise RuntimeError("transient failure after pool death")
+    return make_policy("e-buff")
 
 
 @pytest.fixture
@@ -219,8 +222,8 @@ class TestRunCampaign:
         spec = RunSpec(
             scenario=tiny_scenario,
             trace=one_sunny_day,
-            policy="e-buff",
-            setup=flaky_setup,
+            policy_factory=flaky_policy,
+            label="e-buff",
         )
         report = run_campaign([spec], n_workers=1, cache=None)
         outcome = report.outcome("e-buff")
@@ -232,8 +235,7 @@ class TestRunCampaign:
         broken = RunSpec(
             scenario=tiny_scenario,
             trace=one_sunny_day,
-            policy="baat",
-            setup=broken_setup,
+            policy_factory=broken_policy,
             label="broken",
         )
         report = run_campaign([specs[0], broken], n_workers=1, cache=None)
@@ -251,8 +253,7 @@ class TestRunCampaign:
         broken = RunSpec(
             scenario=tiny_scenario,
             trace=one_sunny_day,
-            policy="baat",
-            setup=broken_setup,
+            policy_factory=broken_policy,
             label="broken",
         )
         report = run_campaign([specs[0], broken], n_workers=2, cache=None)
@@ -279,8 +280,8 @@ class TestRunCampaign:
         spec = RunSpec(
             scenario=tiny_scenario,
             trace=one_sunny_day,
-            policy="baat",
-            setup=broken_setup,
+            policy_factory=broken_policy,
+            label="baat",
         )
         report = run_campaign([spec], n_workers=1, cache=None, retries=0)
         assert report.outcome("baat").attempts == 1
@@ -332,8 +333,7 @@ class TestBrokenPool:
         killer = RunSpec(
             scenario=tiny_scenario,
             trace=one_sunny_day,
-            policy="baat",
-            setup=kill_worker_setup,
+            policy_factory=kill_worker_policy,
             label="killer",
         )
         # Regression: a BrokenProcessPool used to propagate out of
@@ -354,9 +354,8 @@ class TestBrokenPool:
         killer = RunSpec(
             scenario=tiny_scenario,
             trace=one_sunny_day,
-            policy="baat",
-            setup=functools.partial(
-                kill_worker_once_setup, marker=str(marker)
+            policy_factory=functools.partial(
+                kill_worker_once_policy, marker=str(marker)
             ),
             label="killer",
         )
@@ -379,9 +378,8 @@ class TestBrokenPool:
         cell = RunSpec(
             scenario=tiny_scenario,
             trace=one_sunny_day,
-            policy="e-buff",
-            setup=functools.partial(
-                kill_then_raise_setup,
+            policy_factory=functools.partial(
+                kill_then_raise_policy,
                 kill_marker=str(tmp_path / "killed"),
                 raise_marker=str(tmp_path / "raised"),
             ),

@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.battery.params import BatteryParams
 from repro.core.policies.factory import make_policy
 from repro.datacenter.workloads import PAPER_WORKLOADS, standard_mix
 from repro.errors import ConfigurationError
@@ -103,6 +104,27 @@ class TestStressEquivalence:
         _assert_equivalent(
             scenario, "baat", [DayClass.RAINY, DayClass.RAINY, DayClass.CLOUDY]
         )
+
+    def test_calibrated_old_batteries_rainy_days(self):
+        """Flat active-mass wear, doubled sulphation and no feedback: the
+        fleet kernels follow the battery's aging calibration exactly as
+        the reference mechanisms do, down to each mechanism's damage."""
+        scenario = Scenario(
+            n_nodes=4,
+            dt_s=300.0,
+            initial_fade=0.12,
+            battery=BatteryParams(
+                aging_feedback_gain=0.0,
+                sulphation_rate_scale=2.0,
+                active_mass_stress_weights=False,
+            ),
+            workloads=_workloads("web_serving", "data_analytics", "word_count"),
+        )
+        ref_sim, fleet_sim = _assert_equivalent(
+            scenario, "baat", [DayClass.RAINY, DayClass.RAINY, DayClass.CLOUDY]
+        )
+        for ref_node, fleet_node in zip(ref_sim.cluster, fleet_sim.cluster):
+            assert fleet_node.battery.aging.state == ref_node.battery.aging.state
 
     def test_utility_budget_low_soc(self):
         scenario = Scenario(

@@ -19,7 +19,6 @@ from repro.campaign import RunSpec, run_campaign
 from repro.campaign import runner as runner_module
 from repro.core.policies.baat import BAATPolicy
 from repro.core.policies.factory import make_policy
-from repro.errors import ConfigurationError
 from repro.experiments.common import POLICIES, sweep_scenario
 from repro.sim.engine import Simulation
 from repro.sim.fleet import NODE_ARRAYS, FleetState
@@ -158,14 +157,6 @@ def fails_on_second_day() -> BAATPolicy:
     return FailsOnSecondDay()
 
 
-def baat() -> BAATPolicy:
-    return make_policy("baat")
-
-
-def mark_setup(sim) -> None:
-    """A no-op setup hook (cells with one run on the reference stepper)."""
-
-
 def short_specs():
     scenario = short_scenario()
     trace = short_trace(scenario)
@@ -247,10 +238,6 @@ class TestFailureAndExclusions:
             RunSpec(scenario=rack, trace=trace, policy="baat", label="rack1"),
             RunSpec(scenario=rack, trace=trace, policy="e-buff", label="rack2"),
             RunSpec(scenario=scenario, trace=trace, policy="e-buff", label="b"),
-            RunSpec(scenario=reference, trace=trace, policy_factory=baat,
-                    setup=mark_setup, label="hook1"),
-            RunSpec(scenario=reference, trace=trace, policy="baat-s",
-                    setup=mark_setup, label="hook2"),
             RunSpec(scenario=lone, trace=trace, policy="baat", label="lone"),
             # A run that names the reference stepper keeps it.
             RunSpec(scenario=reference, trace=trace, policy="baat", label="ref1"),
@@ -263,15 +250,6 @@ class TestFailureAndExclusions:
             assert run_digest(report.outcome(spec.label).result) == run_digest(
                 spec.execute()
             ), spec.label
-
-    def test_setup_hook_refused_on_the_fleet_stepper(self):
-        """The fleet stepper copies battery state into its arrays as the
-        simulation is built, so a setup hook's edits would be silently
-        dropped: such a cell is refused, naming it."""
-        scenario = short_scenario()
-        with pytest.raises(ConfigurationError, match="'hooked'"):
-            RunSpec(scenario=scenario, trace=short_trace(scenario), policy="baat",
-                    setup=mark_setup, label="hooked")
 
     def test_two_workers_equal_inline(self, batches_seen):
         # Pooled cells run one by one; their results equal the inline
