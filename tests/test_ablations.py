@@ -1,8 +1,15 @@
-"""Smoke + shape tests for the ablation experiments."""
+"""Smoke + shape tests for the ablation experiments.
+
+Every row and headline of the architecture ablation's quick run is also
+pinned to the ``ablation_architecture`` entry of
+``tests/data/figure_golden.json`` at a relative tolerance of 1e-9.
+"""
 
 import pytest
 
+from repro.campaign import cache as cache_module
 from repro.experiments import ablation_architecture, ablation_baat
+from tests.test_experiment_shapes import assert_matches_golden
 
 
 class TestBaatAblation:
@@ -32,7 +39,12 @@ class TestBaatAblation:
 class TestArchitectureAblation:
     @pytest.fixture(scope="class")
     def result(self):
-        return ablation_architecture.run(quick=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cache_module, "_override_enabled", False)
+            return ablation_architecture.run(quick=True)
+
+    def test_matches_golden(self, result):
+        assert_matches_golden("ablation_architecture", result)
 
     def test_matrix_complete(self, result):
         cells = {(row[0], row[1]) for row in result.rows}
