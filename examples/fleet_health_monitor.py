@@ -95,7 +95,7 @@ def main() -> None:
 
     # Architecture comparison.
     _, rack_result, _, _ = run_monitored_campaign(
-        replace(scenario, architecture="rack-pool")
+        replace(scenario, architecture="rack-pool", stepper="fleet")
     )
 
     def spread(result):

@@ -24,7 +24,7 @@ Several runs (a figure's cells) go through the campaign runner instead:
 and, on the fleet stepper, step as one batched fleet.
 """
 
-from repro.battery import BatteryParams, BatteryUnit, BatteryPool
+from repro.battery import BatteryParams, BatteryUnit
 from repro.campaign import (
     CampaignReport,
     ResultCache,
@@ -51,7 +51,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BatteryParams",
     "BatteryUnit",
-    "BatteryPool",
     "CampaignReport",
     "ResultCache",
     "RunSpec",

@@ -6,8 +6,6 @@ This package is the physical substrate the paper measures: sealed 12 V /
 - :class:`~repro.battery.params.BatteryParams` — datasheet-style parameters;
 - :class:`~repro.battery.unit.BatteryUnit` — a stateful battery with SoC
   tracking, terminal voltage, thermal behaviour, and five aging mechanisms;
-- :class:`~repro.battery.pool.BatteryPool` — a rack-shared pool of units
-  (Facebook Open-Rack style integration);
 - :mod:`~repro.battery.cycle_life` — manufacturer cycle-life-vs-DoD data
   (Fig. 10) and fitted curves;
 - :class:`~repro.battery.charger.Charger` — CC-CV charging with gassing
@@ -25,7 +23,6 @@ from repro.battery.cycle_life import (
 )
 from repro.battery.aging import AgingModel, AgingState, OperatingConditions
 from repro.battery.unit import BatteryUnit, StepResult
-from repro.battery.pool import BatteryPool
 
 __all__ = [
     "BatteryParams",
@@ -41,5 +38,4 @@ __all__ = [
     "OperatingConditions",
     "BatteryUnit",
     "StepResult",
-    "BatteryPool",
 ]

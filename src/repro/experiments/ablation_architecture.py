@@ -37,11 +37,10 @@ def run(
     base = sweep_scenario(seed=seed, initial_fade=OLD_BATTERY_FADE)
     mix = ([DayClass.CLOUDY, DayClass.RAINY] * ((n_days + 1) // 2))[:n_days]
     trace = base.trace_generator().days(mix)
-    # The fleet stepper has no rack-pool power path, so only the
-    # rack-pool cells leave it; the per-server pair steps as one batch.
+    # A batch is one architecture: each pair of cells steps as one batch.
     scenarios = {
         "per-server": base,
-        "rack-pool": replace(base, architecture="rack-pool", stepper="reference"),
+        "rack-pool": replace(base, architecture="rack-pool"),
     }
 
     specs = [

@@ -29,8 +29,8 @@ def sweep_scenario(
     """A scenario tuned for sweeps: coarse step, otherwise the prototype.
 
     Sweep cells run on the fleet stepper, so a figure's cells with one
-    batch key step as one batched fleet; rack-pool cells override
-    ``stepper="reference"``.
+    batch key (per-server and rack-pool cells have different keys) step
+    as one batched fleet.
     """
     overrides.setdefault("stepper", "fleet")
     return Scenario(dt_s=SWEEP_DT_S, seed=seed, initial_fade=initial_fade, **overrides)

@@ -78,7 +78,7 @@ class _Cell:
         self.rng = spawn(scenario.seed, f"workload/{policy.name}")
         #: The fleet arrays this cell's policy reads: the FleetState of a
         #: single fleet run, this cell's FleetCell view in a batch, or
-        #: None on the reference and rack-pool paths.
+        #: None on the reference stepper.
         self.fleet = None
         #: This cell's position in its simulation.
         self.index = 0
@@ -167,6 +167,7 @@ class Simulation:
             self.power_path = FleetPowerPath(
                 [c.cluster for c in cells],
                 utility_budget_w=[c.scenario.utility_budget_w for c in cells],
+                architecture=scenario.architecture,
             )
             fleet = self.power_path.fleet
             for k, cell in enumerate(cells):
@@ -178,15 +179,11 @@ class Simulation:
                 record_series=False,
             )
         else:
-            if scenario.architecture == "rack-pool":
-                from repro.datacenter.rack import RackPowerPath
-
-                self.power_path = RackPowerPath(
-                    self.cluster, utility_budget_w=scenario.utility_budget_w
-                )
-            elif scenario.stepper == "fleet":
+            if scenario.stepper == "fleet":
                 self.power_path = FleetPowerPath(
-                    self.cluster, utility_budget_w=scenario.utility_budget_w
+                    self.cluster,
+                    utility_budget_w=scenario.utility_budget_w,
+                    architecture=scenario.architecture,
                 )
             else:
                 self.power_path = PowerPath(
@@ -637,19 +634,21 @@ class Simulation:
 
 def batch_key(scenario: Scenario, trace: SolarTrace) -> Optional[Tuple]:
     """What runs must share to step as one batch, or ``None`` for a run
-    that never batches: one on the reference stepper (the default, and
-    the only one for the rack-pool architecture). A batch runs the fleet
-    kernels, so only runs that name the fleet stepper join one.
+    that never batches: one on the reference stepper (the default). A
+    batch runs the fleet kernels, so only runs that name the fleet
+    stepper join one.
 
-    Every scenario field the engine reads per step rather than per node:
-    the step and trace length, the control interval, the operating
-    window and the ambient temperature curve. Everything else (node
-    count, battery and server parameters, seed, utility budget, solar)
-    may differ between cells.
+    The storage architecture, whose routing rules the batch's power path
+    picks once, and every scenario field the engine reads per step
+    rather than per node: the step and trace length, the control
+    interval, the operating window and the ambient temperature curve.
+    Everything else (node count, battery and server parameters, seed,
+    utility budget, solar) may differ between cells.
     """
     if scenario.stepper != "fleet":
         return None
     return (
+        scenario.architecture,
         scenario.dt_s,
         len(trace.power_w),
         scenario.control_interval_s,

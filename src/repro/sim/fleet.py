@@ -50,12 +50,22 @@ the widest cell), so a step issues about as many numpy calls for a batch
 as for one cell. Policies read their cell through a :class:`FleetCell`
 view.
 
+Architectures
+-------------
+:class:`FleetPowerPath` routes a batch by one of the paper's two storage
+architectures (Fig. 7), chosen at build: per-server batteries, each
+bridging its own server's deficit, or a rack-shared pool, whose members
+are the rack's own node batteries (so the same per-node arrays), pooled
+by five routing rules: restart, aggregate allocation, proportional
+discharge split, worst-deficit-first shedding and emptiest-first pool
+charge. Both reuse the same battery kernels.
+
 The fast path intentionally supports only the configuration the scalar
-models ship with: per-server architecture, plain :class:`BatteryUnit`,
-:class:`Server`, :class:`VM` and :class:`WorkloadProfile` instances, and
-the five default aging mechanisms. Anything else raises
+models ship with: plain :class:`BatteryUnit`, :class:`Server`,
+:class:`VM` and :class:`WorkloadProfile` instances, and the five default
+aging mechanisms. Anything else raises
 :class:`~repro.errors.ConfigurationError` at build time rather than
-silently diverging from the reference stepper.
+silently diverging from the scalar models.
 """
 
 from __future__ import annotations
@@ -142,6 +152,9 @@ _REGION_EDGES = np.array([0.40, 0.60, 0.80])
 #: Active-mass SoC stress weights of regions D..A, indexed by that count.
 _SOC_WEIGHTS_BY_RANK = np.array([3.0, 2.1, 1.5, 1.0])
 
+
+#: An empty node-index array.
+_NO_NODES = np.zeros(0, dtype=np.intp)
 
 #: The demand noise generator(s): one for a single cell, one per cell for
 #: a batch.
@@ -1137,6 +1150,14 @@ class FleetPowerPath(PowerPath):
     server transitions (power-on, brownout with its VM checkpoints and
     event, finished boot), in node order.
 
+    ``architecture`` picks the routing rules once, at build:
+    ``"per-server"`` (each battery bridges its own node's deficit, as
+    :class:`PowerPath` does) or ``"rack-pool"`` (each cell's batteries
+    form one pool behind the rack bus: the pool bridges the cell's
+    aggregate deficit, a short pool sheds the hungriest servers, and
+    surplus charges the pool's emptiest members). A batch is all one
+    architecture, so a step never branches on it.
+
     With the metric registry enabled, each kernel's wall time goes to a
     ``phase/power/<kernel>`` histogram (:data:`~repro.obs.timers.
     POWER_KERNELS`), the step's :meth:`FleetState.derived` pass first, so
@@ -1160,8 +1181,12 @@ class FleetPowerPath(PowerPath):
         self,
         cluster: Union[Cluster, Sequence[Cluster]],
         utility_budget_w: Union[float, Sequence[float]] = 0.0,
+        architecture: str = "per-server",
     ):
         super().__init__(cluster, utility_budget_w=utility_budget_w)
+        if architecture not in ("per-server", "rack-pool"):
+            raise ConfigurationError(f"unknown architecture {architecture!r}")
+        self.architecture = architecture
         self.fleet = FleetState(cluster)
         #: Per cell, its utility budget (one value may serve every cell).
         self._budgets = (
@@ -1181,7 +1206,21 @@ class FleetPowerPath(PowerPath):
         self._op_mode = np.zeros(n, dtype=np.int8)
         self._op_float = np.zeros(n, dtype=bool)
         self._op_values = np.zeros((6, n))
-        self._op_rows = tuple(self._op_values)
+        (
+            self._op_current, self._op_gassing, self._op_drain_ah,
+            self._op_stored_ah, self._op_delivered_w, self._op_absorbed_w,
+        ) = self._op_values
+        # The routing rules, chosen once.
+        if architecture == "rack-pool":
+            self._restart = self._restart_pool
+            self._route = self._route_pool
+            self._advance = self._advance_pool
+            #: Full pool members the step's charge reached (see
+            #: :meth:`_float_age`).
+            self._floating = _NO_NODES
+        else:
+            self._route = self._route_per_server
+            self._advance = self._advance_all
         # Kernel histograms, built on the first timed step so a disabled
         # registry never holds them.
         self._timers: StepPhaseTimers | None = None
@@ -1205,13 +1244,11 @@ class FleetPowerPath(PowerPath):
         entry per cell; the returned flows are then the sums of the
         cells' flows."""
         fs = self.fleet
-        cells = fs.cells
         solar = (solar_w,) if isinstance(solar_w, (int, float)) else tuple(solar_w)
         # One registry check per step: kernel boundaries are stamped and
         # observed together at the end.
         timing = REGISTRY.enabled
-        if timing:
-            stamps = [perf_counter()]
+        stamps = [perf_counter()] if timing else None
 
         der = fs.derived(dt)
         if timing:
@@ -1224,60 +1261,14 @@ class FleetPowerPath(PowerPath):
         demand = self.demand(t, rng)
         # Builtin sum per cell, as the reference sums its demand dict.
         listed = demand.tolist()
-        total_demand = [sum(listed[lo:hi]) for lo, hi in cells]
+        total_demand = [sum(listed[lo:hi]) for lo, hi in fs.cells]
         if timing:
             stamps.append(perf_counter())
 
-        solar_to_load = [min(s, d) for s, d in zip(solar, total_demand)]
-        def_idx, deficit, utility_used = self._allocate(
-            demand, total_demand, solar_to_load
-        )
-        if timing:
-            stamps.append(perf_counter())
+        # Allocation, discharge and charge (three kernels).
+        routed = self._route(t, dt, der, solar, demand, total_demand, stamps)
 
-        # Per-node op buffers: every battery resolves to exactly one op.
-        mode, op_float = self._op_mode, self._op_float
-        mode.fill(0)
-        op_float.fill(False)
-        self._op_values.fill(0.0)
-        (
-            op_current, op_gassing, op_drain_ah, op_stored_ah,
-            op_delivered_w, op_absorbed_w,
-        ) = self._op_rows
-        battery_to_load, unserved, browned_out = self._discharge(
-            t, dt, der, def_idx, deficit,
-            mode, op_current, op_drain_ah, op_delivered_w,
-        )
-        if timing:
-            stamps.append(perf_counter())
-
-        # --- surplus solar charges batteries, emptiest first --------------
-        surplus = [max(0.0, s - used) for s, used in zip(solar, solar_to_load)]
-        solar_to_battery = [0.0] * fs.n_cells
-        if any(x > 0.0 for x in surplus):
-            chargeable = (fs.soc < 1.0) & (mode == _OP_REST)
-            if np.count_nonzero(chargeable):
-                surplus, solar_to_battery = self._charge_walk(
-                    chargeable, surplus, dt, der,
-                    mode, op_current, op_gassing, op_float,
-                    op_stored_ah, op_absorbed_w,
-                )
-        feedback = [max(0.0, x) for x in surplus]
-        if any(fed > 0.0 for fed in feedback):
-            # Each cell's feedback shared evenly over its nodes; a cell
-            # that feeds nothing back adds 0.0.
-            per_node = [
-                fed / (hi - lo) * dt / SECONDS_PER_HOUR if fed > 0.0 else 0.0
-                for (lo, hi), fed in zip(cells, feedback)
-            ]
-            fs.feedback_wh += np.array(per_node)[fs.cell_index]
-        if timing:
-            stamps.append(perf_counter())
-
-        self._advance_all(
-            dt, der, mode, op_current, op_gassing, op_float,
-            op_drain_ah, op_stored_ah, op_delivered_w, op_absorbed_w,
-        )
+        self._advance(dt, der)
         if timing:
             stamps.append(perf_counter())
 
@@ -1292,12 +1283,89 @@ class FleetPowerPath(PowerPath):
             stamps.append(perf_counter())
             self._observe_kernels(stamps)
 
-        columns = (
-            total_demand, solar, solar_to_load, solar_to_battery,
-            battery_to_load, utility_used, feedback, unserved, browned_out,
-        )
+        columns = (total_demand, solar, *routed)
         # Left folds with no 0 start: one cell's flows come back as they are.
         return PowerFlows(*[functools.reduce(operator.add, c) for c in columns])
+
+    def _fresh_ops(self) -> np.ndarray:
+        """Zero the per-node op buffers (every battery resolves to exactly
+        one op, rest unless a kernel writes another); returns the modes."""
+        self._op_mode.fill(0)
+        self._op_float.fill(False)
+        self._op_values.fill(0.0)
+        return self._op_mode
+
+    def _feed_back(self, surplus: Sequence[float], dt: float) -> List[float]:
+        """Each cell's surplus left after charging goes back to the grid,
+        shared evenly over its nodes; returns each cell's feedback."""
+        fs = self.fleet
+        feedback = [max(0.0, x) for x in surplus]
+        if any(fed > 0.0 for fed in feedback):
+            # A cell that feeds nothing back adds 0.0.
+            per_node = [
+                fed / (hi - lo) * dt / SECONDS_PER_HOUR if fed > 0.0 else 0.0
+                for (lo, hi), fed in zip(fs.cells, feedback)
+            ]
+            fs.feedback_wh += np.array(per_node)[fs.cell_index]
+        return feedback
+
+    def _brownout(self, i: int, t: float, dt: float, shortfall_w: float) -> None:
+        """Node ``i`` goes down ``shortfall_w`` short."""
+        node = self.fleet.nodes[i]
+        node.unserved_wh += shortfall_w * dt / SECONDS_PER_HOUR
+        self.fleet.brownout(i)
+        if BUS.enabled:
+            BUS.emit(BrownoutEvent(t=t, node=node.name, shortfall_w=shortfall_w))
+        if REGISTRY.enabled:
+            REGISTRY.counter("power/brownouts").inc()
+
+    # ------------------------------------------------------------------
+    # Per-server routing
+    # ------------------------------------------------------------------
+    def _route_per_server(
+        self,
+        t: float,
+        dt: float,
+        der: Dict[str, np.ndarray],
+        solar: Sequence[float],
+        demand: np.ndarray,
+        total_demand: Sequence[float],
+        stamps: Optional[List[float]],
+    ) -> Tuple[List, ...]:
+        """Each battery bridges its own node's deficit; surplus charges
+        the cell's emptiest batteries. Returns the per-cell flow columns
+        from solar-to-load to the brownout count."""
+        fs = self.fleet
+        solar_to_load = [min(s, d) for s, d in zip(solar, total_demand)]
+        def_idx, deficit, utility_used = self._allocate(
+            demand, total_demand, solar_to_load
+        )
+        if stamps is not None:
+            stamps.append(perf_counter())
+
+        mode = self._fresh_ops()
+        battery_to_load, unserved, browned_out = self._discharge(
+            t, dt, der, def_idx, deficit
+        )
+        if stamps is not None:
+            stamps.append(perf_counter())
+
+        # --- surplus solar charges batteries, emptiest first --------------
+        surplus = [max(0.0, s - used) for s, used in zip(solar, solar_to_load)]
+        solar_to_battery = [0.0] * fs.n_cells
+        if any(x > 0.0 for x in surplus):
+            chargeable = (fs.soc < 1.0) & (mode == _OP_REST)
+            if np.count_nonzero(chargeable):
+                surplus, solar_to_battery = self._charge_walk(
+                    chargeable, surplus, dt, der, stop=1e-9
+                )
+        feedback = self._feed_back(surplus, dt)
+        if stamps is not None:
+            stamps.append(perf_counter())
+        return (
+            solar_to_load, solar_to_battery, battery_to_load, utility_used,
+            feedback, unserved, browned_out,
+        )
 
     def _observe_kernels(self, stamps) -> None:
         if self._timers is None:
@@ -1450,10 +1518,6 @@ class FleetPowerPath(PowerPath):
         der: Dict[str, np.ndarray],
         idx: np.ndarray,
         deficit: np.ndarray,
-        mode: np.ndarray,
-        op_current: np.ndarray,
-        op_drain_ah: np.ndarray,
-        op_delivered_w: np.ndarray,
     ) -> Tuple[List[float], List[float], List[int]]:
         """Batteries bridge the deficits under each node's discharge cap;
         a node left materially short browns out.
@@ -1470,32 +1534,219 @@ class FleetPowerPath(PowerPath):
         allowed = np.minimum(deficit, fs.discharge_cap_w[idx])
         live = allowed > 0.0
         battery_to_load = [0.0] * n_cells
+        delivered = self._op_delivered_w
         if np.count_nonzero(live):
-            self._discharge_kernel(
-                idx[live], allowed[live], dt, der,
-                mode, op_current, op_drain_ah, op_delivered_w,
-            )
-            battery_to_load = fs.fold_by_cell(op_delivered_w)
+            self._discharge_kernel(idx[live], allowed[live], dt, der)
+            battery_to_load = fs.fold_by_cell(delivered)
         # Tolerate solver rounding and small sags: a server browns out
         # only on a materially unmet deficit (>2 % or >2 W).
-        shortfall = deficit - op_delivered_w[idx]
+        shortfall = deficit - delivered[idx]
         failed = (shortfall > np.maximum(2.0, 0.02 * deficit)).nonzero()[0]
         unserved = [0.0] * n_cells
         browned_out = [0] * n_cells
         for k in failed.tolist():
             i = int(idx[k])
-            node = fs.nodes[i]
             short = float(shortfall[k])
             c = int(fs.cell_index[i])
             unserved[c] += short
             browned_out[c] += 1
-            node.unserved_wh += short * dt / SECONDS_PER_HOUR
-            fs.brownout(i)
-            if BUS.enabled:
-                BUS.emit(BrownoutEvent(t=t, node=node.name, shortfall_w=short))
-            if REGISTRY.enabled:
-                REGISTRY.counter("power/brownouts").inc()
+            self._brownout(i, t, dt, short)
         return battery_to_load, unserved, browned_out
+
+    # ------------------------------------------------------------------
+    # Rack-pool routing
+    # ------------------------------------------------------------------
+    def _pool_power(
+        self, der: Dict[str, np.ndarray]
+    ) -> Tuple[np.ndarray, List[float]]:
+        """Each member's deliverable power and, per cell, its pool's
+        (builtin sum over the members)."""
+        fs = self.fleet
+        power = fs.max_discharge_power(np.arange(fs.n), der)
+        listed = power.tolist()
+        return power, [sum(listed[lo:hi]) for lo, hi in fs.cells]
+
+    def _pool_socs(self, der: Dict[str, np.ndarray]) -> List[float]:
+        """Per cell, its pool's charge-weighted SoC (0 without capacity):
+        builtin sums of the members' stored charge and capacity."""
+        fs = self.fleet
+        capacity = der["eff_cap"].tolist()
+        stored = (fs.soc * der["eff_cap"]).tolist()
+        socs = []
+        for lo, hi in fs.cells:
+            total = sum(capacity[lo:hi])
+            socs.append(sum(stored[lo:hi]) / total if total > 0 else 0.0)
+        return socs
+
+    def _restart_pool(
+        self, solar_w: Sequence[float], der: Dict[str, np.ndarray]
+    ) -> None:
+        """Power on every down node with a prospect on its rack: its even
+        share of the rack's solar (over all the rack's nodes) covers its
+        idle draw, or does with an even share of the pool's deliverable
+        power added while the pool's SoC is at least ``RESTART_SOC``.
+        Discharge caps do not bound the prospect."""
+        fs = self.fleet
+        cand = (~fs.admin_off & (fs.server_state == _DOWN)).nonzero()[0]
+        if not len(cand):
+            return
+        sizes = [hi - lo for lo, hi in fs.cells]
+        solar_share = [s / n for s, n in zip(solar_w, sizes)]
+        pool_share = [p / n for p, n in zip(self._pool_power(der)[1], sizes)]
+        pool_ok = [soc >= RESTART_SOC for soc in self._pool_socs(der)]
+        cell = fs.cell_index[cand]
+        idle = fs.idle_w[cand]
+        share = np.array(solar_share)[cell]
+        ok = (share >= idle) | (
+            np.array(pool_ok)[cell] & (share + np.array(pool_share)[cell] >= idle)
+        )
+        for i in cand[ok].tolist():
+            fs.power_on(i)
+
+    def _route_pool(
+        self,
+        t: float,
+        dt: float,
+        der: Dict[str, np.ndarray],
+        solar: Sequence[float],
+        demand: np.ndarray,
+        total_demand: Sequence[float],
+        stamps: Optional[List[float]],
+    ) -> Tuple[List, ...]:
+        """Each cell's batteries form one pool behind the rack bus.
+
+        The utility budget covers ``min(budget, residual)`` of the cell's
+        aggregate deficit, and the pool is asked for the rest up to the
+        sum of its members' discharge caps (unbounded when any cap is).
+        The request splits over all members in proportion to their
+        deliverable power; a member with no share rests. A materially
+        short cell sheds its hungriest servers first. A pool that was not
+        asked for power charges from the surplus, emptiest member first,
+        down to a 1e-12 W stop; a full member it reaches rests (and
+        floats, see :meth:`_float_age`). Returns the per-cell flow columns
+        from solar-to-load to the brownout count.
+        """
+        fs = self.fleet
+        solar_to_load = [min(s, d) for s, d in zip(solar, total_demand)]
+        utility_used = [
+            min(budget, max(0.0, d - s))
+            for budget, d, s in zip(self._budgets, total_demand, solar_to_load)
+        ]
+        residual = [
+            max(0.0, d - s - u)
+            for d, s, u in zip(total_demand, solar_to_load, utility_used)
+        ]
+        caps = fs.discharge_cap_w.tolist()
+        request = []
+        for (lo, hi), need in zip(fs.cells, residual):
+            ceiling = caps[lo:hi]
+            request.append(min(need, math.inf if math.inf in ceiling else sum(ceiling)))
+        if stamps is not None:
+            stamps.append(perf_counter())
+
+        self._fresh_ops()
+        battery_to_load = [0.0] * fs.n_cells
+        if any(r > 0.0 for r in request):
+            # Shares request * power / total; none in a cell that asks
+            # for nothing or whose pool can deliver nothing.
+            power, totals = self._pool_power(der)
+            total = np.array(totals)[fs.cell_index]
+            share = np.divide(
+                np.array(request)[fs.cell_index] * power, total,
+                out=np.zeros(fs.n), where=total > 0.0,
+            )
+            drawn = (share > 0.0).nonzero()[0]
+            if len(drawn):
+                self._discharge_kernel(drawn, share[drawn], dt, der)
+                battery_to_load = fs.fold_by_cell(self._op_delivered_w)
+
+        unserved = [max(0.0, r - b) for r, b in zip(residual, battery_to_load)]
+        browned_out = [0] * fs.n_cells
+        for c, (need, short) in enumerate(zip(residual, unserved)):
+            if short > max(2.0, 0.02 * need):
+                browned_out[c] = self._shed(c, demand, short, t, dt)
+        if stamps is not None:
+            stamps.append(perf_counter())
+
+        surplus = [max(0.0, s - used) for s, used in zip(solar, solar_to_load)]
+        solar_to_battery = [0.0] * fs.n_cells
+        self._floating = _NO_NODES
+        # Only a pool not asked for power charges.
+        charging = [x > 0.0 and not r > 0.0 for x, r in zip(surplus, request)]
+        if any(charging):
+            charging = np.array(charging)[fs.cell_index]
+            full = fs.soc >= 1.0
+            left = surplus
+            if np.count_nonzero(charging & ~full):
+                # A cell that does not charge absorbs 0.0.
+                left, solar_to_battery = self._charge_walk(
+                    charging & ~full, surplus, dt, der, stop=1e-12
+                )
+                surplus = [x - got for x, got in zip(surplus, solar_to_battery)]
+            # Full members come last in the walk: power is left for them
+            # when more than the stop is left after the others.
+            reached = np.array([x > 1e-12 for x in left])[fs.cell_index]
+            self._floating = (charging & full & reached).nonzero()[0]
+        feedback = self._feed_back(surplus, dt)
+        if stamps is not None:
+            stamps.append(perf_counter())
+        return (
+            solar_to_load, solar_to_battery, battery_to_load, utility_used,
+            feedback, unserved, browned_out,
+        )
+
+    def _shed(
+        self, c: int, demand: np.ndarray, unserved: float, t: float, dt: float
+    ) -> int:
+        """Brown out cell ``c``'s servers, hungriest first (equal demands
+        in node order), until ``unserved`` W is shed; returns how many."""
+        lo, hi = self.fleet.cells[c]
+        draw = demand.tolist()
+        remaining = unserved
+        shed = 0
+        for i in sorted(range(lo, hi), key=draw.__getitem__, reverse=True):
+            if remaining <= 0.0 or draw[i] <= 0.0:
+                break
+            self._brownout(i, t, dt, min(remaining, draw[i]))
+            remaining -= draw[i]
+            shed += 1
+        return shed
+
+    def _advance_pool(self, dt: float, der: Dict[str, np.ndarray]) -> None:
+        """:meth:`_advance_all`, then the float step of every full member
+        the charge reached that its rest left full."""
+        self._advance_all(dt, der)
+        floating = self._floating
+        if len(floating):
+            floating = floating[self.fleet.soc[floating] >= 1.0]
+            if len(floating):
+                self._float_age(floating, dt)
+
+    def _float_age(self, idx: np.ndarray, dt: float) -> None:
+        """Vector ``BatteryUnit._register_float``: one more aging step at
+        the float current for the full members ``idx``, at their state
+        after the step's rest (so the feedback, temperature and SoC are
+        the post-rest ones). Active mass needs a discharge and sulphation
+        a SoC below its threshold, so only corrosion (on float, at full
+        charge), water loss, stratification and the charged Ah move."""
+        fs = self.fleet
+        damage = fs.damage
+        flt = fs.charge_float[idx]
+        arr = scalar_pow(2.0, (fs.temp_c[idx] - 20.0) / 10.0)
+        fbk = 1.0 + fs.feedback_gain[idx] * np.add.reduce(damage[:, idx], axis=0)
+        # A full member's SoC is 1.0, above the corrosion's 0.9 knee.
+        rate = fs.cor_base[idx] * arr * fs._cor_float_factor[idx]
+        rate *= 1.0 + fs.cor_high_mult[idx] * (fs.soc[idx] - 0.9) / 0.1
+        damage[0, idx] += (rate * dt) * fbk
+        # The whole float current gasses.
+        gah = flt * dt / SECONDS_PER_HOUR
+        damage[3, idx] += (fs.wl_fpc[idx] * (gah / fs.cap_scaled[idx]) * arr) * fbk
+        stale = np.maximum(0.0, np.minimum(1.0, fs.h_full[idx] / fs.st_sat[idx]))
+        # No stratification without a current.
+        d_str = np.where(flt > 0.0, (fs.st_base[idx] * stale * dt) * fbk, 0.0)
+        damage[_STRAT_ROW, idx] += d_str
+        fs.recoverable_strat[idx] += d_str
+        fs.aging_charged_ah[idx] += gah
 
     # ------------------------------------------------------------------
     # Battery kernels
@@ -1506,10 +1757,6 @@ class FleetPowerPath(PowerPath):
         power: np.ndarray,
         dt: float,
         der: Dict[str, np.ndarray],
-        mode: np.ndarray,
-        op_current: np.ndarray,
-        op_drain_ah: np.ndarray,
-        op_delivered_w: np.ndarray,
     ) -> None:
         """Vectorised :meth:`BatteryUnit.discharge` over the deficit set.
 
@@ -1564,26 +1811,24 @@ class FleetPowerPath(PowerPath):
             drain_ah = np.where(m_scale, current * pf * dt / SECONDS_PER_HOUR, drain_ah)
 
         v = terminal_voltage(current)
-        mode[idx] = np.where(m_live, _OP_DISCHARGE, _OP_REST_KEEP)
-        op_current[idx] = np.where(m_live, current, 0.0)
-        op_drain_ah[idx] = np.where(m_live, drain_ah, 0.0)
-        op_delivered_w[idx] = np.where(m_live, current * np.maximum(v, 0.0), 0.0)
+        self._op_mode[idx] = np.where(m_live, _OP_DISCHARGE, _OP_REST_KEEP)
+        self._op_current[idx] = np.where(m_live, current, 0.0)
+        self._op_drain_ah[idx] = np.where(m_live, drain_ah, 0.0)
+        self._op_delivered_w[idx] = np.where(
+            m_live, current * np.maximum(v, 0.0), 0.0
+        )
 
     def _charge_walk(
         self,
         chargeable: np.ndarray,
-        surplus: List[float],
+        surplus: Sequence[float],
         dt: float,
         der: Dict[str, np.ndarray],
-        mode: np.ndarray,
-        op_current: np.ndarray,
-        op_gassing: np.ndarray,
-        op_float: np.ndarray,
-        op_stored_ah: np.ndarray,
-        op_absorbed_w: np.ndarray,
+        stop: float,
     ) -> Tuple[List[float], List[float]]:
         """Emptiest-first charge walk of every cell at once, each cell
-        over its ``chargeable`` nodes with its ``surplus``.
+        over its ``chargeable`` nodes with its ``surplus``, until no more
+        than ``stop`` W is left.
 
         The acceptance-limited outcome of :meth:`BatteryUnit.charge` does
         not depend on the offered power, so it is precomputed for every
@@ -1675,7 +1920,7 @@ class FleetPowerPath(PowerPath):
             )
             before = acc[:, :-1]
             ok = (
-                (before > 1e-9)
+                (before > stop)
                 & (ia_g <= before / v1_g)
                 & (abs_g <= before)
                 & in_cand
@@ -1688,7 +1933,7 @@ class FleetPowerPath(PowerPath):
             )[rows, k]
             # Each row's marginal node: the scalar transcription.
             walking = False
-            for c in (in_cand[rows, k] & (left > 1e-9)).nonzero()[0].tolist():
+            for c in (in_cand[rows, k] & (left > stop)).nonzero()[0].tolist():
                 at = k.item(c)
                 i = nodes.item(c, at)
                 out = self._charge_scalar(
@@ -1701,14 +1946,18 @@ class FleetPowerPath(PowerPath):
                 absorbed[c] = absorbed.item(c) + power
                 left[c] = left.item(c) - power
                 k[c] = at + 1
-                walking = walking or (in_cand.item(c, at + 1) and left.item(c) > 1e-9)
+                walking = walking or (in_cand.item(c, at + 1) and left.item(c) > stop)
             if not walking:
                 break
         # Every walked node took its acceptance-limited charge but the
         # marginal ones.
         fast = np.zeros(fs.n, dtype=bool)
         fast[nodes[col < k[:, None]]] = True
-        mode[fast] = _OP_CHARGE
+        self._op_mode[fast] = _OP_CHARGE
+        op_current, op_gassing, op_float = (
+            self._op_current, self._op_gassing, self._op_float
+        )
+        op_stored_ah, op_absorbed_w = self._op_stored_ah, self._op_absorbed_w
         for i, (cur, gas, st_ah, power, is_float) in marginal:
             fast[i] = False
             op_current[i] = -cur
@@ -1759,20 +2008,9 @@ class FleetPowerPath(PowerPath):
         return current, gassing_current, stored_ah, absorbed_w, is_float
 
     # ------------------------------------------------------------------
-    def _advance_all(
-        self,
-        dt: float,
-        der: Dict[str, np.ndarray],
-        mode: np.ndarray,
-        op_current: np.ndarray,
-        op_gassing: np.ndarray,
-        op_float: np.ndarray,
-        op_drain_ah: np.ndarray,
-        op_stored_ah: np.ndarray,
-        op_delivered_w: np.ndarray,
-        op_absorbed_w: np.ndarray,
-    ) -> None:
-        """One batched ``_apply_step`` + SoC/energy update for all nodes.
+    def _advance_all(self, dt: float, der: Dict[str, np.ndarray]) -> None:
+        """One batched ``_apply_step`` + SoC/energy update for all nodes,
+        each by its op in the step's buffers.
 
         Valid because every node's op is independent: aging, thermal, and
         SoC updates read only that node's pre-step state, which no other
@@ -1781,7 +2019,9 @@ class FleetPowerPath(PowerPath):
         need a current are skipped whole.
         """
         fs = self.fleet
-        current = op_current  # signed
+        mode = self._op_mode
+        current = self._op_current  # signed
+        op_gassing = self._op_gassing
         pre_soc = fs.soc
         fbk = der["feedback"]
         arr = der["arr"]
@@ -1794,7 +2034,7 @@ class FleetPowerPath(PowerPath):
         # Grid corrosion (always active).
         rate = fs.cor_base * arr
         if acting:
-            np.multiply(rate, fs._cor_float_factor, out=rate, where=op_float)
+            np.multiply(rate, fs._cor_float_factor, out=rate, where=self._op_float)
         high = pre_soc > 0.9
         if np.count_nonzero(high):
             np.multiply(
@@ -1858,7 +2098,7 @@ class FleetPowerPath(PowerPath):
         # other buffer is 0.0 on each, so one signed expression serves
         # both); a rest op self-discharges.
         if acting:
-            moved = pre_soc + (op_stored_ah - op_drain_ah) / np.maximum(
+            moved = pre_soc + (self._op_stored_ah - self._op_drain_ah) / np.maximum(
                 der["eff_cap"], 1e-9
             )
             soc = np.where(discharging | charging, _clamp01(moved), pre_soc)
@@ -1885,8 +2125,8 @@ class FleetPowerPath(PowerPath):
                     fs.recoverable_strat[rec_i] = 0.0
                 fs.h_full[full_i] = 0.0
             # --- terminal energy (the op's power is 0.0 elsewhere) --------
-            fs.energy_out_wh += op_delivered_w * dt / SECONDS_PER_HOUR
-            fs.energy_in_wh += op_absorbed_w * dt / SECONDS_PER_HOUR
+            fs.energy_out_wh += self._op_delivered_w * dt / SECONDS_PER_HOUR
+            fs.energy_in_wh += self._op_absorbed_w * dt / SECONDS_PER_HOUR
         # --- last current: the op's (0.0 on a rest op), kept on a cut-off
         np.copyto(fs.last_current, current, where=mode != _OP_REST_KEEP)
 

@@ -76,14 +76,15 @@ class Scenario:
     workloads: Optional[Tuple[WorkloadProfile, ...]] = None
     #: Energy storage architecture (paper Fig. 7): "per-server" gives each
     #: server its own battery (Google style); "rack-pool" shares all
-    #: batteries behind one rack bus (Facebook Open-Rack style).
+    #: batteries behind one rack bus (Facebook Open-Rack style), and runs
+    #: on the fleet stepper only.
     architecture: str = "per-server"
     #: Engine stepping implementation: "reference" walks nodes one by one
     #: (the original, easiest-to-audit path); "fleet" routes power and
     #: advances batteries through the vectorized struct-of-arrays fast
     #: path in :mod:`repro.sim.fleet`, which is bit-compatible with the
     #: reference (see tests/test_fleet_equivalence.py) but much faster at
-    #: rack scale. Only per-server architectures support "fleet".
+    #: rack scale. Only "fleet" routes the rack-pool architecture.
     stepper: str = "reference"
     seed: int = DEFAULT_SEED
 
@@ -99,9 +100,9 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown stepper {self.stepper!r}; choose 'reference' or 'fleet'"
             )
-        if self.stepper == "fleet" and self.architecture != "per-server":
+        if self.architecture == "rack-pool" and self.stepper != "fleet":
             raise ConfigurationError(
-                "the fleet stepper supports only the per-server architecture"
+                "the rack-pool architecture runs on the fleet stepper only"
             )
         if self.sunny_day_kwh <= 0:
             raise ConfigurationError("sunny_day_kwh must be positive")

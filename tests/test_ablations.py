@@ -8,6 +8,7 @@ pinned to the ``ablation_architecture`` entry of
 import pytest
 
 from repro.campaign import cache as cache_module
+from repro.campaign import runner as runner_module
 from repro.experiments import ablation_architecture, ablation_baat
 from tests.test_experiment_shapes import assert_matches_golden
 
@@ -38,13 +39,33 @@ class TestBaatAblation:
 
 class TestArchitectureAblation:
     @pytest.fixture(scope="class")
-    def result(self):
+    def run(self):
+        """The quick run, uncached and inline, and the labels of every
+        batch its campaign steps."""
+        seen = []
+        batched = runner_module.batched
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cache_module, "_override_enabled", False)
-            return ablation_architecture.run(quick=True)
+            mp.setattr(
+                runner_module,
+                "batched",
+                lambda specs: (seen.append([s.label for s in specs]), batched(specs))[1],
+            )
+            result = ablation_architecture.run(quick=True, n_workers=1)
+        return result, seen
+
+    @pytest.fixture(scope="class")
+    def result(self, run):
+        return run[0]
 
     def test_matches_golden(self, result):
         assert_matches_golden("ablation_architecture", result)
+
+    def test_each_architecture_steps_as_one_batch(self, run):
+        assert sorted(run[1]) == [
+            ["per-server|e-buff", "per-server|baat"],
+            ["rack-pool|e-buff", "rack-pool|baat"],
+        ]
 
     def test_matrix_complete(self, result):
         cells = {(row[0], row[1]) for row in result.rows}

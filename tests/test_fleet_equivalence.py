@@ -400,9 +400,10 @@ class TestStepperSelection:
         with pytest.raises(ConfigurationError):
             Scenario(stepper="warp")
 
-    def test_fleet_requires_per_server(self):
+    def test_rack_pool_requires_fleet(self):
         with pytest.raises(ConfigurationError):
-            Scenario(stepper="fleet", architecture="rack-pool")
+            Scenario(stepper="reference", architecture="rack-pool")
+        assert Scenario(stepper="fleet", architecture="rack-pool").stepper == "fleet"
 
     def test_fleet_stepper_builds_fleet_power_path(self):
         from repro.sim.fleet import FleetPowerPath

@@ -26,7 +26,10 @@ a paper run never meets:
 - surplus charges the pool, emptiest member first, until less than
   1e-12 W is left.
 
-Regenerate with ``PYTHONPATH=src python -m tests.test_rack_steps``.
+The fixture was recorded from the object-path rack (``RackPowerPath``
+over ``BatteryPool``) before the fleet stepper took over its rules.
+``PYTHONPATH=src python -m tests.test_rack_steps`` rewrites it from the
+fleet path: do that only for a deliberate change of the rules.
 """
 
 from __future__ import annotations
@@ -42,10 +45,11 @@ from repro.battery.params import BatteryParams
 from repro.battery.unit import BatteryUnit
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.node import Node
-from repro.datacenter.rack import RackPowerPath
 from repro.datacenter.vm import VM
-from repro.datacenter.workloads import PAPER_WORKLOADS, WorkloadProfile
+from repro.datacenter.workloads import PAPER_WORKLOADS
+from repro.sim.fleet import FleetPowerPath
 from repro.sim.scenario import Scenario
+from tests.test_rack_pool import steady_vm
 
 FIXTURE = Path(__file__).parent / "data" / "rack_steps.json"
 
@@ -60,7 +64,7 @@ NO_SELF_DISCHARGE = BatteryParams(self_discharge_per_day=0.0)
 
 def make_path(cluster: Cluster, budget: float):
     """The pooled power path under test."""
-    return RackPowerPath(cluster, utility_budget_w=budget)
+    return FleetPowerPath(cluster, utility_budget_w=budget, architecture="rack-pool")
 
 
 class Rack:
@@ -88,18 +92,13 @@ class Rack:
 
     def edit(self, change) -> None:
         """Apply ``change(cluster)`` to the objects between steps."""
-        fleet = getattr(self.path, "fleet", None)
-        if fleet is not None:
-            fleet.materialize()
+        self.path.fleet.materialize()
         change(self.cluster)
-        if fleet is not None:
-            fleet.capture()
+        self.path.fleet.capture()
 
     def battery(self, i: int) -> BatteryUnit:
         """Node ``i``'s battery object, current."""
-        fleet = getattr(self.path, "fleet", None)
-        if fleet is not None:
-            fleet.materialize()
+        self.path.fleet.materialize()
         return self.cluster.nodes[i].battery
 
     def step(self, solar_w: float) -> dict:
@@ -109,9 +108,7 @@ class Rack:
 
 
 def record(rack: Rack, flows) -> dict:
-    fleet = getattr(rack.path, "fleet", None)
-    if fleet is not None:
-        fleet.materialize()
+    rack.path.fleet.materialize()
     nodes, states = [], []
     for node in rack.cluster:
         b = node.battery
@@ -139,14 +136,6 @@ def record(rack: Rack, flows) -> dict:
         "nodes": nodes,
         "states": states,
     }
-
-
-def steady_vm(name: str, util: float) -> VM:
-    profile = WorkloadProfile(
-        name=f"wl-{name}", mean_util=util, burst_util=0.0, period_s=3600.0,
-        burstiness=0.0,
-    )
-    return VM(name=name, workload=profile)
 
 
 def load(utils):

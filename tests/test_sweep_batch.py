@@ -228,10 +228,12 @@ class TestFailureAndExclusions:
             ), spec.label
 
     def test_unbatchable_cells_run_alone(self, monkeypatch, batches_seen):
+        # Rack-pool cells batch with each other, never with per-server
+        # cells: the architecture is part of the batch key.
         scenario = short_scenario()
         trace = short_trace(scenario)
         reference = short_scenario(stepper="reference")
-        rack = short_scenario(stepper="reference", architecture="rack-pool")
+        rack = short_scenario(architecture="rack-pool")
         lone = short_scenario(control_interval_s=600.0)
         specs = [
             RunSpec(scenario=scenario, trace=trace, policy="baat", label="a"),
@@ -244,7 +246,7 @@ class TestFailureAndExclusions:
             RunSpec(scenario=reference, trace=trace, policy="e-buff", label="ref2"),
         ]
         report = run_campaign(specs, n_workers=1, cache=None)
-        assert batches_seen == [["a", "b"]]
+        assert sorted(batches_seen) == [["a", "b"], ["rack1", "rack2"]]
         assert not report.failures
         for spec in specs:
             assert run_digest(report.outcome(spec.label).result) == run_digest(
