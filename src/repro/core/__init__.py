@@ -18,7 +18,7 @@ on top of distributed energy storage:
 
 from repro.core.controller import BAATController
 from repro.core.scheduler import AgingHidingScheduler
-from repro.core.slowdown import SlowdownConfig, SlowdownMonitor, reserve_seconds
+from repro.core.slowdown import SlowdownConfig, SlowdownMonitor
 from repro.core.planner import PlannedAgingManager, dod_goal
 from repro.core.policies import (
     Policy,
@@ -36,7 +36,6 @@ __all__ = [
     "AgingHidingScheduler",
     "SlowdownConfig",
     "SlowdownMonitor",
-    "reserve_seconds",
     "PlannedAgingManager",
     "dod_goal",
     "Policy",

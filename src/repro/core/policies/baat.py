@@ -20,7 +20,7 @@ battery aging":
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -85,18 +85,29 @@ class BAATPolicy(Policy):
         assert self.scheduler is not None
         return self.scheduler.place(vm)
 
-    def control(
+    def control_fleet(
         self,
         t: float,
         dt: float,
-        node_draws: Dict[str, float],
+        fleet: "FleetState",
         solar_w: float = 0.0,
-    ) -> None:
+    ) -> bool:
+        """Consolidation first: it is the cluster-wide plan. The Fig.-9
+        monitor then handles residual per-node stress on whatever stayed
+        up. Both decide on the arrays and act through the objects."""
         assert self.monitor is not None
-        # Consolidation first: it is the cluster-wide plan; the monitor
-        # then handles residual per-node stress on whatever stayed up.
-        self._consolidate(t, solar_w)
-        self.monitor.control(t, node_draws)
+        plan = self._consolidation_plan(t, solar_w, fleet)
+        if plan is not None:
+            fleet.materialize()
+            wake, supportable = plan
+            if wake:
+                self._wake(t, supportable)
+            else:
+                self._consolidate(t, supportable)
+            # Wakes, parks and migrations move hosting, VMs and caps.
+            fleet.refresh_policy_view()
+        self.monitor.fleet_control(t, fleet)
+        return True
 
     # ------------------------------------------------------------------
     # Consolidation
@@ -105,83 +116,49 @@ class BAATPolicy(Policy):
         params = self._require_bound().nodes[0].server.params
         return params.idle_w + TYPICAL_DYNAMIC_SHARE * (params.peak_w - params.idle_w)
 
-    def _battery_budget_w(self, t: float) -> float:
+    def _consolidation_plan(
+        self, t: float, solar_w: float, fleet: "FleetState"
+    ) -> Optional[Tuple[bool, int]]:
+        """What the consolidation pass does this tick: ``(True, n)`` wakes
+        parked nodes toward ``n`` active on solar headroom, ``(False, n)``
+        consolidates onto ``n`` supportable servers, None does nothing.
+
+        Wake on *solar* headroom only: parked batteries are deliberately
+        being preserved, so recharged charge alone must not trigger a
+        wake (that oscillates park/wake and burns the hoard). Consolidate
+        only under demonstrated battery stress: with full batteries in
+        the morning the instantaneous-solar supportable estimate is
+        pessimistic (midday generation is still to come), and parking
+        then would needlessly forfeit throughput.
+        """
+        assert self.monitor is not None
+        per_server = self._per_server_planning_w()
+        n_off = int(fleet.policy_off_mask.sum())
+        n_active = fleet.n - n_off
+        solar_supportable = int(solar_w // per_server)
+        if solar_supportable > n_active and n_off > 0:
+            return True, solar_supportable
+        supportable = int(
+            (solar_w + self._battery_budget_w_fleet(t, fleet)) // per_server
+        )
+        if supportable >= n_active:
+            return None
+        thr, _floor = self.monitor._fleet_thresholds(fleet)
+        if not ((fleet.soc < thr) & ~fleet.policy_off_mask).any():
+            return None
+        if t - self._last_consolidation_s < CONSOLIDATION_COOLDOWN_S:
+            return None
+        return False, supportable
+
+    def _battery_budget_w_fleet(self, t: float, fleet: "FleetState") -> float:
         """Aggregate sustainable battery power: per node, the charge above
-        the protected SoC floor rationed over the remaining window.
+        the protected SoC floor rationed over the remaining window,
+        summed in node order.
 
         Parked (``policy_off``) nodes are excluded: their discharge cap
         is 0 W, so their hoarded charge cannot be spent on load and must
         not inflate the supportable-server estimate.
         """
-        assert self.monitor is not None
-        tod_h = (t % SECONDS_PER_DAY) / SECONDS_PER_HOUR
-        remaining_s = max(
-            600.0, (self.monitor.window_end_h - tod_h) * SECONDS_PER_HOUR
-        )
-        total = 0.0
-        for node in self._require_bound():
-            if node.server.policy_off:
-                continue
-            battery = node.battery
-            floor = self.monitor.protected_floor(node)
-            usable_ah = max(
-                0.0, (battery.soc - floor) * battery.effective_capacity_ah
-            )
-            total += usable_ah * battery.terminal_voltage(0.0) * SECONDS_PER_HOUR / remaining_s
-        return total
-
-    # ------------------------------------------------------------------
-    # Fleet fast path (array decision kernels)
-    # ------------------------------------------------------------------
-    def control_fleet(
-        self,
-        t: float,
-        dt: float,
-        fleet: "FleetState",
-        solar_w: float = 0.0,
-    ) -> bool:
-        """Batch the consolidation *decision* (not the action ladder) and
-        the Fig.-9 monitor checks as array passes. When either decides an
-        action is needed, return False so the engine materializes and the
-        object path acts — the rare case by construction.
-
-        A pass that takes no action stays here under tracing and
-        alerting alike: consolidation emits events only in its acting
-        branches, and :meth:`SlowdownMonitor.fleet_control` makes the
-        monitor's alert observations and recovery releases itself."""
-        if not self._consolidation_idle(t, solar_w, fleet):
-            return False
-        assert self.monitor is not None
-        return self.monitor.fleet_control(t, fleet)
-
-    def _consolidation_idle(self, t: float, solar_w: float, fleet: "FleetState") -> bool:
-        """Array twin of :meth:`_consolidate`'s early returns: True iff
-        the object-path pass would take no action this tick."""
-        assert self.monitor is not None
-        per_server = self._per_server_planning_w()
-        n_off = int(fleet.policy_off_mask.sum())
-        n_active = fleet.n - n_off
-        # Wake branch: solar headroom over the active count with parked
-        # nodes available always acts.
-        solar_supportable = int(solar_w // per_server)
-        if solar_supportable > n_active and n_off > 0:
-            return False
-        supportable = int(
-            (solar_w + self._battery_budget_w_fleet(t, fleet)) // per_server
-        )
-        if supportable >= n_active:
-            return True
-        thr, _floor = self.monitor._fleet_thresholds(fleet)
-        stressed = bool(((fleet.soc < thr) & ~fleet.policy_off_mask).any())
-        if not stressed:
-            return True
-        if t - self._last_consolidation_s < CONSOLIDATION_COOLDOWN_S:
-            return True
-        return False
-
-    def _battery_budget_w_fleet(self, t: float, fleet: "FleetState") -> float:
-        """Array twin of :meth:`_battery_budget_w`: identical elementwise
-        terms, summed in node order from int 0 like the object fold."""
         assert self.monitor is not None
         tod_h = (t % SECONDS_PER_DAY) / SECONDS_PER_HOUR
         remaining_s = max(
@@ -194,60 +171,42 @@ class BAATPolicy(Policy):
         terms = usable * v * SECONDS_PER_HOUR / remaining_s
         return float(sum(terms[~fleet.policy_off_mask].tolist()))
 
-    def _consolidate(self, t: float, solar_w: float) -> None:
+    def _wake(self, t: float, solar_supportable: int) -> None:
+        """Wake parked nodes, healthiest first, until ``solar_supportable``
+        are active. Each wake grows the active count toward the solar
+        headroom; counting the woken node on the active side (rather than
+        decrementing the headroom against a stale active snapshot) keeps
+        the accounting honest if either side ever changes mid-loop."""
         cluster = self._require_bound()
-        assert self.controller is not None and self.scheduler is not None
-        per_server = self._per_server_planning_w()
-        supportable = int((solar_w + self._battery_budget_w(t)) // per_server)
-        active = [n for n in cluster if not n.server.policy_off]
-        sleeping = [n for n in cluster if n.server.policy_off]
-
-        # Wake on *solar* headroom only: parked batteries are deliberately
-        # being preserved, so recharged charge alone must not trigger a
-        # wake (that oscillates park/wake and burns the hoard). Each wake
-        # grows the active count toward the solar headroom; counting the
-        # woken node on the active side (rather than decrementing the
-        # headroom against a stale active snapshot) keeps the accounting
-        # honest if either side ever changes mid-loop.
-        solar_supportable = int(solar_w // per_server)
-        n_active = len(active)
-        if solar_supportable > n_active and sleeping:
-            ranked = self.controller.rank_nodes(up_only=False)
-            for node, _score in ranked:
-                if not node.server.policy_off:
-                    continue
-                node.server.policy_off = False
-                node.discharge_cap_w = float("inf")
-                if BUS.enabled:
-                    BUS.emit(
-                        WakeEvent(
-                            t=t,
-                            span_id=SPANS.open_id("parked", node.name),
-                            node=node.name,
-                            reason="solar-headroom",
-                        )
+        assert self.controller is not None
+        n_active = sum(1 for n in cluster if not n.server.policy_off)
+        for node, _score in self.controller.rank_nodes(up_only=False):
+            if not node.server.policy_off:
+                continue
+            node.server.policy_off = False
+            node.discharge_cap_w = float("inf")
+            if BUS.enabled:
+                BUS.emit(
+                    WakeEvent(
+                        t=t,
+                        span_id=SPANS.open_id("parked", node.name),
+                        node=node.name,
+                        reason="solar-headroom",
                     )
-                    SPANS.end("parked", node=node.name, t=t)
-                self._rebalance_onto(node.name)
-                n_active += 1
-                if n_active >= solar_supportable:
-                    break
-            return
+                )
+                SPANS.end("parked", node=node.name, t=t)
+            self._rebalance_onto(node.name)
+            n_active += 1
+            if n_active >= solar_supportable:
+                break
 
-        if supportable >= len(active):
-            return
-        # Consolidate only under demonstrated battery stress: with full
-        # batteries in the morning the instantaneous-solar supportable
-        # estimate is pessimistic (midday generation is still to come),
-        # and parking then would needlessly forfeit throughput.
-        stressed = any(
-            node.battery.soc < self.monitor.low_soc_threshold(node)
-            for node in active
-        )
-        if not stressed:
-            return
-        if t - self._last_consolidation_s < CONSOLIDATION_COOLDOWN_S:
-            return
+    def _consolidate(self, t: float, supportable: int) -> None:
+        """Migrate VMs off the fastest-aging nodes onto the healthiest
+        ``supportable`` ones (at least half the fleet) and park the
+        vacated servers."""
+        cluster = self._require_bound()
+        assert self.controller is not None
+        n_active = sum(1 for n in cluster if not n.server.policy_off)
         self._last_consolidation_s = t
         self.consolidations += 1
 
@@ -262,7 +221,7 @@ class BAATPolicy(Policy):
             plan = ConsolidationEvent(
                 t=t,
                 supportable=supportable,
-                n_active=len(active),
+                n_active=n_active,
                 n_victims=len(victims),
             )
             BUS.emit(plan)

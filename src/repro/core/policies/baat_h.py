@@ -70,30 +70,6 @@ class BAATHidingPolicy(Policy):
         assert self.scheduler is not None
         return self.scheduler.place_naive(vm)
 
-    def control(
-        self,
-        t: float,
-        dt: float,
-        node_draws: Dict[str, float],
-        solar_w: float = 0.0,
-    ) -> None:
-        cluster = self._require_bound()
-        assert self.controller is not None and self._rng is not None
-        metrics = {n.name: self.controller.window_metrics(n) for n in cluster}
-        nats = [m.nat for m in metrics.values()]
-        mean_nat = sum(nats) / len(nats)
-        if mean_nat <= 0.0:
-            return
-        for node in cluster:
-            if not node.is_up or not node.server.vms:
-                continue
-            if metrics[node.name].nat <= NAT_IMBALANCE_TOLERANCE * mean_nat:
-                continue
-            last = self._last_migration_s.get(node.name, -float("inf"))
-            if t - last < MIGRATION_COOLDOWN_S:
-                continue
-            self._migrate_random_vm(node.name, t)
-
     def control_fleet(
         self,
         t: float,
@@ -101,9 +77,10 @@ class BAATHidingPolicy(Policy):
         fleet: "FleetState",
         solar_w: float = 0.0,
     ) -> bool:
-        """NAT-imbalance scan as one array pass; the rare candidate nodes
-        fall back to the same object-path migration helper, so events and
-        RNG draws are bit-identical to :meth:`control`."""
+        """The NAT-imbalance scan as one array pass: a node whose window
+        NAT exceeds the cluster mean by :data:`NAT_IMBALANCE_TOLERANCE`,
+        that is up, hosts VMs and is out of its migration cooldown moves
+        one random VM (:meth:`_migrate_random_vm`, in node order)."""
         assert self.controller is not None and self._rng is not None
         nat = self.controller.window_nat_array(fleet)
         mean_nat = sum(nat.tolist()) / fleet.n

@@ -10,7 +10,7 @@ benefit shows up in Figs. 13/14.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.policies.base import Policy
 from repro.core.slowdown import SlowdownConfig, SlowdownMonitor
@@ -55,16 +55,6 @@ class BAATSlowdownPolicy(Policy):
         assert self.scheduler is not None
         return self.scheduler.place_naive(vm)
 
-    def control(
-        self,
-        t: float,
-        dt: float,
-        node_draws: Dict[str, float],
-        solar_w: float = 0.0,
-    ) -> None:
-        assert self.monitor is not None
-        self.monitor.control(t, node_draws)
-
     def control_fleet(
         self,
         t: float,
@@ -72,10 +62,10 @@ class BAATSlowdownPolicy(Policy):
         fleet: "FleetState",
         solar_w: float = 0.0,
     ) -> bool:
-        """BAAT-s control is the Fig.-9 monitor alone, so the array pass
-        is exactly the monitor's batched threshold checks."""
+        """BAAT-s control is the Fig.-9 monitor alone."""
         assert self.monitor is not None
-        return self.monitor.fleet_control(t, fleet)
+        self.monitor.fleet_control(t, fleet)
+        return True
 
     def describe(self) -> str:
         return "Only use aging-aware CPU frequency throttling to slow down battery aging"

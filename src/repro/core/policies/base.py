@@ -4,13 +4,14 @@ A policy is bound to a cluster (and thereby to the BAAT controller and
 helper schemes) before the run starts; afterwards the engine calls:
 
 - :meth:`Policy.place_vm` once per VM at deployment time;
-- :meth:`Policy.control` at every control interval with the latest
-  per-node battery draws (the sensor feedback loop);
+- :meth:`Policy.control_fleet` at every control interval with the fleet
+  arrays (the sensor feedback loop);
 - :meth:`Policy.on_day_start` at day boundaries (metric windows reset).
 
-Policies act exclusively through the cluster's public knobs — placement,
-migration, DVFS ladders, and per-node discharge caps — mirroring the real
-controller's SNMP/driver actuation paths.
+A control pass decides on the arrays and acts exclusively through the
+cluster's public knobs — placement, migration, DVFS ladders, and per-node
+discharge caps — mirroring the real controller's SNMP/driver actuation
+paths.
 """
 
 from __future__ import annotations
@@ -78,19 +79,6 @@ class Policy(abc.ABC):
     def place_vm(self, vm: VM) -> str:
         """Choose a node for a new VM; returns the node name."""
 
-    def control(
-        self,
-        t: float,
-        dt: float,
-        node_draws: Dict[str, float],
-        solar_w: float = 0.0,
-    ) -> None:
-        """Periodic control pass (default: no action — e-Buff style).
-
-        ``solar_w`` is the present farm output; the real controller reads
-        it through the power-switch module, so policies may use it.
-        """
-
     def control_fleet(
         self,
         t: float,
@@ -98,20 +86,20 @@ class Policy(abc.ABC):
         fleet: "FleetState",
         solar_w: float = 0.0,
     ) -> bool:
-        """Array-native control pass over the fleet stepper's state.
+        """Periodic control pass (default: no action — e-Buff style).
 
-        Called by the engine *instead of* :meth:`control` on fleet runs.
-        Returning True means this pass is fully handled (decisions were
-        evaluated against the authoritative arrays and any effects were
-        applied in place); returning False makes the engine materialize
-        the arrays and run the object-path :meth:`control` — the default,
-        so policies without an array pass keep reference behaviour.
+        ``fleet`` holds every node's battery, tracker and control-plane
+        state as arrays: the fleet stepper's own state, or on the
+        reference stepper a capture of the objects taken just before the
+        pass. A policy decides on the arrays; for the nodes it acts on it
+        calls ``fleet.materialize()`` once, acts through the objects, and
+        calls ``fleet.refresh_policy_view()`` after. ``solar_w`` is the
+        present farm output; the real controller reads it through the
+        power-switch module, so policies may use it.
 
-        Implementations must be bit-compatible with :meth:`control`
-        (same decisions, actions, RNG draws, and event stream) — the
-        contract ``tests/test_fleet_equivalence.py`` enforces.
+        Returns True: the pass is complete.
         """
-        return False
+        return True
 
     def on_day_start(self, t: float) -> None:
         """Day-boundary hook: reset assessment windows by default."""

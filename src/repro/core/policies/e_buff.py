@@ -11,13 +11,8 @@ aging of the four schemes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
-
 from repro.core.policies.base import Policy
 from repro.datacenter.vm import VM
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.fleet import FleetState
 
 
 class EBuffPolicy(Policy):
@@ -29,27 +24,6 @@ class EBuffPolicy(Policy):
         self._require_bound()
         assert self.scheduler is not None
         return self.scheduler.place_naive(vm)
-
-    def control(
-        self,
-        t: float,
-        dt: float,
-        node_draws: Dict[str, float],
-        solar_w: float = 0.0,
-    ) -> None:
-        """No control actions: batteries are used until they cut off."""
-
-    def control_fleet(
-        self,
-        t: float,
-        dt: float,
-        fleet: "FleetState",
-        solar_w: float = 0.0,
-    ) -> bool:
-        """e-Buff's buffering rule is "do nothing": the decision is a
-        constant, so the array pass is trivially complete and the engine
-        never needs to materialize fleet state for control."""
-        return True
 
     def describe(self) -> str:
         return (

@@ -15,17 +15,20 @@ by minimal weighted aging, like the hiding scheme); if no migration is
 feasible it falls back to DVFS power capping, and it additionally caps the
 node's battery discharge to the 2-minute-safe power. Frequencies recover
 once the battery climbs back above the recovery SoC.
+
+A monitoring pass (:meth:`SlowdownMonitor.fleet_control`) decides on the
+fleet arrays and acts through the node objects (:meth:`SlowdownMonitor.act`,
+:meth:`SlowdownMonitor._release`), on either engine stepper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.battery.peukert import peukert_factor, peukert_factor_array
-from repro.battery.unit import BatteryUnit
+from repro.battery.peukert import peukert_factor_array
 from repro.core.controller import BAATController
 from repro.core.scheduler import AgingHidingScheduler
 from repro.datacenter.cluster import Cluster
@@ -47,8 +50,9 @@ from repro.units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 #: from ``Scenario.operating_window_h`` instead.
 DEFAULT_WINDOW_END_H = 18.5
 
-#: The alert rules a monitoring pass observes, floor rule first.
-_WATCHED_RULES = ("soc_floor_violation", "ddt_window_breach", "dr_reserve_exhaustion")
+#: Trigger labels by the code :meth:`SlowdownMonitor.fleet_control` gives
+#: them, in Fig.-9 precedence.
+_TRIGGERS = {1: "ddt", 2: "dr", 3: "ration"}
 
 
 def _key_mask(fleet, keys) -> np.ndarray:
@@ -56,27 +60,6 @@ def _key_mask(fleet, keys) -> np.ndarray:
     if not keys:
         return np.zeros(fleet.n, dtype=bool)
     return np.array([name in keys for name in fleet.node_names])
-
-
-def reserve_seconds(battery: BatteryUnit, power_w: float) -> float:
-    """How long the battery could sustain ``power_w`` before its cut-off.
-
-    Inverts the Peukert-corrected drain at the implied current. Returns
-    ``inf`` for zero draw.
-    """
-    if power_w <= 0.0:
-        return float("inf")
-    voltage = battery.terminal_voltage(0.0)
-    if voltage <= 0:
-        return 0.0
-    current = power_w / voltage
-    avail_ah = max(
-        0.0, (battery.soc - battery.params.cutoff_soc) * battery.effective_capacity_ah
-    )
-    drain_per_s = current * peukert_factor(current, battery.params) / SECONDS_PER_HOUR
-    if drain_per_s <= 0:
-        return float("inf")
-    return avail_ah / drain_per_s
 
 
 @dataclass(frozen=True)
@@ -183,10 +166,6 @@ class SlowdownMonitor:
         #: aging: a deep DoD goal lowers the floor so the charge may be
         #: spent, while monitoring still engages at the threshold).
         self.floor_override: dict = {}
-        #: Per-node (trigger, cause eid) of the last :meth:`check` that
-        #: fired — the provenance anchor :meth:`control` stamps onto the
-        #: resulting action events.
-        self.last_trigger: dict = {}
         self._last_t = 0.0
         # Cached (fleet, threshold, floor) arrays for the vectorized pass;
         # only valid while no per-node overrides exist (planned aging
@@ -198,54 +177,6 @@ class SlowdownMonitor:
         return self.low_soc_override.get(node.name, self.config.low_soc_threshold)
 
     # ------------------------------------------------------------------
-    def check(self, node: Node, current_draw_w: float) -> bool:
-        """True when the Fig.-9 trigger fires for this node.
-
-        Below the low-SoC line, any of three conditions acts:
-
-        - the window DDT exceeds its threshold (chronic deep discharge);
-        - the present draw leaves less than the 2-minute reserve; or
-        - the present draw exceeds the *sustainable ration* — the power at
-          which the remaining protected charge lasts to the end of the
-          operating window. This is the "high discharge rate during low
-          SoC" condition of section III-E: a draw that is fine at 80 % SoC
-          is dangerous at 35 %.
-        """
-        battery = node.battery
-        below = battery.soc < self.low_soc_threshold(node)
-        alerting = ALERTS.enabled
-        if not below and not alerting:
-            return False
-        if not below and not (
-            ALERTS.is_active("ddt_window_breach", node.name)
-            or ALERTS.is_active("dr_reserve_exhaustion", node.name)
-        ):
-            # Healthy node, no episode in flight: the DDT/DR watchdogs
-            # only act below the low-SoC line (section III-E) and DDT
-            # cannot accrue above it, so computing the window metrics
-            # here would feed alerts that can neither fire nor clear —
-            # skip the (comparatively expensive) window/reserve read.
-            return False
-        ddt = self.controller.window_metrics(node).ddt
-        reserve = reserve_seconds(battery, current_draw_w)
-        ddt_alert = dr_alert = None
-        if alerting:
-            # Feed the watched values even when healthy, so active alerts
-            # can observe their hysteresis release.
-            ddt_alert, dr_alert = self._observe_watchdogs(node.name, ddt, reserve)
-        if not below:
-            return False
-        if ddt > self.config.ddt_threshold:
-            self._record_trigger(node, "ddt", ddt_alert, "ddt_window_breach")
-            return True
-        if reserve < self.config.reserve_seconds_threshold:
-            self._record_trigger(node, "dr", dr_alert, "dr_reserve_exhaustion")
-            return True
-        if current_draw_w > self._ration_w(node, self._last_t):
-            self._record_trigger(node, "ration", None, None)
-            return True
-        return False
-
     def _observe_watchdogs(self, name: str, ddt: float, reserve: float) -> tuple:
         """Feed one node's DDT and DR values to their alert rules.
 
@@ -270,25 +201,6 @@ class SlowdownMonitor:
                     threshold=self.config.reserve_seconds_threshold,
                 ),
             )
-
-    def _record_trigger(self, node: Node, trigger: str, alert, rule_name) -> None:
-        """Remember which check tripped and its causal anchor event.
-
-        The cause is the alert emission backing the trip (fresh, or the
-        still-active episode's when dedup suppressed one), falling back
-        to the node's open deep-discharge span — the rationing check has
-        no alert rule, and alerting may be off while tracing is on.
-        """
-        if not BUS.enabled:
-            return
-        cause = 0
-        if alert is not None and not alert.cleared:
-            cause = alert.eid
-        elif rule_name is not None and ALERTS.enabled:
-            cause = ALERTS.active_cause(rule_name, node.name)
-        if not cause:
-            cause = SPANS.open_id("deep_discharge", node.name)
-        self.last_trigger[node.name] = (trigger, cause)
 
     def act(self, node: Node, t: float) -> str:
         """Apply the Fig.-9 action ladder to a triggered node.
@@ -404,21 +316,6 @@ class SlowdownMonitor:
                     )
                 )
 
-    def recover(self, node: Node) -> None:
-        """Release parking/throttling/caps gradually as the battery
-        recovers.
-
-        Stepping one DVFS level per control pass avoids the throttle/
-        recover oscillation a full jump would cause at the recovery edge.
-        """
-        if node.server.policy_off:
-            # Waking parked servers is a cluster-level decision (the
-            # consolidation plan), not a per-node one: a freshly recharged
-            # battery does not mean the fleet can afford another server.
-            return
-        if node.battery.soc >= self.config.recovery_soc:
-            self._release(node)
-
     def _release(self, node: Node) -> None:
         """Step a recovered node one DVFS level up and lift its cap."""
         if node.server.throttle_up() and BUS.enabled:
@@ -479,71 +376,14 @@ class SlowdownMonitor:
         node.discharge_cap_w = max(self._ration_w(node, t), node.server.params.idle_w)
 
     # ------------------------------------------------------------------
-    def control(self, t: float, node_draws: dict) -> List[str]:
-        """One monitoring pass over all nodes.
-
-        Parameters
-        ----------
-        node_draws:
-            Mapping of node name to its battery draw (W) in the last step,
-            used for the DR/reserve check.
-
-        Returns the actions taken, for logging.
-        """
-        actions: List[str] = []
-        self._last_t = t
-        for node in self.cluster:
-            # Skip down servers and consolidation-parked ones — a parked
-            # node's zero discharge cap must not be overridden here.
-            if not node.is_up or node.server.policy_off:
-                continue
-            draw = node_draws.get(node.name, 0.0)
-            if ALERTS.enabled:
-                ALERTS.observe(
-                    "soc_floor_violation",
-                    node.name,
-                    node.battery.soc,
-                    t,
-                    threshold=self.protected_floor(node),
-                )
-            if self.check(node, draw):
-                trigger, cause = self.last_trigger.pop(node.name, ("", 0))
-                # Everything the action ladder emits — migrations, DVFS
-                # caps, parks, evacuations — inherits the triggering
-                # alert/excursion as its cause through the ambient
-                # context, no signature plumbing needed.
-                with caused_by(cause):
-                    action = self.act(node, t)
-                    actions.append(f"{node.name}:{action}")
-                    if self.first_action_t is None:
-                        self.first_action_t = t
-                    if BUS.enabled:
-                        BUS.emit(
-                            SlowdownActionEvent(
-                                t=t,
-                                node=node.name,
-                                action=action,
-                                soc=node.battery.soc,
-                                draw_w=draw,
-                                cap_w=node.discharge_cap_w,
-                                trigger=trigger,
-                            )
-                        )
-                if REGISTRY.enabled:
-                    REGISTRY.counter(f"slowdown/actions/{action}").inc()
-            else:
-                self.recover(node)
-        return actions
-
-    # ------------------------------------------------------------------
-    # Vectorized fast path (fleet stepper)
+    # Array decisions
     # ------------------------------------------------------------------
     def _fleet_thresholds(self, fleet):
         """Per-node (low-SoC threshold, protected floor) arrays.
 
         Without overrides both are pure config constants, cached per
         fleet; planned aging's per-node overrides force a rebuild through
-        the object-path accessors every pass, keeping the arrays
+        the per-node accessors every pass, keeping the arrays
         bit-identical to :meth:`low_soc_threshold`/:meth:`protected_floor`.
         """
         if not self.low_soc_override and not self.floor_override:
@@ -560,10 +400,9 @@ class SlowdownMonitor:
         return thr, floor
 
     def _reserve_seconds_array(self, fleet, idx, draws, voltage, der):
-        """Vector :func:`reserve_seconds` for the node subset ``idx``.
-
-        Same branch structure as the scalar: zero draw -> inf, dead
-        voltage -> 0, Peukert-inflated drain otherwise.
+        """How long each battery of the node subset ``idx`` could sustain
+        its draw before its cut-off: the Peukert-corrected drain at the
+        implied current, inverted. Zero draw -> inf, dead voltage -> 0.
         """
         out = np.full(len(idx), float("inf"))
         out[(draws > 0.0) & (voltage <= 0.0)] = 0.0
@@ -593,91 +432,148 @@ class SlowdownMonitor:
         usable = np.maximum(0.0, (fleet.soc[idx] - floor) * der["eff_cap"][idx])
         return usable * voltage * SECONDS_PER_HOUR / remaining_s
 
-    def fleet_control(self, t: float, fleet) -> bool:
-        """One monitoring pass as array threshold checks over ``fleet``.
+    def _cause(self, name: str, trigger: str, alerts: tuple) -> int:
+        """The provenance anchor of a trip: the alert emission backing it
+        (fresh, or the still-active episode's when dedup suppressed one),
+        else the node's open deep-discharge span. The ration check has
+        no alert rule, and alerting may be off while tracing is on."""
+        rule_name, alert = {
+            "ddt": ("ddt_window_breach", alerts[0]),
+            "dr": ("dr_reserve_exhaustion", alerts[1]),
+        }.get(trigger, (None, None))
+        cause = 0
+        if alert is not None and not alert.cleared:
+            cause = alert.eid
+        elif rule_name is not None and ALERTS.enabled:
+            cause = ALERTS.active_cause(rule_name, name)
+        return cause or SPANS.open_id("deep_discharge", name)
 
-        Covers every pass of :meth:`control` in which no node triggers:
-        the Fig.-9 trigger predicates (DDT, reserve, ration) for every
-        eligible node, then, per node in node order, the alert
-        observations :meth:`control` and :meth:`check` make and the
-        recovery release of :meth:`recover` (with its DvfsUncap event
-        and ``dvfs_cap`` span end when the bus is on). Returns ``False``
-        — telling the caller to materialize and run the object path
-        instead — when any node triggers its action ladder (the rare
-        per-node actions are deliberately not replicated in array form),
-        or when alerting is on and a watched rule is not a ``threshold``
-        rule.
+    def _trip(self, node: Node, t: float, trigger: str, draw: float, cause: int) -> None:
+        """Run the action ladder on a triggered node and report it.
 
-        Bit-compatibility: the trigger predicates depend only on battery/
-        tracker state and constants, never on earlier actions within the
-        same pass, so evaluating them in one batch, before any side
-        effect, matches the sequential object loop. A threshold rule's
-        observation changes nothing for a key that is neither breached
-        nor in an active episode, so observing only the others emits the
-        same alerts in the same order; the watched values are the array
-        twins of the object path's floats.
+        Everything the ladder emits (migrations, DVFS caps, parks,
+        evacuations) inherits the trip's cause through the ambient
+        context.
+        """
+        with caused_by(cause):
+            action = self.act(node, t)
+            if self.first_action_t is None:
+                self.first_action_t = t
+            if BUS.enabled:
+                BUS.emit(
+                    SlowdownActionEvent(
+                        t=t,
+                        node=node.name,
+                        action=action,
+                        soc=node.battery.soc,
+                        draw_w=draw,
+                        cap_w=node.discharge_cap_w,
+                        trigger=trigger,
+                    )
+                )
+        if REGISTRY.enabled:
+            REGISTRY.counter(f"slowdown/actions/{action}").inc()
+
+    def fleet_control(self, t: float, fleet) -> None:
+        """One Fig.-9 monitoring pass over ``fleet``: decide on the
+        arrays, act through the objects.
+
+        The decisions are array passes over every node: the trigger
+        predicates below the low-SoC line (window DDT, then the 2-minute
+        reserve at the last step's draw, then the sustainable ration),
+        the nodes whose alert rules must observe, and the recovered nodes
+        (at or above the recovery SoC, still throttled or capped). Then,
+        per node in node order, it makes the node's alert observations
+        and acts: a triggered node runs :meth:`act` (after one
+        ``fleet.materialize()`` for the pass), a recovered one
+        :meth:`_release`. A pass that acted ends with
+        ``fleet.refresh_policy_view()``.
+
+        Skipped nodes are those down or parked (``policy_off``), read
+        from the arrays until the pass first acts and live from the
+        objects after that: a migration wakes a parked destination, which
+        is then checked or released later in the same pass. The trigger
+        predicates read only battery and tracker state, which no action
+        changes, so deciding them all before the first side effect is
+        the sequential Fig.-9 loop.
+
+        With alerting on, a ``threshold`` rule's observation changes
+        nothing for a key that is neither breached nor in an active
+        episode, so the floor rule observes only the others; a rule of
+        any other kind observes every node. The DDT and DR rules observe
+        below the line and wherever an episode is active.
         """
         self._last_t = t
         cfg = self.config
         soc = fleet.soc
-        eligible = fleet.server_up & ~fleet.policy_off_mask
+        up = fleet.server_up
+        eligible = up & ~fleet.policy_off_mask
         thr, floor = self._fleet_thresholds(fleet)
-        below = eligible & (soc < thr)
+        below = soc < thr
+        rec = (soc >= cfg.recovery_soc) & fleet.policy_restricted
         alerting = ALERTS.enabled
+        watch = below
         if alerting:
-            rules = [ALERTS.rule(name) for name in _WATCHED_RULES]
-            if any(rule.kind != "threshold" for rule in rules):
-                return False
-            # check() reads DDT/DR below the line, and wherever an
-            # episode needs to observe its hysteresis release.
             watch = below | (
-                eligible
-                & (
-                    _key_mask(fleet, ALERTS.active_keys("ddt_window_breach"))
-                    | _key_mask(fleet, ALERTS.active_keys("dr_reserve_exhaustion"))
-                )
+                _key_mask(fleet, ALERTS.active_keys("ddt_window_breach"))
+                | _key_mask(fleet, ALERTS.active_keys("dr_reserve_exhaustion"))
             )
+            floor_rule = ALERTS.rule("soc_floor_violation")
+            if floor_rule.kind == "threshold":
+                # AlertRule.breached compares elementwise given arrays.
+                floor_obs = floor_rule.breached(soc, floor) | _key_mask(
+                    fleet, ALERTS.active_keys("soc_floor_violation")
+                )
+            else:
+                floor_obs = np.ones(fleet.n, dtype=bool)
+            todo = rec | watch | floor_obs
         else:
-            watch = below
-        wi = np.nonzero(watch)[0]
+            todo = rec.copy()
+        # Watched values of every up node, parked ones included: a parked
+        # node woken mid-pass is checked with them.
+        wi = np.nonzero(watch & up)[0]
+        watched, tripped = {}, {}
         if len(wi):
-            in_below = below[wi]
             ddt = self.controller.window_ddt_array(fleet)[wi]
-            if (in_below & (ddt > cfg.ddt_threshold)).any():
-                return False
             der = fleet.derived_now()
-            # The DR draw signal: the same floats the engine's lazy
-            # last_draw_powers() refresh hands the object path.
+            # The DR draw signal: the last step's discharge current at
+            # the terminal voltage it left.
             cur = np.maximum(0.0, fleet.last_current[wi])
             tv = fleet.terminal_voltage(soc[wi], cur, der, wi)
             draws = cur * np.maximum(tv, 0.0)
             v0 = fleet.ocv(soc, der)[wi]
             reserve = self._reserve_seconds_array(fleet, wi, draws, v0, der)
             ration = self._ration_w_array(fleet, wi, floor[wi], v0, der, t)
-            if (
-                in_below
-                & ((reserve < cfg.reserve_seconds_threshold) | (draws > ration))
-            ).any():
-                return False
-        # No trigger anywhere: the object loop would only observe alerts
-        # and run recover().
-        rec = eligible & (soc >= cfg.recovery_soc) & fleet.policy_restricted
-        if alerting:
-            # AlertRule.breached compares elementwise given arrays.
-            floor_obs = eligible & (
-                rules[0].breached(soc, floor)
-                | _key_mask(fleet, ALERTS.active_keys("soc_floor_violation"))
+            # First matching trigger in Fig.-9 order: DDT, DR, ration.
+            code = np.where(
+                ddt > cfg.ddt_threshold,
+                1,
+                np.where(
+                    reserve < cfg.reserve_seconds_threshold,
+                    2,
+                    np.where(draws > ration, 3, 0),
+                ),
             )
-            watched = (
-                dict(zip(wi.tolist(), zip(ddt.tolist(), reserve.tolist())))
-                if len(wi)
-                else {}
-            )
-            todo = np.nonzero(floor_obs | watch | rec)[0].tolist()
-        else:
-            todo = np.nonzero(rec)[0].tolist()
-        for i in todo:
-            node = fleet.nodes[i]
+            code[~below[wi]] = 0
+            hit = np.nonzero(code)[0]
+            for i, c, draw in zip(
+                wi[hit].tolist(), code[hit].tolist(), draws[hit].tolist()
+            ):
+                tripped[i] = (_TRIGGERS[c], draw)
+            todo[wi[hit]] = True
+            if alerting:
+                watched = dict(zip(wi.tolist(), zip(ddt.tolist(), reserve.tolist())))
+        order = np.nonzero(todo & eligible)[0].tolist()
+        nodes = fleet.nodes
+        acted = False
+        pos = 0
+        while pos < len(order):
+            i = order[pos]
+            pos += 1
+            node = nodes[i]
+            if acted and (node.server.policy_off or not node.is_up):
+                continue
+            alerts = (None, None)
             if alerting:
                 if floor_obs[i]:
                     ALERTS.observe(
@@ -688,8 +584,21 @@ class SlowdownMonitor:
                         threshold=float(floor[i]),
                     )
                 if i in watched:
-                    self._observe_watchdogs(node.name, *watched[i])
-            if rec[i]:
+                    alerts = self._observe_watchdogs(node.name, *watched[i])
+            if i in tripped:
+                if not acted:
+                    acted = True
+                    fleet.materialize()
+                    # From here on eligibility is read live: visit every
+                    # up node later in node order with work to do.
+                    later = np.nonzero(todo & up)[0]
+                    order, pos = later[later > i].tolist(), 0
+                trigger, draw = tripped[i]
+                cause = self._cause(node.name, trigger, alerts) if BUS.enabled else 0
+                self._trip(node, t, trigger, draw, cause)
+            elif rec[i]:
                 self._release(node)
-                fleet.refresh_node(i)
-        return True
+                if not acted:
+                    fleet.refresh_node(i)
+        if acted:
+            fleet.refresh_policy_view()

@@ -29,8 +29,8 @@ class NoConsolidationBAAT(BAATPolicy):
 
     name = "baat/no-consolidation"
 
-    def _consolidate(self, t: float, solar_w: float) -> None:
-        return
+    def _consolidation_plan(self, t: float, solar_w: float, fleet) -> None:
+        return None
 
 
 def _variants() -> Dict[str, object]:

@@ -76,23 +76,31 @@ class _Cell:
             [n.name for n in self.cluster], record_series=record_series
         )
         self.rng = spawn(scenario.seed, f"workload/{policy.name}")
-        #: The fleet arrays this cell's policy reads: the FleetState of a
+        #: The fleet stepper's arrays of this cell: the FleetState of a
         #: single fleet run, this cell's FleetCell view in a batch, or
         #: None on the reference stepper.
         self.fleet = None
+        #: The arrays this cell's policy controls from: ``fleet``, or on
+        #: the reference stepper a FleetState of the cluster that each
+        #: control pass re-captures from the authoritative objects.
+        self.control_view = None
         #: This cell's position in its simulation.
         self.index = 0
         self.fade_start: Dict[str, float] = {}
-        self.last_draws: Dict[str, float] = {}
         #: The exception that ended this cell inside a batch.
         self.error: Optional[Exception] = None
 
     def attach(self, fleet, index: int) -> None:
         """Place the cell in its simulation; its controller ranks nodes
-        from ``fleet`` when there is one."""
+        from ``fleet`` when there is one (on the reference stepper it
+        ranks from the objects)."""
         self.fleet, self.index = fleet, index
-        if fleet is not None and self.policy.controller is not None:
-            self.policy.controller.attach_fleet(fleet)
+        if fleet is None:
+            self.control_view = FleetState(self.cluster)
+        else:
+            self.control_view = fleet
+            if self.policy.controller is not None:
+                self.policy.controller.attach_fleet(fleet)
 
 
 class Simulation:
@@ -302,7 +310,6 @@ class Simulation:
             for node in cell.cluster:
                 node.tracker.mark(RUN_MARK)
                 cell.fade_start[node.name] = node.battery.capacity_fade
-                cell.last_draws[node.name] = 0.0
         self._soc_below = (
             np.array([node.battery.soc for node in self.cluster]) < LOW_SOC_THRESHOLD
         )
@@ -469,43 +476,13 @@ class Simulation:
             cell.fleet.materialize()
         cell.policy.on_day_start(t)
 
-    def _control(
-        self, cell: _Cell, t: float, dt: float, solar: Sequence[float]
-    ) -> None:
-        """One cell's control pass."""
-        solar_w = solar[cell.index]
-        fleet = cell.fleet
-        # Fleet runs try the policy's array decision pass first; it
-        # returns False whenever the pass decides per-node actions (or
-        # observability) require the object path, which is rare in
-        # steady state.
-        if fleet is not None and cell.policy.control_fleet(
-            t, dt, fleet, solar_w=solar_w
-        ):
-            return
-        # Derive the DR draw signal here, at the only pass that reads it:
-        # battery state is unchanged between the end of the previous power
-        # phase and this control pass, so these draws are bit-identical to
-        # refreshing them every step.
-        if fleet is not None:
-            fleet.materialize()
-            cell.last_draws = fleet.last_draw_powers()
-        else:
-            cell.last_draws = self._draw_powers()
-        cell.policy.control(t, dt, cell.last_draws, solar_w=solar_w)
-        if fleet is not None:
-            # The object pass may have parked, throttled, capped, or woken
-            # nodes; re-read the control-plane masks.
-            fleet.refresh_policy_view()
-    def _draw_powers(self) -> Dict[str, float]:
-        """Per-node battery draw (W) for the DR signal: each battery's
-        last-step discharge current times its terminal voltage there."""
-        draws = {}
-        for node in self.cluster:
-            current = max(0.0, node.battery.last_current_a)
-            voltage = node.battery.terminal_voltage(current)
-            draws[node.name] = current * max(voltage, 0.0)
-        return draws
+    @staticmethod
+    def _control(cell: _Cell, t: float, dt: float, solar: Sequence[float]) -> None:
+        """One cell's control pass, on the arrays of its control view."""
+        view = cell.control_view
+        if cell.fleet is None:
+            view.capture()
+        cell.policy.control_fleet(t, dt, view, solar_w=solar[cell.index])
 
     def _emit_soc_crossings(self, t: float) -> None:
         """Emit an event whenever a battery crosses the low-SoC line.

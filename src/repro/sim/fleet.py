@@ -445,53 +445,76 @@ class FleetState:
         self._float_limit = self.charge_float * 2.0
 
     def capture(self) -> None:
-        """Load all mutable per-node state from the objects into arrays."""
+        """Load all mutable per-node state from the objects into arrays.
 
-        def arr(get) -> np.ndarray:
-            return np.array([float(get(node)) for node in self.nodes])
-
-        b = lambda nd: nd.battery  # noqa: E731
-        self.soc = arr(lambda nd: b(nd)._soc)
-        self.temp_c = arr(lambda nd: b(nd).thermal.temperature_c)
-        self.ambient_c = arr(lambda nd: b(nd).thermal.ambient_c)
-        self.time_s = arr(lambda nd: b(nd)._time_s)
-        self.last_current = arr(lambda nd: b(nd)._last_current)
-        self.h_full = arr(lambda nd: b(nd)._hours_since_full)
-        self.energy_in_wh = arr(lambda nd: b(nd).energy_in_wh)
-        self.energy_out_wh = arr(lambda nd: b(nd).energy_out_wh)
-        self.damage = np.array(
-            [
-                [float(b(nd).aging.state.damage.get(name, 0.0)) for nd in self.nodes]
-                for name in self.mech_names
-            ]
-        )  # (5, n)
-        self.aging_discharged_ah = arr(lambda nd: b(nd).aging.state.discharged_ah)
-        self.aging_charged_ah = arr(lambda nd: b(nd).aging.state.charged_ah)
-        self.recoverable_strat = arr(
-            lambda nd: b(nd).aging._recoverable_stratification
-        )
-        acc = lambda nd: nd.tracker.acc  # noqa: E731
-        self.tr_discharged_ah = arr(lambda nd: acc(nd).discharged_ah)
-        self.tr_charged_ah = arr(lambda nd: acc(nd).charged_ah)
-        self.tr_region = np.array(
-            [
-                [float(acc(nd).region_discharged_ah[k]) for nd in self.nodes]
-                for k in _REGION_LABELS
-            ]
-        )  # (4, n)
-        self.tr_total_time_s = arr(lambda nd: acc(nd).total_time_s)
-        self.tr_deep_time_s = arr(lambda nd: acc(nd).deep_discharge_time_s)
-        self.tr_discharge_time_s = arr(lambda nd: acc(nd).discharge_time_s)
-        self.tr_current_time_as = arr(lambda nd: acc(nd).discharge_current_time_as)
-        self.tr_peak_a = arr(lambda nd: acc(nd).peak_discharge_current_a)
-        self.tr_high_rate_s = arr(lambda nd: acc(nd).high_rate_low_soc_time_s)
-        self.feedback_wh = arr(lambda nd: nd.feedback_wh)
+        One pass over the nodes gathers every float field; each array is
+        a contiguous row of one block."""
+        mechs = self.mech_names
+        rows = []
+        for nd in self.nodes:
+            b, acc, server = nd.battery, nd.tracker.acc, nd.server
+            aging, thermal = b.aging, b.thermal
+            damage, region = aging.state.damage, acc.region_discharged_ah
+            rows.append(
+                (
+                    b._soc,
+                    thermal.temperature_c,
+                    thermal.ambient_c,
+                    b._time_s,
+                    b._last_current,
+                    b._hours_since_full,
+                    b.energy_in_wh,
+                    b.energy_out_wh,
+                    aging.state.discharged_ah,
+                    aging.state.charged_ah,
+                    aging._recoverable_stratification,
+                    acc.discharged_ah,
+                    acc.charged_ah,
+                    acc.total_time_s,
+                    acc.deep_discharge_time_s,
+                    acc.discharge_time_s,
+                    acc.discharge_current_time_as,
+                    acc.peak_discharge_current_a,
+                    acc.high_rate_low_soc_time_s,
+                    nd.feedback_wh,
+                    server._boot_remaining_s,
+                    server.downtime_s,
+                    *[damage.get(name, 0.0) for name in mechs],
+                    *[region[k] for k in _REGION_LABELS],
+                )
+            )
+        width = 22 + len(mechs) + len(_REGION_LABELS)
+        cols = np.array(rows, dtype=float).reshape(self.n, width).T.copy()
+        (
+            self.soc,
+            self.temp_c,
+            self.ambient_c,
+            self.time_s,
+            self.last_current,
+            self.h_full,
+            self.energy_in_wh,
+            self.energy_out_wh,
+            self.aging_discharged_ah,
+            self.aging_charged_ah,
+            self.recoverable_strat,
+            self.tr_discharged_ah,
+            self.tr_charged_ah,
+            self.tr_total_time_s,
+            self.tr_deep_time_s,
+            self.tr_discharge_time_s,
+            self.tr_current_time_as,
+            self.tr_peak_a,
+            self.tr_high_rate_s,
+            self.feedback_wh,
+            self.boot_left_s,
+            self.downtime_s,
+        ) = cols[:22]
+        self.damage = cols[22 : 22 + len(mechs)]  # (5, n)
+        self.tr_region = cols[22 + len(mechs) :]  # (4, n)
         servers = [nd.server for nd in self.nodes]
         self.server_state = np.array(
             [_STATE_CODE[s.state] for s in servers], dtype=np.int8
         )
-        self.boot_left_s = np.array([float(s._boot_remaining_s) for s in servers])
-        self.downtime_s = np.array([float(s.downtime_s) for s in servers])
         self.admin_off = np.array([s.admin_off for s in servers], dtype=bool)
         #: Cells whose objects hold the arrays' values (see materialize).
         self._synced = set(range(self.n_cells))
@@ -503,7 +526,7 @@ class FleetState:
 
         Parking, DVFS, discharge caps and VM placement are policy
         actions on the object API; the engine calls this after deploying
-        VMs and after every object-path control pass. With ``cell``, only
+        VMs, and a control pass after it acted. With ``cell``, only
         that cell's nodes and VMs are re-read.
         """
         if cell is None:
@@ -583,20 +606,19 @@ class FleetState:
             for i in (count > 2).nonzero()[0].tolist()
         ]
         m = len(vms)
-        self.vm_mean = np.zeros(m)
-        self.vm_burst = np.zeros(m)
-        self.vm_noise_sd = np.zeros(m)
-        self.vm_draws = np.zeros(m, dtype=bool)
-        self.vm_group = np.zeros(m, dtype=np.intp)
         groups: Dict[Tuple[float, float, float], int] = {}
-        for k, vm in enumerate(vms):
+        columns, draws, group = [], [], []
+        for vm in vms:
             w = vm.workload
-            self.vm_mean[k] = w.mean_util
-            self.vm_burst[k] = w.burst_util
-            self.vm_noise_sd[k] = w.burstiness * w.mean_util
-            self.vm_draws[k] = w.burstiness > 0
+            columns.append((w.mean_util, w.burst_util, w.burstiness * w.mean_util))
+            draws.append(w.burstiness > 0)
             key = (float(w.period_s), float(w.phase), float(w.duty_cycle))
-            self.vm_group[k] = groups.setdefault(key, len(groups))
+            group.append(groups.setdefault(key, len(groups)))
+        self.vm_mean, self.vm_burst, self.vm_noise_sd = (
+            np.array(columns, dtype=float).reshape(m, 3).T.copy()
+        )
+        self.vm_draws = np.array(draws, dtype=bool)
+        self.vm_group = np.array(group, dtype=np.intp)
         self._wave_groups = groups
         if cell is None:
             lo, hi = 0, m
@@ -861,7 +883,7 @@ class FleetState:
         the scalar pows. One entry is lazy: ``"ocv_hi"``, the faded
         full-charge OCV endpoint, is computed by its first reader in a
         state generation (restart, discharge, the charge walk, the
-        voltage helpers, :meth:`last_draw_powers`), so a step on which
+        voltage helpers, the control pass), so a step on which
         every battery rests never pays for its pow. ``"ocv_hi" in der``
         tells whether it has been read.
         """
@@ -1006,20 +1028,6 @@ class FleetState:
         v = self._tv_scalar(i, soc, i_max, der)
         return max(0.0, i_max * v)
 
-    def last_draw_powers(self) -> Dict[str, float]:
-        """Per-node battery draw (W) from the last step's terminal state.
-
-        Replicates the engine's reference draw refresh: it is only read
-        at control steps, and battery state is untouched between the end
-        of a power step and the next control call, so computing it lazily
-        here is bit-equal to refreshing it every step.
-        """
-        der = self.derived_now()
-        current = np.maximum(0.0, self.last_current)
-        voltage = self.terminal_voltage(self.soc, current, der)
-        draws = current * np.maximum(voltage, 0.0)
-        return {name: float(w) for name, w in zip(self.node_names, draws)}
-
     def mark_arrays(self, label: str, epoch: int) -> Dict[str, np.ndarray]:
         """Array snapshots of every tracker's ``label`` mark accumulator.
 
@@ -1136,7 +1144,6 @@ class FleetCell:
     policy_restricted = FleetState.policy_restricted
     ocv = FleetState.ocv
     terminal_voltage = FleetState.terminal_voltage
-    last_draw_powers = FleetState.last_draw_powers
     mark_arrays = FleetState.mark_arrays
 
 

@@ -79,12 +79,15 @@ class Scenario:
     #: batteries behind one rack bus (Facebook Open-Rack style), and runs
     #: on the fleet stepper only.
     architecture: str = "per-server"
-    #: Engine stepping implementation: "reference" walks nodes one by one
-    #: (the original, easiest-to-audit path); "fleet" routes power and
-    #: advances batteries through the vectorized struct-of-arrays fast
-    #: path in :mod:`repro.sim.fleet`, which is bit-compatible with the
-    #: reference (see tests/test_fleet_equivalence.py) but much faster at
-    #: rack scale. Only "fleet" routes the rack-pool architecture.
+    #: Engine stepping implementation of power routing, battery and
+    #: server physics and VM advance: "reference" walks the node objects
+    #: one by one (the original, easiest-to-audit path); "fleet" runs them
+    #: as the vectorized struct-of-arrays kernels in :mod:`repro.sim.fleet`,
+    #: bit-compatible with the reference (see
+    #: tests/test_fleet_equivalence.py) but much faster at rack scale.
+    #: Both run the same control passes (``Policy.control_fleet``), the
+    #: reference on a capture of its objects. Only "fleet" routes the
+    #: rack-pool architecture.
     stepper: str = "reference"
     seed: int = DEFAULT_SEED
 

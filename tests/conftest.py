@@ -78,3 +78,18 @@ def one_sunny_day(tiny_scenario):
 def one_cloudy_day(tiny_scenario):
     """A single cloudy-day trace matching the tiny scenario."""
     return tiny_scenario.trace_generator().day(DayClass.CLOUDY)
+
+
+@pytest.fixture
+def control_pass():
+    """``control_pass(policy, t, solar_w=0.0)``: one control pass of a
+    bound policy on a fresh capture of its cluster, as the reference
+    stepper runs it. A test sets each battery's SoC and last current on
+    the objects first; the pass reads its draw from them."""
+    from repro.sim.fleet import FleetState
+
+    def run(policy, t: float, solar_w: float = 0.0) -> bool:
+        fleet = FleetState(policy.cluster)
+        return policy.control_fleet(t, 60.0, fleet, solar_w=solar_w)
+
+    return run

@@ -120,7 +120,11 @@ def mismatches(got, want, path: str = "") -> list:
     if isinstance(want, list) and isinstance(got, list):
         if len(got) != len(want):
             return [f"{path}: length {len(got)} != {len(want)}"]
-        return [b for i, (g, w) in enumerate(zip(got, want)) for b in mismatches(g, w, f"{path}[{i}]")]
+        return [
+            bad
+            for i, (g, w) in enumerate(zip(got, want))
+            for bad in mismatches(g, w, f"{path}[{i}]")
+        ]
     if isinstance(want, float) and isinstance(got, float):
         if math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0):
             return []

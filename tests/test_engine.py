@@ -1,5 +1,6 @@
 """Integration tests for the simulation engine."""
 
+import numpy as np
 import pytest
 
 from repro.core.policies.factory import make_policy
@@ -195,42 +196,56 @@ class TestBeginOnce:
         assert sim._steps_per_day == round(SECONDS_PER_DAY / tiny_scenario.dt_s)
 
     def test_recorded_draws_match_public_current(self, tiny_scenario, one_cloudy_day):
-        sim = Simulation(tiny_scenario, make_policy("e-buff"), one_cloudy_day)
-        for _ in range(20):
+        """Each control pass reads the batteries' last currents from its
+        freshly captured view."""
+        policy = make_policy("e-buff")
+        sim = Simulation(tiny_scenario, policy, one_cloudy_day)
+        seen = []
+
+        def spy(t, dt, fleet, solar_w=0.0):
+            seen.append(
+                fleet.last_current.tolist()
+                == [node.battery.last_current_a for node in sim.cluster]
+            )
+            return True
+
+        policy.control_fleet = spy
+        while sim.steps_done < sim.steps_total:
             sim.step_once()
-        for node in sim.cluster:
-            assert sim.cells[0].last_draws[node.name] == node.battery.last_current_a
+        assert seen and all(seen)
 
 
 class TestDrawSignal:
-    """The reference stepper derives the DR draw signal at the control
-    pass; it must equal the draws refreshed eagerly after every step."""
+    """The DR draw signal a control pass reads from its arrays equals
+    the draws refreshed eagerly from the objects after every step."""
 
     def test_control_sees_eager_draws(self, tiny_scenario, one_cloudy_day):
         policy = make_policy("baat")
         sim = Simulation(tiny_scenario, policy, one_cloudy_day)
 
         def eager_draws():
-            draws = {}
+            draws = []
             for node in sim.cluster:
                 current = max(0.0, node.battery.last_current_a)
                 voltage = node.battery.terminal_voltage(current)
-                draws[node.name] = current * max(voltage, 0.0)
+                draws.append(current * max(voltage, 0.0))
             return draws
 
         expected = [eager_draws()]
         passes = []
-        control = policy.control
+        control = policy.control_fleet
 
-        def spy(t, dt, draws, solar_w=0.0):
-            passes.append((dict(draws), expected[0]))
-            control(t, dt, draws, solar_w=solar_w)
+        def spy(t, dt, fleet, solar_w=0.0):
+            current = np.maximum(0.0, fleet.last_current)
+            voltage = fleet.terminal_voltage(fleet.soc, current, fleet.derived_now())
+            passes.append(((current * np.maximum(voltage, 0.0)).tolist(), expected[0]))
+            return control(t, dt, fleet, solar_w=solar_w)
 
-        policy.control = spy
+        policy.control_fleet = spy
         while sim.steps_done < sim.steps_total:
             sim.step_once()
             expected[0] = eager_draws()
         assert passes
-        assert any(w > 0.0 for seen, _ in passes for w in seen.values())
+        assert any(w > 0.0 for seen, _ in passes for w in seen)
         for seen, eager in passes:
             assert seen == eager

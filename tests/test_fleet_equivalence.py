@@ -375,7 +375,7 @@ class TestAlertingEquivalence:
         assert any(handled for handled, _ in passes)
         assert sum(n for handled, n in passes if handled) > 0
 
-    def test_non_threshold_watched_rule_falls_back(self, _alerting):
+    def test_non_threshold_watched_rule_stays_on_array_pass(self, _alerting):
         from repro.obs.alerts import AlertRule
 
         _alerting.add_rule(
@@ -392,7 +392,9 @@ class TestAlertingEquivalence:
             scenario, "baat-s", [DayClass.RAINY]
         )
         assert passes
-        assert not any(handled for handled, _ in passes)
+        assert all(handled for handled, _ in passes)
+        # The rate rule observed inside the array passes of the last run.
+        assert any(name == "ddt_window_breach" for name, _ in _alerting._rate_hist)
 
 
 class TestStepperSelection:

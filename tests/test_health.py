@@ -37,6 +37,7 @@ from repro.obs.health import (
 )
 from repro.obs.telemetry import FrameEncoder
 from repro.sim.engine import Simulation
+from repro.sim.fleet import FleetState
 from repro.sim.scenario import Scenario
 from repro.solar.weather import DayClass
 
@@ -302,10 +303,12 @@ class TestEngineeredBreaches:
             sim.step_once()
             monitor = sim.policy.monitor
             node = sim.cluster.nodes[0]
-            # A 5 kW draw against a nearly drained battery leaves seconds
+            # A ~1 kW draw against a nearly drained battery leaves seconds
             # of reserve: the monitor must both trigger its slowdown and
             # raise the dr_reserve_exhaustion alert.
-            assert monitor.check(node, 5000.0) is True
+            node.battery._last_current = 100.0
+            monitor.fleet_control(300.0, FleetState(sim.cluster))
+            assert monitor.first_action_t == 300.0
             fired = list(ALERTS.fired("dr_reserve_exhaustion"))
         finally:
             disable_observability()

@@ -112,23 +112,29 @@ class TestPlacementStyles:
 
 
 class TestControlBehaviour:
-    def test_ebuff_control_is_inert(self, cluster):
+    def test_ebuff_control_is_inert(self, cluster, control_pass):
         policy = make_policy("e-buff")
         policy.bind(cluster)
-        policy.control(0.0, 60.0, {n.name: 100.0 for n in cluster}, solar_w=0.0)
+        for node in cluster:
+            node.battery._soc = 0.2
+            node.battery._last_current = 8.0
+        assert control_pass(policy, 0.0) is True
         for node in cluster:
             assert node.server.frequency == 1.0
             assert node.discharge_cap_w == float("inf")
 
-    def test_baat_s_throttles_stressed_node(self, cluster):
+    def test_baat_s_throttles_stressed_node(self, cluster, control_pass):
         policy = make_policy("baat-s")
         policy.bind(cluster)
         node = cluster.node("node0")
         node.battery._soc = 0.3
-        policy.control(12 * 3600.0, 60.0, {n.name: 150.0 for n in cluster})
+        for n in cluster:
+            n.battery._last_current = 12.0  # ~150 W
+        control_pass(policy, 12 * 3600.0)
         assert node.server.frequency < 1.0
+        assert all(n.server.frequency == 1.0 for n in cluster if n is not node)
 
-    def test_baat_h_migrates_off_imbalanced_node(self, cluster):
+    def test_baat_h_migrates_off_imbalanced_node(self, cluster, control_pass):
         policy = make_policy("baat-h")
         policy.bind(cluster)
         vm = light_vm("a")
@@ -137,7 +143,7 @@ class TestControlBehaviour:
         for _ in range(16):
             cluster.node("node0").battery.discharge(120.0, 900.0)
             cluster.node("node0").observe_battery(900.0)
-        policy.control(3600.0, 60.0, {n.name: 0.0 for n in cluster})
+        control_pass(policy, 3600.0)
         assert vm.host != "node0"
         assert policy.migrations == 1
 
@@ -158,22 +164,23 @@ class TestControlBehaviour:
 
 
 class TestConsolidation:
-    def test_consolidation_parks_under_stress(self, cluster):
+    def test_consolidation_parks_under_stress(self, cluster, control_pass):
         policy = make_policy("baat")
         policy.bind(cluster)
         for node in cluster:
             cluster.place(light_vm(f"vm-{node.name}"), node.name)
             node.battery._soc = 0.35
+            node.battery._last_current = 8.0
         # Tiny solar late in the day: the cluster is over-committed.
-        policy.control(16 * 3600.0, 60.0, {n.name: 100.0 for n in cluster}, solar_w=50.0)
+        control_pass(policy, 16 * 3600.0, solar_w=50.0)
         parked = [n for n in cluster if n.server.policy_off]
         assert parked  # at least one server parked
         for node in parked:
             assert node.discharge_cap_w == 0.0
 
-    def test_wake_on_solar_headroom(self, cluster):
+    def test_wake_on_solar_headroom(self, cluster, control_pass):
         policy = make_policy("baat")
         policy.bind(cluster)
         cluster.node("node2").server.policy_off = True
-        policy.control(12 * 3600.0, 60.0, {n.name: 0.0 for n in cluster}, solar_w=5000.0)
+        control_pass(policy, 12 * 3600.0, solar_w=5000.0)
         assert not cluster.node("node2").server.policy_off

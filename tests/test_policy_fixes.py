@@ -6,7 +6,7 @@ Three defects rode in one PR:
   derived from the scenario's ``operating_window_h``, so rationing and
   the consolidation battery budget planned toward the wrong horizon on
   non-default windows;
-- :meth:`BAATPolicy._battery_budget_w` summed usable charge over parked
+- :meth:`BAATPolicy._battery_budget_w_fleet` summed usable charge over parked
   (``policy_off``) nodes whose discharge cap is 0 W, inflating the
   supportable-server estimate with unspendable charge;
 - the consolidation wake loop's accounting decremented the solar
@@ -20,6 +20,7 @@ from repro.core.policies.baat import BAATPolicy
 from repro.core.policies.baat_s import BAATSlowdownPolicy
 from repro.core.slowdown import DEFAULT_WINDOW_END_H, SlowdownConfig
 from repro.errors import ConfigurationError
+from repro.sim.fleet import FleetState
 from repro.sim.scenario import Scenario
 from repro.units import SECONDS_PER_HOUR
 
@@ -76,13 +77,13 @@ class TestBatteryBudgetExcludesParked:
     def test_parked_node_contributes_nothing(self):
         _, cluster, policy = _bound(BAATPolicy(), n=4)
         t = 10.0 * SECONDS_PER_HOUR
-        full = policy._battery_budget_w(t)
+        full = policy._battery_budget_w_fleet(t, FleetState(cluster))
         assert full > 0.0
 
         victim = cluster.nodes[1]
         victim.server.policy_off = True
         victim.discharge_cap_w = 0.0
-        without = policy._battery_budget_w(t)
+        without = policy._battery_budget_w_fleet(t, FleetState(cluster))
 
         # The parked node's term must vanish entirely; reconstruct it
         # from the same formula to pin the exact amount.
@@ -109,7 +110,7 @@ class TestBatteryBudgetExcludesParked:
         for node in cluster:
             node.server.policy_off = True
             node.discharge_cap_w = 0.0
-        assert policy._battery_budget_w(0.0) == 0.0
+        assert policy._battery_budget_w_fleet(0.0, FleetState(cluster)) == 0.0
 
 
 class TestWakeAccounting:
@@ -120,25 +121,25 @@ class TestWakeAccounting:
             node.discharge_cap_w = 0.0
         return cluster, policy
 
-    def test_wakes_stop_exactly_at_solar_headroom(self):
+    def test_wakes_stop_exactly_at_solar_headroom(self, control_pass):
         cluster, policy = self._parked_cluster(n=6, parked=3)
         per_server = policy._per_server_planning_w()
         # Solar supports 5 servers; 3 are active -> exactly 2 wakes.
-        policy._consolidate(t=0.0, solar_w=per_server * 5.5)
+        control_pass(policy, 0.0, solar_w=per_server * 5.5)
         parked = [n for n in cluster if n.server.policy_off]
         assert len(parked) == 1
         woken = [n for n in cluster if not n.server.policy_off]
         assert all(n.discharge_cap_w == float("inf") for n in woken)
 
-    def test_headroom_beyond_parked_pool_wakes_everyone(self):
+    def test_headroom_beyond_parked_pool_wakes_everyone(self, control_pass):
         cluster, policy = self._parked_cluster(n=6, parked=2)
         per_server = policy._per_server_planning_w()
-        policy._consolidate(t=0.0, solar_w=per_server * 20.0)
+        control_pass(policy, 0.0, solar_w=per_server * 20.0)
         assert not any(n.server.policy_off for n in cluster)
 
-    def test_no_wake_without_headroom(self):
+    def test_no_wake_without_headroom(self, control_pass):
         cluster, policy = self._parked_cluster(n=6, parked=3)
         per_server = policy._per_server_planning_w()
         # Solar supports only the 3 already-active servers.
-        policy._consolidate(t=0.0, solar_w=per_server * 3.0)
+        control_pass(policy, 0.0, solar_w=per_server * 3.0)
         assert sum(1 for n in cluster if n.server.policy_off) == 3

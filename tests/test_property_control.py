@@ -10,9 +10,11 @@ from repro.battery.params import BatteryParams
 from repro.battery.unit import BatteryUnit
 from repro.core.controller import BAATController
 from repro.core.planner import DOD_MAX, DOD_MIN, dod_goal
-from repro.core.slowdown import SlowdownConfig, SlowdownMonitor, reserve_seconds
+from repro.core.slowdown import SlowdownConfig, SlowdownMonitor
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.node import Node
+from repro.sim.fleet import FleetState
+from tests.test_slowdown import reserve_seconds
 
 PARAMS = BatteryParams()
 
@@ -61,7 +63,9 @@ class TestSlowdownProperties:
     def test_check_never_fires_above_threshold(self, soc, draw):
         node, monitor = monitor_with_soc(soc)
         if soc >= monitor.low_soc_threshold(node):
-            assert not monitor.check(node, draw)
+            node.battery._last_current = draw / 12.0
+            monitor.fleet_control(43200.0, FleetState(monitor.cluster))
+            assert monitor.first_action_t is None
 
 
 class TestPlannerProperties:

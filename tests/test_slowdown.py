@@ -2,22 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.battery.params import BatteryParams
 from repro.battery.unit import BatteryUnit
 from repro.core.controller import BAATController
 from repro.core.scheduler import AgingHidingScheduler
-from repro.core.slowdown import (
-    SlowdownConfig,
-    SlowdownMonitor,
-    reserve_seconds,
-)
+from repro.core.slowdown import SlowdownConfig, SlowdownMonitor
 from repro.datacenter.cluster import Cluster
 from repro.datacenter.node import Node
 from repro.datacenter.vm import VM
 from repro.datacenter.workloads import WorkloadProfile
 from repro.errors import ConfigurationError
+from repro.obs import BUS
+from repro.sim.fleet import FleetState
 from repro.units import hours
 
 
@@ -34,6 +33,32 @@ def make_monitor(n=3, prefer_migration=True, allow_parking=True, socs=None):
         prefer_migration=prefer_migration, allow_parking=allow_parking
     )
     return cluster, SlowdownMonitor(cluster, controller, scheduler, config)
+
+
+def run_pass(monitor, t, currents=None):
+    """One monitoring pass on a fresh capture of the monitor's cluster,
+    each battery's last current set from ``currents`` (A) first; the
+    (node, trigger) of every slowdown action it took."""
+    for node, amps in zip(monitor.cluster, currents or ()):
+        node.battery._last_current = amps
+    with BUS.capture() as sink:
+        monitor.fleet_control(t, FleetState(monitor.cluster))
+    return [(e.node, e.trigger) for e in sink.events if e.kind == "slowdown_action"]
+
+
+def reserve_seconds(battery, power_w):
+    """The monitor's reserve kernel for one battery drawing ``power_w``."""
+    cluster = Cluster([Node.build("n0", battery=battery)])
+    monitor = SlowdownMonitor(cluster, BAATController(cluster))
+    fleet = FleetState(cluster)
+    der = fleet.derived_now()
+    voltage = fleet.ocv(fleet.soc, der)
+    # A vanishing draw's reserve overflows to inf.
+    with np.errstate(over="ignore"):
+        reserve = monitor._reserve_seconds_array(
+            fleet, np.arange(1), np.array([power_w]), voltage, der
+        )
+    return float(reserve[0])
 
 
 def steady_vm(name, util=0.5):
@@ -69,26 +94,28 @@ class TestConfig:
 
 class TestTrigger:
     def test_no_trigger_above_threshold(self):
-        cluster, monitor = make_monitor(socs=[0.8, 0.8, 0.8])
-        assert not monitor.check(cluster.nodes[0], current_draw_w=100.0)
+        _, monitor = make_monitor(socs=[0.8, 0.8, 0.8])
+        assert run_pass(monitor, hours(12), currents=[8.0] * 3) == []
 
     def test_triggers_on_thin_reserve(self):
-        cluster, monitor = make_monitor(socs=[0.15, 0.8, 0.8])
-        node = cluster.nodes[0]
-        # A draw large enough to empty the remaining charge in < 2 min.
-        assert monitor.check(node, current_draw_w=5000.0)
+        _, monitor = make_monitor(socs=[0.15, 0.8, 0.8])
+        # A draw large enough to empty the remaining charge in < 2 min;
+        # the reserve check comes before the ration check.
+        assert run_pass(monitor, hours(12), currents=[40.0, 0.0, 0.0]) == [
+            ("node0", "dr")
+        ]
 
     def test_triggers_on_unsustainable_ration(self):
-        cluster, monitor = make_monitor(socs=[0.35, 0.8, 0.8])
-        node = cluster.nodes[0]
-        monitor._last_t = hours(17.0)  # late in the window
-        assert monitor.check(node, current_draw_w=150.0)
+        _, monitor = make_monitor(socs=[0.35, 0.8, 0.8])
+        # ~150 W late in the window.
+        assert run_pass(monitor, hours(17.0), currents=[12.0, 0.0, 0.0]) == [
+            ("node0", "ration")
+        ]
 
     def test_planned_override_moves_threshold(self):
         cluster, monitor = make_monitor(socs=[0.35, 0.8, 0.8])
-        node = cluster.nodes[0]
-        monitor.low_soc_override[node.name] = 0.2
-        assert not monitor.check(node, current_draw_w=150.0)
+        monitor.low_soc_override[cluster.nodes[0].name] = 0.2
+        assert run_pass(monitor, hours(17.0), currents=[12.0, 0.0, 0.0]) == []
 
 
 class TestActions:
@@ -141,18 +168,20 @@ class TestActions:
         node = cluster.nodes[0]
         node.server.set_freq_index(2)
         node.discharge_cap_w = 50.0
-        monitor.recover(node)
+        run_pass(monitor, hours(12))
         assert node.server.freq_index == 1
         assert node.discharge_cap_w == math.inf
-        monitor.recover(node)
+        run_pass(monitor, hours(12))
         assert node.server.freq_index == 0
 
     def test_recover_does_not_wake_parked(self):
         cluster, monitor = make_monitor(socs=[0.9, 0.9, 0.9])
         node = cluster.nodes[0]
         node.server.policy_off = True
-        monitor.recover(node)
+        node.discharge_cap_w = 0.0
+        run_pass(monitor, hours(12))
         assert node.server.policy_off
+        assert node.discharge_cap_w == 0.0
 
 
 class TestControlLoop:
@@ -160,13 +189,45 @@ class TestControlLoop:
         cluster, monitor = make_monitor(socs=[0.2, 0.9, 0.9])
         for node in cluster:
             cluster.place(steady_vm(f"vm-{node.name}"), node.name)
-        actions = monitor.control(hours(12), {n.name: 120.0 for n in cluster})
-        assert len(actions) == 1
-        assert actions[0].startswith("node0:")
+        actions = run_pass(monitor, hours(12), currents=[10.0] * 3)  # ~120 W
+        assert [node for node, _ in actions] == ["node0"]
 
     def test_control_recovers_healthy_nodes(self):
         cluster, monitor = make_monitor(socs=[0.9, 0.9, 0.9])
         node = cluster.nodes[0]
         node.server.set_freq_index(1)
-        monitor.control(hours(12), {n.name: 0.0 for n in cluster})
+        run_pass(monitor, hours(12))
         assert node.server.freq_index == 0
+
+
+class TestAlertObservation:
+    def test_non_threshold_floor_rule_observes_every_eligible_node(self):
+        """A floor rule of any kind but ``threshold`` may change state on
+        any observation, so the pass observes every up, unparked node."""
+        from repro.obs import ALERTS
+        from repro.obs.alerts import AlertRule, default_rules
+
+        cluster, monitor = make_monitor(socs=[0.9, 0.9, 0.9])
+        cluster.nodes[1].server.policy_off = True
+        ALERTS.reset()
+        ALERTS.add_rule(
+            AlertRule(
+                name="soc_floor_violation",
+                kind="rate",
+                threshold=-1.0,
+                direction="below",
+                window_s=3600.0,
+            )
+        )
+        ALERTS.enabled = True
+        try:
+            run_pass(monitor, hours(12))
+            observed = sorted(
+                key for name, key in ALERTS._rate_hist if name == "soc_floor_violation"
+            )
+        finally:
+            ALERTS.enabled = False
+            ALERTS.reset()
+            for rule in default_rules():
+                ALERTS.add_rule(rule)
+        assert observed == ["node0", "node2"]
