@@ -99,11 +99,11 @@ class BAATPolicy(Policy):
         plan = self._consolidation_plan(t, solar_w, fleet)
         if plan is not None:
             fleet.materialize()
-            wake, supportable = plan
-            if wake:
-                self._wake(t, supportable)
+            action, n_servers = plan
+            if action == "wake":
+                self._wake(t, n_servers)
             else:
-                self._consolidate(t, supportable)
+                self._consolidate(t, n_servers)
             # Wakes, parks and migrations move hosting, VMs and caps.
             fleet.refresh_policy_view()
         self.monitor.fleet_control(t, fleet)
@@ -118,10 +118,11 @@ class BAATPolicy(Policy):
 
     def _consolidation_plan(
         self, t: float, solar_w: float, fleet: "FleetState"
-    ) -> Optional[Tuple[bool, int]]:
-        """What the consolidation pass does this tick: ``(True, n)`` wakes
-        parked nodes toward ``n`` active on solar headroom, ``(False, n)``
-        consolidates onto ``n`` supportable servers, None does nothing.
+    ) -> Optional[Tuple[str, int]]:
+        """What the consolidation pass does this tick: ``("wake", n)``
+        wakes parked nodes toward ``n`` active on solar headroom,
+        ``("consolidate", n)`` consolidates onto ``n`` supportable
+        servers, None does nothing.
 
         Wake on *solar* headroom only: parked batteries are deliberately
         being preserved, so recharged charge alone must not trigger a
@@ -137,7 +138,7 @@ class BAATPolicy(Policy):
         n_active = fleet.n - n_off
         solar_supportable = int(solar_w // per_server)
         if solar_supportable > n_active and n_off > 0:
-            return True, solar_supportable
+            return "wake", solar_supportable
         supportable = int(
             (solar_w + self._battery_budget_w_fleet(t, fleet)) // per_server
         )
@@ -148,7 +149,7 @@ class BAATPolicy(Policy):
             return None
         if t - self._last_consolidation_s < CONSOLIDATION_COOLDOWN_S:
             return None
-        return False, supportable
+        return "consolidate", supportable
 
     def _battery_budget_w_fleet(self, t: float, fleet: "FleetState") -> float:
         """Aggregate sustainable battery power: per node, the charge above
